@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from sympleib.exactlin import (
     HALF,
@@ -128,10 +128,6 @@ def right_mult(a: Algebra, u: Sequence[Fraction]) -> Matrix:
     """Matrix of v -> v * u in the standard basis."""
     cols = [multiply(a, basis_vector(a.dim, j), u) for j in range(a.dim)]
     return Matrix.from_rows([[cols[j][k] for j in range(a.dim)] for k in range(a.dim)])
-
-
-def _basis_product(a: Algebra, i: int, j: int) -> tuple[Fraction, ...]:
-    return a.c[i][j]
 
 
 def _mul_basis_vec(a: Algebra, i: int, v: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from fractions import Fraction
 from typing import Any
 
 from . import catalog
@@ -29,7 +30,7 @@ from .extension import (build_double_extension, build_left_symmetric,
                         check_full_system, check_reduced_system)
 from .fileformat import (FileFormatError, algebra_to_dict, dumps,
                          form_to_entries, load_algebra, load_extension,
-                         rational_to_json)
+                         rational_from_json, rational_to_json)
 from .reporting import Check, SystemReport
 from .symplectic import (find_nondegenerate, form_from_coords, is_bi_symplectic,
                          is_symplectic_left, is_symplectic_right,
@@ -231,13 +232,13 @@ def _get_family(fid: str) -> catalog.FamilySpec:
         raise UsageError(f"unknown family {fid!r}; known ids: {known}") from None
 
 
-def _parse_params(pairs) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse_params(pairs) -> dict[str, Fraction]:
+    out: dict[str, Fraction] = {}
     for item in pairs or []:
         key, sep, value = item.partition("=")
         if not sep or not key or not value:
             raise UsageError(f"parameters look like name=value, got {item!r}")
-        out[key] = value
+        out[key] = rational_from_json(value, f"parameter {key}")
     return out
 
 

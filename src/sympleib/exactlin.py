@@ -35,10 +35,6 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational (floats are not allowed)")
 
 
-def format_rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # vectors: plain tuples of Fraction
 

@@ -9,6 +9,7 @@ parse/serialize round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -30,7 +31,14 @@ def rational_to_json(value: Rational) -> int | str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def rational_from_json(value: object, where: str) -> Fraction:
+    """A JSON integer or a string "p" or "p/q" with q != 0; nothing else."""
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise FileFormatError(f"{where}: {value!r} is not an integer or a "
+                              f"fraction p/q with a nonzero denominator")
     try:
         return rat(value)
     except (TypeError, ValueError) as exc:

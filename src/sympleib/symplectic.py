@@ -5,6 +5,13 @@ Nondegeneracy is a cached flag (det W != 0), recomputed whenever a form is
 constructed; degenerate forms are legal objects so that solution spaces of
 the compatibility equations can be inspected, but every predicate that needs
 nondegeneracy fails them with an explicit witness.
+
+Every identity here is linear in omega and in the product, so it is
+evaluated through the table g[p][q] = W c[p][q], built once per call:
+omega(e_x, e_p*e_q) = g[p][q][x] and omega(e_p*e_q, e_x) = -g[p][q][x].  The
+left and right identities are written once, as term lists shared by the
+checks and by solve_symplectic_forms.  The ``*_split`` checks evaluate every
+scalar with omega instead and serve as independent test oracles.
 """
 
 from __future__ import annotations
@@ -12,18 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from sympleib.algebra import (
-    Algebra,
-    IdentityReport,
-    Witness,
-    is_left_leibniz,
-    is_right_leibniz,
-    is_symmetric_leibniz,
-    multiply,
-    split,
-)
+from sympleib.algebra import Algebra, IdentityReport, Witness, split
 from sympleib.exactlin import (
     HALF,
     ONE,
@@ -33,10 +31,7 @@ from sympleib.exactlin import (
     basis_vector,
     kernel,
     rat,
-    solve_unique,
     span,
-    vadd,
-    vsub,
     vzero,
 )
 
@@ -85,7 +80,33 @@ def form_from_pairs(dim: int, pairs: Mapping[tuple[int, int], object],
 
 
 def omega(form: SkewForm, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, form.w.matvec(v), strict=True)), ZERO)
+    """u^T W v, summed over the nonzero coordinates of u, v and W only."""
+    if len(u) != form.dim or len(v) != form.dim:
+        raise ValueError("vector length does not match the form")
+    nz_v = [(b, y) for b, y in enumerate(v) if y]
+    total = ZERO
+    for a, x in enumerate(u):
+        if x:
+            row = form.w.entries[a]
+            for b, y in nz_v:
+                if row[b]:
+                    total += x * row[b] * y
+    return total
+
+
+def _gram_table(form: SkewForm, a: Algebra) -> list[list[tuple[Fraction, ...]]]:
+    """g[p][q] = W c[p][q], so that omega(e_x, e_p*e_q) = g[p][q][x]."""
+    if a.dim != form.dim:
+        raise ValueError("dimension mismatch")
+    cols = [form.w.col(b) for b in range(a.dim)]
+
+    def image(vec):
+        out = (ZERO,) * a.dim
+        for b, y in enumerate(vec):
+            if y:
+                out = tuple(t + w * y if w else t for t, w in zip(out, cols[b]))
+        return out
+    return [[image(vec) for vec in row] for row in a.c]
 
 
 def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
@@ -116,32 +137,46 @@ def _scalar_triple_report(name: str, kind: str, n: int, defect) -> IdentityRepor
     return IdentityReport(name, True)
 
 
-def is_symplectic_left(a: Algebra, form: SkewForm) -> IdentityReport:
-    """omega(u, v*w) - omega(v, u*w) = (1/2) omega(u*v, w) - (1/2) omega(v*u, w)."""
+_MINUS_ONE, _MINUS_HALF = -ONE, -HALF
+
+
+def _left_terms(i: int, j: int, k: int) -> tuple:
+    """The left identity at u, v, w = e_i, e_j, e_k, as terms (coef, x, p, q)
+    standing for coef * omega(e_x, e_p*e_q)."""
+    return ((ONE, i, j, k), (_MINUS_ONE, j, i, k), (HALF, k, i, j), (_MINUS_HALF, k, j, i))
+
+
+def _right_terms(i: int, j: int, k: int) -> tuple:
+    """The right identity at u, v, w = e_i, e_j, e_k, in the same encoding."""
+    return ((ONE, i, k, j), (_MINUS_ONE, j, k, i), (HALF, k, j, i), (_MINUS_HALF, k, i, j))
+
+
+_TERMS = {"left": _left_terms, "right": _right_terms}
+
+
+def _compat_report(a: Algebra, form: SkewForm, side: str) -> IdentityReport:
+    name = f"{side}-symplectic"
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
     if not form.nondegenerate:
-        return _degenerate_report("left-symplectic", form)
-    e = [basis_vector(a.dim, i) for i in range(a.dim)]
+        return _degenerate_report(name, form)
+    g = _gram_table(form, a)
+    terms = _TERMS[side]
 
     def defect(i, j, k):
-        return (omega(form, e[i], a.c[j][k]) - omega(form, e[j], a.c[i][k])
-                - HALF * omega(form, a.c[i][j], e[k]) + HALF * omega(form, a.c[j][i], e[k]))
-    return _scalar_triple_report("left-symplectic", "left-symplectic", a.dim, defect)
+        return sum((coef * g[p][q][x] for coef, x, p, q in terms(i, j, k) if g[p][q][x]),
+                   ZERO)
+    return _scalar_triple_report(name, name, a.dim, defect)
+
+
+def is_symplectic_left(a: Algebra, form: SkewForm) -> IdentityReport:
+    """omega(u, v*w) - omega(v, u*w) = (1/2) omega(u*v, w) - (1/2) omega(v*u, w)."""
+    return _compat_report(a, form, "left")
 
 
 def is_symplectic_right(a: Algebra, form: SkewForm) -> IdentityReport:
     """omega(u, w*v) - omega(v, w*u) = (1/2) omega(v*u, w) - (1/2) omega(u*v, w)."""
-    if a.dim != form.dim:
-        raise ValueError("dimension mismatch")
-    if not form.nondegenerate:
-        return _degenerate_report("right-symplectic", form)
-    e = [basis_vector(a.dim, i) for i in range(a.dim)]
-
-    def defect(i, j, k):
-        return (omega(form, e[i], a.c[k][j]) - omega(form, e[j], a.c[k][i])
-                - HALF * omega(form, a.c[j][i], e[k]) + HALF * omega(form, a.c[i][j], e[k]))
-    return _scalar_triple_report("right-symplectic", "right-symplectic", a.dim, defect)
+    return _compat_report(a, form, "right")
 
 
 def _d_omega(form: SkewForm, bracket: Algebra, i: int, j: int, k: int,
@@ -156,8 +191,9 @@ def is_symplectic_left_split(a: Algebra, form: SkewForm) -> IdentityReport:
     """Equivalent reformulation through the commutator/anticommutator split.
 
     d omega(u, v, w) = omega(v, u <> w) - omega(u, v <> w), where the bracket
-    used inside d omega is half the antisymmetrized product.  Kept as a fully
-    separate code path from is_symplectic_left so the two can be compared.
+    used inside d omega is half the antisymmetrized product.  A test oracle:
+    every scalar is a separate omega call, sharing neither the Gram table nor
+    the term lists of is_symplectic_left, so the two can be compared.
     """
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
@@ -175,7 +211,10 @@ def is_symplectic_left_split(a: Algebra, form: SkewForm) -> IdentityReport:
 
 
 def is_symplectic_right_split(a: Algebra, form: SkewForm) -> IdentityReport:
-    """d omega(u, v, w) = omega(u, v <> w) - omega(v, u <> w), mirror of the left case."""
+    """d omega(u, v, w) = omega(u, v <> w) - omega(v, u <> w), mirror of the left case.
+
+    A test oracle for is_symplectic_right, evaluated with omega like the left one.
+    """
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
     if not form.nondegenerate:
@@ -192,7 +231,7 @@ def is_symplectic_right_split(a: Algebra, form: SkewForm) -> IdentityReport:
 
 
 def is_bi_symplectic(a: Algebra, form: SkewForm) -> IdentityReport:
-    """Both-sided compatibility, checked directly on the split product:
+    """Both-sided compatibility, checked on the Gram tables of the split product:
 
     the form is closed for the commutator bracket, and the anticommutator
     satisfies omega(u <> w, v) = omega(v <> w, u).
@@ -202,22 +241,13 @@ def is_bi_symplectic(a: Algebra, form: SkewForm) -> IdentityReport:
     if not form.nondegenerate:
         return _degenerate_report("bi-symplectic", form)
     bracket, diamond = split(a)
-    e = [basis_vector(a.dim, i) for i in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                d = _d_omega(form, bracket, i, j, k, e)
-                if d != 0:
-                    return IdentityReport("bi-symplectic", False,
-                                          Witness("d-omega", (i, j, k), (d,)))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                d = omega(form, diamond.c[i][k], e[j]) - omega(form, diamond.c[j][k], e[i])
-                if d != 0:
-                    return IdentityReport("bi-symplectic", False,
-                                          Witness("diamond-symmetry", (i, j, k), (d,)))
-    return IdentityReport("bi-symplectic", True)
+    gb, gd = _gram_table(form, bracket), _gram_table(form, diamond)
+    closed = _scalar_triple_report("bi-symplectic", "d-omega", a.dim, lambda i, j, k: (
+        gb[j][k][i] + gb[k][i][j] + gb[i][j][k]))
+    if not closed.holds:
+        return closed
+    return _scalar_triple_report("bi-symplectic", "diamond-symmetry", a.dim, lambda i, j, k: (
+        gd[j][k][i] - gd[i][k][j]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +292,9 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     strict upper-triangle coordinates.  Nondegeneracy is not imposed; use
     find_nondegenerate to look for an invertible representative.
     """
-    if side not in ("left", "right"):
+    if side not in _TERMS:
         raise ValueError("side must be 'left' or 'right'")
+    terms = _TERMS[side]
     n = a.dim
     nvars = n * (n - 1) // 2
     rows = []
@@ -281,16 +312,8 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
         for j in range(n):
             for k in range(n):
                 row = [ZERO] * nvars
-                if side == "left":
-                    add_term(row, i, a.c[j][k], ONE)
-                    add_term(row, j, a.c[i][k], -ONE)
-                    add_term(row, k, a.c[i][j], HALF)    # -1/2 omega(uv, w)
-                    add_term(row, k, a.c[j][i], -HALF)   # +1/2 omega(vu, w)
-                else:
-                    add_term(row, i, a.c[k][j], ONE)
-                    add_term(row, j, a.c[k][i], -ONE)
-                    add_term(row, k, a.c[j][i], HALF)    # -1/2 omega(vu, w)
-                    add_term(row, k, a.c[i][j], -HALF)   # +1/2 omega(uv, w)
+                for coef, x, p, q in terms(i, j, k):
+                    add_term(row, x, a.c[p][q], coef)
                 rows.append(row)
     return kernel(Matrix.from_rows(rows))
 
@@ -320,42 +343,38 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # star products
 
+def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
+    """Solve W^T (e_i ⋆ e_j) = rhs for every basis pair with one inverse,
+    where rhs[k] = -omega(e_j, e_p*e_q) and (p, q) = pair(i, k)."""
+    if not form.nondegenerate:
+        raise ValueError("star product requires a nondegenerate form")
+    n = a.dim
+    g = _gram_table(form, a)
+    wt_inv = form.w.transpose().inverse().entries
+    c = []
+    for i in range(n):
+        rows = [g[p][q] for p, q in (pair(i, k) for k in range(n))]
+        row = []
+        for j in range(n):
+            rhs = [(k, -r[j]) for k, r in enumerate(rows) if r[j]]
+            row.append(tuple(sum((m[k] * y for k, y in rhs if m[k]), ZERO)
+                             for m in wt_inv))
+        c.append(tuple(row))
+    return Algebra(n, tuple(c), a.labels)
+
+
 def star_left(a: Algebra, form: SkewForm) -> Algebra:
     """Product defined by omega(u ⋆ v, w) = -omega(v, u * w).
 
-    Each basis pair is resolved by one exact n x n solve against the Gram
-    matrix; nondegeneracy makes the solution unique.
+    The right-hand sides are read off the Gram table W c and solved against
+    one precomputed inverse of W^T; nondegeneracy makes each solution unique.
     """
-    if not form.nondegenerate:
-        raise ValueError("star product requires a nondegenerate form")
-    n = a.dim
-    e = [basis_vector(n, i) for i in range(n)]
-    wt = form.w.transpose()
-    c = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rhs = [-omega(form, e[j], a.c[i][k]) for k in range(n)]
-            row.append(solve_unique(wt, rhs))
-        c.append(tuple(row))
-    return Algebra(n, tuple(c), a.labels)
+    return _star(a, form, lambda i, k: (i, k))
 
 
 def star_right(a: Algebra, form: SkewForm) -> Algebra:
-    """Product defined by omega(u ⋆ v, w) = -omega(v, w * u)."""
-    if not form.nondegenerate:
-        raise ValueError("star product requires a nondegenerate form")
-    n = a.dim
-    e = [basis_vector(n, i) for i in range(n)]
-    wt = form.w.transpose()
-    c = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rhs = [-omega(form, e[j], a.c[k][i]) for k in range(n)]
-            row.append(solve_unique(wt, rhs))
-        c.append(tuple(row))
-    return Algebra(n, tuple(c), a.labels)
+    """Product defined by omega(u ⋆ v, w) = -omega(v, w * u), computed as star_left."""
+    return _star(a, form, lambda i, k: (k, i))
 
 
 # ---------------------------------------------------------------------------

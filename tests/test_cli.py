@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+from fractions import Fraction
 
 import pytest
 
@@ -97,6 +98,32 @@ def test_malformed_file_exits_2_with_the_position(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+def _file_with_value(tmp_path, value):
+    path = tmp_path / "value.json"
+    doc = {"dim": 2, "products": [{"left": 2, "right": 2, "value": [value, 0]}],
+           "form": [[1, 2, 1]]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["1/0", "-3/0", "1e3", "0.5", "1e400", " 2",
+                                   "+2", "1/-2", "", "٣"])
+def test_rationals_outside_the_grammar_exit_2(capsys, tmp_path, value):
+    code, out, err = run(capsys, "check", _file_with_value(tmp_path, value), "--left")
+    assert code == 2
+    assert out == ""
+    assert "products[0].value[0]" in err
+
+
+def test_fraction_strings_are_still_accepted(capsys, tmp_path):
+    path = _file_with_value(tmp_path, "5/3")
+    assert parse_algebra(open(path, encoding="utf-8").read())[0].c[1][1][0] == \
+        Fraction(5, 3)
+    code, out, _ = run(capsys, "omega", path, "verify", "--side", "left")
+    assert code == 0
+    assert out
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -268,6 +295,11 @@ def test_catalog_build_rejects_bad_params(capsys):
                        "--params", "x")
     assert code == 2
     assert "name=value" in err
+    for value in ("1/0", "1e3", "0.5"):
+        code, out, err = run(capsys, "catalog", "build", "DIM2_NONLIE",
+                             "--params", f"x={value}")
+        assert (code, out) == (2, "")
+        assert "parameter x" in err
 
 
 def test_catalog_verify_samples_pass(capsys):

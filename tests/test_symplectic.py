@@ -7,10 +7,21 @@ import pytest
 
 from sympleib.algebra import (
     Algebra,
+    IdentityReport,
+    Witness,
     is_left_symmetric,
     multiply,
+    split,
 )
-from sympleib.exactlin import Matrix, basis_vector, span, vector, zero_subspace
+from sympleib.catalog import instantiate, list_families
+from sympleib.exactlin import (
+    Matrix,
+    basis_vector,
+    solve_unique,
+    span,
+    vector,
+    zero_subspace,
+)
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
@@ -299,3 +310,135 @@ def test_symplectic_algebra_bundle_checks_on_construction():
         SymplecticAlgebra(_dim2(), SkewForm(Matrix.zero(2, 2)), side="left")
     with pytest.raises(ValueError):
         SymplecticAlgebra(_dim2(), W12, side="sideways")
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the Gram-table checks against naive omega scans
+
+
+def _naive_scan(name, kind, form, n, defect):
+    """First basis triple whose defect, built from omega calls, is nonzero."""
+    if not form.nondegenerate:
+        return IdentityReport(name, False,
+                              Witness("degenerate-form", (), form.radical_vector()))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                d = defect(i, j, k)
+                if d != 0:
+                    return IdentityReport(name, False, Witness(kind, (i, j, k), (d,)))
+    return IdentityReport(name, True)
+
+
+def _naive_left(a, form):
+    e = [basis_vector(a.dim, t) for t in range(a.dim)]
+    half = Fraction(1, 2)
+    return _naive_scan("left-symplectic", "left-symplectic", form, a.dim, lambda i, j, k: (
+        omega(form, e[i], a.c[j][k]) - omega(form, e[j], a.c[i][k])
+        - half * omega(form, a.c[i][j], e[k]) + half * omega(form, a.c[j][i], e[k])))
+
+
+def _naive_right(a, form):
+    e = [basis_vector(a.dim, t) for t in range(a.dim)]
+    half = Fraction(1, 2)
+    return _naive_scan("right-symplectic", "right-symplectic", form, a.dim, lambda i, j, k: (
+        omega(form, e[i], a.c[k][j]) - omega(form, e[j], a.c[k][i])
+        - half * omega(form, a.c[j][i], e[k]) + half * omega(form, a.c[i][j], e[k])))
+
+
+def _naive_bi(a, form):
+    e = [basis_vector(a.dim, t) for t in range(a.dim)]
+    br, di = split(a)
+    closed = _naive_scan("bi-symplectic", "d-omega", form, a.dim, lambda i, j, k: (
+        omega(form, e[i], br.c[j][k]) + omega(form, e[j], br.c[k][i])
+        + omega(form, e[k], br.c[i][j])))
+    if not closed.holds:
+        return closed
+    return _naive_scan("bi-symplectic", "diamond-symmetry", form, a.dim, lambda i, j, k: (
+        omega(form, di.c[i][k], e[j]) - omega(form, di.c[j][k], e[i])))
+
+
+def _naive_star(a, form, product):
+    n = a.dim
+    e = [basis_vector(n, t) for t in range(n)]
+    wt = form.w.transpose()
+    return tuple(
+        tuple(solve_unique(wt, [-omega(form, e[j], product(i, k)) for k in range(n)])
+              for j in range(n))
+        for i in range(n))
+
+
+def _moved_form(form):
+    """The form with one strict upper-triangle entry moved by 1, still invertible."""
+    n = form.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [list(r) for r in form.w.entries]
+            rows[i][j] += 1
+            rows[j][i] -= 1
+            moved = SkewForm(Matrix.from_rows(rows))
+            if moved.nondegenerate:
+                return moved
+    raise AssertionError("no single moved entry keeps the form nondegenerate")
+
+
+def _catalog_pairs():
+    for fid in list_families():
+        a, form = instantiate(fid)
+        yield pytest.param(a, form, id=fid)
+        yield pytest.param(a, _moved_form(form), id=f"{fid}-moved")
+
+
+CATALOG_PAIRS = list(_catalog_pairs())
+
+
+@pytest.mark.parametrize("a, form", CATALOG_PAIRS)
+def test_compatibility_checks_equal_the_naive_scans(a, form):
+    assert is_symplectic_left(a, form) == _naive_left(a, form)
+    assert is_symplectic_right(a, form) == _naive_right(a, form)
+    assert is_bi_symplectic(a, form) == _naive_bi(a, form)
+
+
+@pytest.mark.parametrize("a, form", CATALOG_PAIRS)
+def test_star_products_equal_per_pair_solves(a, form):
+    assert star_left(a, form).c == _naive_star(a, form, lambda i, k: a.c[i][k])
+    assert star_right(a, form).c == _naive_star(a, form, lambda i, k: a.c[k][i])
+
+
+def test_moved_forms_exercise_witnesses_of_every_kind():
+    kinds = set()
+    for param in CATALOG_PAIRS:
+        a, form = param.values
+        for check in (is_symplectic_left, is_symplectic_right, is_bi_symplectic):
+            rep = check(a, form)
+            if not rep.holds:
+                kinds.add(rep.witness.kind)
+    assert kinds >= {"left-symplectic", "right-symplectic", "d-omega",
+                     "diamond-symmetry"}
+
+
+def test_checks_equal_the_naive_scans_on_random_pairs():
+    rng = random.Random(38)
+    for _ in range(30):
+        n = rng.choice([2, 3, 4, 5])
+        a = _random_algebra(rng, n, -1, 1)
+        pairs = {(i + 1, j + 1): Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                 for i in range(n) for j in range(i + 1, n)}
+        form = form_from_pairs(n, pairs)
+        assert is_symplectic_left(a, form) == _naive_left(a, form)
+        assert is_symplectic_right(a, form) == _naive_right(a, form)
+        assert is_bi_symplectic(a, form) == _naive_bi(a, form)
+
+
+def test_omega_equals_the_dense_bilinear_sum():
+    rng = random.Random(39)
+    for _ in range(50):
+        n = rng.choice([2, 4, 6])
+        form = _random_form(rng, n)
+        u = vector([rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(n)])
+        v = vector([rng.choice([0, 0, 1, -2, Fraction(1, 3)]) for _ in range(n)])
+        dense = sum(u[a] * form.w.entries[a][b] * v[b]
+                    for a in range(n) for b in range(n))
+        assert omega(form, u, v) == dense
+    with pytest.raises(ValueError):
+        omega(W12, vector([1, 0, 0]), vector([1, 0]))
