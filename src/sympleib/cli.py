@@ -28,11 +28,11 @@ from .core import core
 from .exactlin import intersect
 from .extension import (build_double_extension, build_left_symmetric,
                         check_full_system, check_reduced_system)
-from .fileformat import (FileFormatError, algebra_to_dict, dumps,
+from .fileformat import (FileFormatError, algebra_to_dict, coords_to_entries, dumps,
                          form_to_entries, load_algebra, load_extension,
                          rational_from_json, rational_to_json)
 from .reporting import Check, SystemReport
-from .symplectic import (find_nondegenerate, form_from_coords, is_bi_symplectic,
+from .symplectic import (find_nondegenerate, is_bi_symplectic,
                          is_symplectic_left, is_symplectic_right,
                          solve_symplectic_forms, star_left, star_right)
 
@@ -121,8 +121,7 @@ def cmd_omega(args) -> int:
                               solve_symplectic_forms(algebra, "right"))
         else:
             space = solve_symplectic_forms(algebra, args.side)
-        basis = [form_to_entries(form_from_coords(algebra.dim, row))
-                 for row in space.basis.entries]
+        basis = [coords_to_entries(algebra.dim, row) for row in space.basis.entries]
         rep = find_nondegenerate(space, algebra.dim, seed=args.seed)
         lines = [f"side: {args.side}",
                  f"solution space dimension: {space.dim}"]

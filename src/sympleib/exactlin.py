@@ -4,13 +4,23 @@ Matrices over ``fractions.Fraction``, reduced row echelon form, kernels,
 canonical subspaces, and exact linear solving.  There is no floating point
 anywhere in this package; every comparison is exact and every tolerance is
 zero.
+
+All row reduction runs on one sparse core, ``reduce_rows``: rows are held as
+``{column: nonzero value}`` maps and merged one at a time into fully reduced
+pivot rows, so zero entries cost nothing and zero or repeated rows die after
+one pass against the pivots.  ``rref``, ``kernel``, ``solve``, ``span``,
+``intersect`` and ``Matrix.inverse`` all read their answers off that core;
+because the RREF of a row space is unique, the order in which rows arrive
+never shows in a result.  Determinants are computed apart from it, by Bareiss
+fraction-free elimination over Python ints (``int_det``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
 
@@ -154,39 +164,30 @@ class Matrix:
         return all(is_zero_vector(r) for r in self.entries)
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free-enough Gaussian elimination (exact)."""
+        """Determinant by Bareiss elimination over Python ints.
+
+        Each row is scaled once by the lcm of its denominators; the integer
+        determinant is then divided by the product of those scales.
+        """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        rows = [list(r) for r in self.entries]
-        d = ONE
-        for c in range(n):
-            piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                d = -d
-            d *= rows[c][c]
-            inv = ONE / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return d
+        scale = 1
+        rows = []
+        for r in self.entries:
+            d = lcm(*(x.denominator for x in r))
+            rows.append([x.numerator * (d // x.denominator) for x in r])
+            scale *= d
+        return Fraction(int_det(rows), scale)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = Matrix.from_rows(
-            [list(self.entries[i]) + list(basis_vector(n, i)) for i in range(n)]
-        )
-        red = rref(aug)
-        for i in range(n):
-            if red.entries[i][i] != 1:
-                raise ValueError("matrix is singular")
-        return Matrix.from_rows([red.entries[i][n:] for i in range(n)])
+        pivots = reduce_rows({**_sparse(r), n + i: ONE} for i, r in enumerate(self.entries))
+        if any(i not in pivots for i in range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix(n, n, tuple(tuple(pivots[i].get(n + j, ZERO) for j in range(n))
+                                  for i in range(n)))
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -212,26 +213,107 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 # row reduction
 
 
-def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form; row space preserved, pivots are 1."""
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
+def int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every intermediate entry is a minor of the input, so each division is
+    exact and no fraction is ever formed.  The rows are overwritten.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        if not rows[k][k]:
+            piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if piv is None:
+                return 0
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        akk = top[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            aik = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * akk - aik * top[j]) // prev
+        prev = akk
+    return sign * prev
+
+
+def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def reduce_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """The fully reduced pivot rows of the span of ``rows``, keyed by pivot column.
+
+    Rows are sparse maps ``{column: nonzero Fraction}``.  Each incoming row is
+    cleared against the pivots found so far; whatever is left is scaled to
+    lead with 1 at its smallest column, which is then cleared from the
+    earlier pivot rows.  Every pivot row thus leads at its own column and
+    vanishes at every other pivot column, so the rows sorted by pivot are the
+    RREF of the input, whatever order the rows came in.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        r = dict(row)
+        # a pivot row is zero at the other pivot columns, so clearing one
+        # pivot column of r never touches another
+        for c in [c for c in r if c in pivots]:
+            f = r[c]
+            for j, y in pivots[c].items():
+                v = r.get(j, ZERO) - f * y
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+        if not r:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return Matrix.from_rows(rows) if rows else Matrix.zero(0, nc)
+        lead = min(r)
+        if r[lead] != 1:
+            d = r[lead]
+            r = {j: x / d for j, x in r.items()}
+        for p in pivots.values():
+            f = p.get(lead)
+            if f:
+                for j, y in r.items():
+                    v = p.get(j, ZERO) - f * y
+                    if v:
+                        p[j] = v
+                    else:
+                        del p[j]
+        pivots[lead] = r
+    return pivots
+
+
+def _dense_rows(pivots: Mapping[int, Mapping[int, Fraction]], cols: int
+                ) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(row.get(j, ZERO) for j in range(cols))
+                 for _, row in sorted(pivots.items()))
+
+
+def _subspace(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+    basis = _dense_rows(reduce_rows(rows), ambient_dim)
+    return Subspace(ambient_dim, Matrix(len(basis), ambient_dim, basis))
+
+
+def _null_space(pivots: Mapping[int, Mapping[int, Fraction]], cols: int) -> "Subspace":
+    """Canonical kernel of the RREF held by ``pivots``: one vector per free column."""
+    vecs = []
+    for f in range(cols):
+        if f not in pivots:
+            v = {f: ONE}
+            for p, row in pivots.items():
+                x = row.get(f)
+                if x:
+                    v[p] = -x
+            vecs.append(v)
+    return _subspace(cols, vecs)
+
+
+def rref(m: Matrix) -> Matrix:
+    """Reduced row echelon form; row space preserved, pivots are 1, zero rows last."""
+    rows = _dense_rows(reduce_rows(map(_sparse, m.entries)), m.cols)
+    return Matrix(m.rows, m.cols, rows + ((ZERO,) * m.cols,) * (m.rows - len(rows)))
 
 
 def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
@@ -302,12 +384,7 @@ def span(ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
     for v in rows:
         if len(v) != ambient_dim:
             raise ValueError("ambient dimension mismatch")
-    if not rows:
-        return Subspace(ambient_dim, Matrix.zero(0, ambient_dim))
-    red = rref(Matrix.from_rows(rows))
-    kept = [r for r in red.entries if not is_zero_vector(r)]
-    basis = Matrix.from_rows(kept) if kept else Matrix.zero(0, ambient_dim)
-    return Subspace(ambient_dim, basis)
+    return _subspace(ambient_dim, map(_sparse, rows))
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -324,20 +401,18 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return span(a.ambient_dim, list(a.basis.entries) + list(b.basis.entries))
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Canonical basis of {v : m v = 0}."""
-    red = rref(m)
-    pivs = pivot_columns(red)
-    piv_set = set(pivs)
-    free = [j for j in range(m.cols) if j not in piv_set]
-    vecs = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivs):
-            v[p] = -red.entries[r][f]
-        vecs.append(v)
-    return span(m.cols, vecs)
+def kernel(m: Matrix | Iterable[Mapping[int, Fraction]], cols: Optional[int] = None
+           ) -> Subspace:
+    """Canonical basis of {v : m v = 0}.
+
+    ``m`` is a Matrix, or an iterable of sparse rows ``{column: nonzero
+    Fraction}`` with ``cols`` columns, for systems too sparse to build densely.
+    """
+    if isinstance(m, Matrix):
+        return _null_space(reduce_rows(map(_sparse, m.entries)), m.cols)
+    if cols is None:
+        raise ValueError("sparse rows need a column count")
+    return _null_space(reduce_rows(m), cols)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -364,16 +439,21 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Optional[tuple[Fraction, 
     """
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = Matrix.from_rows([list(r) + [v] for r, v in zip(m.entries, rhs)]) \
-        if m.rows else Matrix.zero(0, m.cols + 1)
-    red = rref(aug)
-    pivs = pivot_columns(red)
-    if m.cols in pivs:
-        return None, kernel(m)
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivs):
-        x[p] = red.entries[r][m.cols]
-    return tuple(x), kernel(m)
+    n = m.cols
+
+    def augmented():
+        for r, v in zip(m.entries, rhs):
+            row, v = _sparse(r), rat(v)
+            if v:
+                row[n] = v
+            yield row
+    pivots = reduce_rows(augmented())
+    # the RREF of [m | rhs], cut to its first n columns, is the RREF of m
+    ker = _null_space({p: {j: x for j, x in row.items() if j < n}
+                       for p, row in pivots.items() if p < n}, n)
+    if n in pivots:
+        return None, ker
+    return tuple(pivots[p].get(n, ZERO) if p in pivots else ZERO for p in range(n)), ker
 
 
 def solve_unique(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:

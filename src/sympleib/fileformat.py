@@ -3,7 +3,10 @@
 Rationals travel as integers or "p/q" strings; floats are refused.  Basis
 indices are 1-based in files, matching how product tables are written.
 Serialization is canonical (sorted sparse entries, two-space indent), so
-parse/serialize round trips are bit-exact.
+parse/serialize round trips are bit-exact.  Dimensions above ``MAX_DIM`` are
+refused before any structure tensor is allocated: every check and solve is
+at least cubic in the dimension, so a hostile size would otherwise run for
+minutes before failing.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from typing import Any, Mapping
 from .algebra import Algebra
 from .exactlin import Matrix, Rational, rat
 from .extension import ExtensionData, SymplecticLie
-from .symplectic import SkewForm, form_from_pairs
+from .symplectic import SkewForm, form_coords, form_from_pairs
+
+
+MAX_DIM = 48
 
 
 class FileFormatError(ValueError):
@@ -50,14 +56,15 @@ def _expect(condition: bool, message: str) -> None:
         raise FileFormatError(message)
 
 
+def coords_to_entries(dim: int, coords) -> list[list[int | str]]:
+    """File entries of the skew form with these strict upper-triangle coordinates."""
+    cells = ((i, j) for i in range(dim) for j in range(i + 1, dim))
+    return [[i + 1, j + 1, rational_to_json(x)]
+            for (i, j), x in zip(cells, coords, strict=True) if x]
+
+
 def form_to_entries(form: SkewForm) -> list[list[int | str]]:
-    entries: list[list[int | str]] = []
-    for i in range(form.dim):
-        for j in range(i + 1, form.dim):
-            if form.w.entries[i][j] != 0:
-                entries.append([i + 1, j + 1,
-                                rational_to_json(form.w.entries[i][j])])
-    return entries
+    return coords_to_entries(form.dim, form_coords(form))
 
 
 def algebra_to_dict(algebra: Algebra, form: SkewForm | None = None
@@ -106,6 +113,7 @@ def algebra_from_dict(doc: Mapping[str, Any]
     dim = doc["dim"]
     _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
             "dim must be a non-negative integer")
+    _expect(dim <= MAX_DIM, f"dim {dim} exceeds the limit of {MAX_DIM}")
     labels = doc.get("labels", [])
     _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
             "labels must be a list of strings")
@@ -229,6 +237,9 @@ def parse_extension(text: str, base_dir: str | Path = "."
     _expect(isinstance(p, int) and not isinstance(p, bool) and p >= 1,
             "p must be a positive integer")
     m = algebra.dim
+    _expect(2 * p + m <= MAX_DIM,
+            f"the extension has dimension 2p + dim = {2 * p + m}, "
+            f"above the limit of {MAX_DIM}")
 
     def matrices(key: str) -> list[Matrix]:
         data = doc[key]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from sympleib.algebra import Algebra, IdentityReport, Witness, split
@@ -29,10 +30,10 @@ from sympleib.exactlin import (
     Matrix,
     Subspace,
     basis_vector,
+    int_det,
     kernel,
     rat,
     span,
-    vzero,
 )
 
 
@@ -44,9 +45,10 @@ class SkewForm:
     def __init__(self, w: Matrix):
         if w.rows != w.cols:
             raise ValueError("form matrix must be square")
+        e = w.entries
         for i in range(w.rows):
-            for j in range(w.rows):
-                if w.entries[i][j] != -w.entries[j][i]:
+            for j in range(i, w.rows):
+                if (e[i][j] or e[j][i]) and e[i][j] != -e[j][i]:
                     raise ValueError(f"form matrix is not skew at ({i}, {j})")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "nondegenerate", w.det() != 0)
@@ -260,15 +262,6 @@ def upper_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def _entry_coord(n: int, a: int, b: int) -> Optional[tuple[int, Fraction]]:
-    """Map W[a][b] to (upper-triangle coordinate, sign)."""
-    if a == b:
-        return None
-    if a < b:
-        return upper_index(n, a, b), ONE
-    return upper_index(n, b, a), -ONE
-
-
 def form_from_coords(n: int, coords: Sequence[Fraction]) -> SkewForm:
     """Inverse of the strict upper-triangle coordinate encoding."""
     if len(coords) != n * (n - 1) // 2:
@@ -291,52 +284,82 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     """All skew forms satisfying the chosen compatibility, as a subspace of
     strict upper-triangle coordinates.  Nondegeneracy is not imposed; use
     find_nondegenerate to look for an invertible representative.
+
+    One sparse row per basis triple, read off the nonzero structure constants:
+    a term coef * omega(e_x, e_p*e_q) adds coef * c[p][q][b] * W[x][b] for
+    every b, and W[x][b] is +-1 times an upper-triangle coordinate.  Every
+    coef is a multiple of 1/2, so each row is scaled by 2 * den, den the lcm
+    of the denominators of c, and built over ints; repeated rows are handed
+    to the elimination once.
     """
     if side not in _TERMS:
         raise ValueError("side must be 'left' or 'right'")
     terms = _TERMS[side]
     n = a.dim
-    nvars = n * (n - 1) // 2
-    rows = []
+    den = lcm(*(y.denominator for row in a.c for v in row for y in v))
+    nonzero = [[[(b, y.numerator * (den // y.denominator)) for b, y in enumerate(v) if y]
+                for v in row] for row in a.c]
+    entry = [[(upper_index(n, x, b), 1) if x < b else
+              (upper_index(n, b, x), -1) if x > b else None
+              for b in range(n)] for x in range(n)]
 
-    def add_term(row, u_basis: int, vec: Sequence[Fraction], factor: Fraction):
-        # contribution of factor * omega(e_u, vec)
-        for b, x in enumerate(vec):
-            if x == 0:
-                continue
-            loc = _entry_coord(n, u_basis, b)
-            if loc is not None:
-                row[loc[0]] += factor * x * loc[1]
-
+    rows = {}  # distinct rows, in the order the triples produce them
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                row = [ZERO] * nvars
+                row = {}
                 for coef, x, p, q in terms(i, j, k):
-                    add_term(row, x, a.c[p][q], coef)
-                rows.append(row)
-    return kernel(Matrix.from_rows(rows))
+                    nz = nonzero[p][q]
+                    if nz:
+                        twice, cols = 2 * coef.numerator // coef.denominator, entry[x]
+                        for b, y in nz:
+                            if b != x:
+                                col, sign = cols[b]
+                                row[col] = row.get(col, 0) + twice * sign * y
+                rows[frozenset((col, v) for col, v in row.items() if v)] = None
+    rows.pop(frozenset(), None)
+    return kernel([{col: Fraction(v) for col, v in row} for row in rows], n * (n - 1) // 2)
 
 
 def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
                        attempts: int = 128) -> Optional[SkewForm]:
     """Random integer combinations of the basis, first invertible one wins.
 
-    The search is probabilistic on purpose: a None only means none was found
-    with this seed, not that the space contains no nondegenerate form.
+    Each attempt draws one coefficient in [-10, 10] per basis row.  The search
+    is probabilistic on purpose: a None only means none was found with this
+    seed, not that the space contains no nondegenerate form.  When the space
+    does contain one, the determinant of the combination is a nonzero
+    polynomial of degree dim in the coefficients, so by Schwartz-Zippel one
+    attempt misses with probability at most dim/21, and all of them with at
+    most (dim/21)^attempts.  The bound says nothing for dim >= 21.  A skew
+    matrix of odd size is always singular, so odd dimensions return None
+    without drawing.
+
+    The attempts run over integers: the basis is scaled by the lcm of its
+    denominators, each combination is tested with int_det, and only the
+    winner is turned back into rationals and built as a SkewForm.
     """
     if space.ambient_dim != dim * (dim - 1) // 2:
         raise ValueError("coordinate space does not match the stated dimension")
+    if dim % 2:
+        return None
+    den = lcm(*(x.denominator for row in space.basis.entries for x in row))
+    basis = [[(k, x.numerator * (den // x.denominator)) for k, x in enumerate(row) if x]
+             for row in space.basis.entries]
+    cells = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     rng = random.Random(seed)
     for _ in range(attempts):
-        coords = list(vzero(space.ambient_dim))
-        for row in space.basis.entries:
+        coords = [0] * space.ambient_dim
+        for row in basis:
             c = rng.randint(-10, 10)
-            if c != 0:
-                coords = [x + c * y for x, y in zip(coords, row)]
-        form = form_from_coords(dim, coords)
-        if form.nondegenerate:
-            return form
+            if c:
+                for k, y in row:
+                    coords[k] += c * y
+        w = [[0] * dim for _ in range(dim)]
+        for (i, j), x in zip(cells, coords):
+            w[i][j], w[j][i] = x, -x
+        if int_det(w):
+            return form_from_coords(dim, [Fraction(x, den) for x in coords])
     return None
 
 

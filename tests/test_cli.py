@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import time
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,34 @@ def test_fraction_strings_are_still_accepted(capsys, tmp_path):
     code, out, _ = run(capsys, "omega", path, "verify", "--side", "left")
     assert code == 0
     assert out
+
+
+@pytest.mark.parametrize("argv", [("check", "--lie"), ("omega", "solve"), ("core",)])
+def test_hostile_dimension_exits_2_at_once(capsys, tmp_path, argv):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 400}), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "dim 400 exceeds the limit of 48" in err
+
+
+def test_dimension_limit_is_inclusive():
+    assert parse_algebra(json.dumps({"dim": 48}))[0].dim == 48
+
+
+def test_hostile_extension_dimension_exits_2(capsys, tmp_path):
+    doc = json.loads(RR3_EXTENSION)
+    doc["p"] = 23
+    code, out, err = run(capsys, "extend", extension_dir(tmp_path, json.dumps(doc)))
+    assert (code, out) == (2, "")
+    assert "2p + dim = 50, above the limit of 48" in err
+    doc["p"] = 22  # 2p + dim = 48 is allowed; the data then has the wrong shape
+    code, out, err = run(capsys, "extend", extension_dir(tmp_path, json.dumps(doc)))
+    assert code == 2
+    assert "F: expected 22 matrices" in err
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympleib.exactlin import (
+    ZERO,
     Matrix,
     basis_vector,
     full_subspace,
@@ -218,3 +221,107 @@ def test_subspace_reduce_is_canonical_modulo_subspace():
     red = s.reduce(v)
     assert red == vector([0, 0, 1])
     assert s.contains(tuple(a - b for a, b in zip(v, red)))
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the sparse core against sympy, on the shapes the form
+# solver produces: tall, mostly zero, with repeated and zero rows
+
+_ENTRY = st.one_of(st.just(ZERO), st.just(ZERO),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    cols = draw(st.integers(0, 6))
+    rows = [draw(st.lists(_ENTRY, min_size=cols, max_size=cols))
+            for _ in range(cols if square else draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        copy = list(draw(st.sampled_from(rows))) if draw(st.booleans()) else [ZERO] * cols
+        if square:
+            rows[draw(st.integers(0, len(rows) - 1))] = copy
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+    return Matrix(len(rows), cols, tuple(tuple(r) for r in rows))
+
+
+def _sympy_exact(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.entries for x in row])
+
+
+def _frac(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def _canonical_rows(vectors, cols):
+    """RREF rows, by sympy, of the span of sympy column vectors."""
+    if not vectors:
+        return ()
+    red, _ = sympy.Matrix.hstack(*vectors).T.rref()
+    return tuple(tuple(_frac(red[i, j]) for j in range(cols))
+                 for i in range(red.rows) if any(red[i, j] != 0 for j in range(cols)))
+
+
+_DIFFERENTIAL = settings(max_examples=100, deadline=None)
+
+
+@_DIFFERENTIAL
+@given(sparse_matrices())
+def test_rref_equals_sympy(m):
+    expected, pivots = _sympy_exact(m).rref()
+    got = rref(m)
+    assert (got.rows, got.cols) == (m.rows, m.cols)
+    assert pivot_columns(got) == tuple(pivots)
+    assert got.entries == tuple(tuple(_frac(expected[i, j]) for j in range(m.cols))
+                                for i in range(m.rows))
+
+
+@_DIFFERENTIAL
+@given(sparse_matrices())
+def test_kernel_equals_sympy(m):
+    ker = kernel(m)
+    assert ker.basis.entries == _canonical_rows(_sympy_exact(m).nullspace(), m.cols)
+    sparse = kernel(({j: x for j, x in enumerate(r) if x} for r in m.entries), m.cols)
+    assert sparse == ker
+
+
+@_DIFFERENTIAL
+@given(sparse_matrices(), st.data())
+def test_solve_equals_sympy(m, data):
+    rhs = data.draw(st.lists(_ENTRY, min_size=m.rows, max_size=m.rows))
+    x, ker = solve(m, rhs)
+    assert ker == kernel(m)
+    try:
+        sol, params = _sympy_exact(m).gauss_jordan_solve(
+            sympy.Matrix(m.rows, 1, [sympy.Rational(v.numerator, v.denominator) for v in rhs]))
+    except ValueError:
+        assert x is None
+        return
+    particular = sol.subs({t: 0 for t in params})
+    assert x == tuple(_frac(particular[i, 0]) for i in range(m.cols))
+
+
+@_DIFFERENTIAL
+@given(sparse_matrices(square=True))
+def test_inverse_and_det_equal_sympy(m):
+    s = _sympy_exact(m)
+    assert m.det() == _frac(s.det())
+    if s.det() == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        inv = s.inv()
+        assert m.inverse().entries == tuple(tuple(_frac(inv[i, j]) for j in range(m.cols))
+                                            for i in range(m.rows))
+
+
+def test_empty_matrix_det_is_one():
+    assert Matrix.zero(0, 0).det() == 1
+    assert Matrix.zero(0, 0).inverse() == Matrix.zero(0, 0)
+    assert kernel(Matrix.zero(0, 3)) == full_subspace(3)
+
+
+def test_sparse_rows_need_a_column_count():
+    with pytest.raises(ValueError):
+        kernel([{0: Fraction(1)}])

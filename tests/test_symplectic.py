@@ -9,14 +9,17 @@ from sympleib.algebra import (
     Algebra,
     IdentityReport,
     Witness,
+    change_basis,
     is_left_symmetric,
     multiply,
     split,
 )
 from sympleib.catalog import instantiate, list_families
 from sympleib.exactlin import (
+    ZERO,
     Matrix,
     basis_vector,
+    kernel,
     solve_unique,
     span,
     vector,
@@ -330,20 +333,30 @@ def _naive_scan(name, kind, form, n, defect):
     return IdentityReport(name, True)
 
 
-def _naive_left(a, form):
+def _left_defect(a, form):
     e = [basis_vector(a.dim, t) for t in range(a.dim)]
     half = Fraction(1, 2)
-    return _naive_scan("left-symplectic", "left-symplectic", form, a.dim, lambda i, j, k: (
+    return lambda i, j, k: (
         omega(form, e[i], a.c[j][k]) - omega(form, e[j], a.c[i][k])
-        - half * omega(form, a.c[i][j], e[k]) + half * omega(form, a.c[j][i], e[k])))
+        - half * omega(form, a.c[i][j], e[k]) + half * omega(form, a.c[j][i], e[k]))
+
+
+def _right_defect(a, form):
+    e = [basis_vector(a.dim, t) for t in range(a.dim)]
+    half = Fraction(1, 2)
+    return lambda i, j, k: (
+        omega(form, e[i], a.c[k][j]) - omega(form, e[j], a.c[k][i])
+        - half * omega(form, a.c[j][i], e[k]) + half * omega(form, a.c[i][j], e[k]))
+
+
+def _naive_left(a, form):
+    return _naive_scan("left-symplectic", "left-symplectic", form, a.dim,
+                       _left_defect(a, form))
 
 
 def _naive_right(a, form):
-    e = [basis_vector(a.dim, t) for t in range(a.dim)]
-    half = Fraction(1, 2)
-    return _naive_scan("right-symplectic", "right-symplectic", form, a.dim, lambda i, j, k: (
-        omega(form, e[i], a.c[k][j]) - omega(form, e[j], a.c[k][i])
-        - half * omega(form, a.c[j][i], e[k]) + half * omega(form, a.c[i][j], e[k])))
+    return _naive_scan("right-symplectic", "right-symplectic", form, a.dim,
+                       _right_defect(a, form))
 
 
 def _naive_bi(a, form):
@@ -442,3 +455,82 @@ def test_omega_equals_the_dense_bilinear_sum():
         assert omega(form, u, v) == dense
     with pytest.raises(ValueError):
         omega(W12, vector([1, 0, 0]), vector([1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the sparse form system and the integer search against dense oracles
+
+def _dense_form_system(a, side):
+    """Row (i, j, k) holds the identity's defect at e_i, e_j, e_k for every
+    basis form, each evaluated by omega calls alone."""
+    n = a.dim
+    nvars = n * (n - 1) // 2
+    defect = {"left": _left_defect, "right": _right_defect}[side]
+    per_form = [defect(a, form_from_coords(n, basis_vector(nvars, t))) for t in range(nvars)]
+    return Matrix.from_rows([[d(i, j, k) for d in per_form]
+                             for i in range(n) for j in range(n) for k in range(n)])
+
+
+def _sheared(a):
+    """a in the basis of an upper triangular P with fractional entries."""
+    n = a.dim
+    p = Matrix.from_rows([[1 if i == j else Fraction(j - i, 3) if j > i else 0
+                           for j in range(n)] for i in range(n)])
+    return change_basis(a, p)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("fid", list_families())
+def test_solve_symplectic_forms_is_the_kernel_of_the_dense_system(fid, side):
+    a, _ = instantiate(fid)
+    for alg in (a, _sheared(a)):
+        assert solve_symplectic_forms(alg, side) == kernel(_dense_form_system(alg, side))
+
+
+def _dense_find_nondegenerate(space, dim, seed=0, attempts=128):
+    """The dense Fraction combination loop the integer search replaced; an oracle."""
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        coords = [ZERO] * space.ambient_dim
+        for row in space.basis.entries:
+            c = rng.randint(-10, 10)
+            if c != 0:
+                coords = [x + c * y for x, y in zip(coords, row)]
+        form = form_from_coords(dim, coords)
+        if form.nondegenerate:
+            return form
+    return None
+
+
+def _direct_sum(a, b):
+    n = a.dim + b.dim
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for blk, off in ((a, 0), (b, a.dim)):
+        for i in range(blk.dim):
+            for j in range(blk.dim):
+                c[off + i][off + j][off:off + blk.dim] = blk.c[i][j]
+    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+def test_find_nondegenerate_equals_the_dense_combination_loop():
+    line = Algebra.from_table(1, {})
+    algebras = [(alg, seed) for fid in list_families()
+                for alg in (instantiate(fid)[0], _sheared(instantiate(fid)[0]))
+                for seed in (0, 1, 7)]
+    # odd dimensions: every skew form is degenerate, both searches give up
+    algebras += [(_direct_sum(instantiate(fid)[0], line), 0)
+                 for fid in ("DIM2_NONLIE", "R4_LEFT", "RR3_SIXDIM_RAW")]
+    cases = [(solve_symplectic_forms(alg, side), alg.dim, seed)
+             for alg, seed in algebras for side in ("left", "right")]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # dim 4 with fractional bases: e_4 is in every radical / generic forms are invertible
+    cases += [(span(6, [[1, half, 0, 0, 0, 0], [0, 0, 0, third, 0, 0]]), 4, seed)
+              for seed in (0, 1)]
+    cases += [(span(6, [[half, 0, 0, 0, 0, third], [0, 1, 0, 0, -half, 0]]), 4, seed)
+              for seed in (0, 1)]
+    found = {True: 0, False: 0}
+    for space, dim, seed in cases:
+        form = find_nondegenerate(space, dim, seed=seed)
+        assert form == _dense_find_nondegenerate(space, dim, seed=seed)
+        found[form is not None] += 1
+    assert found[True] and found[False]
