@@ -1,16 +1,25 @@
 """Finite-dimensional algebras given by exact structure constants.
 
 An algebra on basis e_1..e_n is stored as the tensor c with
-e_i * e_j = sum_k c[i][j][k] e_k (0-based internally).  All identity checks
-run over basis triples, which suffices because every identity here is
-multilinear, and report the first failing triple in lexicographic order
-together with the exact defect.
+e_i * e_j = sum_k c[i][j][k] e_k (0-based internally).  Every product is
+evaluated through the sparse view ``Algebra.nz``: ``nz[i][j]`` holds the
+nonzero pairs ``(k, c[i][j][k])``, built once per algebra on first use.
+
+All identity checks run over basis triples, which suffices because every
+identity here is multilinear.  Each identity is one signed term table over
+the positions 0, 1, 2 of the triple (i, j, k): ``("L", x, y, z)`` stands for
+e_x*(e_y*e_z) and ``("R", x, y, z)`` for (e_x*e_y)*e_z.  One scanner sums a
+table's terms at every triple and reports the first failing triple in
+lexicographic order together with the exact defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from sympleib.exactlin import (
@@ -24,10 +33,8 @@ from sympleib.exactlin import (
     rat,
     span,
     vadd,
-    vector,
     vscale,
     vsub,
-    vzero,
 )
 
 
@@ -58,7 +65,7 @@ class Algebra:
         match how such tables are usually written down.
         """
         off = 1 if one_based else 0
-        c = [[list(vzero(dim)) for _ in range(dim)] for _ in range(dim)]
+        c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), val in products.items():
             i -= off
             j -= off
@@ -77,6 +84,12 @@ class Algebra:
     def basis_label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"e{i + 1}"
 
+    @cached_property
+    def nz(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """nz[i][j]: the nonzero pairs (k, c[i][j][k]) of e_i * e_j, in k order."""
+        return tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in row)
+                     for row in self.c)
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -85,6 +98,12 @@ class Witness:
     kind: str
     indices: tuple[int, ...]
     defect: tuple[Fraction, ...]
+
+    def describe(self) -> str:
+        """One line with 1-based indices, e.g. ``jacobi fails at (1, 2, 3) with defect (1, 0)``."""
+        spot = ", ".join(str(i + 1) for i in self.indices)
+        defect = ", ".join(str(x) for x in self.defect)
+        return f"{self.kind} fails at ({spot}) with defect ({defect})"
 
 
 @dataclass(frozen=True)
@@ -103,18 +122,15 @@ def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[
     n = a.dim
     if len(u) != n or len(v) != n:
         raise ValueError("vector length does not match algebra dimension")
-    out = list(vzero(n))
-    for i in range(n):
-        if u[i] == 0:
-            continue
-        ci = a.c[i]
-        for j in range(n):
-            f = u[i] * v[j]
-            if f == 0:
-                continue
-            for k, x in enumerate(ci[j]):
-                if x != 0:
-                    out[k] += f * x
+    out = [ZERO] * n
+    vs = [(j, y) for j, y in enumerate(v) if y]
+    for i, x in enumerate(u):
+        if x:
+            row = a.nz[i]
+            for j, y in vs:
+                f = x * y
+                for k, z in row[j]:
+                    out[k] += f * z
     return tuple(out)
 
 
@@ -130,57 +146,52 @@ def right_mult(a: Algebra, u: Sequence[Fraction]) -> Matrix:
     return Matrix.from_rows([[cols[j][k] for j in range(a.dim)] for k in range(a.dim)])
 
 
-def _mul_basis_vec(a: Algebra, i: int, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """e_i * v without building the full bilinear loop."""
-    out = list(vzero(a.dim))
-    for b, x in enumerate(v):
-        if x != 0:
-            for k, y in enumerate(a.c[i][b]):
-                if y != 0:
-                    out[k] += x * y
-    return tuple(out)
+# signed term tables over the positions of (i, j, k); see the module docstring
+_LEFT_LEIBNIZ = ((1, "L", 0, 1, 2), (-1, "R", 0, 1, 2), (-1, "L", 1, 0, 2))
+_RIGHT_LEIBNIZ = ((1, "R", 1, 2, 0), (-1, "R", 1, 0, 2), (-1, "L", 1, 2, 0))
+_LEFT_SYMMETRIC = ((1, "R", 0, 1, 2), (-1, "L", 0, 1, 2),
+                   (-1, "R", 1, 0, 2), (1, "L", 1, 0, 2))
+_JACOBI = ((1, "R", 0, 1, 2), (1, "R", 1, 2, 0), (1, "R", 2, 0, 1))
 
 
-def _mul_vec_basis(a: Algebra, v: Sequence[Fraction], i: int) -> tuple[Fraction, ...]:
-    out = list(vzero(a.dim))
-    for b, x in enumerate(v):
-        if x != 0:
-            for k, y in enumerate(a.c[b][i]):
-                if y != 0:
-                    out[k] += x * y
-    return tuple(out)
+def _scan_identity(a: Algebra, name: str, kind: str, terms) -> IdentityReport:
+    """Sum the term table at every basis triple in lexicographic order.
 
-
-def _first_witness(name: str, kind: str, defect_at) -> IdentityReport:
-    """Scan basis index tuples in lexicographic order for a nonzero defect."""
-    for indices, defect in defect_at():
-        if not is_zero_vector(defect):
-            return IdentityReport(name, False, Witness(kind, indices, tuple(defect)))
+    The sums run over ints: every constant is scaled by the common
+    denominator s of the table, and every term is a product of two constants,
+    so the true defect is the int sum over s^2.  The defect is kept as
+    ``{k: value}``; the dense vector is built only for the first triple where
+    it is nonzero, which becomes the witness.
+    """
+    s = lcm(*(x.denominator for row in a.nz for pairs in row for _, x in pairs))
+    nz = [[[(k, x.numerator * (s // x.denominator)) for k, x in pairs] for pairs in row]
+          for row in a.nz]
+    for ijk in product(range(a.dim), repeat=3):
+        acc: dict[int, int] = {}
+        for sign, side, x, y, z in terms:
+            u, v, w = ijk[x], ijk[y], ijk[z]
+            if side == "L":  # e_u * (e_v * e_w)
+                for m, p in nz[v][w]:
+                    for k, q in nz[u][m]:
+                        acc[k] = acc.get(k, 0) + sign * p * q
+            else:  # (e_u * e_v) * e_w
+                for m, p in nz[u][v]:
+                    for k, q in nz[m][w]:
+                        acc[k] = acc.get(k, 0) + sign * p * q
+        if any(acc.values()):
+            defect = tuple(Fraction(acc.get(k, 0), s * s) for k in range(a.dim))
+            return IdentityReport(name, False, Witness(kind, ijk, defect))
     return IdentityReport(name, True)
 
 
 def is_left_leibniz(a: Algebra) -> IdentityReport:
     """u*(v*w) = (u*v)*w + v*(u*w) on all basis triples."""
-    def gen():
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    lhs = _mul_basis_vec(a, i, a.c[j][k])
-                    rhs = vadd(_mul_vec_basis(a, a.c[i][j], k), _mul_basis_vec(a, j, a.c[i][k]))
-                    yield (i, j, k), vsub(lhs, rhs)
-    return _first_witness("left-leibniz", "left-leibniz", gen)
+    return _scan_identity(a, "left-leibniz", "left-leibniz", _LEFT_LEIBNIZ)
 
 
 def is_right_leibniz(a: Algebra) -> IdentityReport:
     """(v*w)*u = (v*u)*w + v*(w*u) on all basis triples, u = e_i."""
-    def gen():
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    lhs = _mul_vec_basis(a, a.c[j][k], i)
-                    rhs = vadd(_mul_vec_basis(a, a.c[j][i], k), _mul_basis_vec(a, j, a.c[k][i]))
-                    yield (i, j, k), vsub(lhs, rhs)
-    return _first_witness("right-leibniz", "right-leibniz", gen)
+    return _scan_identity(a, "right-leibniz", "right-leibniz", _RIGHT_LEIBNIZ)
 
 
 def is_symmetric_leibniz(a: Algebra) -> IdentityReport:
@@ -195,14 +206,7 @@ def is_symmetric_leibniz(a: Algebra) -> IdentityReport:
 
 def is_left_symmetric(a: Algebra) -> IdentityReport:
     """ass(u,v,w) = ass(v,u,w) where ass(u,v,w) = (u*v)*w - u*(v*w)."""
-    def gen():
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    ass_uvw = vsub(_mul_vec_basis(a, a.c[i][j], k), _mul_basis_vec(a, i, a.c[j][k]))
-                    ass_vuw = vsub(_mul_vec_basis(a, a.c[j][i], k), _mul_basis_vec(a, j, a.c[i][k]))
-                    yield (i, j, k), vsub(ass_uvw, ass_vuw)
-    return _first_witness("left-symmetric", "left-symmetric", gen)
+    return _scan_identity(a, "left-symmetric", "left-symmetric", _LEFT_SYMMETRIC)
 
 
 def is_lie(a: Algebra) -> IdentityReport:
@@ -211,16 +215,7 @@ def is_lie(a: Algebra) -> IdentityReport:
             d = vadd(a.c[i][j], a.c[j][i])
             if not is_zero_vector(d):
                 return IdentityReport("lie", False, Witness("antisymmetry", (i, j), d))
-
-    def gen():
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    s = vadd(vadd(_mul_vec_basis(a, a.c[i][j], k),
-                                  _mul_vec_basis(a, a.c[j][k], i)),
-                             _mul_vec_basis(a, a.c[k][i], j))
-                    yield (i, j, k), s
-    return _first_witness("lie", "jacobi", gen)
+    return _scan_identity(a, "lie", "jacobi", _JACOBI)
 
 
 def opposite(a: Algebra) -> Algebra:
@@ -254,9 +249,9 @@ def center(a: Algebra) -> Subspace:
     rows = []
     for j in range(n):
         for k in range(n):
-            rows.append([a.c[i][j][k] for i in range(n)])  # (u * e_j)_k
-            rows.append([a.c[j][i][k] for i in range(n)])  # (e_j * u)_k
-    return kernel(Matrix.from_rows(rows))
+            rows.append({i: a.c[i][j][k] for i in range(n) if a.c[i][j][k]})  # (u * e_j)_k
+            rows.append({i: a.c[j][i][k] for i in range(n) if a.c[j][i][k]})  # (e_j * u)_k
+    return kernel(rows, n)
 
 
 def is_ideal(a: Algebra, s: Subspace) -> bool:
@@ -265,9 +260,10 @@ def is_ideal(a: Algebra, s: Subspace) -> bool:
         raise ValueError("ambient dimension mismatch")
     for b in s.basis.entries:
         for j in range(a.dim):
-            if not s.contains(_mul_basis_vec(a, j, b)):
+            ej = basis_vector(a.dim, j)
+            if not s.contains(multiply(a, ej, b)):
                 return False
-            if not s.contains(_mul_vec_basis(a, b, j)):
+            if not s.contains(multiply(a, b, ej)):
                 return False
     return True
 
@@ -303,22 +299,21 @@ def derivations(a: Algebra) -> list[Matrix]:
     condition per basis triple (i, j, k).
     """
     n = a.dim
-    rows = []
+    nz = a.nz
+    rows: list[dict[int, Fraction]] = []
     for i in range(n):
         for j in range(n):
-            p = a.c[i][j]
-            for k in range(n):
-                row = [ZERO] * (n * n)
-                for m_ in range(n):
-                    if p[m_] != 0:
-                        row[k * n + m_] += p[m_]  # (D p)_k
-                for r in range(n):
-                    if a.c[r][j][k] != 0:
-                        row[r * n + i] -= a.c[r][j][k]  # ((D e_i) * e_j)_k
-                    if a.c[i][r][k] != 0:
-                        row[r * n + j] -= a.c[i][r][k]  # (e_i * (D e_j))_k
-                rows.append(row)
-    ker = kernel(Matrix.from_rows(rows))
+            conds = [{} for _ in range(n)]  # one condition per k
+            for m, p in nz[i][j]:
+                for k in range(n):
+                    conds[k][k * n + m] = p  # (D p)_k
+            for r in range(n):
+                for k, x in nz[r][j]:  # ((D e_i) * e_j)_k
+                    conds[k][r * n + i] = conds[k].get(r * n + i, ZERO) - x
+                for k, x in nz[i][r]:  # (e_i * (D e_j))_k
+                    conds[k][r * n + j] = conds[k].get(r * n + j, ZERO) - x
+            rows += ({col: x for col, x in row.items() if x} for row in conds)
+    ker = kernel(rows, n * n)
     return [Matrix.from_rows([v[r * n:(r + 1) * n] for r in range(n)])
             for v in ker.basis.entries]
 

@@ -655,7 +655,7 @@ def _claim_check(claim: str, algebra: Algebra, form: SkewForm) -> Check:
         return Check("non-lie", not rep.holds,
                      "" if not rep.holds else "the product is a Lie bracket")
     rep = _PREDICATES[claim](algebra, form)
-    return Check(claim, rep.holds, "" if rep.holds else str(rep.witness))
+    return Check(claim, rep.holds, "" if rep.holds else rep.witness.describe())
 
 
 def verify(family_id: str, params: Mapping[str, object] | None = None

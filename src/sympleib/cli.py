@@ -14,6 +14,7 @@ fails (a witness is printed), 2 on malformed input or bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -71,13 +72,7 @@ def _report_dict(rep: SystemReport) -> dict[str, Any]:
 
 
 def _identity_check(rep: IdentityReport) -> Check:
-    if rep.holds:
-        return Check(rep.name, True)
-    w = rep.witness
-    spot = ", ".join(str(i + 1) for i in w.indices)
-    defect = ", ".join(str(x) for x in w.defect)
-    return Check(rep.name, False,
-                 f"{w.kind} fails at ({spot}) with defect ({defect})")
+    return Check(rep.name, rep.holds, "" if rep.holds else rep.witness.describe())
 
 
 def _finish(args, code: int, lines: list[str], doc: dict[str, Any]) -> int:
@@ -313,7 +308,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="emit one structured JSON document instead of text")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse gets a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="sympleib",
         description="Exact checks and constructions for algebras carrying "

@@ -71,10 +71,8 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     """Carry out the reduction; raises CoreError if any step fails to verify."""
     rep = is_symplectic_left(a, form)
     if not rep.holds:
-        w = rep.witness
-        raise ValueError(
-            f"input is not left symplectic: {w.kind} fails at indices {w.indices} "
-            f"with defect {w.defect}")
+        raise ValueError(f"input is not left symplectic: {rep.witness.describe()} "
+                         "(basis indices count from 1)")
     n = a.dim
     leib = leibniz_ideal(a)
     ideal = intersect(leib, orthogonal(form, leib))
@@ -122,7 +120,7 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
 
     lie_rep = is_lie(reduced_algebra)
     if not lie_rep.holds:
-        raise CoreError(f"reduced algebra is not Lie: {lie_rep.witness}")
+        raise CoreError(f"reduced algebra is not Lie: {lie_rep.witness.describe()}")
 
     h_dim = n - ideal_perp.dim
     if h_dim != ideal.dim:

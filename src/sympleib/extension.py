@@ -77,12 +77,10 @@ class SymplecticLie:
     def __init__(self, g: Algebra, form: SkewForm):
         rep = is_lie(g)
         if not rep.holds:
-            w = rep.witness
-            raise ValueError(f"not a Lie algebra: {w.kind} fails at {w.indices}")
+            raise ValueError(f"not a Lie algebra: {rep.witness.describe()}")
         srep = is_symplectic_left(g, form)
         if not srep.holds:
-            w = srep.witness
-            raise ValueError(f"form is not symplectic for the bracket: {w.kind} at {w.indices}")
+            raise ValueError(f"form is not symplectic for the bracket: {srep.witness.describe()}")
         star = star_left(g, form)
         if not is_left_symmetric(star).holds:
             raise ValueError("internal error: star product is not left symmetric")
@@ -414,10 +412,10 @@ def build_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra
     algebra, form = _assemble_double_extension(gs, d)
     rep = is_left_leibniz(algebra)
     if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness}")
+        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
     srep = is_symplectic_left(algebra, form)
     if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness}")
+        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
     return algebra, form
 
 
@@ -466,7 +464,7 @@ def build_left_symmetric(gs: SymplecticLie, d: ExtensionData) -> Algebra:
     star = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c), labels)
     rep = is_left_symmetric(star)
     if not rep.holds:
-        raise AssertionError(f"assembled star is not left symmetric: {rep.witness}")
+        raise AssertionError(f"assembled star is not left symmetric: {rep.witness.describe()}")
     return star
 
 
@@ -516,10 +514,10 @@ def build_lagrangian(p: int, omega_cube) -> LagrangianExtension:
 
     rep = is_left_leibniz(algebra)
     if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness}")
+        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
     srep = is_symplectic_left(algebra, form)
     if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness}")
+        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
     if not is_left_symmetric(star).holds:
         raise AssertionError("assembled star is not left symmetric")
 
@@ -640,10 +638,10 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
     form = SkewForm(Matrix.from_rows(wrows))
     rep = is_left_leibniz(algebra)
     if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness}")
+        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
     srep = is_symplectic_left(algebra, form)
     if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness}")
+        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
     return algebra, form
 
 
@@ -783,10 +781,10 @@ def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
 
     rep = is_left_leibniz(algebra)
     if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness}")
+        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
     srep = is_symplectic_left(algebra, form)
     if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness}")
+        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
     expected_star = rank_one_star(gs, F, S, a0, b0, lam)
     if star_left(algebra, form).c != expected_star.c:
         raise AssertionError("closed-form star disagrees with the solved star")
@@ -836,10 +834,11 @@ def build_bisymplectic_from_T(gs: SymplecticLie, iso: Subspace, T) -> Algebra:
     algebra = Algebra(m, tuple(c), g.labels)
     rep = is_symmetric_leibniz(algebra)
     if not rep.holds:
-        raise AssertionError(f"deformed product is not symmetric Leibniz: {rep.witness}")
+        raise AssertionError(
+            f"deformed product is not symmetric Leibniz: {rep.witness.describe()}")
     brep = is_bi_symplectic(algebra, w)
     if not brep.holds:
-        raise AssertionError(f"deformed product is not bi-symplectic: {brep.witness}")
+        raise AssertionError(f"deformed product is not bi-symplectic: {brep.witness.describe()}")
     return algebra
 
 
@@ -877,10 +876,11 @@ def build_commutative_bisymplectic(h_dim: int, b_form: SkewForm, T
                 raise AssertionError("assembled product is not commutative")
     rep = is_symmetric_leibniz(algebra)
     if not rep.holds:
-        raise AssertionError(f"assembled product is not symmetric Leibniz: {rep.witness}")
+        raise AssertionError(
+            f"assembled product is not symmetric Leibniz: {rep.witness.describe()}")
     brep = is_bi_symplectic(algebra, form)
     if not brep.holds:
-        raise AssertionError(f"assembled product is not bi-symplectic: {brep.witness}")
+        raise AssertionError(f"assembled product is not bi-symplectic: {brep.witness.describe()}")
     if star_left(algebra, form).c != algebra.c:
         raise AssertionError("left star disagrees with the product")
     if star_right(algebra, form).c != algebra.c:

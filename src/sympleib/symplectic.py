@@ -443,7 +443,5 @@ class SymplecticAlgebra:
         for check in checks[self.side]:
             rep = check(self.algebra, self.form)
             if not rep.holds:
-                w = rep.witness
                 raise ValueError(
-                    f"form is not {rep.name} compatible: {w.kind} fails at "
-                    f"indices {w.indices} with defect {w.defect}")
+                    f"form is not {rep.name} compatible: {rep.witness.describe()}")

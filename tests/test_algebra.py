@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympleib.algebra import (
     Algebra,
+    IdentityReport,
+    Witness,
     center,
     change_basis,
     derivations,
@@ -24,7 +28,9 @@ from sympleib.algebra import (
     right_mult,
     split,
 )
-from sympleib.exactlin import Matrix, basis_vector, span, vector, zero_subspace
+from sympleib.catalog import instantiate, list_families
+from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kernel, span, vadd,
+                               vector, vsub, vzero, zero_subspace)
 
 
 def _dim2(x=3):
@@ -243,3 +249,262 @@ def test_random_products_rarely_leibniz_but_checks_agree_with_direct_expansion()
                         multiply(a, v, multiply(a, u, w)))])
                     ok = ok and lhs == rhs
         assert rep.holds == ok
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the sparse scanner against the dense scans it replaced
+
+def _dense_mul_basis_vec(a, i, v):
+    """e_i * v over dense vectors (test oracle, the former library code)."""
+    out = list(vzero(a.dim))
+    for b, x in enumerate(v):
+        if x != 0:
+            for k, y in enumerate(a.c[i][b]):
+                if y != 0:
+                    out[k] += x * y
+    return tuple(out)
+
+
+def _dense_mul_vec_basis(a, v, i):
+    """v * e_i over dense vectors (test oracle, the former library code)."""
+    out = list(vzero(a.dim))
+    for b, x in enumerate(v):
+        if x != 0:
+            for k, y in enumerate(a.c[b][i]):
+                if y != 0:
+                    out[k] += x * y
+    return tuple(out)
+
+
+def _dense_scan(name, kind, a, defect):
+    """First basis triple with a nonzero dense defect (test oracle)."""
+    for i in range(a.dim):
+        for j in range(a.dim):
+            for k in range(a.dim):
+                d = defect(i, j, k)
+                if not is_zero_vector(d):
+                    return IdentityReport(name, False, Witness(kind, (i, j, k), tuple(d)))
+    return IdentityReport(name, True)
+
+
+def _dense_left_leibniz(a):
+    """The former dense left Leibniz scan (test oracle)."""
+    return _dense_scan("left-leibniz", "left-leibniz", a, lambda i, j, k: vsub(
+        _dense_mul_basis_vec(a, i, a.c[j][k]),
+        vadd(_dense_mul_vec_basis(a, a.c[i][j], k), _dense_mul_basis_vec(a, j, a.c[i][k]))))
+
+
+def _dense_right_leibniz(a):
+    """The former dense right Leibniz scan (test oracle)."""
+    return _dense_scan("right-leibniz", "right-leibniz", a, lambda i, j, k: vsub(
+        _dense_mul_vec_basis(a, a.c[j][k], i),
+        vadd(_dense_mul_vec_basis(a, a.c[j][i], k), _dense_mul_basis_vec(a, j, a.c[k][i]))))
+
+
+def _dense_symmetric_leibniz(a):
+    """The former symmetric Leibniz check over the dense scans (test oracle)."""
+    for rep in (_dense_left_leibniz(a), _dense_right_leibniz(a)):
+        if not rep.holds:
+            return IdentityReport("symmetric-leibniz", False, rep.witness)
+    return IdentityReport("symmetric-leibniz", True)
+
+
+def _dense_left_symmetric(a):
+    """The former dense left-symmetric associator scan (test oracle)."""
+    def ass(i, j, k):
+        return vsub(_dense_mul_vec_basis(a, a.c[i][j], k), _dense_mul_basis_vec(a, i, a.c[j][k]))
+    return _dense_scan("left-symmetric", "left-symmetric", a,
+                       lambda i, j, k: vsub(ass(i, j, k), ass(j, i, k)))
+
+
+def _dense_lie(a):
+    """The former dense antisymmetry and Jacobi scans (test oracle)."""
+    for i in range(a.dim):
+        for j in range(a.dim):
+            d = vadd(a.c[i][j], a.c[j][i])
+            if not is_zero_vector(d):
+                return IdentityReport("lie", False, Witness("antisymmetry", (i, j), d))
+    return _dense_scan("lie", "jacobi", a, lambda i, j, k: vadd(
+        vadd(_dense_mul_vec_basis(a, a.c[i][j], k), _dense_mul_vec_basis(a, a.c[j][k], i)),
+        _dense_mul_vec_basis(a, a.c[k][i], j)))
+
+
+_ORACLES = (
+    (is_left_leibniz, _dense_left_leibniz),
+    (is_right_leibniz, _dense_right_leibniz),
+    (is_symmetric_leibniz, _dense_symmetric_leibniz),
+    (is_left_symmetric, _dense_left_symmetric),
+    (is_lie, _dense_lie),
+)
+
+
+def _assert_reports_equal_the_oracle(a):
+    for check, oracle in _ORACLES:
+        got, want = check(a), oracle(a)
+        assert got == want
+        if not got.holds:
+            assert all(type(x) is Fraction for x in got.witness.defect)
+
+
+_CONSTANT = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def sparse_algebras(draw, max_dim=6):
+    """Dimension 1..max_dim, from a single nonzero constant up to a dense table."""
+    n = draw(st.integers(1, max_dim))
+    index = st.integers(0, n - 1)
+    count = draw(st.sampled_from([1, 2, n, n * n, n ** 3]))
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, x in draw(st.lists(st.tuples(index, index, index, _CONSTANT),
+                                    max_size=count)):
+        c[i][j][k] = x
+    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+def _bumped(a):
+    """a with 1 added to its last nonzero structure constant, or to c[0][n-1][0]."""
+    n = a.dim
+    spots = [(i, j, k) for i in range(n) for j in range(n) for k in range(n) if a.c[i][j][k]]
+    i, j, k = spots[-1] if spots else (0, n - 1, 0)
+    c = [[list(v) for v in row] for row in a.c]
+    c[i][j][k] += 1
+    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+def _catalog_algebras():
+    for fid in list_families():
+        a, _ = instantiate(fid)
+        # the commutator half is antisymmetric, so it reaches the Jacobi scan
+        bumped = _bumped(a)
+        for tag, b in (("", a), ("-bumped", bumped), ("-bumped-commutator", split(bumped)[0])):
+            yield pytest.param(b, id=fid + tag)
+            yield pytest.param(opposite(b), id=fid + tag + "-opposite")
+
+
+_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@pytest.mark.parametrize("a", list(_catalog_algebras()))
+def test_catalog_identity_reports_equal_the_dense_scans(a):
+    _assert_reports_equal_the_oracle(a)
+
+
+@_PROPERTY
+@given(sparse_algebras())
+def test_identity_reports_equal_the_dense_scans(a):
+    _assert_reports_equal_the_oracle(a)
+    _assert_reports_equal_the_oracle(opposite(a))
+
+
+def test_the_differential_cases_reach_every_witness_kind():
+    kinds = set()
+    for param in _catalog_algebras():
+        for check, _ in _ORACLES:
+            rep = check(param.values[0])
+            kinds.add(rep.witness.kind if rep.witness else "holds")
+    assert kinds == {"holds", "left-leibniz", "right-leibniz", "left-symmetric",
+                     "antisymmetry", "jacobi"}
+
+
+@_PROPERTY
+@given(sparse_algebras(), st.data())
+def test_multiply_equals_the_dense_triple_sum(a, data):
+    vec = st.lists(_CONSTANT, min_size=a.dim, max_size=a.dim).map(tuple)
+    u, v = data.draw(vec), data.draw(vec)
+    want = tuple(sum((u[i] * v[j] * a.c[i][j][k] for i in range(a.dim) for j in range(a.dim)),
+                     ZERO) for k in range(a.dim))
+    assert multiply(a, u, v) == want
+
+
+@_PROPERTY
+@given(sparse_algebras())
+def test_opposite_swaps_the_leibniz_checks(a):
+    b = opposite(a)
+    assert is_left_leibniz(a).holds == is_right_leibniz(b).holds
+    assert is_right_leibniz(a).holds == is_left_leibniz(b).holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_algebras(max_dim=4), st.data())
+def test_identity_checks_hold_or_fail_in_every_basis(a, data):
+    entry = st.integers(-2, 2)
+    p = data.draw(st.lists(st.lists(entry, min_size=a.dim, max_size=a.dim),
+                           min_size=a.dim, max_size=a.dim).map(Matrix.from_rows)
+                  .filter(lambda m: m.det() != 0))
+    b = change_basis(a, p)
+    for check, _ in _ORACLES:
+        assert check(b).holds == check(a).holds
+
+
+def _dense_center(a):
+    """The former dense center system (test oracle)."""
+    n = a.dim
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([a.c[i][j][k] for i in range(n)])
+            rows.append([a.c[j][i][k] for i in range(n)])
+    return kernel(Matrix.from_rows(rows))
+
+
+def _dense_derivations(a):
+    """The former dense derivation system (test oracle)."""
+    n = a.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [ZERO] * (n * n)
+                for m in range(n):
+                    row[k * n + m] += a.c[i][j][m]
+                for r in range(n):
+                    row[r * n + i] -= a.c[r][j][k]
+                    row[r * n + j] -= a.c[i][r][k]
+                rows.append(row)
+    ker = kernel(Matrix.from_rows(rows))
+    return [Matrix.from_rows([v[r * n:(r + 1) * n] for r in range(n)])
+            for v in ker.basis.entries]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_algebras(max_dim=4))
+def test_center_and_derivations_equal_the_dense_systems(a):
+    assert center(a) == _dense_center(a)
+    assert derivations(a) == _dense_derivations(a)
+
+
+@_PROPERTY
+@given(sparse_algebras(max_dim=4), st.data())
+def test_is_ideal_equals_closure_under_both_products(a, data):
+    n = a.dim
+    picked = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    s = span(n, [basis_vector(n, i) for i in picked])
+
+    def times(u, v):
+        return tuple(sum((u[i] * v[j] * a.c[i][j][k] for i in range(n) for j in range(n)),
+                         ZERO) for k in range(n))
+    units = [basis_vector(n, j) for j in range(n)]
+    want = all(s.contains(times(e, b)) and s.contains(times(b, e))
+               for b in s.basis.entries for e in units)
+    assert is_ideal(a, s) == want
+
+
+def test_is_ideal_needs_both_sides():
+    e1 = span(2, [basis_vector(2, 0)])
+    assert not is_ideal(Algebra.from_table(2, {(1, 2): {2: 1}}), e1)  # e1 e2 = e2
+    assert not is_ideal(Algebra.from_table(2, {(2, 1): {2: 1}}), e1)  # e2 e1 = e2
+    assert is_ideal(Algebra.from_table(2, {(2, 1): {1: 1}}), e1)  # e2 e1 = e1
+
+
+def test_nz_lists_the_nonzero_constants_and_leaves_equality_alone():
+    a = _r4()
+    assert a.nz[0][0] == ((3, 1),)
+    assert a.nz[1][0] == ((2, -1),)
+    assert a.nz[3][3] == ()
+    assert a == _r4() and hash(a) == hash(_r4())
+
+
+def test_witness_describe_uses_one_based_indices_and_plain_rationals():
+    w = Witness("jacobi", (0, 1, 2), (Fraction(1), Fraction(-1, 2)))
+    assert w.describe() == "jacobi fails at (1, 2, 3) with defect (1, -1/2)"

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from sympleib.algebra import Algebra
 from sympleib.catalog import instantiate, list_families
-from sympleib.cli import main
+from sympleib.cli import _build_parser, main
 from sympleib.fileformat import parse_algebra, serialize_algebra
 
 RR3_BASE = """\
@@ -143,6 +144,32 @@ def test_dimension_limit_is_inclusive():
     assert parse_algebra(json.dumps({"dim": 48}))[0].dim == 48
 
 
+def _blocks(a, copies):
+    """Direct sum of copies of a, block by block."""
+    n = a.dim * copies
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for off in range(0, n, a.dim):
+        for i in range(a.dim):
+            for j in range(a.dim):
+                c[off + i][off + j][off:off + a.dim] = a.c[i][j]
+    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+def test_identity_checks_at_the_dimension_limit_finish_quickly(capsys, tmp_path):
+    empty = tmp_path / "empty48.json"
+    empty.write_text(json.dumps({"dim": 48}), encoding="utf-8")
+    blocks = tmp_path / "blocks48.json"
+    blocks.write_text(serialize_algebra(_blocks(instantiate("RR3_SIXDIM_RAW")[0], 8)),
+                      encoding="utf-8")
+    for argv in (("check", str(empty), "--left", "--symmetric", "--lsym", "--lie"),
+                 ("check", str(blocks), "--left")):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert "FAIL" not in out
+
+
 def test_hostile_extension_dimension_exits_2(capsys, tmp_path):
     doc = json.loads(RR3_EXTENSION)
     doc["p"] = 23
@@ -240,6 +267,17 @@ def test_core_rejects_an_incompatible_pair(capsys, tmp_path):
     assert code == 1
     assert "not left symplectic" in err
     assert "indices" in err
+
+
+def test_core_prints_the_witness_as_the_check_does(capsys, tmp_path):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"dim": 2, "form": [],
+                                "products": [{"left": 2, "right": 2, "value": [1, 0]}]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "core", str(path))
+    assert (code, out) == (1, "")
+    assert "degenerate-form fails at () with defect (1, 0)" in err
+    assert "Fraction(" not in err
 
 
 def extension_dir(tmp_path, text):
@@ -404,3 +442,18 @@ def test_installed_entry_point_matches_main(tmp_path):
     proc = subprocess.run([exe, "check", str(tmp_path / "nope.json")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
+
+
+def test_main_keeps_no_arguments_between_calls(capsys, r4):
+    seeded = run(capsys, "--seed", "5", "omega", r4, "solve")
+    after = run(capsys, "omega", r4, "solve")
+    subcommand_seeded = run(capsys, "omega", r4, "solve", "--seed", "5")
+    after_subcommand = run(capsys, "omega", r4, "solve")
+    as_json = run(capsys, "--json-out", "omega", r4, "solve")
+    after_json = run(capsys, "omega", r4, "solve")
+    _build_parser.cache_clear()
+    fresh = run(capsys, "omega", r4, "solve")
+    assert seeded == subcommand_seeded != fresh  # the seed changes the representative
+    assert after == after_subcommand == after_json == fresh
+    assert json.loads(as_json[1])["command"] == "omega"
+    assert fresh[1].startswith("side: left\n")
