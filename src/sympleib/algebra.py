@@ -100,10 +100,16 @@ class Witness:
     defect: tuple[Fraction, ...]
 
     def describe(self) -> str:
-        """One line with 1-based indices, e.g. ``jacobi fails at (1, 2, 3) with defect (1, 0)``."""
+        """One line with 1-based indices, e.g. ``jacobi fails at (1, 2, 3) with defect (1, 0)``.
+
+        A witness without indices is a degenerate form, and its vector is a
+        radical vector: ``degenerate-form: radical vector (1, 0)``.
+        """
+        vector = ", ".join(str(x) for x in self.defect)
+        if not self.indices:
+            return f"{self.kind}: radical vector ({vector})"
         spot = ", ".join(str(i + 1) for i in self.indices)
-        defect = ", ".join(str(x) for x in self.defect)
-        return f"{self.kind} fails at ({spot}) with defect ({defect})"
+        return f"{self.kind} fails at ({spot}) with defect ({vector})"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from sympleib.algebra import (
     Algebra,
-    center,
     is_lie,
     leibniz_ideal,
     multiply,
@@ -71,8 +70,8 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     """Carry out the reduction; raises CoreError if any step fails to verify."""
     rep = is_symplectic_left(a, form)
     if not rep.holds:
-        raise ValueError(f"input is not left symplectic: {rep.witness.describe()} "
-                         "(basis indices count from 1)")
+        note = " (basis indices count from 1)" if rep.witness.indices else ""
+        raise ValueError(f"input is not left symplectic: {rep.witness.describe()}{note}")
     n = a.dim
     leib = leibniz_ideal(a)
     ideal = intersect(leib, orthogonal(form, leib))

@@ -9,16 +9,33 @@ paths (the long direct one and the shorter reduced one) so they can be
 cross-checked, together with specialized versions: Lagrangian (g absent),
 isotropic-image with inner derivations, rank one (p = 1), and the commutative
 bi-symplectic construction from a symmetric cubic form.
+
+Every construction on h + g + h* is assembled the same way.  A layout names
+the basis positions of h, g and h* and the basis labels: the rank-one
+builders use the order (g, e, e*), the others (h, g, h*), with g absent in
+the Lagrangian case.  One filler, the only place a zero tensor is
+allocated, writes a product from one table per block (h,h), (h,g), (g,h),
+(g,g), each giving an entry's g-part and h*-part; one form helper writes the
+middle Gram matrix plus the pairing W[h_i][h*_i] = -1; and one verifier runs
+a builder's post-build checks and raises with the witness of the first that
+fails.  The double extension and
+its star are two block tables over one derivation of (F*, S, K), and the
+rank-one builders read the same tables on (F, S - F, c0, a0, b0, lambda)
+with p = 1.  build_left_symmetric and rank_one_star write the star from the
+data instead of solving for it, and stay as independent test oracles for
+star_left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from sympleib.algebra import (
     Algebra,
+    IdentityReport,
+    Witness,
     center,
     derivations,
     is_left_leibniz,
@@ -28,6 +45,7 @@ from sympleib.algebra import (
     left_mult,
     leibniz_ideal,
     multiply,
+    opposite,
     right_mult,
 )
 from sympleib.exactlin import (
@@ -336,71 +354,149 @@ def check_reduced_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
 
 
 # ---------------------------------------------------------------------------
-# assembling the extension
+# assembling on h + g + h*
 
 
-def _block_indices(p: int, m: int):
-    h = list(range(p))
-    gi = list(range(p, p + m))
-    hs = list(range(p + m, p + m + p))
-    return h, gi, hs
+@dataclass(frozen=True)
+class _Layout:
+    """Where the h, g and h* coordinates sit in the basis, and the basis labels."""
+
+    h: tuple[int, ...]
+    g: tuple[int, ...]
+    hs: tuple[int, ...]
+    labels: tuple[str, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.h) + len(self.g) + len(self.hs)
 
 
-def _embed_g(vec, p: int, m: int) -> list:
-    out = [ZERO] * (p + m + p)
-    for a, x in enumerate(vec):
-        out[p + a] = x
-    return out
+def _layout(p: int, m: int, glabels=None) -> _Layout:
+    """The basis order h, g, h*, labelled H1.., glabels, A1.. when glabels is given."""
+    labels = () if glabels is None else (tuple(f"H{i + 1}" for i in range(p)) + tuple(glabels)
+                                         + tuple(f"A{i + 1}" for i in range(p)))
+    return _Layout(tuple(range(p)), tuple(range(p, p + m)),
+                   tuple(range(p + m, 2 * p + m)), labels)
 
 
-def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
-    """The product and form on h + g + h*, no checks."""
+def _rank_one_layout(g: Algebra) -> _Layout:
+    """The basis order g, e, e* of the rank-one constructions."""
+    m = g.dim
+    return _Layout((m,), tuple(range(m)), (m + 1,),
+                   tuple(g.basis_label(a) for a in range(m)) + ("e", "estar"))
+
+
+def _fill(layout: _Layout, hh=None, hg=None, gh=None, gg=None) -> Algebra:
+    """Structure constants on h + g + h* from one table per block.
+
+    A table maps the local indices (x, y) of e_x * e_y, each counted inside
+    its own block, to the product's (g-part, h*-part).  A block left out is
+    zero, a part given as () is zero, and only nonzero coordinates are written.
+    """
+    n = layout.dim
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    h, g, hs = layout.h, layout.g, layout.hs
+    for rows, cols, table in ((h, h, hh), (h, g, hg), (g, h, gh), (g, g, gg)):
+        if table is None:
+            continue
+        for x, r in enumerate(rows):
+            for y, s in enumerate(cols):
+                gpart, hspart = table(x, y)
+                out = c[r][s]
+                for k, v in (*zip(g, gpart), *zip(hs, hspart)):
+                    if v:
+                        out[k] = v
+    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c), layout.labels)
+
+
+def _form(layout: _Layout, middle, extra=()) -> SkewForm:
+    """The middle Gram matrix on the g block, the hyperbolic pairing
+    W[h_i][h*_i] = -1, W[h*_i][h_i] = 1, and any extra (row, col, value)."""
+    n = layout.dim
+    w = [[ZERO] * n for _ in range(n)]
+    for a, r in enumerate(layout.g):
+        for b, s in enumerate(layout.g):
+            w[r][s] = middle[a][b]
+    for i, k in zip(layout.h, layout.hs):
+        w[i][k], w[k][i] = -ONE, ONE
+    for r, s, v in extra:
+        w[r][s] = v
+    return SkewForm(Matrix.from_rows(w))
+
+
+def _verify(*checks) -> None:
+    """Post-build verification: run each (what, report) pair in order and raise
+    AssertionError with the witness of the first report that fails.  Each
+    report is a zero-argument callable, so a check runs only after the
+    earlier ones held."""
+    for what, run in checks:
+        rep = run()
+        if not rep.holds:
+            raise AssertionError(f"{what}: {rep.witness.describe()}")
+
+
+def _left_symplectic_checks(algebra: Algebra, form: SkewForm) -> tuple:
+    return (("assembled product is not left Leibniz", lambda: is_left_leibniz(algebra)),
+            ("assembled form is not compatible", lambda: is_symplectic_left(algebra, form)))
+
+
+def _same_product(kind: str, a: Algebra, b: Algebra) -> IdentityReport:
+    """Whether two products on one basis agree; the witness is the first pair
+    (i, j) where they differ, with defect a(e_i, e_j) - b(e_i, e_j)."""
+    for i, j in _pairs(a.dim):
+        if a.c[i][j] != b.c[i][j]:
+            return IdentityReport(kind, False, Witness(kind, (i, j), vsub(a.c[i][j], b.c[i][j])))
+    return IdentityReport(kind, True)
+
+
+def _pairings(form: SkewForm, vectors, u) -> list:
+    """omega(v, u) for each v: an h*-part whose coordinates are pairings."""
+    return [omega(form, v, u) for v in vectors]
+
+
+def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
+    """The block tables (hh, hg, gh, gg) of the product and of its star,
+    read off one derivation of F*, S = F + G and K = S/2 - F - F*."""
     g, wg = gs.g, gs.form
     p, m = d.p, g.dim
-    n = p + m + p
     F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
     Fs = [gs.adjoint(F[i]) for i in range(p)]
     S = [F[i] + G[i] for i in range(p)]
     K = [S[i].scale(HALF) - F[i] - Fs[i] for i in range(p)]
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
+    e = [basis_vector(m, a) for a in range(m)]
+    product = (
+        lambda x, y: (th[x][y], Om[x][y]),
+        lambda x, a: (F[x].col(a), _pairings(wg, ps[x], e[a])),
+        lambda a, x: (G[x].col(a), _pairings(wg, xi[x], e[a])),
+        lambda a, b: (g.c[a][b], _pairings(wg, [K[k].col(a) for k in range(p)], e[b])),
+    )
+    star = (
+        lambda x, y: (ps[x][y], [Om[x][k][y] for k in range(p)]),
+        lambda x, a: (vscale(-ONE, Fs[x].col(a)), _pairings(wg, th[x], e[a])),
+        lambda a, x: (K[x].col(a), _pairings(wg, [xi[k][x] for k in range(p)], e[a])),
+        lambda a, b: (gs.star.c[a][b], _pairings(wg, [G[k].col(a) for k in range(p)], e[b])),
+    )
+    return product, star
 
-    for i in range(p):
-        for j in range(p):
-            row = _embed_g(th[i][j], p, m)
-            for k in range(p):
-                row[p + m + k] += Om[i][j][k]
-            c[i][j] = row
-    for i in range(p):
-        for a in range(m):
-            ea = basis_vector(m, a)
-            row = _embed_g(F[i].col(a), p, m)
-            for k in range(p):
-                row[p + m + k] += omega(wg, ps[i][k], ea)
-            c[i][p + a] = row
-            row = _embed_g(G[i].col(a), p, m)
-            for k in range(p):
-                row[p + m + k] += omega(wg, xi[i][k], ea)
-            c[p + a][i] = row
-    for a in range(m):
-        for b in range(m):
-            eb = basis_vector(m, b)
-            row = _embed_g(g.c[a][b], p, m)
-            for k in range(p):
-                row[p + m + k] += omega(wg, K[k].col(a), eb)
-            c[p + a][p + b] = row
 
-    wrows = [[ZERO] * n for _ in range(n)]
-    for i in range(p):
-        wrows[i][p + m + i] = -ONE
-        wrows[p + m + i][i] = ONE
-    for a in range(m):
-        for b in range(m):
-            wrows[p + a][p + b] = wg.w.entries[a][b]
-    labels = tuple([f"H{i + 1}" for i in range(p)]
-                   + [g.basis_label(a) for a in range(m)]
-                   + [f"A{i + 1}" for i in range(p)])
-    algebra = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c), labels)
-    return algebra, SkewForm(Matrix.from_rows(wrows))
+def _assemble(gs: SymplecticLie, d: ExtensionData, layout: _Layout
+              ) -> tuple[Algebra, SkewForm]:
+    product, _ = _tables(gs, d)
+    return _fill(layout, *product), _form(layout, gs.form.w.entries)
+
+
+def _assemble_star(gs: SymplecticLie, d: ExtensionData, layout: _Layout) -> Algebra:
+    _, star = _tables(gs, d)
+    return _fill(layout, *star)
+
+
+def _extension_layout(gs: SymplecticLie, d: ExtensionData) -> _Layout:
+    return _layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)])
+
+
+def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
+    """The product and form on h + g + h*, no checks."""
+    return _assemble(gs, d, _extension_layout(gs, d))
 
 
 def build_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
@@ -410,61 +506,18 @@ def build_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra
         names = ", ".join(c.name for c in report.failed())
         raise ValueError(f"extension data fails the criterion: {names}")
     algebra, form = _assemble_double_extension(gs, d)
-    rep = is_left_leibniz(algebra)
-    if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
-    srep = is_symplectic_left(algebra, form)
-    if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
+    _verify(*_left_symplectic_checks(algebra, form))
     return algebra, form
 
 
 def build_left_symmetric(gs: SymplecticLie, d: ExtensionData) -> Algebra:
     """The star product of the extension, written directly from the data.
 
-    Independent of star_left on purpose; tests compare the two routes.
+    Independent of star_left on purpose: a test oracle, and tests compare
+    the two routes.
     """
-    g, wg = gs.g, gs.form
-    p, m = d.p, g.dim
-    n = p + m + p
-    F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
-    Fs = [gs.adjoint(F[i]) for i in range(p)]
-    S = [F[i] + G[i] for i in range(p)]
-    K = [S[i].scale(HALF) - F[i] - Fs[i] for i in range(p)]
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-
-    for i in range(p):
-        for j in range(p):
-            row = _embed_g(ps[i][j], p, m)
-            for k in range(p):
-                row[p + m + k] += Om[i][k][j]
-            c[i][j] = row
-    for i in range(p):
-        for a in range(m):
-            ea = basis_vector(m, a)
-            row = _embed_g(vscale(-ONE, Fs[i].col(a)), p, m)
-            for k in range(p):
-                row[p + m + k] += omega(wg, th[i][k], ea)
-            c[i][p + a] = row
-            row = _embed_g(K[i].col(a), p, m)
-            for k in range(p):
-                row[p + m + k] += omega(wg, xi[k][i], ea)
-            c[p + a][i] = row
-    for a in range(m):
-        for b in range(m):
-            eb = basis_vector(m, b)
-            row = _embed_g(gs.star.c[a][b], p, m)
-            for k in range(p):
-                row[p + m + k] += omega(wg, G[k].col(a), eb)
-            c[p + a][p + b] = row
-
-    labels = tuple([f"H{i + 1}" for i in range(p)]
-                   + [g.basis_label(a) for a in range(m)]
-                   + [f"A{i + 1}" for i in range(p)])
-    star = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c), labels)
-    rep = is_left_symmetric(star)
-    if not rep.holds:
-        raise AssertionError(f"assembled star is not left symmetric: {rep.witness.describe()}")
+    star = _assemble_star(gs, d, _extension_layout(gs, d))
+    _verify(("assembled star is not left symmetric", lambda: is_left_symmetric(star)))
     return star
 
 
@@ -495,31 +548,12 @@ def build_lagrangian(p: int, omega_cube) -> LagrangianExtension:
                           - HALF * Om[x][y][z] + HALF * Om[y][x][z])
                 if defect != 0:
                     raise ValueError(f"cube condition fails at indices {(x, y, z)}")
-    n = 2 * p
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    cs = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                c[i][j][p + k] = Om[i][j][k]
-                cs[i][j][p + k] = Om[i][k][j]
-    wrows = [[ZERO] * n for _ in range(n)]
-    for i in range(p):
-        wrows[i][p + i] = -ONE
-        wrows[p + i][i] = ONE
-    labels = tuple([f"H{i + 1}" for i in range(p)] + [f"A{i + 1}" for i in range(p)])
-    algebra = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c), labels)
-    star = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in cs), labels)
-    form = SkewForm(Matrix.from_rows(wrows))
-
-    rep = is_left_leibniz(algebra)
-    if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
-    srep = is_symplectic_left(algebra, form)
-    if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
-    if not is_left_symmetric(star).holds:
-        raise AssertionError("assembled star is not left symmetric")
+    layout = _layout(p, 0, ())
+    algebra = _fill(layout, lambda x, y: ((), Om[x][y]))
+    star = _fill(layout, lambda x, y: ((), [Om[x][k][y] for k in range(p)]))
+    form = _form(layout, ())
+    _verify(*_left_symplectic_checks(algebra, form),
+            ("assembled star is not left symmetric", lambda: is_left_symmetric(star)))
 
     leib = leibniz_ideal(algebra)
     vacuous = all(Om[i][j][k] == 0 for i in range(p) for j in range(p) for k in range(p))
@@ -598,50 +632,22 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
     if failures:
         raise ValueError("preconditions violated: " + ", ".join(failures))
 
-    n = p + m + p
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                c[i][j][p + m + k] = Om[i][j][k]
-    for i in range(p):
-        for a in range(m):
-            ea = basis_vector(m, a)
-            for k in range(p):
-                x = omega(wg, ps[i][k], ea)
-                c[i][p + a][p + m + k] = x
-                c[p + a][i][p + m + k] = -x
-    for a in range(m):
-        for b in range(m):
-            row = _embed_g(g.c[a][b], p, m)
-            for k in range(p):
-                row[p + m + k] += omega(wg, g.c[a][b], H.col(k))
-            c[p + a][p + b] = row
-
-    wrows = [[ZERO] * n for _ in range(n)]
-    for i in range(p):
-        for j in range(p):
-            wrows[i][j] = omega(wg, H.col(i), H.col(j))
+    layout = _layout(p, m)
+    e = [basis_vector(m, a) for a in range(m)]
+    hc = [H.col(k) for k in range(p)]
+    algebra = _fill(layout,
+                    lambda x, y: ((), Om[x][y]),
+                    lambda x, a: ((), _pairings(wg, ps[x], e[a])),
+                    lambda a, x: ((), [-v for v in _pairings(wg, ps[x], e[a])]),
+                    lambda a, b: (g.c[a][b], [omega(wg, g.c[a][b], u) for u in hc]))
+    extra = [(layout.h[i], layout.h[j], omega(wg, hc[i], hc[j]))
+             for i in range(p) for j in range(p)]
     for i in range(p):
         for b in range(m):
-            x = omega(wg, H.col(i), basis_vector(m, b))
-            wrows[i][p + b] = -x
-            wrows[p + b][i] = x
-    for a in range(m):
-        for b in range(m):
-            wrows[p + a][p + b] = wg.w.entries[a][b]
-    for i in range(p):
-        wrows[i][p + m + i] = -ONE
-        wrows[p + m + i][i] = ONE
-
-    algebra = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c))
-    form = SkewForm(Matrix.from_rows(wrows))
-    rep = is_left_leibniz(algebra)
-    if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
-    srep = is_symplectic_left(algebra, form)
-    if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
+            x = omega(wg, hc[i], e[b])
+            extra += [(layout.h[i], layout.g[b], -x), (layout.g[b], layout.h[i], x)]
+    form = _form(layout, wg.w.entries, extra)
+    _verify(*_left_symplectic_checks(algebra, form))
     return algebra, form
 
 
@@ -682,48 +688,24 @@ def check_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
     return SystemReport("rank-one extension criterion", tuple(checks))
 
 
-def rank_one_star(gs: SymplecticLie, F: Matrix, S: Matrix,
-                  a0, b0, lam) -> Algebra:
-    """Star product of the rank-one extension, from its own closed formulas."""
-    g, wg = gs.g, gs.form
-    m = g.dim
-    n = m + 2
+def _rank_one_data(F: Matrix, S: Matrix, a0, b0, lam) -> ExtensionData:
+    """(F, S, a0, b0, lambda) as general data with p = 1: G = S - F,
+    theta = c0 = (a0 + b0)/2, psi = a0, xi = b0 and Omega = lambda."""
     a0 = tuple(rat(x) for x in a0)
     b0 = tuple(rat(x) for x in b0)
-    lam = rat(lam)
     c0 = vscale(HALF, vadd(a0, b0))
-    Fs = gs.adjoint(F)
-    K = S.scale(HALF) - F - Fs
-    SmF = S - F
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    # basis order: g block, then e, then e*
-    row = [ZERO] * n
-    for t, x in enumerate(a0):
-        row[t] = x
-    row[m + 1] = lam
-    c[m][m] = row
-    for a in range(m):
-        ea = basis_vector(m, a)
-        row = [ZERO] * n
-        for t, x in enumerate(Fs.col(a)):
-            row[t] = -x
-        row[m + 1] = omega(wg, c0, ea)
-        c[m][a] = row
-        row = [ZERO] * n
-        for t, x in enumerate(K.col(a)):
-            row[t] = x
-        row[m + 1] = omega(wg, b0, ea)
-        c[a][m] = row
-    for a in range(m):
-        for b in range(m):
-            eb = basis_vector(m, b)
-            row = [ZERO] * n
-            for t, x in enumerate(gs.star.c[a][b]):
-                row[t] = x
-            row[m + 1] = omega(wg, SmF.col(a), eb)
-            c[a][b] = row
-    labels = tuple([g.basis_label(a) for a in range(m)] + ["e", "estar"])
-    return Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c), labels)
+    return ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]], [[[lam]]])
+
+
+def rank_one_star(gs: SymplecticLie, F: Matrix, S: Matrix,
+                  a0, b0, lam) -> Algebra:
+    """Star product of the rank-one extension: the general star table on the
+    embedded data, in the basis order (g, e, e*).
+
+    Independent of star_left on purpose: a test oracle, and build_rank_one
+    compares the two.
+    """
+    return _assemble_star(gs, _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g))
 
 
 def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
@@ -733,61 +715,11 @@ def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
     if not report.ok:
         names = ", ".join(c.name for c in report.failed())
         raise ValueError(f"rank-one data fails the criterion: {names}")
-    g, wg = gs.g, gs.form
-    m = g.dim
-    n = m + 2
-    a0 = tuple(rat(x) for x in a0)
-    b0 = tuple(rat(x) for x in b0)
-    lam = rat(lam)
-    c0 = vscale(HALF, vadd(a0, b0))
-    Fs = gs.adjoint(F)
-    K = S.scale(HALF) - F - Fs
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    row = [ZERO] * n
-    for t, x in enumerate(c0):
-        row[t] = x
-    row[m + 1] = lam
-    c[m][m] = row
-    for a in range(m):
-        ea = basis_vector(m, a)
-        row = [ZERO] * n
-        for t, x in enumerate(F.col(a)):
-            row[t] = x
-        row[m + 1] = omega(wg, a0, ea)
-        c[m][a] = row
-        row = [ZERO] * n
-        for t, x in enumerate((S - F).col(a)):
-            row[t] = x
-        row[m + 1] = omega(wg, b0, ea)
-        c[a][m] = row
-    for a in range(m):
-        for b in range(m):
-            eb = basis_vector(m, b)
-            row = [ZERO] * n
-            for t, x in enumerate(g.c[a][b]):
-                row[t] = x
-            row[m + 1] = omega(wg, K.col(a), eb)
-            c[a][b] = row
-
-    wrows = [[ZERO] * n for _ in range(n)]
-    for a in range(m):
-        for b in range(m):
-            wrows[a][b] = wg.w.entries[a][b]
-    wrows[m][m + 1] = -ONE
-    wrows[m + 1][m] = ONE
-    labels = tuple([g.basis_label(a) for a in range(m)] + ["e", "estar"])
-    algebra = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c), labels)
-    form = SkewForm(Matrix.from_rows(wrows))
-
-    rep = is_left_leibniz(algebra)
-    if not rep.holds:
-        raise AssertionError(f"assembled product is not left Leibniz: {rep.witness.describe()}")
-    srep = is_symplectic_left(algebra, form)
-    if not srep.holds:
-        raise AssertionError(f"assembled form is not compatible: {srep.witness.describe()}")
-    expected_star = rank_one_star(gs, F, S, a0, b0, lam)
-    if star_left(algebra, form).c != expected_star.c:
-        raise AssertionError("closed-form star disagrees with the solved star")
+    algebra, form = _assemble(gs, _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g))
+    _verify(*_left_symplectic_checks(algebra, form),
+            ("closed-form star disagrees with the solved star",
+             lambda: _same_product("star", star_left(algebra, form),
+                                   rank_one_star(gs, F, S, a0, b0, lam))))
     return algebra, form
 
 
@@ -832,13 +764,8 @@ def build_bisymplectic_from_T(gs: SymplecticLie, iso: Subspace, T) -> Algebra:
             row.append(vadd(g.c[i][j], rho))
         c.append(tuple(row))
     algebra = Algebra(m, tuple(c), g.labels)
-    rep = is_symmetric_leibniz(algebra)
-    if not rep.holds:
-        raise AssertionError(
-            f"deformed product is not symmetric Leibniz: {rep.witness.describe()}")
-    brep = is_bi_symplectic(algebra, w)
-    if not brep.holds:
-        raise AssertionError(f"deformed product is not bi-symplectic: {brep.witness.describe()}")
+    _verify(("deformed product is not symmetric Leibniz", lambda: is_symmetric_leibniz(algebra)),
+            ("deformed product is not bi-symplectic", lambda: is_bi_symplectic(algebra, w)))
     return algebra
 
 
@@ -853,36 +780,15 @@ def build_commutative_bisymplectic(h_dim: int, b_form: SkewForm, T
               for i in range(p) for j in range(p) for k in range(p))
     if not sym:
         raise ValueError("T must be fully symmetric")
-    bdim = b_form.dim
-    n = p + bdim + p
-    c = [[list(vzero(n)) for _ in range(n)] for _ in range(n)]
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                c[i][j][p + bdim + k] = cube[i][j][k]
-    wrows = [[ZERO] * n for _ in range(n)]
-    for i in range(p):
-        wrows[i][p + bdim + i] = -ONE
-        wrows[p + bdim + i][i] = ONE
-    for a in range(bdim):
-        for b in range(bdim):
-            wrows[p + a][p + b] = b_form.w.entries[a][b]
-    algebra = Algebra(n, tuple(tuple(tuple(r) for r in row) for row in c))
-    form = SkewForm(Matrix.from_rows(wrows))
-
-    for i in range(n):
-        for j in range(n):
-            if algebra.c[i][j] != algebra.c[j][i]:
-                raise AssertionError("assembled product is not commutative")
-    rep = is_symmetric_leibniz(algebra)
-    if not rep.holds:
-        raise AssertionError(
-            f"assembled product is not symmetric Leibniz: {rep.witness.describe()}")
-    brep = is_bi_symplectic(algebra, form)
-    if not brep.holds:
-        raise AssertionError(f"assembled product is not bi-symplectic: {brep.witness.describe()}")
-    if star_left(algebra, form).c != algebra.c:
-        raise AssertionError("left star disagrees with the product")
-    if star_right(algebra, form).c != algebra.c:
-        raise AssertionError("right star disagrees with the product")
+    layout = _layout(p, b_form.dim)
+    algebra = _fill(layout, lambda x, y: ((), cube[x][y]))
+    form = _form(layout, b_form.w.entries)
+    _verify(("assembled product is not commutative",
+             lambda: _same_product("commutativity", algebra, opposite(algebra))),
+            ("assembled product is not symmetric Leibniz", lambda: is_symmetric_leibniz(algebra)),
+            ("assembled product is not bi-symplectic", lambda: is_bi_symplectic(algebra, form)),
+            ("left star disagrees with the product",
+             lambda: _same_product("left-star", star_left(algebra, form), algebra)),
+            ("right star disagrees with the product",
+             lambda: _same_product("right-star", star_right(algebra, form), algebra)))
     return algebra, form

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -56,6 +57,11 @@ class SkewForm:
     @property
     def dim(self) -> int:
         return self.w.rows
+
+    @cached_property
+    def w_inv(self) -> Matrix:
+        """W^-1, computed once per form; raises on a degenerate form."""
+        return self.w.inverse()
 
     def radical_vector(self) -> tuple[Fraction, ...]:
         """A nonzero kernel vector of a degenerate form."""
@@ -121,7 +127,7 @@ def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
         raise ValueError("adjoint requires a nondegenerate form")
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError("operator shape does not match the form")
-    return form.w.inverse() @ m.transpose() @ form.w
+    return form.w_inv @ m.transpose() @ form.w
 
 
 def _degenerate_report(name: str, form: SkewForm) -> IdentityReport:
@@ -367,13 +373,13 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
 # star products
 
 def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
-    """Solve W^T (e_i ⋆ e_j) = rhs for every basis pair with one inverse,
+    """Solve W^T (e_i ⋆ e_j) = rhs for every basis pair with (W^T)^-1 = (W^-1)^T,
     where rhs[k] = -omega(e_j, e_p*e_q) and (p, q) = pair(i, k)."""
     if not form.nondegenerate:
         raise ValueError("star product requires a nondegenerate form")
     n = a.dim
     g = _gram_table(form, a)
-    wt_inv = form.w.transpose().inverse().entries
+    wt_inv = form.w_inv.transpose().entries
     c = []
     for i in range(n):
         rows = [g[p][q] for p, q in (pair(i, k) for k in range(n))]

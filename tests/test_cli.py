@@ -276,7 +276,7 @@ def test_core_prints_the_witness_as_the_check_does(capsys, tmp_path):
                     encoding="utf-8")
     code, out, err = run(capsys, "core", str(path))
     assert (code, out) == (1, "")
-    assert "degenerate-form fails at () with defect (1, 0)" in err
+    assert "degenerate-form: radical vector (1, 0)" in err
     assert "Fraction(" not in err
 
 

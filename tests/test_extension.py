@@ -22,6 +22,7 @@ from sympleib.extension import (
     build_double_extension,
     build_inner_extension,
     build_lagrangian,
+    build_left_symmetric,
     build_rank_one,
     check_full_system,
     check_isotropic_system,
@@ -31,7 +32,7 @@ from sympleib.extension import (
     zero_cube,
     zero_grid,
 )
-from sympleib.extension import _assemble_double_extension
+from sympleib.extension import _assemble_double_extension, _same_product, _verify
 from sympleib.symplectic import (
     form_from_pairs,
     is_bi_symplectic,
@@ -133,7 +134,6 @@ def test_case2_data_passes_both_systems_and_builds():
 
 def test_direct_star_assembly_matches_solved_star():
     gs = _abelian2()
-    from sympleib.extension import build_left_symmetric
     for d in (_case1_data(2, -1, 3, 5, 7), _case2_data(3, 1, 2, 1, 4, -5, 2),
               _case1_data(1, 0, 0, 0, 0), _case2_data(1, 0, 1, -1, 2, 2, -3)):
         alg, form = build_double_extension(gs, d)
@@ -305,6 +305,32 @@ def test_rank_one_embeds_as_general_extension_data():
                 assert [big.c[to_big[i]][to_big[j]][to_big[k]]
                         for k in range(m + 2)] == list(small.c[i][j])
                 assert small_form.w.entries[i][j] == big_form.w.entries[to_big[i]][to_big[j]]
+        small_star = rank_one_star(gs, F, S, a0, b0, lam)
+        big_star = build_left_symmetric(gs, d)
+        for i in range(m + 2):
+            for j in range(m + 2):
+                assert [big_star.c[to_big[i]][to_big[j]][to_big[k]]
+                        for k in range(m + 2)] == list(small_star.c[i][j])
+
+
+def test_post_build_verifier_raises_with_the_failing_witness():
+    lie = _rr3().g
+    idempotent = Algebra.from_table(2, {(1, 1): {1: 1}})
+    incompatible = Algebra.from_table(2, {(1, 2): {2: 1}})
+    cases = [
+        ("product", lambda: is_left_leibniz(idempotent)),
+        ("form", lambda: is_symplectic_left(incompatible, W12)),
+        ("star", lambda: _same_product("star", idempotent, incompatible)),
+    ]
+    for what, check in cases:
+        rep = check()
+        assert not rep.holds
+        with pytest.raises(AssertionError) as exc:
+            _verify(("lie", lambda: is_left_leibniz(lie)), (what, check),
+                    ("later", lambda: pytest.fail("a check ran after the first failure")))
+        assert str(exc.value) == f"{what}: {rep.witness.describe()}"
+    assert str(exc.value) == "star: star fails at (1, 1) with defect (1, 0)"
+    _verify(("lie", lambda: is_left_leibniz(lie)))
 
 
 def test_rank_one_star_closed_form():

@@ -1,0 +1,53 @@
+"""Source hygiene of the package, read with the stdlib ``ast`` module.
+
+No module of ``src/sympleib`` imports a name it never uses, and no private
+top-level function goes unreferenced across the package.  ``from __future__``
+imports and the re-exports of ``__init__.py`` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sympleib"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.append(name)
+    return unused
+
+
+def _references(tree: ast.Module) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_unused_imports_or_unreferenced_private_functions():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "extension.py" in trees
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    problems = []
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            problems += [f"{name}: unused import {imp}" for imp in _unused_imports(tree)]
+        problems += [f"{name}: unreferenced private function {node.name}"
+                     for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                     and node.name not in referenced]
+    assert problems == []
