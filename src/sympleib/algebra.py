@@ -141,15 +141,31 @@ def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[
 
 
 def left_mult(a: Algebra, u: Sequence[Fraction]) -> Matrix:
-    """Matrix of v -> u * v in the standard basis."""
-    cols = [multiply(a, u, basis_vector(a.dim, j)) for j in range(a.dim)]
-    return Matrix.from_rows([[cols[j][k] for j in range(a.dim)] for k in range(a.dim)])
+    """Matrix of v -> u * v in the standard basis, summed over the nonzero u_i only."""
+    n = a.dim
+    if len(u) != n:
+        raise ValueError("vector length does not match algebra dimension")
+    m = [[ZERO] * n for _ in range(n)]
+    for i, x in enumerate(u):
+        if x:
+            for j, pairs in enumerate(a.nz[i]):  # e_i * e_j
+                for k, z in pairs:
+                    m[k][j] += x * z
+    return Matrix(n, n, tuple(map(tuple, m)))
 
 
 def right_mult(a: Algebra, u: Sequence[Fraction]) -> Matrix:
-    """Matrix of v -> v * u in the standard basis."""
-    cols = [multiply(a, basis_vector(a.dim, j), u) for j in range(a.dim)]
-    return Matrix.from_rows([[cols[j][k] for j in range(a.dim)] for k in range(a.dim)])
+    """Matrix of v -> v * u in the standard basis, summed over the nonzero u_i only."""
+    n = a.dim
+    if len(u) != n:
+        raise ValueError("vector length does not match algebra dimension")
+    m = [[ZERO] * n for _ in range(n)]
+    for i, x in enumerate(u):
+        if x:
+            for j, row in enumerate(a.nz):  # e_j * e_i
+                for k, z in row[i]:
+                    m[k][j] += x * z
+    return Matrix(n, n, tuple(map(tuple, m)))
 
 
 # signed term tables over the positions of (i, j, k); see the module docstring

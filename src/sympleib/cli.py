@@ -196,7 +196,10 @@ def cmd_extend(args) -> int:
 
     emitted: dict[str, Any] = {}
     if args.build or args.star:
-        algebra, form = build_double_extension(gs, data)
+        # the reduced report just printed is the builder's gate; a full
+        # report is a different check, so the builder runs the reduced one
+        gate = report if args.system == "reduced" else None
+        algebra, form = build_double_extension(gs, data, gate)
         if args.build:
             emitted["product"] = algebra_to_dict(algebra, form)
         if args.star:

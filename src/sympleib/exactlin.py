@@ -119,37 +119,49 @@ class Matrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
 
+    # entrywise operations do no arithmetic where an operand is zero
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix(self.rows, self.cols,
-                      tuple(vadd(a, b) for a, b in zip(self.entries, other.entries)))
+                      tuple(tuple(a + b if a and b else a or b for a, b in zip(r, s))
+                            for r, s in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix(self.rows, self.cols,
-                      tuple(vsub(a, b) for a, b in zip(self.entries, other.entries)))
+                      tuple(tuple((a - b if a else -b) if b else a for a, b in zip(r, s))
+                            for r, s in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         return self.scale(Fraction(-1))
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix(self.rows, self.cols, tuple(vscale(c, r) for r in self.entries))
+        return Matrix(self.rows, self.cols,
+                      tuple(tuple(c * a if a else a for a in r) for r in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the nonzero factor pairs only."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [other.col(j) for j in range(other.cols)]
-        ents = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in cols)
-            for row in self.entries
-        )
-        return Matrix(self.rows, other.cols, ents)
+        n = other.cols
+        right = [_sparse(r).items() for r in other.entries]
+        ents = []
+        for row in self.entries:
+            out = [ZERO] * n
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        out[j] += a * b
+            ents.append(tuple(out))
+        return Matrix(self.rows, n, tuple(ents))
 
     def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """M v, summed over the nonzero coordinates of v and entries of M only."""
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.entries)
+        nz = _sparse(v).items()
+        return tuple(sum((row[j] * y for j, y in nz if row[j]), ZERO) for row in self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,

@@ -4,11 +4,13 @@ The central object is a symplectic Lie algebra g together with extension data
 (F, G, theta, psi, xi, Omega) indexed by a p-dimensional space h.  The data
 assembles into a product on h + g + h* which is a symplectic left Leibniz
 algebra exactly when a finite list of linear and quadratic equations holds.
-Two equivalent forms of that list are implemented as fully separate code
-paths (the long direct one and the shorter reduced one) so they can be
-cross-checked, together with specialized versions: Lagrangian (g absent),
-isotropic-image with inner derivations, rank one (p = 1), and the commutative
-bi-symplectic construction from a symmetric cubic form.
+Two equivalent forms of that list are implemented, the long direct one and
+the shorter reduced one.  They share the derived operators (F*, G*, S, S*, K,
+K*), built once per call by one helper, and each equation list is written
+independently, so each serves as the other's oracle.  Specialized versions
+cover the Lagrangian case (g absent), the isotropic image with inner
+derivations, rank one (p = 1), and the commutative bi-symplectic
+construction from a symmetric cubic form.
 
 Every construction on h + g + h* is assembled the same way.  A layout names
 the basis positions of h, g and h* and the basis labels: the rank-one
@@ -19,7 +21,7 @@ allocated, writes a product from one table per block (h,h), (h,g), (g,h),
 middle Gram matrix plus the pairing W[h_i][h*_i] = -1; and one verifier runs
 a builder's post-build checks and raises with the witness of the first that
 fails.  The double extension and
-its star are two block tables over one derivation of (F*, S, K), and the
+its star are two block tables over the same derived operators, and the
 rank-one builders read the same tables on (F, S - F, c0, a0, b0, lambda)
 with p = 1.  build_left_symmetric and rank_one_star write the star from the
 data instead of solving for it, and stay as independent test oracles for
@@ -29,6 +31,7 @@ star_left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -100,12 +103,17 @@ class SymplecticLie:
         if not srep.holds:
             raise ValueError(f"form is not symplectic for the bracket: {srep.witness.describe()}")
         star = star_left(g, form)
-        if not is_left_symmetric(star).holds:
-            raise ValueError("internal error: star product is not left symmetric")
-        for i in range(g.dim):
-            for j in range(g.dim):
-                if vsub(star.c[i][j], star.c[j][i]) != g.c[i][j]:
-                    raise ValueError("internal error: star commutator differs from bracket")
+        lsym = is_left_symmetric(star)
+        if not lsym.holds:
+            raise ValueError("internal error: star product is not left symmetric: "
+                             f"{lsym.witness.describe()}")
+        n = g.dim
+        commutator = Algebra(n, tuple(tuple(vsub(star.c[i][j], star.c[j][i]) for j in range(n))
+                                      for i in range(n)))
+        comm = _same_product("star-commutator", commutator, g)
+        if not comm.holds:
+            raise ValueError("internal error: star commutator differs from bracket: "
+                             f"{comm.witness.describe()}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "star", star)
@@ -221,33 +229,85 @@ def _quads(p):
 
 
 def _derivation_check(g: Algebra, ops: Sequence[Matrix], name: str) -> Check:
+    """Whether each D in ops is a derivation: D(e_a e_b) = D(e_a) e_b + e_a D(e_b)
+    at every basis pair, the first failing (t, a, b) in order reported.
+
+    Both sides are summed as one sparse {k: value} difference over the nonzero
+    structure constants ``g.nz`` and the nonzero entries of D's columns.
+    """
+    n, nz = g.dim, g.nz
     for t, d in enumerate(ops):
-        for a in range(g.dim):
-            for b in range(g.dim):
-                lhs = d.matvec(g.c[a][b])
-                rhs = vadd(multiply(g, d.col(a), basis_vector(g.dim, b)),
-                           multiply(g, basis_vector(g.dim, a), d.col(b)))
-                if lhs != rhs:
+        cols = [[(r, x) for r, x in enumerate(d.col(k)) if x] for k in range(n)]
+        for a in range(n):
+            for b in range(n):
+                acc: dict[int, Fraction] = {}
+                for k, x in nz[a][b]:  # D(e_a e_b)
+                    for r, y in cols[k]:
+                        acc[r] = acc.get(r, ZERO) + x * y
+                for r, y in cols[a]:  # D(e_a) e_b
+                    for k, x in nz[r][b]:
+                        acc[k] = acc.get(k, ZERO) - y * x
+                for r, y in cols[b]:  # e_a D(e_b)
+                    for k, x in nz[a][r]:
+                        acc[k] = acc.get(k, ZERO) - y * x
+                if any(acc.values()):
                     return Check(name, False, f"operator {t} fails at pair ({a}, {b})")
     return Check(name, True)
+
+
+class _Derived:
+    """The operators both criteria and the block tables read, one per h
+    direction, each built on first use and then kept: F*, G*, S = F + G, S*,
+    K = S/2 - F - F* and K*."""
+
+    def __init__(self, gs: SymplecticLie, d: ExtensionData):
+        if d.gdim != gs.dim:
+            raise ValueError("extension data does not match the algebra dimension")
+        self.adjoint, self.F, self.G = gs.adjoint, d.F, d.G
+
+    @cached_property
+    def Fs(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.adjoint, self.F))
+
+    @cached_property
+    def Gs(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.adjoint, self.G))
+
+    @cached_property
+    def S(self) -> tuple[Matrix, ...]:
+        return tuple(f + g for f, g in zip(self.F, self.G))
+
+    @cached_property
+    def Ss(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.adjoint, self.S))
+
+    @cached_property
+    def K(self) -> tuple[Matrix, ...]:
+        return tuple(s.scale(HALF) - f - fs for s, f, fs in zip(self.S, self.F, self.Fs))
+
+    @cached_property
+    def Ks(self) -> tuple[Matrix, ...]:
+        return tuple(map(self.adjoint, self.K))
 
 
 # ---------------------------------------------------------------------------
 # the two equation systems
 
 
+_REDUCED_TITLE = "double extension criterion (reduced form)"
+
+
 def check_full_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
-    """The long criterion list for (dd) to be symplectic left Leibniz."""
+    """The long criterion list for (dd) to be symplectic left Leibniz.
+
+    It reads the derived operators shared with check_reduced_system; its
+    equation list is written independently, so each list is the other's oracle.
+    """
     g, w = gs.g, gs.form
     p, m = d.p, d.gdim
-    if m != g.dim:
-        raise ValueError("extension data does not match the algebra dimension")
     F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
-    Fs = [gs.adjoint(F[i]) for i in range(p)]
-    Gs = [gs.adjoint(G[i]) for i in range(p)]
-    S = [F[i] + G[i] for i in range(p)]
-    K = [S[i].scale(HALF) - F[i] - Fs[i] for i in range(p)]
-    Ks = [gs.adjoint(K[i]) for i in range(p)]
+    der = _Derived(gs, d)
+    Fs, Gs, S, K, Ks = der.Fs, der.Gs, der.S, der.K, der.Ks
     ad = lambda v: left_mult(g, v)
     rstar = lambda v: right_mult(gs.star, v)
     om = lambda u, v: omega(w, u, v)
@@ -300,16 +360,16 @@ def check_full_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
 
 
 def check_reduced_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
-    """The shorter equivalent criterion list, written independently."""
+    """The shorter equivalent criterion list.
+
+    It reads the derived operators shared with check_full_system; its
+    equation list is written independently, so each list is the other's oracle.
+    """
     g, w = gs.g, gs.form
     p, m = d.p, d.gdim
-    if m != g.dim:
-        raise ValueError("extension data does not match the algebra dimension")
     F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
-    Fs = [gs.adjoint(F[i]) for i in range(p)]
-    S = [F[i] + G[i] for i in range(p)]
-    Ss = [gs.adjoint(S[i]) for i in range(p)]
-    K = [S[i].scale(HALF) - F[i] - Fs[i] for i in range(p)]
+    der = _Derived(gs, d)
+    Fs, S, Ss, K = der.Fs, der.S, der.Ss, der.K
     ad = lambda v: left_mult(g, v)
     rstar = lambda v: right_mult(gs.star, v)
     om = lambda u, v: omega(w, u, v)
@@ -350,7 +410,7 @@ def check_reduced_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
         _scan("S-F-annihilation", _pairs(p), lambda x, y:
               vstack([S[x] @ S[y], F[x] @ S[y], S[x] @ F[y]])),
     ]
-    return SystemReport("double extension criterion (reduced form)", tuple(checks))
+    return SystemReport(_REDUCED_TITLE, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +516,12 @@ def _pairings(form: SkewForm, vectors, u) -> list:
 
 def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
     """The block tables (hh, hg, gh, gg) of the product and of its star,
-    read off one derivation of F*, S = F + G and K = S/2 - F - F*."""
+    read off the derived operators F* and K = S/2 - F - F*."""
     g, wg = gs.g, gs.form
     p, m = d.p, g.dim
     F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
-    Fs = [gs.adjoint(F[i]) for i in range(p)]
-    S = [F[i] + G[i] for i in range(p)]
-    K = [S[i].scale(HALF) - F[i] - Fs[i] for i in range(p)]
+    der = _Derived(gs, d)
+    Fs, K = der.Fs, der.K
     e = [basis_vector(m, a) for a in range(m)]
     product = (
         lambda x, y: (th[x][y], Om[x][y]),
@@ -499,9 +558,17 @@ def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Alg
     return _assemble(gs, d, _extension_layout(gs, d))
 
 
-def build_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
-    """Checked assembly: criterion first, identity verification afterwards."""
-    report = check_reduced_system(gs, d)
+def build_double_extension(gs: SymplecticLie, d: ExtensionData,
+                           gate: SystemReport | None = None) -> tuple[Algebra, SkewForm]:
+    """Checked assembly: criterion first, identity verification afterwards.
+
+    The criterion is the reduced system.  A caller that has already run
+    check_reduced_system on (gs, d) passes its report as ``gate`` so that the
+    system is not run twice.
+    """
+    if gate is not None and gate.title != _REDUCED_TITLE:
+        raise ValueError(f"the gate must be a reduced-system report, got {gate.title!r}")
+    report = check_reduced_system(gs, d) if gate is None else gate
     if not report.ok:
         names = ", ".join(c.name for c in report.failed())
         raise ValueError(f"extension data fails the criterion: {names}")

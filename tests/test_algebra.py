@@ -418,6 +418,18 @@ def test_multiply_equals_the_dense_triple_sum(a, data):
 
 
 @_PROPERTY
+@given(sparse_algebras(), st.data())
+def test_multiplication_matrices_equal_the_dense_sums(a, data):
+    u = data.draw(st.lists(_CONSTANT, min_size=a.dim, max_size=a.dim).map(tuple))
+    n = range(a.dim)
+    left = tuple(tuple(sum((u[i] * a.c[i][j][k] for i in n), ZERO) for j in n) for k in n)
+    right = tuple(tuple(sum((u[i] * a.c[j][i][k] for i in n), ZERO) for j in n) for k in n)
+    assert left_mult(a, u).entries == left
+    assert right_mult(a, u).entries == right
+    assert all(type(x) is Fraction for row in left_mult(a, u).entries for x in row)
+
+
+@_PROPERTY
 @given(sparse_algebras())
 def test_opposite_swaps_the_leibniz_checks(a):
     b = opposite(a)

@@ -1,5 +1,7 @@
 """Command line behaviour: exit codes, pipelines, reproducibility."""
 
+import collections
+import hashlib
 import json
 import shutil
 import subprocess
@@ -8,10 +10,13 @@ from fractions import Fraction
 
 import pytest
 
+from sympleib import catalog, cli, extension
 from sympleib.algebra import Algebra
 from sympleib.catalog import instantiate, list_families
 from sympleib.cli import _build_parser, main
-from sympleib.fileformat import parse_algebra, serialize_algebra
+from sympleib.exactlin import HALF, Matrix, vadd, vscale
+from sympleib.extension import ExtensionData
+from sympleib.fileformat import algebra_to_dict, parse_algebra, rational_to_json, serialize_algebra
 
 RR3_BASE = """\
 {
@@ -457,3 +462,141 @@ def test_main_keeps_no_arguments_between_calls(capsys, r4):
     assert after == after_subcommand == after_json == fresh
     assert json.loads(as_json[1])["command"] == "omega"
     assert fresh[1].startswith("side: left\n")
+
+
+# ---------------------------------------------------------------------------
+# extend: pinned output on the extension families
+
+EXTEND_FLAGS = (("--system", "full"), ("--system", "reduced"),
+                ("--system", "reduced", "--build"),
+                ("--system", "full", "--build", "--star"),
+                ("--system", "reduced", "--build", "--star"))
+
+# exit code and the first 16 hex digits of sha256(stdout + stderr) of
+# `extend FILE FLAGS` for each of EXTEND_FLAGS, then of `--json-out extend
+# FILE FLAGS`, recorded before the criteria summed over nonzeros only
+EXTEND_GOLDEN = {
+    "ABEL2_CASE1": (
+        "0 4cbf9a0a1c403d67", "0 d4f8b8172b594c59", "0 3164e1b6480e9ceb",
+        "0 939b77aee05a51df", "0 309b97aebd232f2e",
+        "0 e08b60a88248046a", "0 84ef81c1d4f918fb", "0 7af154d7664f3358",
+        "0 01e7ba4d46a2b754", "0 332672157c865683"),
+    "ABEL2_CASE1+bumped": (
+        "1 2b700d821dfd2eef", "1 bb3bf4be8f33c3a2", "1 bb3bf4be8f33c3a2",
+        "1 2b700d821dfd2eef", "1 bb3bf4be8f33c3a2",
+        "1 427a47547b3df3a3", "1 984f5dca1e52cf05", "1 984f5dca1e52cf05",
+        "1 427a47547b3df3a3", "1 984f5dca1e52cf05"),
+    "ABEL2_CASE2": (
+        "0 4cbf9a0a1c403d67", "0 d4f8b8172b594c59", "0 e9111186bd098541",
+        "0 7b32b92066f1f3d1", "0 2d7d11dfe2ed3abe",
+        "0 e08b60a88248046a", "0 84ef81c1d4f918fb", "0 73b3bf49702e9922",
+        "0 1ba0a44b1772428d", "0 2217a9019254a2ed"),
+    "ABEL2_CASE2+bumped": (
+        "1 45584a23b252e2d9", "1 80947b6f90d4d7ff", "1 80947b6f90d4d7ff",
+        "1 45584a23b252e2d9", "1 80947b6f90d4d7ff",
+        "1 ff0fba4e302842a1", "1 a79f20c86283b17a", "1 a79f20c86283b17a",
+        "1 ff0fba4e302842a1", "1 a79f20c86283b17a"),
+    "RR3_RANK_ONE": (
+        "0 4cbf9a0a1c403d67", "0 d4f8b8172b594c59", "0 19280e66e0fc5d94",
+        "0 c1e216385e65f4ce", "0 3282fc485562ec99",
+        "0 e08b60a88248046a", "0 84ef81c1d4f918fb", "0 f86f79b50aa8ed78",
+        "0 f5d64309ea5af2a0", "0 2412c259d6ab2317"),
+    "RR3_RANK_ONE+bumped": (
+        "1 893c432131add743", "1 97b7332f41f5d3b7", "1 97b7332f41f5d3b7",
+        "1 893c432131add743", "1 97b7332f41f5d3b7",
+        "1 82a15bdc65aa1b27", "1 bfad424b582f9c39", "1 bfad424b582f9c39",
+        "1 82a15bdc65aa1b27", "1 bfad424b582f9c39"),
+}
+
+
+def _bumped(name, d):
+    """d with one entry moved by one: psi for ABEL2_CASE1, theta for
+    ABEL2_CASE2 and F (so that F is no derivation) for the rank-one data."""
+    F = [list(r) for r in d.F[0].entries]
+    theta = [[list(v) for v in row] for row in d.theta]
+    psi = [[list(v) for v in row] for row in d.psi]
+    if name == "ABEL2_CASE1":
+        psi[0][0][-1] += 1
+    elif name == "ABEL2_CASE2":
+        theta[0][0][0] += 1
+    else:
+        F[0][0] += 1
+    return ExtensionData(d.p, [Matrix.from_rows(F)], d.G, theta, psi, d.xi, d.omega_cube)
+
+
+def _extension_cases():
+    """The two extension families and the rank-one rr(3,-1) data at their
+    defaults, each followed by its bumped copy."""
+    gs, F, S, a0, b0, lam = catalog.rank_one_data()
+    c0 = vscale(HALF, vadd(a0, b0))
+    cases = {fid: catalog.extension_data(fid) for fid in ("ABEL2_CASE1", "ABEL2_CASE2")}
+    cases["RR3_RANK_ONE"] = gs, ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]],
+                                              [[[lam]]])
+    for name, (gs, d) in cases.items():
+        yield name, gs, d
+        yield name + "+bumped", gs, _bumped(name, d)
+
+
+def _extension_text(gs, d) -> str:
+    def vec(v):
+        return [rational_to_json(x) for x in v]
+    return json.dumps({"g": algebra_to_dict(gs.g, gs.form), "p": d.p,
+                       "F": [[vec(r) for r in m.entries] for m in d.F],
+                       "G": [[vec(r) for r in m.entries] for m in d.G],
+                       "theta": [[vec(v) for v in row] for row in d.theta],
+                       "psi": [[vec(v) for v in row] for row in d.psi],
+                       "xi": [[vec(v) for v in row] for row in d.xi],
+                       "omega": [[vec(r) for r in plane] for plane in d.omega_cube]})
+
+
+@pytest.mark.parametrize("case", list(_extension_cases()), ids=lambda c: c[0])
+def test_extend_output_is_pinned(capsys, tmp_path, case):
+    name, gs, d = case
+    path = tmp_path / "ext.json"
+    path.write_text(_extension_text(gs, d), encoding="utf-8")
+    got = []
+    for prefix in ((), ("--json-out",)):
+        for flags in EXTEND_FLAGS:
+            code, out, err = run(capsys, *prefix, "extend", str(path), *flags)
+            got.append(f"{code} {hashlib.sha256((out + err).encode()).hexdigest()[:16]}")
+    assert tuple(got) == EXTEND_GOLDEN[name]
+
+
+def _count_criteria(monkeypatch):
+    calls = collections.Counter()
+    for name in ("check_full_system", "check_reduced_system"):
+        def counted(*args, _name=name, _fn=getattr(extension, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(extension, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("flags, want", [
+    (("--system", "reduced", "--build", "--star"), {"check_reduced_system": 1}),
+    (("--system", "reduced", "--build"), {"check_reduced_system": 1}),
+    (("--system", "full", "--build"), {"check_full_system": 1, "check_reduced_system": 1}),
+    (("--system", "full", "--build", "--star"),
+     {"check_full_system": 1, "check_reduced_system": 1}),
+])
+def test_extend_runs_each_criterion_once(capsys, tmp_path, monkeypatch, flags, want):
+    calls = _count_criteria(monkeypatch)
+    code, out, _ = run(capsys, "extend", extension_dir(tmp_path, RR3_EXTENSION), *flags)
+    assert code == 0 and json.loads(out)
+    assert calls == want
+
+
+def test_build_double_extension_rejects_a_full_report_as_its_gate():
+    gs, d = catalog.extension_data("ABEL2_CASE1")
+    with pytest.raises(ValueError, match="reduced-system report"):
+        extension.build_double_extension(gs, d, extension.check_full_system(gs, d))
+
+
+def test_extend_reports_a_broken_star_without_a_traceback(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(extension, "star_left", lambda g, form: Algebra.from_table(4, {}))
+    code, out, err = run(capsys, "extend", extension_dir(tmp_path, RR3_EXTENSION))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal error: star commutator differs from bracket: "
+                          "star-commutator fails at (1, 2)")
+    assert "Traceback" not in err

@@ -325,3 +325,63 @@ def test_empty_matrix_det_is_one():
 def test_sparse_rows_need_a_column_count():
     with pytest.raises(ValueError):
         kernel([{0: Fraction(1)}])
+
+
+@st.composite
+def _product_factors(draw):
+    """Two sparse fractional matrices a (r x k) and b (k x c), sides 0..5, with
+    some rows and columns of each forced to zero."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        ents = [draw(st.lists(_ENTRY, min_size=cols, max_size=cols)) for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)) if rows else ():
+            ents[i] = [ZERO] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)) if cols else ():
+            for row in ents:
+                row[j] = ZERO
+        return Matrix(rows, cols, tuple(map(tuple, ents)))
+    return matrix(r, k), matrix(k, c)
+
+
+def _dense_product(a, b):
+    return tuple(tuple(sum((a.entries[i][t] * b.entries[t][j] for t in range(a.cols)), ZERO)
+                       for j in range(b.cols)) for i in range(a.rows))
+
+
+@_DIFFERENTIAL
+@given(_product_factors(), st.data())
+def test_matmul_and_matvec_equal_the_dense_sums(factors, data):
+    a, b = factors
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.entries == _dense_product(a, b)
+    assert all(type(x) is Fraction for row in got.entries for x in row)
+    v = tuple(data.draw(st.lists(_ENTRY, min_size=a.cols, max_size=a.cols)))
+    column = Matrix(a.cols, 1, tuple((x,) for x in v))
+    assert a.matvec(v) == tuple(row[0] for row in _dense_product(a, column))
+    assert all(type(x) is Fraction for x in a.matvec(v))
+
+
+@_DIFFERENTIAL
+@given(_product_factors(), st.data())
+def test_entrywise_operations_equal_the_dense_ones(factors, data):
+    a, _ = factors
+    b = Matrix(a.rows, a.cols, tuple(
+        tuple(data.draw(_ENTRY) for _ in range(a.cols)) for _ in range(a.rows)))
+    c = data.draw(_ENTRY)
+    cases = ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y),
+             (a.scale(c), lambda x, y: c * x), (-a, lambda x, y: -x))
+    for got, op in cases:
+        assert got.entries == tuple(tuple(op(x, y) for x, y in zip(r, s))
+                                    for r, s in zip(a.entries, b.entries))
+        assert all(type(x) is Fraction for row in got.entries for x in row)
+
+
+def test_products_reject_mismatched_shapes():
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3) @ Matrix.zero(2, 3)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3).matvec((ZERO, ZERO))
+    assert Matrix.zero(0, 3).matvec((ZERO,) * 3) == ()
+    assert (Matrix.zero(2, 0) @ Matrix.zero(0, 4)) == Matrix.zero(2, 4)

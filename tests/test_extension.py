@@ -1,9 +1,14 @@
 """Double extension data, the two criterion routes, and all builders."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sympleib import catalog
 
 from sympleib.algebra import (
     Algebra,
@@ -13,7 +18,7 @@ from sympleib.algebra import (
     leibniz_ideal,
     multiply,
 )
-from sympleib.exactlin import Matrix, basis_vector, span, vector
+from sympleib.exactlin import HALF, Matrix, basis_vector, span, vadd, vector, vscale, vsub
 from sympleib.extension import (
     ExtensionData,
     SymplecticLie,
@@ -32,7 +37,8 @@ from sympleib.extension import (
     zero_cube,
     zero_grid,
 )
-from sympleib.extension import _assemble_double_extension, _same_product, _verify
+from sympleib.extension import (_assemble_double_extension, _derivation_check, _same_product,
+                                _verify)
 from sympleib.symplectic import (
     form_from_pairs,
     is_bi_symplectic,
@@ -41,6 +47,7 @@ from sympleib.symplectic import (
     omega_adjoint,
     star_left,
 )
+from sympleib.reporting import Check, SystemReport
 
 W12 = form_from_pairs(2, {(1, 2): 1})
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})
@@ -434,3 +441,382 @@ def test_sum_of_derivation_and_adjoint_acts_as_star_derivation():
                         multiply(gs.star, basis_vector(g.dim, a), dd.col(b)),
                         multiply(gs.star, basis_vector(g.dim, b), dd.col(a)))])
                     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the two criteria
+#
+# The three functions below are the dense check_full_system,
+# check_reduced_system and _derivation_check as they were before the criteria
+# read the derived operators and summed over nonzeros only, kept verbatim
+# apart from the names of the dense helpers they call.  Every helper sums
+# over every entry, zero or not, so the oracles share no arithmetic with the
+# library beyond Fraction, vadd/vsub/vscale and the cached inverse of W.
+
+
+class _Dense:
+    """A dense row-major matrix over Fraction for the oracles."""
+
+    def __init__(self, rows):
+        self.entries = tuple(tuple(r) for r in rows)
+
+    def col(self, j):
+        return tuple(r[j] for r in self.entries)
+
+    def __add__(self, other):
+        return _Dense([[x + y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return _Dense([[x - y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)])
+
+    def scale(self, c):
+        return _Dense([[c * x for x in r] for r in self.entries])
+
+    def __matmul__(self, other):
+        cols = [other.col(j) for j in range(len(other.entries[0]))]
+        return _Dense([[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols]
+                       for r in self.entries])
+
+    def matvec(self, v):
+        return tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in self.entries)
+
+    def is_zero(self):
+        return all(x == 0 for r in self.entries for x in r)
+
+
+def _dense_stack(mats):
+    return _Dense([r for m in mats for r in m.entries])
+
+
+def _dense_adjoint(gs, m):
+    """W^-1 m^T W with dense products."""
+    w = gs.form.w
+    return _Dense(gs.form.w_inv.entries) @ _Dense(zip(*m.entries)) @ _Dense(w.entries)
+
+
+def _dense_multiply(a, u, v):
+    n = range(a.dim)
+    return tuple(sum((u[i] * v[j] * a.c[i][j][k] for i in n for j in n), Fraction(0))
+                 for k in n)
+
+
+def _dense_left_mult(a, u):
+    n = range(a.dim)
+    return _Dense([[sum((u[i] * a.c[i][j][k] for i in n), Fraction(0)) for j in n] for k in n])
+
+
+def _dense_right_mult(a, u):
+    n = range(a.dim)
+    return _Dense([[sum((u[i] * a.c[j][i][k] for i in n), Fraction(0)) for j in n] for k in n])
+
+
+def _dense_omega(form, u, v):
+    n = range(form.dim)
+    return sum((u[a] * form.w.entries[a][b] * v[b] for a in n for b in n), Fraction(0))
+
+
+def _oracle_is_zero(x):
+    if isinstance(x, Fraction):
+        return x == 0
+    if isinstance(x, tuple):
+        return all(a == 0 for a in x)
+    return x.is_zero()
+
+
+def _oracle_scan(name, indices, defect):
+    for idx in indices:
+        if not _oracle_is_zero(defect(*idx)):
+            return Check(name, False, f"fails at indices {idx}")
+    return Check(name, True)
+
+
+def _o_pairs(p):
+    return ((i, j) for i in range(p) for j in range(p))
+
+
+def _o_triples(p):
+    return ((i, j, k) for i in range(p) for j in range(p) for k in range(p))
+
+
+def _o_quads(p):
+    return ((i, j, k, l) for i in range(p) for j in range(p)
+            for k in range(p) for l in range(p))
+
+
+def _oracle_derivation_check(g, ops, name):
+    """Test oracle: the dense _derivation_check, copied from the library."""
+    for t, d in enumerate(ops):
+        for a in range(g.dim):
+            for b in range(g.dim):
+                lhs = d.matvec(g.c[a][b])
+                rhs = vadd(_dense_multiply(g, d.col(a), basis_vector(g.dim, b)),
+                           _dense_multiply(g, basis_vector(g.dim, a), d.col(b)))
+                if lhs != rhs:
+                    return Check(name, False, f"operator {t} fails at pair ({a}, {b})")
+    return Check(name, True)
+
+
+def _oracle_full_system(gs, d):
+    """Test oracle: the dense check_full_system, copied from the library."""
+    g, w = gs.g, gs.form
+    p, m = d.p, d.gdim
+    F = [_Dense(x.entries) for x in d.F]
+    G = [_Dense(x.entries) for x in d.G]
+    th, ps, xi, Om = d.theta, d.psi, d.xi, d.omega_cube
+    Fs = [_dense_adjoint(gs, F[i]) for i in range(p)]
+    Gs = [_dense_adjoint(gs, G[i]) for i in range(p)]
+    S = [F[i] + G[i] for i in range(p)]
+    K = [S[i].scale(HALF) - F[i] - Fs[i] for i in range(p)]
+    Ks = [_dense_adjoint(gs, K[i]) for i in range(p)]
+    ad = lambda v: _dense_left_mult(g, v)
+    rstar = lambda v: _dense_right_mult(gs.star, v)
+    om = lambda u, v: _dense_omega(w, u, v)
+    checks = [
+        _oracle_derivation_check(g, F, "F-derivations"),
+        _oracle_derivation_check(g, G, "G-derivations"),
+        _oracle_scan("omega-cube", _o_triples(p), lambda x, y, z:
+                     Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z]),
+        _oracle_scan("psi-antisym-theta", _o_pairs(p), lambda x, y:
+                     vsub(vsub(ps[x][y], ps[y][x]),
+                          vscale(HALF, vsub(th[x][y], th[y][x])))),
+        _oracle_scan("theta-from-xi-psi", _o_pairs(p), lambda x, y:
+                     vsub(th[x][y], vadd(xi[y][x],
+                                         vscale(HALF, vsub(ps[x][y], xi[x][y]))))),
+        _oracle_scan("theta-xi-psi-pairing", _o_quads(p), lambda x, y, z, t:
+                     om(th[x][y], xi[z][t]) - om(th[y][z], ps[x][t])
+                     + om(th[x][z], ps[y][t])),
+        _oracle_scan("F-theta-G-theta", _o_triples(p), lambda x, y, z:
+                     vsub(vsub(F[x].matvec(th[y][z]), F[y].matvec(th[x][z])),
+                          G[z].matvec(th[x][y]))),
+        _oracle_scan("Fstar-psi-K-theta", _o_triples(p), lambda x, y, z:
+                     vadd(vsub(Fs[x].matvec(ps[y][z]), Fs[y].matvec(ps[x][z])),
+                          K[z].matvec(th[x][y]))),
+        _oracle_scan("Fstar-xi-Gstar-psi", _o_triples(p), lambda x, y, z:
+                     vsub(vsub(Fs[x].matvec(xi[y][z]), Gs[y].matvec(ps[x][z])),
+                          Ks[z].matvec(th[x][y]))),
+        _oracle_scan("S-xi", _o_triples(p), lambda x, y, z: S[x].matvec(xi[y][z])),
+        _oracle_scan("star-sum-skew", ((i,) for i in range(p)),
+                     lambda x: Fs[x] + Gs[x] + F[x] + G[x]),
+        _oracle_scan("K-S", _o_pairs(p), lambda x, y: K[y] @ S[x]),
+        _oracle_scan("G-S", _o_pairs(p), lambda x, y: G[y] @ S[x]),
+        _oracle_scan("Rstar-psi-K-F", _o_pairs(p), lambda x, y:
+                     rstar(ps[x][y]) + K[y] @ F[x] + Fs[x] @ K[y]),
+        _oracle_scan("Rstar-xi-Kstar-G", _o_pairs(p), lambda x, y:
+                     rstar(xi[x][y]) + Ks[y] @ G[x] + Gs[x] @ K[y]),
+        _oracle_scan("ad-theta-FF", _o_pairs(p), lambda x, y:
+                     ad(th[x][y]) - (F[x] @ F[y] - F[y] @ F[x])),
+        _oracle_scan("FF-plus-FG", _o_pairs(p), lambda x, y:
+                     (F[x] @ F[y] - F[y] @ F[x]) + (F[x] @ G[y] - G[y] @ F[x])),
+        _oracle_scan("ad-S-image", ((x, r) for x in range(p) for r in range(m)),
+                     lambda x, r: ad(S[x].col(r))),
+        _oracle_scan("K-bracket-derivation",
+                     ((x, a, b) for x in range(p) for a in range(m) for b in range(m)),
+                     lambda x, a, b: vsub(K[x].matvec(g.c[a][b]),
+                                          vsub(_dense_multiply(gs.star, basis_vector(m, a),
+                                                               K[x].col(b)),
+                                               _dense_multiply(gs.star, basis_vector(m, b),
+                                                               K[x].col(a))))),
+    ]
+    return SystemReport("double extension criterion (direct form)", tuple(checks))
+
+
+def _oracle_reduced_system(gs, d):
+    """Test oracle: the dense check_reduced_system, copied from the library."""
+    g, w = gs.g, gs.form
+    p, m = d.p, d.gdim
+    F = [_Dense(x.entries) for x in d.F]
+    G = [_Dense(x.entries) for x in d.G]
+    th, ps, xi, Om = d.theta, d.psi, d.xi, d.omega_cube
+    Fs = [_dense_adjoint(gs, F[i]) for i in range(p)]
+    S = [F[i] + G[i] for i in range(p)]
+    Ss = [_dense_adjoint(gs, S[i]) for i in range(p)]
+    K = [S[i].scale(HALF) - F[i] - Fs[i] for i in range(p)]
+    ad = lambda v: _dense_left_mult(g, v)
+    rstar = lambda v: _dense_right_mult(gs.star, v)
+    om = lambda u, v: _dense_omega(w, u, v)
+    checks = [
+        _oracle_derivation_check(g, F, "F-derivations"),
+        _oracle_derivation_check(g, G, "G-derivations"),
+        _oracle_scan("omega-cube", _o_triples(p), lambda x, y, z:
+                     Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z]),
+        _oracle_scan("psi-xi-antisym", _o_pairs(p), lambda x, y:
+                     vsub(vsub(ps[x][y], ps[y][x]), vsub(xi[y][x], xi[x][y]))),
+        _oracle_scan("theta-from-xi-psi", _o_pairs(p), lambda x, y:
+                     vsub(th[x][y], vadd(xi[y][x],
+                                         vscale(HALF, vsub(ps[x][y], xi[x][y]))))),
+        _oracle_scan("theta-xi-psi-pairing", _o_quads(p), lambda x, y, z, t:
+                     om(th[x][y], xi[z][t]) - om(th[y][z], ps[x][t])
+                     + om(th[x][z], ps[y][t])),
+        _oracle_scan("F-theta-cyclic-S", _o_triples(p), lambda x, y, z:
+                     vsub(vadd(vsub(F[x].matvec(th[y][z]), F[y].matvec(th[x][z])),
+                               F[z].matvec(th[x][y])),
+                          S[z].matvec(th[x][y]))),
+        _oracle_scan("Fstar-psi-K-theta", _o_triples(p), lambda x, y, z:
+                     vadd(vsub(Fs[x].matvec(ps[y][z]), Fs[y].matvec(ps[x][z])),
+                          K[z].matvec(th[x][y]))),
+        _oracle_scan("Fstar-psi-xi-S", _o_triples(p), lambda x, y, z:
+                     vadd(vadd(Fs[x].matvec(vadd(ps[y][z], xi[y][z])),
+                               S[y].matvec(ps[x][z])),
+                          S[z].matvec(th[x][y]))),
+        _oracle_scan("ad-theta-FF", _o_pairs(p), lambda x, y:
+                     ad(th[x][y]) - (F[x] @ F[y] - F[y] @ F[x])),
+        _oracle_scan("Rstar-psi-FF", _o_pairs(p), lambda x, y:
+                     rstar(ps[x][y]) - ((F[y] + Fs[y]) @ F[x] + Fs[x] @ (F[y] + Fs[y]))),
+        _oracle_scan("Rstar-psi-xi", _o_pairs(p), lambda x, y:
+                     rstar(vadd(ps[x][y], xi[x][y]))),
+        _oracle_scan("S-star-image",
+                     ((x, a, b) for x in range(p) for a in range(m) for b in range(m)),
+                     lambda x, a, b: S[x].matvec(gs.star.c[a][b])),
+        _oracle_scan("S-skew-adjoint", ((i,) for i in range(p)), lambda x: Ss[x] + S[x]),
+        _oracle_scan("S-xi", _o_triples(p), lambda x, y, z: S[x].matvec(xi[y][z])),
+        _oracle_scan("S-F-annihilation", _o_pairs(p), lambda x, y:
+                     _dense_stack([S[x] @ S[y], F[x] @ S[y], S[x] @ F[y]])),
+    ]
+    return SystemReport("double extension criterion (reduced form)", tuple(checks))
+
+
+def _assert_criteria_equal_the_oracles(gs, d):
+    assert check_full_system(gs, d) == _oracle_full_system(gs, d)
+    assert check_reduced_system(gs, d) == _oracle_reduced_system(gs, d)
+
+
+def _embedded_rank_one(params=None):
+    gs, F, S, a0, b0, lam = catalog.rank_one_data(params)
+    return gs, _embed_rank_one(F, S, a0, b0, lam)
+
+
+def _catalog_extension_cases():
+    """(id, gs, d): the two extension families and the rank-one rr(3,-1) data,
+    at their defaults and at five seeded samples each."""
+    rng = random.Random(6)
+    for fid in ("ABEL2_CASE1", "ABEL2_CASE2"):
+        yield fid, *catalog.extension_data(fid)
+        for k in range(5):
+            yield f"{fid}-sample{k}", *catalog.extension_data(fid, catalog.get(fid).sample(rng))
+    yield "RR3_RANK_ONE", *_embedded_rank_one()
+    for k in range(5):
+        yield f"RR3_RANK_ONE-sample{k}", *_embedded_rank_one(
+            catalog.get("RR3_SIXDIM_RAW").sample(rng))
+
+
+def _rebuilt(d, slot, index, delta):
+    """d with delta added to one entry of one slot; index is the entry's
+    position in that slot's nested lists."""
+    parts = {"F": [[list(r) for r in m.entries] for m in d.F],
+             "G": [[list(r) for r in m.entries] for m in d.G],
+             "theta": [[list(v) for v in row] for row in d.theta],
+             "psi": [[list(v) for v in row] for row in d.psi],
+             "xi": [[list(v) for v in row] for row in d.xi],
+             "omega": [[list(r) for r in plane] for plane in d.omega_cube]}
+    a, b, c = index
+    parts[slot][a][b][c] += delta
+    return ExtensionData(d.p, [Matrix.from_rows(m) for m in parts["F"]],
+                         [Matrix.from_rows(m) for m in parts["G"]],
+                         parts["theta"], parts["psi"], parts["xi"], parts["omega"])
+
+
+def _one_slot_perturbations(d):
+    """Every entry of every slot moved by one; the sign alternates along the
+    slot, and a slot with a single entry is moved both ways."""
+    p, m = d.p, d.gdim
+    shapes = {"F": (p, m, m), "G": (p, m, m), "theta": (p, p, m), "psi": (p, p, m),
+              "xi": (p, p, m), "omega": (p, p, p)}
+    for slot, shape in shapes.items():
+        indices = list(itertools.product(*map(range, shape)))
+        for k, index in enumerate(indices):
+            for delta in (1, -1) if len(indices) == 1 else (1 - 2 * (k % 2),):
+                yield _rebuilt(d, slot, index, delta)
+
+
+@pytest.mark.parametrize("case", list(_catalog_extension_cases()), ids=lambda c: c[0])
+def test_criteria_equal_the_dense_oracles_on_the_catalog(case):
+    _, gs, d = case
+    assert check_reduced_system(gs, d).ok
+    _assert_criteria_equal_the_oracles(gs, d)
+
+
+@pytest.mark.parametrize("fid", ["ABEL2_CASE1", "ABEL2_CASE2", "RR3_RANK_ONE"])
+def test_criteria_equal_the_dense_oracles_on_every_one_slot_perturbation(fid):
+    gs, d = _embedded_rank_one() if fid == "RR3_RANK_ONE" else catalog.extension_data(fid)
+    failing = set()
+    for bumped in _one_slot_perturbations(d):
+        _assert_criteria_equal_the_oracles(gs, bumped)
+        failing.update(c.name for c in check_full_system(gs, bumped).failed())
+    if fid == "RR3_RANK_ONE":
+        assert {"F-derivations", "G-derivations", "K-bracket-derivation"} <= failing
+
+
+_SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+
+
+@st.composite
+def _extension_data_over(draw, gs):
+    """p in {1, 2, 3}; F and G are small combinations of derivations of g,
+    sometimes with one entry moved, and the other slots are small and sparse."""
+    p, m = draw(st.integers(1, 3)), gs.dim
+    basis = derivations(gs.g)
+
+    def operator():
+        op = Matrix.zero(m, m)
+        for der in basis:
+            op = op + der.scale(draw(_SMALL))
+        if draw(st.booleans()):
+            rows = [list(r) for r in op.entries]
+            rows[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] += 1
+            op = Matrix.from_rows(rows)
+        return op
+
+    def grid(n):
+        return [[[draw(_SMALL) for _ in range(n)] for _ in range(p)] for _ in range(p)]
+    return ExtensionData(p, [operator() for _ in range(p)], [operator() for _ in range(p)],
+                         grid(m), grid(m), grid(m), grid(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_criteria_equal_the_dense_oracles_on_random_data(data):
+    gs = data.draw(st.sampled_from([_abelian2(), _rr3()]))
+    _assert_criteria_equal_the_oracles(gs, data.draw(_extension_data_over(gs)))
+
+
+@pytest.mark.parametrize("gs", [_abelian2(), _aff1(), _rr3()], ids=["abelian2", "aff1", "rr3"])
+def test_zero_data_pass_both_criteria_for_every_p(gs):
+    for p in (1, 2, 3):
+        m = gs.dim
+        d = ExtensionData(p, [Matrix.zero(m, m)] * p, [Matrix.zero(m, m)] * p,
+                          zero_grid(p, m), zero_grid(p, m), zero_grid(p, m), zero_cube(p))
+        _assert_criteria_equal_the_oracles(gs, d)
+        assert check_reduced_system(gs, d).ok and check_full_system(gs, d).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["LIE_RR3M1", "CORE2_NONABELIAN", "BS4_A", "R4_LEFT"]), st.data())
+def test_derivation_check_equals_the_dense_oracle(fid, data):
+    g, _ = catalog.instantiate(fid)
+    n = g.dim
+    ops = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        rows = [[data.draw(_SMALL) for _ in range(n)] for _ in range(n)]
+        ops.append(Matrix.from_rows(rows))
+    ops += [d.scale(data.draw(_SMALL)) for d in derivations(g)]
+    ops = data.draw(st.permutations(ops))
+    assert _derivation_check(g, ops, "D") == _oracle_derivation_check(
+        g, [_Dense(op.entries) for op in ops], "D")
+
+
+def test_symplectic_lie_reports_a_broken_star_with_its_witness(monkeypatch):
+    import sympleib.extension as ext
+    skewed = Algebra.from_table(2, {(1, 1): {2: 1}, (2, 1): {2: 1}})
+    rep = is_left_symmetric(skewed)
+    assert rep.witness.describe() == "left-symmetric fails at (1, 2, 1) with defect (0, -1)"
+    monkeypatch.setattr(ext, "star_left", lambda g, form: skewed)
+    with pytest.raises(ValueError) as exc:
+        SymplecticLie(_abelian2().g, W12)
+    assert str(exc.value) == ("internal error: star product is not left symmetric: "
+                              + rep.witness.describe())
+    # the zero product is left symmetric, but its commutator is not [e1, e2] = e1
+    monkeypatch.setattr(ext, "star_left", lambda g, form: Algebra.from_table(2, {}))
+    with pytest.raises(ValueError) as exc:
+        SymplecticLie(_aff1().g, W12)
+    assert str(exc.value) == ("internal error: star commutator differs from bracket: "
+                              "star-commutator fails at (1, 2) with defect (-1, 0)")
