@@ -5,12 +5,14 @@ The central object is a symplectic Lie algebra g together with extension data
 assembles into a product on h + g + h* which is a symplectic left Leibniz
 algebra exactly when a finite list of linear and quadratic equations holds.
 Two equivalent forms of that list are implemented, the long direct one and
-the shorter reduced one.  They share the derived operators (F*, G*, S, S*, K,
-K*), built once per call by one helper, and each equation list is written
-independently, so each serves as the other's oracle.  Specialized versions
-cover the Lagrangian case (g absent), the isotropic image with inner
-derivations, rank one (p = 1), and the commutative bi-symplectic
-construction from a symmetric cubic form.
+the shorter reduced one, and the skew case G = -F, xi = -psi has a third.
+One table writes each equation once: its name, its index ranges and its
+defect over the derived operators (F*, G*, S, S*, K, K*), built once per
+call by one helper.  A criterion is a title and an ordered tuple of equation
+names; the dense copies of the three criteria in tests/test_extension.py are
+their oracles.  Specialized versions cover the Lagrangian case (g absent),
+the isotropic image with inner derivations, rank one (p = 1), and the
+commutative bi-symplectic construction from a symmetric cubic form.
 
 Every construction on h + g + h* is assembled the same way.  A layout names
 the basis positions of h, g and h* and the basis labels: the rank-one
@@ -31,7 +33,8 @@ star_left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from fractions import Fraction
 from typing import Sequence
 
@@ -129,21 +132,9 @@ class SymplecticLie:
 def _vector_grid(p: int, m: int, entries) -> tuple:
     grid = tuple(tuple(tuple(rat(x) for x in entries[i][j]) for j in range(p))
                  for i in range(p))
-    for row in grid:
-        for v in row:
-            if len(v) != m:
-                raise ValueError("grid vector has wrong length")
+    if any(len(v) != m for row in grid for v in row):
+        raise ValueError("grid vector has wrong length")
     return grid
-
-
-def _cube(p: int, entries) -> tuple:
-    cube = tuple(tuple(tuple(rat(x) for x in entries[i][j]) for j in range(p))
-                 for i in range(p))
-    for plane in cube:
-        for row in plane:
-            if len(row) != p:
-                raise ValueError("cube has wrong shape")
-    return cube
 
 
 @dataclass(frozen=True)
@@ -175,7 +166,7 @@ class ExtensionData:
         object.__setattr__(self, "theta", _vector_grid(p, m, theta))
         object.__setattr__(self, "psi", _vector_grid(p, m, psi))
         object.__setattr__(self, "xi", _vector_grid(p, m, xi))
-        object.__setattr__(self, "omega_cube", _cube(p, omega_cube))
+        object.__setattr__(self, "omega_cube", _vector_grid(p, p, omega_cube))
 
     @property
     def gdim(self) -> int:
@@ -190,7 +181,7 @@ def zero_grid(p: int, m: int) -> tuple:
 
 
 def zero_cube(p: int) -> tuple:
-    return tuple(tuple(vzero(p) for _ in range(p)) for _ in range(p))
+    return zero_grid(p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +200,9 @@ def _is_zero(x) -> bool:
 
 def _scan(name: str, indices, defect) -> Check:
     for idx in indices:
-        d = defect(*idx)
-        if not _is_zero(d):
+        if not _is_zero(defect(*idx)):
             return Check(name, False, f"fails at indices {idx}")
     return Check(name, True)
-
-
-def _pairs(p):
-    return ((i, j) for i in range(p) for j in range(p))
-
-
-def _triples(p):
-    return ((i, j, k) for i in range(p) for j in range(p) for k in range(p))
-
-
-def _quads(p):
-    return ((i, j, k, l) for i in range(p) for j in range(p)
-            for k in range(p) for l in range(p))
 
 
 def _derivation_check(g: Algebra, ops: Sequence[Matrix], name: str) -> Check:
@@ -238,32 +215,37 @@ def _derivation_check(g: Algebra, ops: Sequence[Matrix], name: str) -> Check:
     n, nz = g.dim, g.nz
     for t, d in enumerate(ops):
         cols = [[(r, x) for r, x in enumerate(d.col(k)) if x] for k in range(n)]
-        for a in range(n):
-            for b in range(n):
-                acc: dict[int, Fraction] = {}
-                for k, x in nz[a][b]:  # D(e_a e_b)
-                    for r, y in cols[k]:
-                        acc[r] = acc.get(r, ZERO) + x * y
-                for r, y in cols[a]:  # D(e_a) e_b
-                    for k, x in nz[r][b]:
-                        acc[k] = acc.get(k, ZERO) - y * x
-                for r, y in cols[b]:  # e_a D(e_b)
-                    for k, x in nz[a][r]:
-                        acc[k] = acc.get(k, ZERO) - y * x
-                if any(acc.values()):
-                    return Check(name, False, f"operator {t} fails at pair ({a}, {b})")
+        for a, b in product(range(n), repeat=2):
+            acc: dict[int, Fraction] = {}
+            for k, x in nz[a][b]:  # D(e_a e_b)
+                for r, y in cols[k]:
+                    acc[r] = acc.get(r, ZERO) + x * y
+            for r, y in cols[a]:  # D(e_a) e_b
+                for k, x in nz[r][b]:
+                    acc[k] = acc.get(k, ZERO) - y * x
+            for r, y in cols[b]:  # e_a D(e_b)
+                for k, x in nz[a][r]:
+                    acc[k] = acc.get(k, ZERO) - y * x
+            if any(acc.values()):
+                return Check(name, False, f"operator {t} fails at pair ({a}, {b})")
     return Check(name, True)
 
 
 class _Derived:
-    """The operators both criteria and the block tables read, one per h
-    direction, each built on first use and then kept: F*, G*, S = F + G, S*,
-    K = S/2 - F - F* and K*."""
+    """What the criteria and the block tables read off (gs, d): the data as
+    p, m = dim g, F, G, th, ps, xi, Om, the maps ad, R* and omega of g, and
+    per h direction F*, G*, S = F + G, S*, K = S/2 - F - F* and K*, each
+    built on first use and then kept."""
 
     def __init__(self, gs: SymplecticLie, d: ExtensionData):
         if d.gdim != gs.dim:
             raise ValueError("extension data does not match the algebra dimension")
-        self.adjoint, self.F, self.G = gs.adjoint, d.F, d.G
+        self.g, self.star, self.adjoint = gs.g, gs.star, gs.adjoint
+        self.ad, self.rstar = partial(left_mult, gs.g), partial(right_mult, gs.star)
+        self.om = partial(omega, gs.form)
+        self.p, self.m = d.p, d.gdim
+        self.F, self.G, self.th, self.ps, self.xi, self.Om = (
+            d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube)
 
     @cached_property
     def Fs(self) -> tuple[Matrix, ...]:
@@ -291,7 +273,89 @@ class _Derived:
 
 
 # ---------------------------------------------------------------------------
-# the two equation systems
+# the criterion equations, each written once
+
+
+def _omega_cube(p: int, Om) -> Check:
+    """Om(x, z, y) - Om(y, z, x) = (Om(x, y, z) - Om(y, x, z)) / 2 on h^3."""
+    return _scan("omega-cube", product(range(p), repeat=3), lambda x, y, z:
+                 Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z])
+
+
+def _over(ranges: str, defect):
+    """An equation that holds where defect(e, *idx) is zero, scanned in
+    lexicographic order over one index range per letter: p for h, m for g."""
+    def run(e: _Derived, name: str) -> Check:
+        sizes = {"p": e.p, "m": e.m}
+        return _scan(name, product(*(range(sizes[r]) for r in ranges)), partial(defect, e))
+    return run
+
+
+# name -> run(e, name), a Check on the derived operators e
+_EQUATIONS = {
+    "F-derivations": lambda e, name: _derivation_check(e.g, e.F, name),
+    "G-derivations": lambda e, name: _derivation_check(e.g, e.G, name),
+    "omega-cube": lambda e, name: _omega_cube(e.p, e.Om),
+    "psi-antisym-theta": _over("pp", lambda e, x, y: vsub(
+        vsub(e.ps[x][y], e.ps[y][x]), vscale(HALF, vsub(e.th[x][y], e.th[y][x])))),
+    "theta-from-xi-psi": _over("pp", lambda e, x, y: vsub(
+        e.th[x][y], vadd(e.xi[y][x], vscale(HALF, vsub(e.ps[x][y], e.xi[x][y]))))),
+    "theta-xi-psi-pairing": _over("pppp", lambda e, x, y, z, t:
+        e.om(e.th[x][y], e.xi[z][t]) - e.om(e.th[y][z], e.ps[x][t])
+        + e.om(e.th[x][z], e.ps[y][t])),
+    "F-theta-G-theta": _over("ppp", lambda e, x, y, z: vsub(
+        vsub(e.F[x].matvec(e.th[y][z]), e.F[y].matvec(e.th[x][z])),
+        e.G[z].matvec(e.th[x][y]))),
+    "Fstar-psi-K-theta": _over("ppp", lambda e, x, y, z: vadd(
+        vsub(e.Fs[x].matvec(e.ps[y][z]), e.Fs[y].matvec(e.ps[x][z])),
+        e.K[z].matvec(e.th[x][y]))),
+    "Fstar-xi-Gstar-psi": _over("ppp", lambda e, x, y, z: vsub(
+        vsub(e.Fs[x].matvec(e.xi[y][z]), e.Gs[y].matvec(e.ps[x][z])),
+        e.Ks[z].matvec(e.th[x][y]))),
+    "S-xi": _over("ppp", lambda e, x, y, z: e.S[x].matvec(e.xi[y][z])),
+    "star-sum-skew": _over("p", lambda e, x: e.Fs[x] + e.Gs[x] + e.F[x] + e.G[x]),
+    "K-S": _over("pp", lambda e, x, y: e.K[y] @ e.S[x]),
+    "G-S": _over("pp", lambda e, x, y: e.G[y] @ e.S[x]),
+    "Rstar-psi-K-F": _over("pp", lambda e, x, y:
+        e.rstar(e.ps[x][y]) + e.K[y] @ e.F[x] + e.Fs[x] @ e.K[y]),
+    "Rstar-xi-Kstar-G": _over("pp", lambda e, x, y:
+        e.rstar(e.xi[x][y]) + e.Ks[y] @ e.G[x] + e.Gs[x] @ e.K[y]),
+    "ad-theta-FF": _over("pp", lambda e, x, y:
+        e.ad(e.th[x][y]) - (e.F[x] @ e.F[y] - e.F[y] @ e.F[x])),
+    "FF-plus-FG": _over("pp", lambda e, x, y:
+        (e.F[x] @ e.F[y] - e.F[y] @ e.F[x]) + (e.F[x] @ e.G[y] - e.G[y] @ e.F[x])),
+    "ad-S-image": _over("pm", lambda e, x, r: e.ad(e.S[x].col(r))),
+    "K-bracket-derivation": _over("pmm", lambda e, x, a, b: vsub(
+        e.K[x].matvec(e.g.c[a][b]),
+        vsub(multiply(e.star, basis_vector(e.m, a), e.K[x].col(b)),
+             multiply(e.star, basis_vector(e.m, b), e.K[x].col(a))))),
+    "psi-xi-antisym": _over("pp", lambda e, x, y: vsub(
+        vsub(e.ps[x][y], e.ps[y][x]), vsub(e.xi[y][x], e.xi[x][y]))),
+    "F-theta-cyclic-S": _over("ppp", lambda e, x, y, z: vsub(
+        vadd(vsub(e.F[x].matvec(e.th[y][z]), e.F[y].matvec(e.th[x][z])),
+             e.F[z].matvec(e.th[x][y])),
+        e.S[z].matvec(e.th[x][y]))),
+    "Fstar-psi-xi-S": _over("ppp", lambda e, x, y, z: vadd(
+        vadd(e.Fs[x].matvec(vadd(e.ps[y][z], e.xi[y][z])), e.S[y].matvec(e.ps[x][z])),
+        e.S[z].matvec(e.th[x][y]))),
+    "Rstar-psi-FF": _over("pp", lambda e, x, y: e.rstar(e.ps[x][y])
+        - ((e.F[y] + e.Fs[y]) @ e.F[x] + e.Fs[x] @ (e.F[y] + e.Fs[y]))),
+    "Rstar-psi-xi": _over("pp", lambda e, x, y: e.rstar(vadd(e.ps[x][y], e.xi[x][y]))),
+    "S-star-image": _over("pmm", lambda e, x, a, b: e.S[x].matvec(e.star.c[a][b])),
+    "S-skew-adjoint": _over("p", lambda e, x: e.Ss[x] + e.S[x]),
+    "S-F-annihilation": _over("pp", lambda e, x, y:
+        vstack([e.S[x] @ e.S[y], e.F[x] @ e.S[y], e.S[x] @ e.F[y]])),
+    "cyclic-pairing": _over("pppp", lambda e, x, y, z, t:
+        e.om(e.th[x][y], e.ps[z][t]) + e.om(e.th[y][z], e.ps[x][t])
+        + e.om(e.th[z][x], e.ps[y][t])),
+}
+# with xi = -psi, theta-from-xi-psi reads theta(x, y) = psi(x, y) - psi(y, x)
+_EQUATIONS["theta-psi-antisym"] = _EQUATIONS["theta-from-xi-psi"]
+
+
+def _criterion(gs: SymplecticLie, d: ExtensionData, title: str, names) -> SystemReport:
+    e = _Derived(gs, d)
+    return SystemReport(title, tuple(_EQUATIONS[name](e, name) for name in names))
 
 
 _REDUCED_TITLE = "double extension criterion (reduced form)"
@@ -300,117 +364,30 @@ _REDUCED_TITLE = "double extension criterion (reduced form)"
 def check_full_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
     """The long criterion list for (dd) to be symplectic left Leibniz.
 
-    It reads the derived operators shared with check_reduced_system; its
-    equation list is written independently, so each list is the other's oracle.
+    Each equation is written once, in the table shared with the reduced and
+    isotropic criteria; the dense copies of the three criteria in
+    tests/test_extension.py are their oracles.
     """
-    g, w = gs.g, gs.form
-    p, m = d.p, d.gdim
-    F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
-    der = _Derived(gs, d)
-    Fs, Gs, S, K, Ks = der.Fs, der.Gs, der.S, der.K, der.Ks
-    ad = lambda v: left_mult(g, v)
-    rstar = lambda v: right_mult(gs.star, v)
-    om = lambda u, v: omega(w, u, v)
-    checks = [
-        _derivation_check(g, F, "F-derivations"),
-        _derivation_check(g, G, "G-derivations"),
-        _scan("omega-cube", _triples(p), lambda x, y, z:
-              Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z]),
-        _scan("psi-antisym-theta", _pairs(p), lambda x, y:
-              vsub(vsub(ps[x][y], ps[y][x]),
-                   vscale(HALF, vsub(th[x][y], th[y][x])))),
-        _scan("theta-from-xi-psi", _pairs(p), lambda x, y:
-              vsub(th[x][y], vadd(xi[y][x],
-                                  vscale(HALF, vsub(ps[x][y], xi[x][y]))))),
-        _scan("theta-xi-psi-pairing", _quads(p), lambda x, y, z, t:
-              om(th[x][y], xi[z][t]) - om(th[y][z], ps[x][t]) + om(th[x][z], ps[y][t])),
-        _scan("F-theta-G-theta", _triples(p), lambda x, y, z:
-              vsub(vsub(F[x].matvec(th[y][z]), F[y].matvec(th[x][z])),
-                   G[z].matvec(th[x][y]))),
-        _scan("Fstar-psi-K-theta", _triples(p), lambda x, y, z:
-              vadd(vsub(Fs[x].matvec(ps[y][z]), Fs[y].matvec(ps[x][z])),
-                   K[z].matvec(th[x][y]))),
-        _scan("Fstar-xi-Gstar-psi", _triples(p), lambda x, y, z:
-              vsub(vsub(Fs[x].matvec(xi[y][z]), Gs[y].matvec(ps[x][z])),
-                   Ks[z].matvec(th[x][y]))),
-        _scan("S-xi", _triples(p), lambda x, y, z: S[x].matvec(xi[y][z])),
-        _scan("star-sum-skew", ((i,) for i in range(p)),
-              lambda x: Fs[x] + Gs[x] + F[x] + G[x]),
-        _scan("K-S", _pairs(p), lambda x, y: K[y] @ S[x]),
-        _scan("G-S", _pairs(p), lambda x, y: G[y] @ S[x]),
-        _scan("Rstar-psi-K-F", _pairs(p), lambda x, y:
-              rstar(ps[x][y]) + K[y] @ F[x] + Fs[x] @ K[y]),
-        _scan("Rstar-xi-Kstar-G", _pairs(p), lambda x, y:
-              rstar(xi[x][y]) + Ks[y] @ G[x] + Gs[x] @ K[y]),
-        _scan("ad-theta-FF", _pairs(p), lambda x, y:
-              ad(th[x][y]) - (F[x] @ F[y] - F[y] @ F[x])),
-        _scan("FF-plus-FG", _pairs(p), lambda x, y:
-              (F[x] @ F[y] - F[y] @ F[x]) + (F[x] @ G[y] - G[y] @ F[x])),
-        _scan("ad-S-image", ((x, r) for x in range(p) for r in range(m)),
-              lambda x, r: ad(S[x].col(r))),
-        _scan("K-bracket-derivation",
-              ((x, a, b) for x in range(p) for a in range(m) for b in range(m)),
-              lambda x, a, b: vsub(K[x].matvec(g.c[a][b]),
-                                   vsub(multiply(gs.star, basis_vector(m, a),
-                                                 K[x].col(b)),
-                                        multiply(gs.star, basis_vector(m, b),
-                                                 K[x].col(a))))),
-    ]
-    return SystemReport("double extension criterion (direct form)", tuple(checks))
+    return _criterion(gs, d, "double extension criterion (direct form)", (
+        "F-derivations", "G-derivations", "omega-cube", "psi-antisym-theta",
+        "theta-from-xi-psi", "theta-xi-psi-pairing", "F-theta-G-theta",
+        "Fstar-psi-K-theta", "Fstar-xi-Gstar-psi", "S-xi", "star-sum-skew", "K-S", "G-S",
+        "Rstar-psi-K-F", "Rstar-xi-Kstar-G", "ad-theta-FF", "FF-plus-FG", "ad-S-image",
+        "K-bracket-derivation"))
 
 
 def check_reduced_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
     """The shorter equivalent criterion list.
 
-    It reads the derived operators shared with check_full_system; its
-    equation list is written independently, so each list is the other's oracle.
+    Each equation is written once, in the table shared with the direct and
+    isotropic criteria; the dense copies of the three criteria in
+    tests/test_extension.py are their oracles.
     """
-    g, w = gs.g, gs.form
-    p, m = d.p, d.gdim
-    F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
-    der = _Derived(gs, d)
-    Fs, S, Ss, K = der.Fs, der.S, der.Ss, der.K
-    ad = lambda v: left_mult(g, v)
-    rstar = lambda v: right_mult(gs.star, v)
-    om = lambda u, v: omega(w, u, v)
-    checks = [
-        _derivation_check(g, F, "F-derivations"),
-        _derivation_check(g, G, "G-derivations"),
-        _scan("omega-cube", _triples(p), lambda x, y, z:
-              Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z]),
-        _scan("psi-xi-antisym", _pairs(p), lambda x, y:
-              vsub(vsub(ps[x][y], ps[y][x]), vsub(xi[y][x], xi[x][y]))),
-        _scan("theta-from-xi-psi", _pairs(p), lambda x, y:
-              vsub(th[x][y], vadd(xi[y][x],
-                                  vscale(HALF, vsub(ps[x][y], xi[x][y]))))),
-        _scan("theta-xi-psi-pairing", _quads(p), lambda x, y, z, t:
-              om(th[x][y], xi[z][t]) - om(th[y][z], ps[x][t]) + om(th[x][z], ps[y][t])),
-        _scan("F-theta-cyclic-S", _triples(p), lambda x, y, z:
-              vsub(vadd(vsub(F[x].matvec(th[y][z]), F[y].matvec(th[x][z])),
-                        F[z].matvec(th[x][y])),
-                   S[z].matvec(th[x][y]))),
-        _scan("Fstar-psi-K-theta", _triples(p), lambda x, y, z:
-              vadd(vsub(Fs[x].matvec(ps[y][z]), Fs[y].matvec(ps[x][z])),
-                   K[z].matvec(th[x][y]))),
-        _scan("Fstar-psi-xi-S", _triples(p), lambda x, y, z:
-              vadd(vadd(Fs[x].matvec(vadd(ps[y][z], xi[y][z])),
-                        S[y].matvec(ps[x][z])),
-                   S[z].matvec(th[x][y]))),
-        _scan("ad-theta-FF", _pairs(p), lambda x, y:
-              ad(th[x][y]) - (F[x] @ F[y] - F[y] @ F[x])),
-        _scan("Rstar-psi-FF", _pairs(p), lambda x, y:
-              rstar(ps[x][y]) - ((F[y] + Fs[y]) @ F[x] + Fs[x] @ (F[y] + Fs[y]))),
-        _scan("Rstar-psi-xi", _pairs(p), lambda x, y:
-              rstar(vadd(ps[x][y], xi[x][y]))),
-        _scan("S-star-image",
-              ((x, a, b) for x in range(p) for a in range(m) for b in range(m)),
-              lambda x, a, b: S[x].matvec(gs.star.c[a][b])),
-        _scan("S-skew-adjoint", ((i,) for i in range(p)), lambda x: Ss[x] + S[x]),
-        _scan("S-xi", _triples(p), lambda x, y, z: S[x].matvec(xi[y][z])),
-        _scan("S-F-annihilation", _pairs(p), lambda x, y:
-              vstack([S[x] @ S[y], F[x] @ S[y], S[x] @ F[y]])),
-    ]
-    return SystemReport(_REDUCED_TITLE, tuple(checks))
+    return _criterion(gs, d, _REDUCED_TITLE, (
+        "F-derivations", "G-derivations", "omega-cube", "psi-xi-antisym",
+        "theta-from-xi-psi", "theta-xi-psi-pairing", "F-theta-cyclic-S",
+        "Fstar-psi-K-theta", "Fstar-psi-xi-S", "ad-theta-FF", "Rstar-psi-FF",
+        "Rstar-psi-xi", "S-star-image", "S-skew-adjoint", "S-xi", "S-F-annihilation"))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +480,7 @@ def _left_symplectic_checks(algebra: Algebra, form: SkewForm) -> tuple:
 def _same_product(kind: str, a: Algebra, b: Algebra) -> IdentityReport:
     """Whether two products on one basis agree; the witness is the first pair
     (i, j) where they differ, with defect a(e_i, e_j) - b(e_i, e_j)."""
-    for i, j in _pairs(a.dim):
+    for i, j in product(range(a.dim), repeat=2):
         if a.c[i][j] != b.c[i][j]:
             return IdentityReport(kind, False, Witness(kind, (i, j), vsub(a.c[i][j], b.c[i][j])))
     return IdentityReport(kind, True)
@@ -517,13 +494,11 @@ def _pairings(form: SkewForm, vectors, u) -> list:
 def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
     """The block tables (hh, hg, gh, gg) of the product and of its star,
     read off the derived operators F* and K = S/2 - F - F*."""
-    g, wg = gs.g, gs.form
-    p, m = d.p, g.dim
-    F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
     der = _Derived(gs, d)
-    Fs, K = der.Fs, der.K
+    g, wg, p, m, Fs, K = der.g, gs.form, der.p, der.m, der.Fs, der.K
+    F, G, th, ps, xi, Om = der.F, der.G, der.th, der.ps, der.xi, der.Om
     e = [basis_vector(m, a) for a in range(m)]
-    product = (
+    prod = (
         lambda x, y: (th[x][y], Om[x][y]),
         lambda x, a: (F[x].col(a), _pairings(wg, ps[x], e[a])),
         lambda a, x: (G[x].col(a), _pairings(wg, xi[x], e[a])),
@@ -533,9 +508,9 @@ def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
         lambda x, y: (ps[x][y], [Om[x][k][y] for k in range(p)]),
         lambda x, a: (vscale(-ONE, Fs[x].col(a)), _pairings(wg, th[x], e[a])),
         lambda a, x: (K[x].col(a), _pairings(wg, [xi[k][x] for k in range(p)], e[a])),
-        lambda a, b: (gs.star.c[a][b], _pairings(wg, [G[k].col(a) for k in range(p)], e[b])),
+        lambda a, b: (der.star.c[a][b], _pairings(wg, [G[k].col(a) for k in range(p)], e[b])),
     )
-    return product, star
+    return prod, star
 
 
 def _assemble(gs: SymplecticLie, d: ExtensionData, layout: _Layout
@@ -607,14 +582,10 @@ def build_lagrangian(p: int, omega_cube) -> LagrangianExtension:
     The only nonzero products are (h, h) pairs landing in h*; the compatibility
     reduces to the single linear cube condition, checked up front.
     """
-    Om = _cube(p, omega_cube)
-    for x in range(p):
-        for y in range(p):
-            for z in range(p):
-                defect = (Om[x][z][y] - Om[y][z][x]
-                          - HALF * Om[x][y][z] + HALF * Om[y][x][z])
-                if defect != 0:
-                    raise ValueError(f"cube condition fails at indices {(x, y, z)}")
+    Om = _vector_grid(p, p, omega_cube)
+    cube = _omega_cube(p, Om)
+    if not cube.ok:
+        raise ValueError(f"cube condition {cube.detail}")
     layout = _layout(p, 0, ())
     algebra = _fill(layout, lambda x, y: ((), Om[x][y]))
     star = _fill(layout, lambda x, y: ((), [Om[x][k][y] for k in range(p)]))
@@ -635,37 +606,20 @@ def build_lagrangian(p: int, omega_cube) -> LagrangianExtension:
 
 def check_isotropic_system(gs: SymplecticLie, F: Sequence[Matrix], psi, theta,
                            omega_cube) -> SystemReport:
-    """Criterion for the skew case G = -F, xi = -psi over a centerless algebra."""
-    g, w = gs.g, gs.form
-    if center(g).dim != 0:
+    """Criterion for the skew case G = -F, xi = -psi over a centerless algebra.
+
+    It reads the table of the other two criteria on the data (F, -F, theta,
+    psi, -psi, Omega), where S = 0 and so K = -(F + F*).
+    """
+    if center(gs.g).dim != 0:
         raise ValueError("the base Lie algebra must have trivial center")
     p = len(F)
-    m = g.dim
-    ps = _vector_grid(p, m, psi)
-    th = _vector_grid(p, m, theta)
-    Om = _cube(p, omega_cube)
-    Fs = [gs.adjoint(F[i]) for i in range(p)]
-    K = [(F[i] + Fs[i]).scale(-ONE) for i in range(p)]
-    ad = lambda v: left_mult(g, v)
-    rstar = lambda v: right_mult(gs.star, v)
-    om = lambda u, v: omega(w, u, v)
-    checks = [
-        _derivation_check(g, F, "F-derivations"),
-        _scan("omega-cube", _triples(p), lambda x, y, z:
-              Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z]),
-        _scan("theta-psi-antisym", _pairs(p), lambda x, y:
-              vsub(th[x][y], vsub(ps[x][y], ps[y][x]))),
-        _scan("cyclic-pairing", _quads(p), lambda x, y, z, t:
-              om(th[x][y], ps[z][t]) + om(th[y][z], ps[x][t]) + om(th[z][x], ps[y][t])),
-        _scan("Fstar-psi-K-theta", _triples(p), lambda x, y, z:
-              vadd(vsub(Fs[x].matvec(ps[y][z]), Fs[y].matvec(ps[x][z])),
-                   K[z].matvec(th[x][y]))),
-        _scan("Rstar-psi-K-F", _pairs(p), lambda x, y:
-              rstar(ps[x][y]) + K[y] @ F[x] + Fs[x] @ K[y]),
-        _scan("ad-theta-FF", _pairs(p), lambda x, y:
-              ad(th[x][y]) - (F[x] @ F[y] - F[y] @ F[x])),
-    ]
-    return SystemReport("isotropic double extension criterion", tuple(checks))
+    ps = _vector_grid(p, gs.dim, psi)
+    d = ExtensionData(p, F, [-f for f in F], theta, ps,
+                      [[vscale(-ONE, v) for v in row] for row in ps], omega_cube)
+    return _criterion(gs, d, "isotropic double extension criterion", (
+        "F-derivations", "omega-cube", "theta-psi-antisym", "cyclic-pairing",
+        "Fstar-psi-K-theta", "Rstar-psi-K-F", "ad-theta-FF"))
 
 
 def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
@@ -681,7 +635,7 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
     if H.rows != m:
         raise ValueError("H must map h into g")
     ps = _vector_grid(p, m, psi)
-    Om = _cube(p, omega_cube)
+    Om = _vector_grid(p, p, omega_cube)
 
     failures = []
     if center(g).dim != 0:
@@ -693,8 +647,7 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
     if any(not right_mult(gs.star, ps[x][y]).is_zero()
            for x in range(p) for y in range(p)):
         failures.append("Rstar-psi-zero")
-    if any(Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z] != 0
-           for x in range(p) for y in range(p) for z in range(p)):
+    if not _omega_cube(p, Om).ok:
         failures.append("omega-cube")
     if failures:
         raise ValueError("preconditions violated: " + ", ".join(failures))
@@ -746,7 +699,7 @@ def check_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
         Check("Rstar-c0", rstar(c0).is_zero()),
         Check("Rstar-a0-model",
               (rstar(a0) - ((F + Fs) @ F + Fs @ (F + Fs))).is_zero()),
-        _scan("S-star-image", _pairs(m), lambda a, b: S.matvec(gs.star.c[a][b])),
+        _scan("S-star-image", product(range(m), repeat=2), lambda a, b: S.matvec(gs.star.c[a][b])),
         Check("S-skew-adjoint", (Ss + S).is_zero()),
         Check("S-squared", (S @ S).is_zero()),
         Check("F-S", (F @ S).is_zero()),
@@ -840,7 +793,7 @@ def build_commutative_bisymplectic(h_dim: int, b_form: SkewForm, T
                                    ) -> tuple[Algebra, SkewForm]:
     """Commutative bi-symplectic algebra on h + B + h* from a symmetric cube."""
     p = h_dim
-    cube = _cube(p, T)
+    cube = _vector_grid(p, p, T)
     if not b_form.nondegenerate:
         raise ValueError("the middle form must be nondegenerate")
     sym = all(cube[i][j][k] == cube[j][i][k] == cube[i][k][j]

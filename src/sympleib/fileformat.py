@@ -103,6 +103,10 @@ def loads(text: str) -> dict[str, Any]:
         raise FileFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise FileFormatError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal above Python's int conversion limit
+        raise FileFormatError("invalid JSON: an integer literal has too many digits") from None
     _expect(isinstance(doc, dict), "top level must be an object")
     return doc
 
@@ -163,8 +167,17 @@ def parse_algebra(text: str) -> tuple[Algebra, SkewForm | None]:
     return algebra_from_dict(loads(text))
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; bytes that are not UTF-8 make it unusable input."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+
+
 def load_algebra(path: str | Path) -> tuple[Algebra, SkewForm | None]:
-    return parse_algebra(Path(path).read_text(encoding="utf-8"))
+    return parse_algebra(_read_text(Path(path)))
 
 
 def _matrix_from_json(rows: object, m: int, where: str) -> Matrix:
@@ -223,7 +236,7 @@ def parse_extension(text: str, base_dir: str | Path = "."
     if isinstance(g_entry, str):
         g_path = Path(base_dir) / g_entry
         try:
-            g_text = g_path.read_text(encoding="utf-8")
+            g_text = _read_text(g_path)
         except OSError as exc:
             raise FileFormatError(f"cannot read g file {g_path}: {exc}") from None
         algebra, form = parse_algebra(g_text)
@@ -264,4 +277,4 @@ def parse_extension(text: str, base_dir: str | Path = "."
 
 def load_extension(path: str | Path) -> tuple[SymplecticLie, ExtensionData]:
     p = Path(path)
-    return parse_extension(p.read_text(encoding="utf-8"), p.parent)
+    return parse_extension(_read_text(p), p.parent)

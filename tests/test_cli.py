@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -191,6 +192,56 @@ def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error:" in err
+
+
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LATIN1 = '{"dim": 1, "labels": ["é"]}'.encode("latin-1")
+
+
+def _deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    return str(path)
+
+
+def _latin1_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(_LATIN1)
+    return str(path)
+
+
+def _latin1_extension(tmp_path):
+    path = tmp_path / "ext.json"
+    path.write_bytes(RR3_EXTENSION.replace("rr3_base.json", "é").encode("latin-1"))
+    return str(path)
+
+
+def _latin1_g_file(tmp_path):
+    (tmp_path / "latin1.json").write_bytes(_LATIN1)
+    return extension_dir(tmp_path, RR3_EXTENSION.replace("rr3_base.json", "latin1.json"))
+
+
+def _huge_integer(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1' + "0" * _INT_DIGIT_LIMIT + "}", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("make, argv", [
+    *(pytest.param(_deeply_nested, argv, id=f"deep-nesting-{argv[0]}")
+      for argv in (("check",), ("omega", "verify"), ("core",), ("star",), ("extend",))),
+    pytest.param(_latin1_file, ("check",), id="not-utf8"),
+    pytest.param(_latin1_extension, ("extend",), id="not-utf8-extension"),
+    pytest.param(_latin1_g_file, ("extend",), id="not-utf8-g-path"),
+    pytest.param(_huge_integer, ("check",), id="integer-above-the-digit-limit",
+                 marks=pytest.mark.skipif(not _INT_DIGIT_LIMIT,
+                                          reason="this Python converts integers of any length")),
+])
+def test_unusable_files_exit_2_without_a_traceback(capsys, tmp_path, make, argv):
+    path = make(tmp_path)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_omega_solve_finds_the_known_form(capsys, r4):

@@ -12,6 +12,7 @@ from sympleib import catalog
 
 from sympleib.algebra import (
     Algebra,
+    center,
     derivations,
     is_left_leibniz,
     is_left_symmetric,
@@ -218,8 +219,10 @@ def test_lagrangian_extension():
 
 def test_lagrangian_rejects_bad_cube():
     cube = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cube condition fails at indices \(0, 1, 0\)$"):
         build_lagrangian(2, cube)
+    with pytest.raises(ValueError, match="^grid vector has wrong length$"):
+        build_lagrangian(2, [[[0, 1], [0, 0]], [[0, 0], [0]]])
 
 
 def test_isotropic_system_requires_trivial_center():
@@ -258,6 +261,9 @@ def test_inner_extension_reports_all_violated_preconditions():
     msg = str(exc.value)
     assert "trivial-center" in msg
     assert "all-derivations-inner" in msg
+    with pytest.raises(ValueError, match="^preconditions violated: omega-cube$"):
+        build_inner_extension(_aff1(), Matrix.zero(2, 2), zero_grid(2, 2),
+                              [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
 
 
 def test_rank_one_criterion_and_build_on_rr3():
@@ -417,7 +423,6 @@ def test_theta_symmetrization_lands_in_center():
     for d in (_case1_data(2, -1, 3, 5, 7), _case2_data(3, 1, 2, 1, 4, -5, 2)):
         assert check_reduced_system(gs, d).ok
         p = d.p
-        from sympleib.algebra import center
         z = center(gs.g)
         for x in range(p):
             for y in range(p):
@@ -444,14 +449,15 @@ def test_sum_of_derivation_and_adjoint_acts_as_star_derivation():
 
 
 # ---------------------------------------------------------------------------
-# dense oracles for the two criteria
+# dense oracles for the three criteria
 #
-# The three functions below are the dense check_full_system,
-# check_reduced_system and _derivation_check as they were before the criteria
-# read the derived operators and summed over nonzeros only, kept verbatim
-# apart from the names of the dense helpers they call.  Every helper sums
-# over every entry, zero or not, so the oracles share no arithmetic with the
-# library beyond Fraction, vadd/vsub/vscale and the cached inverse of W.
+# The functions below are the dense check_full_system, check_reduced_system,
+# check_isotropic_system and _derivation_check as they were before the
+# criteria read the derived operators, summed over nonzeros only and shared
+# one equation table, kept verbatim apart from the names of the dense helpers
+# they call.  Every helper sums over every entry, zero or not, so the oracles
+# share no arithmetic with the library beyond Fraction, vadd/vsub/vscale and
+# the cached inverse of W.
 
 
 class _Dense:
@@ -675,6 +681,43 @@ def _oracle_reduced_system(gs, d):
     return SystemReport("double extension criterion (reduced form)", tuple(checks))
 
 
+def _oracle_grid(entries):
+    return tuple(tuple(tuple(Fraction(x) for x in v) for v in row) for row in entries)
+
+
+def _oracle_isotropic_system(gs, F, psi, theta, omega_cube):
+    """Test oracle: the dense check_isotropic_system, copied from the library."""
+    g, w = gs.g, gs.form
+    if center(g).dim != 0:
+        raise ValueError("the base Lie algebra must have trivial center")
+    p = len(F)
+    F = [_Dense(x.entries) for x in F]
+    ps, th, Om = _oracle_grid(psi), _oracle_grid(theta), _oracle_grid(omega_cube)
+    Fs = [_dense_adjoint(gs, F[i]) for i in range(p)]
+    K = [(F[i] + Fs[i]).scale(-1) for i in range(p)]
+    ad = lambda v: _dense_left_mult(g, v)
+    rstar = lambda v: _dense_right_mult(gs.star, v)
+    om = lambda u, v: _dense_omega(w, u, v)
+    checks = [
+        _oracle_derivation_check(g, F, "F-derivations"),
+        _oracle_scan("omega-cube", _o_triples(p), lambda x, y, z:
+                     Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z]),
+        _oracle_scan("theta-psi-antisym", _o_pairs(p), lambda x, y:
+                     vsub(th[x][y], vsub(ps[x][y], ps[y][x]))),
+        _oracle_scan("cyclic-pairing", _o_quads(p), lambda x, y, z, t:
+                     om(th[x][y], ps[z][t]) + om(th[y][z], ps[x][t])
+                     + om(th[z][x], ps[y][t])),
+        _oracle_scan("Fstar-psi-K-theta", _o_triples(p), lambda x, y, z:
+                     vadd(vsub(Fs[x].matvec(ps[y][z]), Fs[y].matvec(ps[x][z])),
+                          K[z].matvec(th[x][y]))),
+        _oracle_scan("Rstar-psi-K-F", _o_pairs(p), lambda x, y:
+                     rstar(ps[x][y]) + K[y] @ F[x] + Fs[x] @ K[y]),
+        _oracle_scan("ad-theta-FF", _o_pairs(p), lambda x, y:
+                     ad(th[x][y]) - (F[x] @ F[y] - F[y] @ F[x])),
+    ]
+    return SystemReport("isotropic double extension criterion", tuple(checks))
+
+
 def _assert_criteria_equal_the_oracles(gs, d):
     assert check_full_system(gs, d) == _oracle_full_system(gs, d)
     assert check_reduced_system(gs, d) == _oracle_reduced_system(gs, d)
@@ -750,10 +793,10 @@ _SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
 
 
 @st.composite
-def _extension_data_over(draw, gs):
-    """p in {1, 2, 3}; F and G are small combinations of derivations of g,
-    sometimes with one entry moved, and the other slots are small and sparse."""
-    p, m = draw(st.integers(1, 3)), gs.dim
+def _extension_data_over(draw, gs, max_p=3):
+    """p in {1, .., max_p}; F and G are small combinations of derivations of
+    g, sometimes with one entry moved, and the other slots are small and sparse."""
+    p, m = draw(st.integers(1, max_p)), gs.dim
     basis = derivations(gs.g)
 
     def operator():
@@ -787,6 +830,63 @@ def test_zero_data_pass_both_criteria_for_every_p(gs):
                           zero_grid(p, m), zero_grid(p, m), zero_grid(p, m), zero_cube(p))
         _assert_criteria_equal_the_oracles(gs, d)
         assert check_reduced_system(gs, d).ok and check_full_system(gs, d).ok
+
+
+def _assert_isotropic_equals_the_oracle(gs, F, psi, theta, om):
+    assert check_isotropic_system(gs, F, psi, theta, om) == \
+        _oracle_isotropic_system(gs, F, psi, theta, om)
+
+
+def _aff1_squared():
+    # aff(1) + aff(1): [e1, e2] = e1, [e3, e4] = e3, centerless
+    g = Algebra.from_table(4, {(1, 2): {1: 1}, (2, 1): {1: -1}, (3, 4): {3: 1}, (4, 3): {3: -1}})
+    return SymplecticLie(g, form_from_pairs(4, {(1, 2): 1, (3, 4): 1}))
+
+
+# the skew data of test_isotropic_system_on_aff1: F = ad e1, psi, theta, Omega
+_AFF1_ISOTROPIC = ([[[0, 1], [0, 0]]], [[[2, 0]]], [[[0, 0]]], [[[5]]])
+
+
+def test_isotropic_criterion_equals_the_dense_oracle_on_every_one_slot_perturbation():
+    """The aff(1) data and each entry of F, psi, theta and Omega moved by +-1."""
+    gs = _aff1()
+    cases = [_AFF1_ISOTROPIC]
+    for slot, part in enumerate(_AFF1_ISOTROPIC):
+        for a, b, c in itertools.product(*map(range, (len(part), len(part[0]), len(part[0][0])))):
+            for delta in (1, -1):
+                bumped = [[[list(v) for v in row] for row in nested] for nested in _AFF1_ISOTROPIC]
+                bumped[slot][a][b][c] += delta
+                cases.append(bumped)
+    failing = set()
+    for F, psi, theta, om in cases:
+        F = [Matrix.from_rows(rows) for rows in F]
+        _assert_isotropic_equals_the_oracle(gs, F, psi, theta, om)
+        failing.update(c.name for c in check_isotropic_system(gs, F, psi, theta, om).failed())
+    assert len(cases) == 19
+    assert failing == {"F-derivations", "theta-psi-antisym", "cyclic-pairing", "Rstar-psi-K-F",
+                       "ad-theta-FF"}
+
+
+@st.composite
+def _isotropic_data_over(draw, gs):
+    """p in {1, 2}; F is a small combination of derivations of g, sometimes
+    with one entry moved, and psi, theta and Omega are small and sparse."""
+    d = draw(_extension_data_over(gs, max_p=2))
+    return d.F, d.psi, d.theta, d.omega_cube
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_isotropic_criterion_equals_the_dense_oracle_on_random_data(data):
+    gs = data.draw(st.sampled_from([_aff1(), _aff1_squared()]))
+    _assert_isotropic_equals_the_oracle(gs, *data.draw(_isotropic_data_over(gs)))
+
+
+def test_isotropic_criterion_needs_a_positive_p():
+    # the dense criterion passed p = 0 as an empty, all-ok report
+    assert _oracle_isotropic_system(_aff1(), [], [], [], []).ok
+    with pytest.raises(ValueError, match="p must be positive"):
+        check_isotropic_system(_aff1(), [], [], [], [])
 
 
 @settings(max_examples=40, deadline=None)
