@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping
 
 from .algebra import (
@@ -40,17 +41,6 @@ from .symplectic import (
 )
 
 Params = dict[str, Rational]
-
-CLAIMS = (
-    "left-leibniz",
-    "right-leibniz",
-    "symmetric-leibniz",
-    "left-symplectic",
-    "right-symplectic",
-    "bi-symplectic",
-    "lie",
-    "non-lie",
-)
 
 
 @dataclass(frozen=True)
@@ -131,11 +121,13 @@ def _nonzero(name: str) -> Constraint:
 # shared bases
 
 
+@cache
 def _abelian2_base() -> SymplecticLie:
     g = Algebra.from_table(2, {}, labels=("e1", "e2"))
     return SymplecticLie(g, form_from_pairs(2, {(1, 2): 1}))
 
 
+@cache
 def _rr3_base() -> SymplecticLie:
     g = Algebra.from_table(4, {
         (1, 2): {2: 1}, (2, 1): {2: -1},
@@ -431,12 +423,16 @@ def _bs4_m_sampler(rng: random.Random) -> Params:
     return {"x": x, "s": Fraction(rng.choice((1, -1)))}
 
 
+def _system_check(name: str, rep: SystemReport) -> Check:
+    """One catalog check for a whole criterion report, naming its failed equations."""
+    return Check(name, rep.ok, "" if rep.ok else
+                 "failed: " + ", ".join(c.name for c in rep.failed()))
+
+
 def _abel2_checks(case_data) -> Callable[[Params], list[Check]]:
     def run(params: Params) -> list[Check]:
-        gs = _abelian2_base()
-        rep = check_reduced_system(gs, case_data(params))
-        bad = ", ".join(c.name for c in rep.failed())
-        return [Check("reduced-system", rep.ok, bad and f"failed: {bad}")]
+        return [_system_check("reduced-system",
+                              check_reduced_system(_abelian2_base(), case_data(params)))]
     return run
 
 
@@ -444,9 +440,7 @@ def _rr3_raw_checks(params: Params) -> list[Check]:
     gs = _rr3_base()
     F, S, a0, b0, lam = _rr3_solution(params)
     rep = check_rank_one(gs, F, S, a0, b0, lam)
-    checks = [Check("rank-one-system", rep.ok,
-                    "" if rep.ok else "failed: " + ", ".join(
-                        c.name for c in rep.failed()))]
+    checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
         built, built_form = build_rank_one(gs, F, S, a0, b0, lam)
         table, table_form = _rr3_sixdim_raw(params)

@@ -48,9 +48,6 @@ def rat(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # vectors: plain tuples of Fraction
 
-Vector = "tuple[Fraction, ...]"
-
-
 def vector(xs: Iterable) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in xs)
 
@@ -167,11 +164,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       tuple(self.col(j) for j in range(self.cols)))
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
-
     def is_zero(self) -> bool:
         return all(is_zero_vector(r) for r in self.entries)
 
@@ -215,10 +207,6 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
         if m.cols != cols:
             raise ValueError("column counts differ")
     return Matrix.from_rows([r for m in mats for r in m.entries])
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +324,6 @@ def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
         if j is not None:
             pivs.append(j)
     return tuple(pivs)
-
-
-def rank(m: Matrix) -> int:
-    return len(pivot_columns(rref(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ the shorter reduced one, and the skew case G = -F, xi = -psi has a third.
 One table writes each equation once: its name, its index ranges and its
 defect over the derived operators (F*, G*, S, S*, K, K*), built once per
 call by one helper.  A criterion is a title and an ordered tuple of equation
-names; the dense copies of the three criteria in tests/test_extension.py are
-their oracles.  Specialized versions cover the Lagrangian case (g absent),
-the isotropic image with inner derivations, rank one (p = 1), and the
-commutative bi-symplectic construction from a symmetric cubic form.
+names; the dense copies of the criteria in tests/test_extension.py are their
+oracles.  The rank-one criterion (p = 1) is the reduced list read on the
+embedded data (F, S - F, c0, a0, b0, lambda).  Specialized builders cover the
+Lagrangian case (g absent), the isotropic image with inner derivations, rank
+one, and the commutative bi-symplectic construction from a symmetric cubic
+form.
 
 Every construction on h + g + h* is assembled the same way.  A layout names
 the basis positions of h, g and h* and the basis labels: the rank-one
@@ -22,11 +24,10 @@ allocated, writes a product from one table per block (h,h), (h,g), (g,h),
 (g,g), each giving an entry's g-part and h*-part; one form helper writes the
 middle Gram matrix plus the pairing W[h_i][h*_i] = -1; and one verifier runs
 a builder's post-build checks and raises with the witness of the first that
-fails.  The double extension and
-its star are two block tables over the same derived operators, and the
-rank-one builders read the same tables on (F, S - F, c0, a0, b0, lambda)
-with p = 1.  build_left_symmetric and rank_one_star write the star from the
-data instead of solving for it, and stay as independent test oracles for
+fails.  The double extension and its star are two block tables over the
+same derived operators, which the rank-one builders read on the embedded
+data.  build_left_symmetric and rank_one_star write the star from the data
+instead of solving for it, and stay as independent test oracles for
 star_left.
 """
 
@@ -65,6 +66,7 @@ from sympleib.exactlin import (
     rat,
     solve_unique,
     vadd,
+    vector,
     vscale,
     vstack,
     vsub,
@@ -675,46 +677,20 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
 # rank one (one-dimensional h)
 
 
-def check_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
-                   a0: Sequence[Fraction], b0: Sequence[Fraction],
-                   lam: Fraction) -> SystemReport:
-    """Criterion specialized to p = 1 in terms of (F, S, a0, b0, lambda)."""
-    g, w = gs.g, gs.form
-    m = g.dim
-    a0 = tuple(rat(x) for x in a0)
-    b0 = tuple(rat(x) for x in b0)
-    c0 = vscale(HALF, vadd(a0, b0))
-    Fs = gs.adjoint(F)
-    Ss = gs.adjoint(S)
-    rstar = lambda v: right_mult(gs.star, v)
-    checks = [
-        _derivation_check(g, [F], "F-derivation"),
-        _derivation_check(g, [S], "S-derivation"),
-        Check("omega-a0-b0", omega(w, a0, b0) == 0),
-        Check("S-a0", is_zero_vector(S.matvec(a0))),
-        Check("S-b0", is_zero_vector(S.matvec(b0))),
-        Check("F-c0", is_zero_vector(F.matvec(c0))),
-        Check("Fstar-c0", is_zero_vector(Fs.matvec(c0))),
-        Check("ad-c0", left_mult(g, c0).is_zero()),
-        Check("Rstar-c0", rstar(c0).is_zero()),
-        Check("Rstar-a0-model",
-              (rstar(a0) - ((F + Fs) @ F + Fs @ (F + Fs))).is_zero()),
-        _scan("S-star-image", product(range(m), repeat=2), lambda a, b: S.matvec(gs.star.c[a][b])),
-        Check("S-skew-adjoint", (Ss + S).is_zero()),
-        Check("S-squared", (S @ S).is_zero()),
-        Check("F-S", (F @ S).is_zero()),
-        Check("S-F", (S @ F).is_zero()),
-    ]
-    return SystemReport("rank-one extension criterion", tuple(checks))
-
-
 def _rank_one_data(F: Matrix, S: Matrix, a0, b0, lam) -> ExtensionData:
     """(F, S, a0, b0, lambda) as general data with p = 1: G = S - F,
     theta = c0 = (a0 + b0)/2, psi = a0, xi = b0 and Omega = lambda."""
-    a0 = tuple(rat(x) for x in a0)
-    b0 = tuple(rat(x) for x in b0)
+    a0, b0 = vector(a0), vector(b0)
     c0 = vscale(HALF, vadd(a0, b0))
     return ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]], [[[lam]]])
+
+
+def check_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
+                   a0: Sequence[Fraction], b0: Sequence[Fraction],
+                   lam: Fraction) -> SystemReport:
+    """The reduced criterion on (F, S, a0, b0, lambda) embedded at p = 1; the
+    dense hand-written rank-one list in tests/test_extension.py is its oracle."""
+    return check_reduced_system(gs, _rank_one_data(F, S, a0, b0, lam))
 
 
 def rank_one_star(gs: SymplecticLie, F: Matrix, S: Matrix,

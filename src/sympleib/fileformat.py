@@ -209,23 +209,6 @@ def _vector_table_from_json(data: object, p: int, m: int, where: str) -> list:
     return out
 
 
-def _cube_from_json(data: object, p: int, where: str) -> list:
-    _expect(isinstance(data, list) and len(data) == p,
-            f"{where}: expected {p} layers")
-    out = []
-    for i, layer in enumerate(data):
-        _expect(isinstance(layer, list) and len(layer) == p,
-                f"{where}[{i}]: expected {p} rows")
-        rows = []
-        for j, row in enumerate(layer):
-            _expect(isinstance(row, list) and len(row) == p,
-                    f"{where}[{i}][{j}]: expected {p} entries")
-            rows.append([rational_from_json(x, f"{where}[{i}][{j}][{n}]")
-                         for n, x in enumerate(row)])
-        out.append(rows)
-    return out
-
-
 def parse_extension(text: str, base_dir: str | Path = "."
                     ) -> tuple[SymplecticLie, ExtensionData]:
     doc = loads(text)
@@ -268,7 +251,7 @@ def parse_extension(text: str, base_dir: str | Path = "."
             _vector_table_from_json(doc["theta"], p, m, "theta"),
             _vector_table_from_json(doc["psi"], p, m, "psi"),
             _vector_table_from_json(doc["xi"], p, m, "xi"),
-            _cube_from_json(doc["omega"], p, "omega"),
+            _vector_table_from_json(doc["omega"], p, p, "omega"),
         )
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None

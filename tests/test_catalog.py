@@ -19,6 +19,7 @@ from sympleib.catalog import (
 from sympleib.core import core
 from sympleib.exactlin import vector
 from sympleib.extension import check_rank_one, check_reduced_system
+from sympleib.reporting import Check
 from sympleib.symplectic import form_from_pairs, is_symplectic_left
 
 ALL_IDS = (
@@ -139,6 +140,19 @@ def test_rank_one_data_passes_the_criterion():
     assert check_rank_one(gs, F, S, a0, b0, lam).ok
     gs2, F2, S2, a02, b02, lam2 = rank_one_data({"z": 5, "x": 0, "s": 0})
     assert check_rank_one(gs2, F2, S2, a02, b02, lam2).ok
+
+
+def test_extension_families_report_their_criterion_as_one_check():
+    rr3, abel = get("RR3_SIXDIM_RAW"), get("ABEL2_CASE1")
+    assert [(c.ok, c.detail) for c in rr3.extra_checks(rr3.default_params())] == \
+        [(True, "")] * 3
+    bad = {**rr3.default_params(), "z": Fraction(1)}  # z * x != 0
+    assert rr3.extra_checks(bad) == [
+        Check("rank-one-system", False, "failed: theta-xi-psi-pairing, Fstar-psi-xi-S, S-xi")]
+    assert abel.extra_checks(abel.default_params()) == [Check("reduced-system", True)]
+    # the two bases are built and verified once, then shared
+    assert rank_one_data()[0] is rank_one_data()[0]
+    assert extension_data("ABEL2_CASE1")[0] is extension_data("ABEL2_CASE2")[0]
 
 
 def test_rr3_displayed_forms_carry_their_cross_terms():

@@ -291,9 +291,10 @@ def test_rank_one_displayed_operator_without_correction_fails():
     a0 = (0, b1 * b, b2 * b, 6)
     b0 = tuple(-x for x in a0)
     rep = check_rank_one(gs, F_bad, S, a0, b0, Fraction(7))
-    assert not rep.ok
-    failed = {c.name for c in rep.failed()}
-    assert "Rstar-a0-model" in failed or "F-derivation" in failed
+    assert [c.name for c in rep.failed()] == ["Rstar-psi-FF"]
+    assert rep.failed()[0].detail == "fails at indices (0, 0)"
+    assert [c.name for c in _oracle_rank_one(gs, F_bad, S, a0, b0, 7).failed()] == \
+        ["Rstar-a0-model"]
 
 
 def test_rank_one_embeds_as_general_extension_data():
@@ -449,15 +450,15 @@ def test_sum_of_derivation_and_adjoint_acts_as_star_derivation():
 
 
 # ---------------------------------------------------------------------------
-# dense oracles for the three criteria
+# dense oracles for the four criteria
 #
 # The functions below are the dense check_full_system, check_reduced_system,
-# check_isotropic_system and _derivation_check as they were before the
-# criteria read the derived operators, summed over nonzeros only and shared
-# one equation table, kept verbatim apart from the names of the dense helpers
-# they call.  Every helper sums over every entry, zero or not, so the oracles
-# share no arithmetic with the library beyond Fraction, vadd/vsub/vscale and
-# the cached inverse of W.
+# check_isotropic_system, check_rank_one and _derivation_check as they were
+# before the criteria read the derived operators, summed over nonzeros only
+# and shared one equation table, kept verbatim apart from the names of the
+# dense helpers they call.  Every helper sums over every entry, zero or not,
+# so the oracles share no arithmetic with the library beyond Fraction,
+# vadd/vsub/vscale and the cached inverse of W.
 
 
 class _Dense:
@@ -718,6 +719,40 @@ def _oracle_isotropic_system(gs, F, psi, theta, omega_cube):
     return SystemReport("isotropic double extension criterion", tuple(checks))
 
 
+def _oracle_rank_one(gs, F, S, a0, b0, lam):
+    """Test oracle: the hand-written check_rank_one list, copied from the
+    library before the criterion became the reduced one on the embedded data."""
+    g, w = gs.g, gs.form
+    m = g.dim
+    F, S = _Dense(F.entries), _Dense(S.entries)
+    a0 = tuple(Fraction(x) for x in a0)
+    b0 = tuple(Fraction(x) for x in b0)
+    c0 = vscale(HALF, vadd(a0, b0))
+    Fs = _dense_adjoint(gs, F)
+    Ss = _dense_adjoint(gs, S)
+    rstar = lambda v: _dense_right_mult(gs.star, v)
+    checks = [
+        _oracle_derivation_check(g, [F], "F-derivation"),
+        _oracle_derivation_check(g, [S], "S-derivation"),
+        Check("omega-a0-b0", _dense_omega(w, a0, b0) == 0),
+        Check("S-a0", _oracle_is_zero(S.matvec(a0))),
+        Check("S-b0", _oracle_is_zero(S.matvec(b0))),
+        Check("F-c0", _oracle_is_zero(F.matvec(c0))),
+        Check("Fstar-c0", _oracle_is_zero(Fs.matvec(c0))),
+        Check("ad-c0", _dense_left_mult(g, c0).is_zero()),
+        Check("Rstar-c0", rstar(c0).is_zero()),
+        Check("Rstar-a0-model",
+              (rstar(a0) - ((F + Fs) @ F + Fs @ (F + Fs))).is_zero()),
+        _oracle_scan("S-star-image", ((a, b) for a in range(m) for b in range(m)),
+                     lambda a, b: S.matvec(gs.star.c[a][b])),
+        Check("S-skew-adjoint", (Ss + S).is_zero()),
+        Check("S-squared", (S @ S).is_zero()),
+        Check("F-S", (F @ S).is_zero()),
+        Check("S-F", (S @ F).is_zero()),
+    ]
+    return SystemReport("rank-one extension criterion", tuple(checks))
+
+
 def _assert_criteria_equal_the_oracles(gs, d):
     assert check_full_system(gs, d) == _oracle_full_system(gs, d)
     assert check_reduced_system(gs, d) == _oracle_reduced_system(gs, d)
@@ -887,6 +922,40 @@ def test_isotropic_criterion_needs_a_positive_p():
     assert _oracle_isotropic_system(_aff1(), [], [], [], []).ok
     with pytest.raises(ValueError, match="p must be positive"):
         check_isotropic_system(_aff1(), [], [], [], [])
+
+
+def _rank_one_moves(F, S, a0, b0, lam):
+    """Every entry of F, S, a0, b0 and lambda moved by +1 and by -1."""
+    for delta in (1, -1):
+        for which in (0, 1):
+            for r, c in itertools.product(range(F.rows), repeat=2):
+                ops = [[list(row) for row in op.entries] for op in (F, S)]
+                ops[which][r][c] += delta
+                yield Matrix.from_rows(ops[0]), Matrix.from_rows(ops[1]), a0, b0, lam
+            for k in range(len(a0)):
+                vecs = [list(a0), list(b0)]
+                vecs[which][k] += delta
+                yield F, S, *vecs, lam
+        yield F, S, a0, b0, lam + delta
+
+
+def test_rank_one_criterion_equals_the_dense_oracle():
+    """The reduced criterion on the embedded data decides as the hand-written
+    rank-one list did: at the rr(3,-1) defaults, five samples, and every
+    one-entry +-1 move of the defaults."""
+    rng = random.Random(8)
+    gs, *defaults = catalog.rank_one_data()
+    cases = [defaults] + [catalog.rank_one_data(catalog.get("RR3_SIXDIM_RAW").sample(rng))[1:]
+                          for _ in range(5)]
+    cases += _rank_one_moves(*defaults)
+    assert len(cases) == 6 + 2 * (2 * 16 + 2 * 4 + 1)
+    outcomes = set()
+    for case in cases:
+        rep = check_rank_one(gs, *case)
+        assert rep == check_reduced_system(gs, _embed_rank_one(*case))
+        assert rep.ok == _oracle_rank_one(gs, *case).ok, case
+        outcomes.add(rep.ok)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=40, deadline=None)

@@ -82,6 +82,9 @@ def test_malformed_algebra_documents_are_named(doc, message):
         algebra_from_dict(doc)
 
 
+_Z2 = [[0, 0], [0, 0]]
+
+
 def extension_doc():
     return {
         "g": {"dim": 2, "products": [], "form": [[1, 2, 1]]},
@@ -122,6 +125,11 @@ def test_extension_file_with_path_reference(tmp_path):
     (lambda d: d.update(F=[]), "expected 1 matrices"),
     (lambda d: d.update(theta=[[[0]]]), "theta"),
     (lambda d: d.update(omega=[[0]]), "omega"),
+    (lambda d: d.update(omega=[[[0]], [[0]]]), r"^omega: expected 1 rows$"),
+    (lambda d: d.update(omega=[[[0], [0]]]), r"^omega\[0\]: expected 1 entries$"),
+    (lambda d: d.update(p=2, F=[_Z2] * 2, G=[_Z2] * 2, theta=[_Z2] * 2, psi=[_Z2] * 2,
+                        xi=[_Z2] * 2, omega=[[[0], [0]], [[0], [0]]]),
+     r"^omega\[0\]\[0\]: expected a vector of length 2$"),
     (lambda d: d["g"].pop("form"), "needs a form"),
     (lambda d: d.update(g=7), "inline algebra object or a path"),
 ])
