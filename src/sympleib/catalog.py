@@ -442,7 +442,7 @@ def _rr3_raw_checks(params: Params) -> list[Check]:
     rep = check_rank_one(gs, F, S, a0, b0, lam)
     checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
-        built, built_form = build_rank_one(gs, F, S, a0, b0, lam)
+        built, built_form = build_rank_one(gs, F, S, a0, b0, lam, gate=rep)
         table, table_form = _rr3_sixdim_raw(params)
         checks.append(Check("construction-matches-display",
                             built.c == table.c))

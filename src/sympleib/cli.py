@@ -26,7 +26,6 @@ from .algebra import (Algebra, IdentityReport, is_left_leibniz,
                       is_left_symmetric, is_lie, is_right_leibniz,
                       is_symmetric_leibniz)
 from .core import core
-from .exactlin import intersect
 from .extension import (build_double_extension, build_left_symmetric,
                         check_full_system, check_reduced_system)
 from .fileformat import (FileFormatError, algebra_to_dict, coords_to_entries, dumps,
@@ -111,11 +110,7 @@ def cmd_check(args) -> int:
 def cmd_omega(args) -> int:
     algebra, form = load_algebra(args.file)
     if args.mode == "solve":
-        if args.side == "bi":
-            space = intersect(solve_symplectic_forms(algebra, "left"),
-                              solve_symplectic_forms(algebra, "right"))
-        else:
-            space = solve_symplectic_forms(algebra, args.side)
+        space = solve_symplectic_forms(algebra, args.side)
         basis = [coords_to_entries(algebra.dim, row) for row in space.basis.entries]
         rep = find_nondegenerate(space, algebra.dim, seed=args.seed)
         lines = [f"side: {args.side}",

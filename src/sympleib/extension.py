@@ -535,6 +535,18 @@ def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Alg
     return _assemble(gs, d, _extension_layout(gs, d))
 
 
+def _require_criterion(gs: SymplecticLie, d: ExtensionData, gate: SystemReport | None,
+                       what: str) -> None:
+    """Raise unless the reduced system holds on (gs, d); ``gate`` is its report
+    when the caller has already run it."""
+    if gate is not None and gate.title != _REDUCED_TITLE:
+        raise ValueError(f"the gate must be a reduced-system report, got {gate.title!r}")
+    report = check_reduced_system(gs, d) if gate is None else gate
+    if not report.ok:
+        names = ", ".join(c.name for c in report.failed())
+        raise ValueError(f"{what} fails the criterion: {names}")
+
+
 def build_double_extension(gs: SymplecticLie, d: ExtensionData,
                            gate: SystemReport | None = None) -> tuple[Algebra, SkewForm]:
     """Checked assembly: criterion first, identity verification afterwards.
@@ -543,12 +555,7 @@ def build_double_extension(gs: SymplecticLie, d: ExtensionData,
     check_reduced_system on (gs, d) passes its report as ``gate`` so that the
     system is not run twice.
     """
-    if gate is not None and gate.title != _REDUCED_TITLE:
-        raise ValueError(f"the gate must be a reduced-system report, got {gate.title!r}")
-    report = check_reduced_system(gs, d) if gate is None else gate
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failed())
-        raise ValueError(f"extension data fails the criterion: {names}")
+    _require_criterion(gs, d, gate, "extension data")
     algebra, form = _assemble_double_extension(gs, d)
     _verify(*_left_symplectic_checks(algebra, form))
     return algebra, form
@@ -699,23 +706,23 @@ def rank_one_star(gs: SymplecticLie, F: Matrix, S: Matrix,
     embedded data, in the basis order (g, e, e*).
 
     Independent of star_left on purpose: a test oracle, and build_rank_one
-    compares the two.
+    compares the same table with star_left.
     """
     return _assemble_star(gs, _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g))
 
 
-def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
-                   a0, b0, lam) -> tuple[Algebra, SkewForm]:
-    """One-dimensional double extension on g + Ke + Ke*."""
-    report = check_rank_one(gs, F, S, a0, b0, lam)
-    if not report.ok:
-        names = ", ".join(c.name for c in report.failed())
-        raise ValueError(f"rank-one data fails the criterion: {names}")
-    algebra, form = _assemble(gs, _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g))
+def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix, a0, b0, lam,
+                   gate: SystemReport | None = None) -> tuple[Algebra, SkewForm]:
+    """One-dimensional double extension on g + Ke + Ke*.  A caller that has
+    already run check_rank_one passes its report as ``gate``, as for
+    build_double_extension."""
+    d, layout = _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g)
+    _require_criterion(gs, d, gate, "rank-one data")
+    algebra, form = _assemble(gs, d, layout)
     _verify(*_left_symplectic_checks(algebra, form),
             ("closed-form star disagrees with the solved star",
              lambda: _same_product("star", star_left(algebra, form),
-                                   rank_one_star(gs, F, S, a0, b0, lam))))
+                                   _assemble_star(gs, d, layout))))
     return algebra, form
 
 

@@ -9,9 +9,11 @@ nondegeneracy fails them with an explicit witness.
 Every identity here is linear in omega and in the product, so it is
 evaluated through the table g[p][q] = W c[p][q], built once per call:
 omega(e_x, e_p*e_q) = g[p][q][x] and omega(e_p*e_q, e_x) = -g[p][q][x].  The
-left and right identities are written once, as term lists shared by the
-checks and by solve_symplectic_forms.  The ``*_split`` checks evaluate every
-scalar with omega instead and serve as independent test oracles.
+left and right identities are written once, as one table of position
+templates: the checks scatter the nonzeros of g through it, and
+solve_symplectic_forms scatters the nonzero structure constants.  The
+``*_split`` checks evaluate every scalar with omega instead and serve as
+independent test oracles.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from sympleib.algebra import Algebra, IdentityReport, Witness, split
 from sympleib.exactlin import (
-    HALF,
-    ONE,
     ZERO,
     Matrix,
     Subspace,
@@ -108,13 +109,12 @@ def _gram_table(form: SkewForm, a: Algebra) -> list[list[tuple[Fraction, ...]]]:
         raise ValueError("dimension mismatch")
     cols = [form.w.col(b) for b in range(a.dim)]
 
-    def image(vec):
+    def image(pairs):
         out = (ZERO,) * a.dim
-        for b, y in enumerate(vec):
-            if y:
-                out = tuple(t + w * y if w else t for t, w in zip(out, cols[b]))
+        for b, y in pairs:
+            out = tuple(t + w * y if w else t for t, w in zip(out, cols[b]))
         return out
-    return [[image(vec) for vec in row] for row in a.c]
+    return [[image(pairs) for pairs in row] for row in a.nz]
 
 
 def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
@@ -145,21 +145,34 @@ def _scalar_triple_report(name: str, kind: str, n: int, defect) -> IdentityRepor
     return IdentityReport(name, True)
 
 
-_MINUS_ONE, _MINUS_HALF = -ONE, -HALF
+# The left and right identities at u, v, w = e_i, e_j, e_k, written once as
+# position templates (2 * coef, x, p, q): each term is coef * omega(e_x, e_p*e_q)
+# with x, p, q read off the positions 0, 1, 2 of (i, j, k).
+_TEMPLATES = {
+    "left": ((2, 0, 1, 2), (-2, 1, 0, 2), (1, 2, 0, 1), (-1, 2, 1, 0)),
+    "right": ((2, 0, 2, 1), (-2, 1, 2, 0), (1, 2, 1, 0), (-1, 2, 0, 1)),
+}
+# per template, 2 * coef and place: (x, p, q) -> the triple (i, j, k) it sits in
+_PLACE = {side: [(twice, itemgetter(*((x, p, q).index(r) for r in range(3))))
+                 for twice, x, p, q in templates] for side, templates in _TEMPLATES.items()}
 
 
-def _left_terms(i: int, j: int, k: int) -> tuple:
-    """The left identity at u, v, w = e_i, e_j, e_k, as terms (coef, x, p, q)
-    standing for coef * omega(e_x, e_p*e_q)."""
-    return ((ONE, i, j, k), (_MINUS_ONE, j, i, k), (HALF, k, i, j), (_MINUS_HALF, k, j, i))
+def _scatter(side: str, terms) -> dict:
+    """Twice the identity at every triple (i, j, k), i < j, that a term touches.
 
-
-def _right_terms(i: int, j: int, k: int) -> tuple:
-    """The right identity at u, v, w = e_i, e_j, e_k, in the same encoding."""
-    return ((ONE, i, k, j), (_MINUS_ONE, j, k, i), (HALF, k, j, i), (_MINUS_HALF, k, i, j))
-
-
-_TERMS = {"left": _left_terms, "right": _right_terms}
+    A term ((x, p, q), col, v) stands for v * omega(e_x, e_p*e_q) in column col;
+    each template adds it, times its 2 * coef, to the one triple it belongs
+    to.  The identity at (j, i, k) is minus the one at (i, j, k) and vanishes
+    at i = j, so a term landing at i >= j is skipped.
+    """
+    rows: dict = {}
+    for twice, place in _PLACE[side]:
+        for xpq, col, v in terms:
+            ijk = place(xpq)
+            if ijk[0] < ijk[1]:
+                row = rows.setdefault(ijk, {})
+                row[col] = row.get(col, 0) + twice * v
+    return rows
 
 
 def _compat_report(a: Algebra, form: SkewForm, side: str) -> IdentityReport:
@@ -169,12 +182,13 @@ def _compat_report(a: Algebra, form: SkewForm, side: str) -> IdentityReport:
     if not form.nondegenerate:
         return _degenerate_report(name, form)
     g = _gram_table(form, a)
-    terms = _TERMS[side]
-
-    def defect(i, j, k):
-        return sum((coef * g[p][q][x] for coef, x, p, q in terms(i, j, k) if g[p][q][x]),
-                   ZERO)
-    return _scalar_triple_report(name, name, a.dim, defect)
+    rows = _scatter(side, [((x, p, q), 0, v) for p, row in enumerate(g)
+                           for q, vec in enumerate(row) for x, v in enumerate(vec) if v])
+    # the least failing (i, j, k), i < j, is the first of the full scan
+    ijk = min((t for t, row in rows.items() if row[0]), default=None)
+    if ijk is None:
+        return IdentityReport(name, True)
+    return IdentityReport(name, False, Witness(name, ijk, (rows[ijk][0] / 2,)))
 
 
 def is_symplectic_left(a: Algebra, form: SkewForm) -> IdentityReport:
@@ -287,44 +301,38 @@ def form_coords(form: SkewForm) -> tuple[Fraction, ...]:
 
 
 def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
-    """All skew forms satisfying the chosen compatibility, as a subspace of
-    strict upper-triangle coordinates.  Nondegeneracy is not imposed; use
-    find_nondegenerate to look for an invertible representative.
+    """All skew forms satisfying the chosen compatibility ("left", "right", or
+    "bi" for both), as a subspace of strict upper-triangle coordinates.
+    Nondegeneracy is not imposed; use find_nondegenerate to look for an
+    invertible representative.
 
-    One sparse row per basis triple, read off the nonzero structure constants:
-    a term coef * omega(e_x, e_p*e_q) adds coef * c[p][q][b] * W[x][b] for
-    every b, and W[x][b] is +-1 times an upper-triangle coordinate.  Every
-    coef is a multiple of 1/2, so each row is scaled by 2 * den, den the lcm
-    of the denominators of c, and built over ints; repeated rows are handed
-    to the elimination once.
+    The rows are scattered off the nonzero structure constants through the
+    templates the checks use: omega(e_x, e_p*e_q) is the sum of c[p][q][b] *
+    W[x][b] over the nonzero c[p][q][b], and W[x][b] is +-1 times an
+    upper-triangle coordinate.  Every row is built over ints (the constants
+    scaled by the lcm of their denominators) and made primitive, so rows
+    equal up to a scalar reach the elimination once; "bi" stacks the left and
+    right rows into one system.
     """
-    if side not in _TERMS:
-        raise ValueError("side must be 'left' or 'right'")
-    terms = _TERMS[side]
+    if side not in ("left", "right", "bi"):
+        raise ValueError("side must be 'left', 'right', or 'bi'")
     n = a.dim
-    den = lcm(*(y.denominator for row in a.c for v in row for y in v))
-    nonzero = [[[(b, y.numerator * (den // y.denominator)) for b, y in enumerate(v) if y]
-                for v in row] for row in a.c]
-    entry = [[(upper_index(n, x, b), 1) if x < b else
-              (upper_index(n, b, x), -1) if x > b else None
-              for b in range(n)] for x in range(n)]
-
-    rows = {}  # distinct rows, in the order the triples produce them
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = {}
-                for coef, x, p, q in terms(i, j, k):
-                    nz = nonzero[p][q]
-                    if nz:
-                        twice, cols = 2 * coef.numerator // coef.denominator, entry[x]
-                        for b, y in nz:
-                            if b != x:
-                                col, sign = cols[b]
-                                row[col] = row.get(col, 0) + twice * sign * y
-                rows[frozenset((col, v) for col, v in row.items() if v)] = None
-    rows.pop(frozenset(), None)
-    return kernel([{col: Fraction(v) for col, v in row} for row in rows], n * (n - 1) // 2)
+    den = lcm(*(y.denominator for row in a.nz for pairs in row for _, y in pairs))
+    col = [[upper_index(n, min(x, b), max(x, b)) if x != b else None for b in range(n)]
+           for x in range(n)]
+    scaled = [(p, q, b, y.numerator * (den // y.denominator))
+              for p, row in enumerate(a.nz) for q, pairs in enumerate(row) for b, y in pairs]
+    terms = [((x, p, q), col[x][b], v if x < b else -v)
+             for p, q, b, v in scaled for x in range(n) if x != b]
+    distinct = {}
+    for s in (("left", "right") if side == "bi" else (side,)):
+        for row in _scatter(s, terms).values():
+            items = sorted((c, v) for c, v in row.items() if v)
+            if items:
+                d = gcd(*(v for _, v in items)) * (1 if items[0][1] > 0 else -1)
+                distinct[tuple((c, v // d) for c, v in items)] = None
+    return kernel([{c: Fraction(v) for c, v in row} for row in distinct],
+                  n * (n - 1) // 2)
 
 
 def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
@@ -343,29 +351,42 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
 
     The attempts run over integers: the basis is scaled by the lcm of its
     denominators, each combination is tested with int_det, and only the
-    winner is turned back into rationals and built as a SkewForm.
+    winner is turned back into rationals and built as a SkewForm.  When the
+    first attempt fails and the basis forms share a nonzero radical vector,
+    every member of the space is degenerate, so that None is exact and is
+    returned at once; otherwise the draws go on unchanged.  The CLI prints
+    "none found" in both cases.
     """
     if space.ambient_dim != dim * (dim - 1) // 2:
         raise ValueError("coordinate space does not match the stated dimension")
     if dim % 2:
         return None
-    den = lcm(*(x.denominator for row in space.basis.entries for x in row))
-    basis = [[(k, x.numerator * (den // x.denominator)) for k, x in enumerate(row) if x]
-             for row in space.basis.entries]
+    nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in space.basis.entries]
+    den = lcm(*(x.denominator for row in nonzero for _, x in row))
+    basis = [[(k, x.numerator * (den // x.denominator)) for k, x in row] for row in nonzero]
     cells = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+
+    def gram(coords):  # the int Gram matrix of sparse coordinates (k, x)
+        w = [[0] * dim for _ in range(dim)]
+        for k, x in coords:
+            i, j = cells[k]
+            w[i][j], w[j][i] = x, -x
+        return w
+
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for attempt in range(attempts):
         coords = [0] * space.ambient_dim
         for row in basis:
             c = rng.randint(-10, 10)
             if c:
                 for k, y in row:
                     coords[k] += c * y
-        w = [[0] * dim for _ in range(dim)]
-        for (i, j), x in zip(cells, coords):
-            w[i][j], w[j][i] = x, -x
-        if int_det(w):
+        if int_det(gram(enumerate(coords))):
             return form_from_coords(dim, [Fraction(x, den) for x in coords])
+        # the stacked Gram rows of the basis have a kernel: a common radical
+        if attempt == 0 and kernel([{j: Fraction(x) for j, x in enumerate(r) if x}
+                                    for row in basis for r in gram(row)], dim).dim:
+            return None
     return None
 
 

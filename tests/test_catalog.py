@@ -16,6 +16,7 @@ from sympleib.catalog import (
     sample_verify,
     verify,
 )
+from sympleib import extension
 from sympleib.core import core
 from sympleib.exactlin import vector
 from sympleib.extension import check_rank_one, check_reduced_system
@@ -153,6 +154,15 @@ def test_extension_families_report_their_criterion_as_one_check():
     # the two bases are built and verified once, then shared
     assert rank_one_data()[0] is rank_one_data()[0]
     assert extension_data("ABEL2_CASE1")[0] is extension_data("ABEL2_CASE2")[0]
+
+
+def test_rank_one_family_runs_its_criterion_once_per_sample(monkeypatch):
+    calls = []
+    monkeypatch.setattr(extension, "check_reduced_system",
+                        lambda *args: calls.append(args) or check_reduced_system(*args))
+    rr3 = get("RR3_SIXDIM_RAW")
+    assert [c.ok for c in rr3.extra_checks(rr3.default_params())] == [True] * 3
+    assert len(calls) == 1
 
 
 def test_rr3_displayed_forms_carry_their_cross_terms():

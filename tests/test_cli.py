@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from sympleib import catalog, cli, extension
-from sympleib.algebra import Algebra
+from sympleib.algebra import Algebra, change_basis
 from sympleib.catalog import instantiate, list_families
 from sympleib.cli import _build_parser, main
 from sympleib.exactlin import HALF, Matrix, vadd, vscale
@@ -150,14 +150,16 @@ def test_dimension_limit_is_inclusive():
     assert parse_algebra(json.dumps({"dim": 48}))[0].dim == 48
 
 
-def _blocks(a, copies):
-    """Direct sum of copies of a, block by block."""
-    n = a.dim * copies
+def _direct_sum(*blocks):
+    """The direct sum of the blocks, in order."""
+    n = sum(a.dim for a in blocks)
     c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for off in range(0, n, a.dim):
+    off = 0
+    for a in blocks:
         for i in range(a.dim):
             for j in range(a.dim):
                 c[off + i][off + j][off:off + a.dim] = a.c[i][j]
+        off += a.dim
     return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
 
 
@@ -165,7 +167,7 @@ def test_identity_checks_at_the_dimension_limit_finish_quickly(capsys, tmp_path)
     empty = tmp_path / "empty48.json"
     empty.write_text(json.dumps({"dim": 48}), encoding="utf-8")
     blocks = tmp_path / "blocks48.json"
-    blocks.write_text(serialize_algebra(_blocks(instantiate("RR3_SIXDIM_RAW")[0], 8)),
+    blocks.write_text(serialize_algebra(_direct_sum(*[instantiate("RR3_SIXDIM_RAW")[0]] * 8)),
                       encoding="utf-8")
     for argv in (("check", str(empty), "--left", "--symmetric", "--lsym", "--lie"),
                  ("check", str(blocks), "--left")):
@@ -513,6 +515,63 @@ def test_main_keeps_no_arguments_between_calls(capsys, r4):
     assert after == after_subcommand == after_json == fresh
     assert json.loads(as_json[1])["command"] == "omega"
     assert fresh[1].startswith("side: left\n")
+
+
+# ---------------------------------------------------------------------------
+# omega solve: pinned output
+
+def _sheared(a):
+    """a in the basis of an upper triangular P with fractional entries."""
+    n = a.dim
+    return change_basis(a, Matrix.from_rows([
+        [1 if i == j else Fraction(j - i, 3) if j > i else 0 for j in range(n)]
+        for i in range(n)]))
+
+
+def _moved(a):
+    """a with e_1 * e_n moved by one along e_2, as the benchmark perturbs it."""
+    c = [[list(v) for v in row] for row in a.c]
+    c[0][a.dim - 1][1] += 1
+    return Algebra(a.dim, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+def _solve_cases():
+    r4, b0, dim2, rr3 = (instantiate(fid)[0] for fid in
+                         ("R4_LEFT", "RR3_SIXDIM_B0", "DIM2_NONLIE", "LIE_RR3M1"))
+    sum8 = _sheared(_direct_sum(b0, dim2))
+    return {"R4_LEFT": r4,
+            "B0+DIM2 sheared": sum8,
+            # no nondegenerate form on any side; every member shares a radical
+            "B0+DIM2 sheared+moved": _moved(sum8),
+            "odd": _direct_sum(dim2, rr3, Algebra.from_table(1, {}))}
+
+
+# the first 16 hex digits of sha256(stdout) of `omega FILE solve --side S`
+# for S = left, right, bi, then of `--json-out omega FILE solve --side S`,
+# recorded before the form rows were read off the nonzeros
+SOLVE_GOLDEN = {
+    "R4_LEFT": ("bcff5bd93142d7c2", "1473884888fdc048", "fd24c495b9937c5f",
+                "cf3a22cce3adb64b", "1f84665bbc7cb524", "312053219701d159"),
+    "B0+DIM2 sheared": ("6cb1bced1213ffc4", "42dc65ec1240f2e0", "9732cad006469a32",
+                        "07ace1ff7af21721", "8ca16b026d03a64b", "e3e69ca3d2e39170"),
+    "B0+DIM2 sheared+moved": ("5731800789c95376", "a33bd038710e1cd2", "0799cf5a482ce47b",
+                              "b389f5624085e7cc", "7f6c47ed147a78a1", "3fb5be23222bc293"),
+    "odd": ("4ad9688630e436ba", "d547009dfbece8b5", "49b168106873c9b0",
+            "b2e5b85c7815a710", "0541ff2701ec8273", "0567fbf3773fe534"),
+}
+
+
+@pytest.mark.parametrize("name", list(_solve_cases()))
+def test_omega_solve_output_is_pinned(capsys, tmp_path, name):
+    path = tmp_path / "a.json"
+    path.write_text(serialize_algebra(_solve_cases()[name]), encoding="utf-8")
+    got = []
+    for prefix in ((), ("--json-out",)):
+        for side in ("left", "right", "bi"):
+            code, out, err = run(capsys, *prefix, "omega", str(path), "solve", "--side", side)
+            assert (code, err) == (0, "")
+            got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(got) == SOLVE_GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------

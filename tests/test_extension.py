@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympleib import catalog
+from sympleib import catalog, extension
 
 from sympleib.algebra import (
     Algebra,
@@ -359,8 +359,27 @@ def test_rank_one_star_closed_form():
 def test_rank_one_rejects_bad_data():
     gs = _rr3()
     F, S, a0, b0, lam = _rr3_rank_one(2, -1, 3, 4, 5, -2, 6, 1, 7)  # z*x != 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank-one data fails the criterion: "
+                                         "theta-xi-psi-pairing"):
         build_rank_one(gs, F, S, a0, b0, lam)
+    # a failing report handed in as the gate is refused the same way
+    with pytest.raises(ValueError, match="rank-one data fails the criterion"):
+        build_rank_one(gs, F, S, a0, b0, lam, gate=check_rank_one(gs, F, S, a0, b0, lam))
+
+
+def test_build_rank_one_takes_the_reduced_report_as_its_gate(monkeypatch):
+    gs = _rr3()
+    F, S, a0, b0, lam = _rr3_rank_one(1, 1, 0, 2, 0, 0, 3, 0, -2)
+    report = check_rank_one(gs, F, S, a0, b0, lam)
+    want = build_rank_one(gs, F, S, a0, b0, lam)
+    full = check_full_system(gs, extension._rank_one_data(F, S, a0, b0, lam))
+    with pytest.raises(ValueError, match="reduced-system report"):
+        build_rank_one(gs, F, S, a0, b0, lam, gate=full)
+    calls = []
+    monkeypatch.setattr(extension, "check_reduced_system",
+                        lambda *args: calls.append(args) or check_reduced_system(*args))
+    assert build_rank_one(gs, F, S, a0, b0, lam, gate=report) == want
+    assert calls == []
 
 
 def test_bisymplectic_from_cubic_recovers_the_plane_family():

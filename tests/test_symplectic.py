@@ -1,9 +1,14 @@
 """Skew forms, compatibility identities, star products."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sympleib import symplectic
 
 from sympleib.algebra import (
     Algebra,
@@ -19,10 +24,13 @@ from sympleib.exactlin import (
     ZERO,
     Matrix,
     basis_vector,
+    int_det,
+    intersect,
     kernel,
     solve_unique,
     span,
     vector,
+    vstack,
     zero_subspace,
 )
 from sympleib.symplectic import (
@@ -479,12 +487,80 @@ def _sheared(a):
     return change_basis(a, p)
 
 
+def _dense_system(a, side):
+    """The dense system of one side, or both stacked for "bi"."""
+    if side == "bi":
+        return vstack([_dense_form_system(a, "left"), _dense_form_system(a, "right")])
+    return _dense_form_system(a, side)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("fid", list_families())
 def test_solve_symplectic_forms_is_the_kernel_of_the_dense_system(fid, side):
     a, _ = instantiate(fid)
     for alg in (a, _sheared(a)):
         assert solve_symplectic_forms(alg, side) == kernel(_dense_form_system(alg, side))
+
+
+def _assert_bi_is_the_intersection_and_the_stacked_kernel(a):
+    left, right, bi = (solve_symplectic_forms(a, side) for side in ("left", "right", "bi"))
+    assert bi == intersect(left, right)
+    assert bi == kernel(_dense_system(a, "bi"))
+    # Left minus right is omega's cyclic sum over the commutator, which is
+    # totally antisymmetric, and left plus right has zero cyclic sum.  So the
+    # cyclic sum of the left identity is 3/2 (left - right): left = 0 forces
+    # left - right = 0, hence right = 0, and the three spaces coincide for
+    # every product.
+    assert left == right == bi
+
+
+@pytest.mark.parametrize("fid", list_families())
+def test_bi_solve_is_the_intersection_and_the_stacked_dense_kernel(fid):
+    a, _ = instantiate(fid)
+    for alg in (a, _sheared(a)):
+        _assert_bi_is_the_intersection_and_the_stacked_kernel(alg)
+
+
+def _moves(a):
+    """Every copy of a with one structure constant moved by +1 or -1."""
+    n = a.dim
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for step in (1, -1):
+            c = [[list(v) for v in row] for row in a.c]
+            c[i][j][k] += step
+            yield Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+@pytest.mark.parametrize("fid", ["DIM2_NONLIE", "R4_LEFT", "BS4_C", "BS4_K"])
+def test_bi_solve_on_every_one_entry_move(fid):
+    dims = set()
+    for alg in _moves(instantiate(fid)[0]):
+        _assert_bi_is_the_intersection_and_the_stacked_kernel(alg)
+        dims.add(solve_symplectic_forms(alg, "bi").dim)
+    assert len(dims) > 1  # the moves do change the solution space
+
+
+_SMALL = st.sampled_from([Fraction(-1), Fraction(-1, 2), ZERO, Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def _sparse_small_algebras(draw):
+    """Dimension 2..5, any product (not necessarily Leibniz), entries in
+    {-1, -1/2, 0, 1/2, 1}, from one nonzero constant up to a dense table."""
+    n = draw(st.integers(2, 5))
+    index = st.integers(0, n - 1)
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    count = draw(st.sampled_from([1, 2, n, n * n, n ** 3]))
+    for i, j, k, x in draw(st.lists(st.tuples(index, index, index, _SMALL), max_size=count)):
+        c[i][j][k] = x
+    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_small_algebras())
+def test_solve_equals_the_dense_kernel_on_random_sparse_algebras(a):
+    for side in ("left", "right", "bi"):
+        assert solve_symplectic_forms(a, side) == kernel(_dense_system(a, side)), side
 
 
 def _dense_find_nondegenerate(space, dim, seed=0, attempts=128):
@@ -534,3 +610,34 @@ def test_find_nondegenerate_equals_the_dense_combination_loop():
         assert form == _dense_find_nondegenerate(space, dim, seed=seed)
         found[form is not None] += 1
     assert found[True] and found[False]
+
+
+def _count_int_det(monkeypatch):
+    calls = []
+    monkeypatch.setattr(symplectic, "int_det", lambda rows: calls.append(1) or int_det(rows))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_a_common_radical_ends_the_search_after_one_draw(monkeypatch, seed):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # e_4 is in every radical: no basis form touches a coordinate (i, 4)
+    space = span(6, [[1, half, 0, 0, 0, 0], [0, 0, 0, third, 0, 0]])
+    calls = _count_int_det(monkeypatch)
+    assert find_nondegenerate(space, 4, seed=seed) is None
+    assert len(calls) == 1
+    assert _dense_find_nondegenerate(space, 4, seed=seed) is None
+    # the zero space: its one member, the zero form, is degenerate
+    calls.clear()
+    assert find_nondegenerate(zero_subspace(6), 4, seed=seed) is None
+    assert len(calls) == 1
+
+
+def test_degenerate_spaces_without_a_common_radical_run_every_draw(monkeypatch):
+    # span{e12, e13, e14}: each member is e1 ^ v, of rank 2, so every member
+    # is degenerate, yet the radicals of e12, e13 and e14 meet only in 0
+    space = span(6, [basis_vector(6, upper_index(4, 0, j)) for j in (1, 2, 3)])
+    calls = _count_int_det(monkeypatch)
+    assert find_nondegenerate(space, 4, seed=3, attempts=40) is None
+    assert len(calls) == 40
+    assert _dense_find_nondegenerate(space, 4, seed=3, attempts=40) is None
