@@ -129,13 +129,8 @@ def cmd_omega(args) -> int:
 
     if form is None:
         raise UsageError("omega verify needs a form in the file")
-    if args.side == "left":
-        report = is_symplectic_left(algebra, form)
-    elif args.side == "right":
-        report = is_symplectic_right(algebra, form)
-    else:
-        report = is_bi_symplectic(algebra, form)
-    check = _identity_check(report)
+    check = _identity_check({"left": is_symplectic_left, "right": is_symplectic_right,
+                             "bi": is_bi_symplectic}[args.side](algebra, form))
     doc = {"command": "omega", "mode": "verify", "side": args.side,
            "checks": [_check_dict(check)]}
     return _finish(args, 0 if check.ok else 1, [check.line()], doc)

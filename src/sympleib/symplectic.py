@@ -9,7 +9,7 @@ nondegeneracy fails them with an explicit witness.
 Every identity here is linear in omega and in the product, so it is
 evaluated through the table g[p][q] = W c[p][q], built once per call:
 omega(e_x, e_p*e_q) = g[p][q][x] and omega(e_p*e_q, e_x) = -g[p][q][x].  The
-left and right identities are written once, as one table of position
+left, right and bi identities are written once, as one table of position
 templates: the checks scatter the nonzeros of g through it, and
 solve_symplectic_forms scatters the nonzero structure constants.  The
 ``*_split`` checks evaluate every scalar with omega instead and serve as
@@ -145,28 +145,36 @@ def _scalar_triple_report(name: str, kind: str, n: int, defect) -> IdentityRepor
     return IdentityReport(name, True)
 
 
-# The left and right identities at u, v, w = e_i, e_j, e_k, written once as
-# position templates (2 * coef, x, p, q): each term is coef * omega(e_x, e_p*e_q)
-# with x, p, q read off the positions 0, 1, 2 of (i, j, k).
+# Each identity at u, v, w = e_i, e_j, e_k, keyed by its witness kind and
+# written once as position templates (2 * coef, x, p, q): each term is
+# coef * omega(e_x, e_p*e_q) with x, p, q read off the positions 0, 1, 2 of
+# (i, j, k).  "d-omega" is d omega(u, v, w) for [u, v] = (u*v - v*u)/2 and
+# "diamond-symmetry" is omega(u, v <> w) - omega(v, u <> w) for
+# u <> v = (u*v + v*u)/2, both expanded over the product itself.
 _TEMPLATES = {
-    "left": ((2, 0, 1, 2), (-2, 1, 0, 2), (1, 2, 0, 1), (-1, 2, 1, 0)),
-    "right": ((2, 0, 2, 1), (-2, 1, 2, 0), (1, 2, 1, 0), (-1, 2, 0, 1)),
+    "left-symplectic": ((2, 0, 1, 2), (-2, 1, 0, 2), (1, 2, 0, 1), (-1, 2, 1, 0)),
+    "right-symplectic": ((2, 0, 2, 1), (-2, 1, 2, 0), (1, 2, 1, 0), (-1, 2, 0, 1)),
+    "d-omega": ((1, 0, 1, 2), (-1, 0, 2, 1), (1, 1, 2, 0), (-1, 1, 0, 2), (1, 2, 0, 1),
+                (-1, 2, 1, 0)),
+    "diamond-symmetry": ((1, 0, 1, 2), (1, 0, 2, 1), (-1, 1, 0, 2), (-1, 1, 2, 0)),
 }
 # per template, 2 * coef and place: (x, p, q) -> the triple (i, j, k) it sits in
-_PLACE = {side: [(twice, itemgetter(*((x, p, q).index(r) for r in range(3))))
-                 for twice, x, p, q in templates] for side, templates in _TEMPLATES.items()}
+_PLACE = {kind: [(twice, itemgetter(*((x, p, q).index(r) for r in range(3))))
+                 for twice, x, p, q in templates] for kind, templates in _TEMPLATES.items()}
 
 
-def _scatter(side: str, terms) -> dict:
+def _scatter(kind: str, terms) -> dict:
     """Twice the identity at every triple (i, j, k), i < j, that a term touches.
 
     A term ((x, p, q), col, v) stands for v * omega(e_x, e_p*e_q) in column col;
     each template adds it, times its 2 * coef, to the one triple it belongs
-    to.  The identity at (j, i, k) is minus the one at (i, j, k) and vanishes
-    at i = j, so a term landing at i >= j is skipped.
+    to.  A term landing at i >= j is skipped, and no first witness is lost:
+    every identity here is antisymmetric in (i, j) (d-omega totally so), so it
+    vanishes at i = j, and a failing (i, j, k), i > j, has the failing
+    (j, i, k) before it in the full lexicographic scan.
     """
     rows: dict = {}
-    for twice, place in _PLACE[side]:
+    for twice, place in _PLACE[kind]:
         for xpq, col, v in terms:
             ijk = place(xpq)
             if ijk[0] < ijk[1]:
@@ -175,30 +183,31 @@ def _scatter(side: str, terms) -> dict:
     return rows
 
 
-def _compat_report(a: Algebra, form: SkewForm, side: str) -> IdentityReport:
-    name = f"{side}-symplectic"
+def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> IdentityReport:
+    """The first failing triple of the full scan of each kind in turn."""
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
     if not form.nondegenerate:
         return _degenerate_report(name, form)
     g = _gram_table(form, a)
-    rows = _scatter(side, [((x, p, q), 0, v) for p, row in enumerate(g)
-                           for q, vec in enumerate(row) for x, v in enumerate(vec) if v])
-    # the least failing (i, j, k), i < j, is the first of the full scan
-    ijk = min((t for t, row in rows.items() if row[0]), default=None)
-    if ijk is None:
-        return IdentityReport(name, True)
-    return IdentityReport(name, False, Witness(name, ijk, (rows[ijk][0] / 2,)))
+    terms = [((x, p, q), 0, v) for p, row in enumerate(a.nz) for q, pairs in enumerate(row)
+             if pairs for x, v in enumerate(g[p][q]) if v]
+    for kind in kinds:
+        rows = _scatter(kind, terms)
+        ijk = min((t for t, row in rows.items() if row[0]), default=None)
+        if ijk is not None:
+            return IdentityReport(name, False, Witness(kind, ijk, (rows[ijk][0] / 2,)))
+    return IdentityReport(name, True)
 
 
 def is_symplectic_left(a: Algebra, form: SkewForm) -> IdentityReport:
     """omega(u, v*w) - omega(v, u*w) = (1/2) omega(u*v, w) - (1/2) omega(v*u, w)."""
-    return _compat_report(a, form, "left")
+    return _compat_report(a, form, "left-symplectic", ("left-symplectic",))
 
 
 def is_symplectic_right(a: Algebra, form: SkewForm) -> IdentityReport:
     """omega(u, w*v) - omega(v, w*u) = (1/2) omega(v*u, w) - (1/2) omega(u*v, w)."""
-    return _compat_report(a, form, "right")
+    return _compat_report(a, form, "right-symplectic", ("right-symplectic",))
 
 
 def _d_omega(form: SkewForm, bracket: Algebra, i: int, j: int, k: int,
@@ -253,23 +262,10 @@ def is_symplectic_right_split(a: Algebra, form: SkewForm) -> IdentityReport:
 
 
 def is_bi_symplectic(a: Algebra, form: SkewForm) -> IdentityReport:
-    """Both-sided compatibility, checked on the Gram tables of the split product:
-
-    the form is closed for the commutator bracket, and the anticommutator
-    satisfies omega(u <> w, v) = omega(v <> w, u).
-    """
-    if a.dim != form.dim:
-        raise ValueError("dimension mismatch")
-    if not form.nondegenerate:
-        return _degenerate_report("bi-symplectic", form)
-    bracket, diamond = split(a)
-    gb, gd = _gram_table(form, bracket), _gram_table(form, diamond)
-    closed = _scalar_triple_report("bi-symplectic", "d-omega", a.dim, lambda i, j, k: (
-        gb[j][k][i] + gb[k][i][j] + gb[i][j][k]))
-    if not closed.holds:
-        return closed
-    return _scalar_triple_report("bi-symplectic", "diamond-symmetry", a.dim, lambda i, j, k: (
-        gd[j][k][i] - gd[i][k][j]))
+    """The form is closed for the commutator bracket ("d-omega"), and the
+    anticommutator satisfies omega(u <> w, v) = omega(v <> w, u)
+    ("diamond-symmetry"); checked in that order on the product's Gram table."""
+    return _compat_report(a, form, "bi-symplectic", ("d-omega", "diamond-symmetry"))
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +302,18 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     Nondegeneracy is not imposed; use find_nondegenerate to look for an
     invertible representative.
 
+    The three spaces are equal for every product: left - right is twice
+    d omega for the commutator, which is totally antisymmetric, and left +
+    right has zero cyclic sum, so the cyclic sum of left is 3/2 (left - right)
+    and left = 0 forces right = 0.  So "bi" solves the left rows alone; the
+    kernel basis is canonical, so that is the stacked system's answer too.
+
     The rows are scattered off the nonzero structure constants through the
     templates the checks use: omega(e_x, e_p*e_q) is the sum of c[p][q][b] *
     W[x][b] over the nonzero c[p][q][b], and W[x][b] is +-1 times an
     upper-triangle coordinate.  Every row is built over ints (the constants
     scaled by the lcm of their denominators) and made primitive, so rows
-    equal up to a scalar reach the elimination once; "bi" stacks the left and
-    right rows into one system.
+    equal up to a scalar reach the elimination once.
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be 'left', 'right', or 'bi'")
@@ -325,12 +326,12 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     terms = [((x, p, q), col[x][b], v if x < b else -v)
              for p, q, b, v in scaled for x in range(n) if x != b]
     distinct = {}
-    for s in (("left", "right") if side == "bi" else (side,)):
-        for row in _scatter(s, terms).values():
-            items = sorted((c, v) for c, v in row.items() if v)
-            if items:
-                d = gcd(*(v for _, v in items)) * (1 if items[0][1] > 0 else -1)
-                distinct[tuple((c, v // d) for c, v in items)] = None
+    for row in _scatter("right-symplectic" if side == "right" else "left-symplectic",
+                        terms).values():
+        items = sorted((c, v) for c, v in row.items() if v)
+        if items:
+            d = gcd(*(v for _, v in items)) * (1 if items[0][1] > 0 else -1)
+            distinct[tuple((c, v // d) for c, v in items)] = None
     return kernel([{c: Fraction(v) for c, v in row} for row in distinct],
                   n * (n - 1) // 2)
 
@@ -460,15 +461,10 @@ class SymplecticAlgebra:
     side: str = "left"
 
     def __post_init__(self):
-        checks = {
-            "left": (is_symplectic_left,),
-            "right": (is_symplectic_right,),
-            "bi": (is_bi_symplectic,),
-        }
+        checks = {"left": is_symplectic_left, "right": is_symplectic_right,
+                  "bi": is_bi_symplectic}
         if self.side not in checks:
             raise ValueError("side must be 'left', 'right', or 'bi'")
-        for check in checks[self.side]:
-            rep = check(self.algebra, self.form)
-            if not rep.holds:
-                raise ValueError(
-                    f"form is not {rep.name} compatible: {rep.witness.describe()}")
+        rep = checks[self.side](self.algebra, self.form)
+        if not rep.holds:
+            raise ValueError(f"form is not {rep.name} compatible: {rep.witness.describe()}")

@@ -18,6 +18,7 @@ from sympleib.cli import _build_parser, main
 from sympleib.exactlin import HALF, Matrix, vadd, vscale
 from sympleib.extension import ExtensionData
 from sympleib.fileformat import algebra_to_dict, parse_algebra, rational_to_json, serialize_algebra
+from sympleib.symplectic import SkewForm
 
 RR3_BASE = """\
 {
@@ -520,12 +521,15 @@ def test_main_keeps_no_arguments_between_calls(capsys, r4):
 # ---------------------------------------------------------------------------
 # omega solve: pinned output
 
+def _shear(n):
+    """An upper triangular P with fractional entries."""
+    return Matrix.from_rows([[1 if i == j else Fraction(j - i, 3) if j > i else 0
+                              for j in range(n)] for i in range(n)])
+
+
 def _sheared(a):
-    """a in the basis of an upper triangular P with fractional entries."""
-    n = a.dim
-    return change_basis(a, Matrix.from_rows([
-        [1 if i == j else Fraction(j - i, 3) if j > i else 0 for j in range(n)]
-        for i in range(n)]))
+    """a in the basis of the columns of _shear."""
+    return change_basis(a, _shear(a.dim))
 
 
 def _moved(a):
@@ -572,6 +576,72 @@ def test_omega_solve_output_is_pinned(capsys, tmp_path, name):
             assert (code, err) == (0, "")
             got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
     assert tuple(got) == SOLVE_GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# omega verify: pinned output
+
+def _sheared_pair(*pairs):
+    """The direct sum of (algebra, form matrix) pairs, with the block form,
+    in the basis of the columns of _shear."""
+    a = _direct_sum(*(alg for alg, _ in pairs))
+    w = [[Fraction(0)] * a.dim for _ in range(a.dim)]
+    off = 0
+    for alg, form in pairs:
+        for i, row in enumerate(form.entries):
+            w[off + i][off:off + alg.dim] = row
+        off += alg.dim
+    p = _shear(a.dim)
+    return _sheared(a), (p.transpose() @ Matrix.from_rows(w) @ p).entries
+
+
+def _verify_cases():
+    def moved(w, i, j):  # form entry (i, j), 1-based, moved by 1/2
+        w = [list(r) for r in w]
+        w[i - 1][j - 1] += HALF
+        w[j - 1][i - 1] -= HALF
+        return SkewForm(Matrix.from_rows(w))
+    (b0, w_b0), (dim2, w_dim2), (bs4a, w_bs4a) = (
+        (a, form.w) for a, form in map(instantiate, ("RR3_SIXDIM_B0", "DIM2_NONLIE", "BS4_A")))
+    s8, w8 = _sheared_pair((b0, w_b0), (dim2, w_dim2))
+    s6, w6 = _sheared_pair((bs4a, w_bs4a), (dim2, w_dim2))
+    return {"B0+DIM2 sheared": (s8, SkewForm(Matrix.from_rows(w8))),
+            "B0+DIM2 sheared, d-omega": (s8, moved(w8, 1, 2)),
+            "BS4_A+DIM2 sheared, diamond-symmetry": (s6, moved(w6, 1, 2)),
+            # the DIM2_NONLIE block of the form is zero
+            "B0+DIM2 sheared, degenerate": (s8, SkewForm(Matrix.from_rows(
+                _sheared_pair((b0, w_b0), (dim2, Matrix.zero(2, 2)))[1])))}
+
+
+# exit code and the first 16 hex digits of sha256(stdout) of `omega FILE
+# verify --side S` for S = left, right, bi, then of `--json-out omega FILE
+# verify --side S`, recorded before the bi check moved onto the templates
+VERIFY_GOLDEN = {
+    "B0+DIM2 sheared": ("0 f6f3b2d190a9d88a", "0 0af16e729b06bab8", "0 1a0697bf39aaf46c",
+                        "0 2c9f7cb7d2ab6589", "0 30b0a234f5af89a7", "0 3db6b64e1c46ad26"),
+    "B0+DIM2 sheared, d-omega": (
+        "1 b8f48c59a99c16c8", "1 379ffee237f4dff6", "1 a119b3a9175e71ed",
+        "1 d481675361711b28", "1 d54287b57ef99bb0", "1 7489c9c01f05a9a9"),
+    "BS4_A+DIM2 sheared, diamond-symmetry": (
+        "1 7f7a6a5f6cb03b0a", "1 75a3c039e397c826", "1 152a11437ae53250",
+        "1 7bfe7b28032599e5", "1 7f74a2e5f3fc44dc", "1 db9c401d3b0ccf9f"),
+    "B0+DIM2 sheared, degenerate": (
+        "1 75f0e79bb34781ee", "1 f9d6b6616f49f1c7", "1 69956ea9491ebf3c",
+        "1 505fcf8708fb954e", "1 c10e7d06bf5b096f", "1 f64f14e09619480a"),
+}
+
+
+@pytest.mark.parametrize("name", list(_verify_cases()))
+def test_omega_verify_output_is_pinned(capsys, tmp_path, name):
+    path = tmp_path / "a.json"
+    path.write_text(serialize_algebra(*_verify_cases()[name]), encoding="utf-8")
+    got = []
+    for prefix in ((), ("--json-out",)):
+        for side in ("left", "right", "bi"):
+            code, out, err = run(capsys, *prefix, "omega", str(path), "verify", "--side", side)
+            assert err == ""
+            got.append(f"{code} {hashlib.sha256(out.encode()).hexdigest()[:16]}")
+    assert tuple(got) == VERIFY_GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------

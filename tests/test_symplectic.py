@@ -19,7 +19,7 @@ from sympleib.algebra import (
     multiply,
     split,
 )
-from sympleib.catalog import instantiate, list_families
+from sympleib.catalog import _claim_check, get, instantiate, list_families
 from sympleib.exactlin import (
     ZERO,
     Matrix,
@@ -544,10 +544,10 @@ _SMALL = st.sampled_from([Fraction(-1), Fraction(-1, 2), ZERO, Fraction(1, 2), F
 
 
 @st.composite
-def _sparse_small_algebras(draw):
-    """Dimension 2..5, any product (not necessarily Leibniz), entries in
+def _sparse_small_algebras(draw, max_dim=5):
+    """Dimension 2..max_dim, any product (not necessarily Leibniz), entries in
     {-1, -1/2, 0, 1/2, 1}, from one nonzero constant up to a dense table."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_dim))
     index = st.integers(0, n - 1)
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     count = draw(st.sampled_from([1, 2, n, n * n, n ** 3]))
@@ -561,6 +561,66 @@ def _sparse_small_algebras(draw):
 def test_solve_equals_the_dense_kernel_on_random_sparse_algebras(a):
     for side in ("left", "right", "bi"):
         assert solve_symplectic_forms(a, side) == kernel(_dense_system(a, side)), side
+
+
+@st.composite
+def _sparse_pairs(draw):
+    """A product from _sparse_small_algebras up to dimension 6 and a skew form:
+    half the time with random entries in {-1, -1/2, 0, 1/2, 1}, half the time
+    a random member of its left form space, so that compatible forms occur."""
+    a = draw(_sparse_small_algebras(6))
+    n = a.dim
+    space = solve_symplectic_forms(a, "left")
+    if draw(st.booleans()) and space.dim:
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=space.dim, max_size=space.dim))
+        coords = [sum((c * row[k] for c, row in zip(coefs, space.basis.entries)), ZERO)
+                  for k in range(space.ambient_dim)]
+    else:
+        coords = draw(st.lists(_SMALL, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return a, form_from_coords(n, coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_pairs())
+def test_sides_agree_and_bi_equals_the_naive_scan_on_random_sparse_pairs(pair):
+    a, form = pair
+    assert is_bi_symplectic(a, form) == _naive_bi(a, form)
+    # the check-side statement of the equal left, right and bi form spaces
+    assert (is_symplectic_left(a, form).holds == is_symplectic_right(a, form).holds
+            == is_bi_symplectic(a, form).holds)
+
+
+def _block_form(*forms):
+    n = sum(f.dim for f in forms)
+    w = [[ZERO] * n for _ in range(n)]
+    off = 0
+    for f in forms:
+        for i, row in enumerate(f.w.entries):
+            w[off + i][off:off + f.dim] = row
+        off += f.dim
+    return SkewForm(Matrix.from_rows(w))
+
+
+_DIMS = {fid: instantiate(fid)[0].dim for fid in list_families()}
+# every choice of 2 or 3 families whose sum has dimension 8..12
+_SUMMANDS = [fids for size in (2, 3)
+             for fids in itertools.combinations_with_replacement(list_families(), size)
+             if 8 <= sum(_DIMS[f] for f in fids) <= 12]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_SUMMANDS), st.integers(0, 2 ** 16))
+def test_direct_sums_keep_every_shared_catalog_claim(fids, seed):
+    rng = random.Random(seed)
+    pairs = [instantiate(fid, get(fid).sample(rng)) for fid in fids]
+    a, form = _direct_sum(*(alg for alg, _ in pairs)), _block_form(*(w for _, w in pairs))
+    shared = set.intersection(*(set(get(fid).claims) for fid in fids))
+    for claim in sorted(shared):
+        check = _claim_check(claim, a, form)
+        assert check.ok, (claim, check.detail)
+    naive = _naive_bi(a, form)
+    assert is_bi_symplectic(a, form) == naive
+    assert naive.holds or "bi-symplectic" not in shared
 
 
 def _dense_find_nondegenerate(space, dim, seed=0, attempts=128):
@@ -578,13 +638,15 @@ def _dense_find_nondegenerate(space, dim, seed=0, attempts=128):
     return None
 
 
-def _direct_sum(a, b):
-    n = a.dim + b.dim
+def _direct_sum(*blocks):
+    n = sum(blk.dim for blk in blocks)
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for blk, off in ((a, 0), (b, a.dim)):
+    off = 0
+    for blk in blocks:
         for i in range(blk.dim):
             for j in range(blk.dim):
                 c[off + i][off + j][off:off + blk.dim] = blk.c[i][j]
+        off += blk.dim
     return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
 
 
