@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from operator import itemgetter
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -86,9 +86,21 @@ class Algebra:
 
     @cached_property
     def nz(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """nz[i][j]: the nonzero pairs (k, c[i][j][k]) of e_i * e_j, in k order."""
-        return tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in row)
-                     for row in self.c)
+        """nz[i][j]: the nonzero pairs (k, c[i][j][k]) of e_i * e_j, in k order.
+
+        Absent products and parsed zeros are the shared ZERO, which the
+        identity test passes over without calling Fraction.__bool__.
+        """
+        return tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x is not ZERO and x)
+                           for v in row) for row in self.c)
+
+    @cached_property
+    def int_nz(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(s, t): s is the lcm of the denominators of the constants and
+        t[i][j] holds the pairs (k, s * c[i][j][k]) of nz[i][j], as ints."""
+        s = lcm(*(x.denominator for row in self.nz for pairs in row for _, x in pairs))
+        return s, tuple(tuple(tuple((k, x.numerator * (s // x.denominator)) for k, x in pairs)
+                              for pairs in row) for row in self.nz)
 
 
 @dataclass(frozen=True)
@@ -176,19 +188,55 @@ _LEFT_SYMMETRIC = ((1, "R", 0, 1, 2), (-1, "L", 0, 1, 2),
 _JACOBI = ((1, "R", 0, 1, 2), (1, "R", 1, 2, 0), (1, "R", 2, 0, 1))
 
 
-def _scan_identity(a: Algebra, name: str, kind: str, terms) -> IdentityReport:
-    """Sum the term table at every basis triple in lexicographic order.
+def _touched(nz, terms):
+    """The triples (i, j, k), in lexicographic order, at which some term can be nonzero.
 
-    The sums run over ints: every constant is scaled by the common
-    denominator s of the table, and every term is a product of two constants,
-    so the true defect is the int sum over s^2.  The defect is kept as
-    ``{k: value}``; the dense vector is built only for the first triple where
-    it is nonzero, which becomes the witness.
+    The term e_u * (e_v * e_w) is zero unless e_u * e_m != 0 for some e_m in
+    the support of e_v * e_w, and (e_u * e_v) * e_w unless e_m * e_w != 0
+    for such an e_m in e_u * e_v: each term is a path through two nonzero
+    products.  The triples come one i at a time, so a scan that stops early
+    has enumerated only the paths of the i values it reached.
     """
-    s = lcm(*(x.denominator for row in a.nz for pairs in row for _, x in pairs))
-    nz = [[[(k, x.numerator * (s // x.denominator)) for k, x in pairs] for pairs in row]
-          for row in a.nz]
-    for ijk in product(range(a.dim), repeat=3):
+    n = len(nz)
+    right = [[q for q in range(n) if nz[p][q]] for p in range(n)]  # e_p * e_q != 0
+    left = [[p for p in range(n) if nz[p][q]] for q in range(n)]
+    pairs = [(p, q) for p in range(n) for q in right[p]]
+    # per term: the position f of the outer factor and s of the first inner one,
+    # the outer factors next to each e_m and the e_m next to each outer factor
+    paths = []
+    for _, side, x, y, z in terms:
+        s, t, f = (y, z, x) if side == "L" else (x, y, z)
+        outer, beside = (left, right) if side == "L" else (right, left)
+        paths.append((f, s, itemgetter(*((s, t, f).index(r) for r in range(3))), outer, beside))
+    for i in range(n):
+        found = set()
+        for f, s, place, outer, beside in paths:
+            if f == 0:  # the outer factor is e_i
+                near = set(beside[i])
+                found.update(place((p, q, i)) for p, q in pairs
+                             if any(m in near for m, _ in nz[p][q]))
+                continue
+            for p, q in ([(i, q) for q in right[i]] if s == 0 else [(p, i) for p in left[i]]):
+                reach = set().union(*(outer[m] for m, _ in nz[p][q]))
+                found.update(place((p, q, r)) for r in reach)
+        yield from sorted(found)
+
+
+def _scan_identity(a: Algebra, name: str, kind: str, terms) -> IdentityReport:
+    """Sum the term table at the basis triples in lexicographic order.
+
+    Only the triples where some term's inner product is nonzero and meets
+    the outer factor in a nonzero product are visited (see ``_touched``); at
+    every other triple each term, and so the defect, is zero, so the first
+    failing triple and its defect are those of the full n^3 scan, and a scan
+    that fails early stops as early.  The sums run over the int view
+    ``Algebra.int_nz``: every term is a product of two constants scaled by
+    s, so the true defect is the int sum over s^2.  The defect is kept as
+    ``{k: value}``; the dense vector is built only for the first triple
+    where it is nonzero, which becomes the witness.
+    """
+    s, nz = a.int_nz
+    for ijk in _touched(nz, terms):
         acc: dict[int, int] = {}
         for sign, side, x, y, z in terms:
             u, v, w = ijk[x], ijk[y], ijk[z]
@@ -234,6 +282,8 @@ def is_left_symmetric(a: Algebra) -> IdentityReport:
 def is_lie(a: Algebra) -> IdentityReport:
     for i in range(a.dim):
         for j in range(a.dim):
+            if not (a.nz[i][j] or a.nz[j][i]):
+                continue
             d = vadd(a.c[i][j], a.c[j][i])
             if not is_zero_vector(d):
                 return IdentityReport("lie", False, Witness("antisymmetry", (i, j), d))

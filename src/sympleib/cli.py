@@ -41,6 +41,10 @@ class UsageError(ValueError):
     """Bad arguments or ill-formed input; maps to exit code 2."""
 
 
+# each catalog sample is checked and its outcome kept until the report prints
+MAX_SAMPLES = 10_000
+
+
 # ---------------------------------------------------------------------------
 # rendering helpers
 
@@ -266,6 +270,8 @@ def cmd_catalog_verify(args) -> int:
     _get_family(args.id)
     if args.samples < 0:
         raise UsageError("samples must be non-negative")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"samples {args.samples} exceeds the limit of {MAX_SAMPLES}")
     run = catalog.sample_verify(args.id, seed=args.seed, count=args.samples)
     lines = []
     outcomes = []

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .algebra import Algebra
-from .exactlin import Matrix, Rational, rat
+from .exactlin import ZERO, Matrix, Rational, rat
 from .extension import ExtensionData, SymplecticLie
 from .symplectic import SkewForm, form_coords, form_from_pairs
 
@@ -38,17 +38,30 @@ def rational_to_json(value: Rational) -> int | str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+# one shared Fraction per small JSON int, the common entry of every file; 0
+# maps to exactlin.ZERO, which Algebra.nz skips without arithmetic
+_SMALL_INTS = {x: Fraction(x) if x else ZERO for x in range(-64, 65)}
 
 
-def rational_from_json(value: object, where: str) -> Fraction:
-    """A JSON integer or a string "p" or "p/q" with q != 0; nothing else."""
+def _rational(value: object) -> Fraction:
+    if type(value) is int and value in _SMALL_INTS:
+        return _SMALL_INTS[value]
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-        raise FileFormatError(f"{where}: {value!r} is not an integer or a "
-                              f"fraction p/q with a nonzero denominator")
+        raise ValueError(f"{value!r} is not an integer or a fraction p/q "
+                         f"with a nonzero denominator")
+    return rat(value)
+
+
+def rational_from_json(value: object, where: str, *index: int) -> Fraction:
+    """A JSON integer or a string "p" or "p/q" with q != 0; nothing else.
+
+    ``where`` names the entry in the message of a rejected value; given an
+    ``index``, it is a format string for it, formatted only on rejection.
+    """
     try:
-        return rat(value)
+        return _rational(value)
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{where}: {exc}") from None
+        raise FileFormatError(f"{where.format(*index) if index else where}: {exc}") from None
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -139,7 +152,7 @@ def algebra_from_dict(doc: Mapping[str, Any]
         value = item["value"]
         _expect(isinstance(value, list) and len(value) == dim,
                 f"{where}: value must be a vector of length {dim}")
-        table[(i, j)] = [rational_from_json(x, f"{where}.value[{n}]")
+        table[(i, j)] = [rational_from_json(x, "products[{}].value[{}]", k, n)
                          for n, x in enumerate(value)]
 
     algebra = Algebra.from_table(dim, table, labels=tuple(labels))
@@ -158,7 +171,7 @@ def algebra_from_dict(doc: Mapping[str, Any]
                         f"{where}: index out of range 1..{dim}")
             _expect(i < j, f"{where}: only strict upper-triangle entries")
             _expect((i, j) not in pairs, f"{where}: duplicate entry ({i}, {j})")
-            pairs[(i, j)] = rational_from_json(value, f"{where}[2]")
+            pairs[(i, j)] = rational_from_json(value, "form[{}][2]", k)
         form = form_from_pairs(dim, pairs)
     return algebra, form
 
@@ -187,7 +200,7 @@ def _matrix_from_json(rows: object, m: int, where: str) -> Matrix:
     for r, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == m,
                 f"{where}[{r}]: expected {m} entries")
-        parsed.append([rational_from_json(x, f"{where}[{r}][{c}]")
+        parsed.append([rational_from_json(x, where + "[{}][{}]", r, c)
                        for c, x in enumerate(row)])
     return Matrix.from_rows(parsed)
 
@@ -203,7 +216,7 @@ def _vector_table_from_json(data: object, p: int, m: int, where: str) -> list:
         for j, vec in enumerate(row):
             _expect(isinstance(vec, list) and len(vec) == m,
                     f"{where}[{i}][{j}]: expected a vector of length {m}")
-            vecs.append([rational_from_json(x, f"{where}[{i}][{j}][{n}]")
+            vecs.append([rational_from_json(x, where + "[{}][{}][{}]", i, j, n)
                          for n, x in enumerate(vec)])
         out.append(vecs)
     return out

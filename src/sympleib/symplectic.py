@@ -7,13 +7,16 @@ the compatibility equations can be inspected, but every predicate that needs
 nondegeneracy fails them with an explicit witness.
 
 Every identity here is linear in omega and in the product, so it is
-evaluated through the table g[p][q] = W c[p][q], built once per call:
-omega(e_x, e_p*e_q) = g[p][q][x] and omega(e_p*e_q, e_x) = -g[p][q][x].  The
-left, right and bi identities are written once, as one table of position
-templates: the checks scatter the nonzeros of g through it, and
-solve_symplectic_forms scatters the nonzero structure constants.  The
-``*_split`` checks evaluate every scalar with omega instead and serve as
-independent test oracles.
+evaluated through the table g[p][q] = W c[p][q], built once per call over
+ints: W and the constants are scaled by the lcm of their denominators, so
+omega(e_x, e_p*e_q) = g[p][q][x] / s and omega(e_p*e_q, e_x) = -g[p][q][x] / s
+for one scale s.  The left, right and bi identities are written once, as one
+table of position templates: the checks scatter the nonzeros of g through it
+and divide once, for the witness, and solve_symplectic_forms scatters the
+nonzero structure constants.  The star products solve against (W^-1)^T
+scaled to ints, with one Fraction per nonzero output entry.  The ``*_split``
+checks evaluate every scalar with omega instead and serve as independent
+test oracles.
 """
 
 from __future__ import annotations
@@ -103,18 +106,31 @@ def omega(form: SkewForm, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fract
     return total
 
 
-def _gram_table(form: SkewForm, a: Algebra) -> list[list[tuple[Fraction, ...]]]:
-    """g[p][q] = W c[p][q], so that omega(e_x, e_p*e_q) = g[p][q][x]."""
+def _int_scale(rows) -> tuple[int, list[list[int]]]:
+    """(d, rows times d) for the lcm d of the denominators of the Fraction rows."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _gram_table(form: SkewForm, a: Algebra) -> tuple[int, list[list[Optional[tuple[int, ...]]]]]:
+    """(s, g) with g[p][q] = s W c[p][q], as ints, so that omega(e_x, e_p*e_q)
+    = g[p][q][x] / s; s is the lcm of W's denominators times that of the
+    constants, and g[p][q] is None where e_p*e_q = 0."""
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
-    cols = [form.w.col(b) for b in range(a.dim)]
+    dw, w = _int_scale(form.w.entries)
+    dc, nz = a.int_nz
+    cols = [[(x, row[b]) for x, row in enumerate(w) if row[b]] for b in range(a.dim)]
 
     def image(pairs):
-        out = (ZERO,) * a.dim
+        if not pairs:
+            return None
+        out = [0] * a.dim
         for b, y in pairs:
-            out = tuple(t + w * y if w else t for t, w in zip(out, cols[b]))
-        return out
-    return [[image(pairs) for pairs in row] for row in a.nz]
+            for x, v in cols[b]:
+                out[x] += v * y
+        return tuple(out)
+    return dw * dc, [[image(pairs) for pairs in row] for row in nz]
 
 
 def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
@@ -189,14 +205,15 @@ def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> IdentityRepo
         raise ValueError("dimension mismatch")
     if not form.nondegenerate:
         return _degenerate_report(name, form)
-    g = _gram_table(form, a)
-    terms = [((x, p, q), 0, v) for p, row in enumerate(a.nz) for q, pairs in enumerate(row)
-             if pairs for x, v in enumerate(g[p][q]) if v]
+    scale, g = _gram_table(form, a)
+    terms = [((x, p, q), 0, v) for p, row in enumerate(g) for q, image in enumerate(row)
+             if image for x, v in enumerate(image) if v]
     for kind in kinds:
         rows = _scatter(kind, terms)
         ijk = min((t for t, row in rows.items() if row[0]), default=None)
         if ijk is not None:
-            return IdentityReport(name, False, Witness(kind, ijk, (rows[ijk][0] / 2,)))
+            defect = Fraction(rows[ijk][0], 2 * scale)
+            return IdentityReport(name, False, Witness(kind, ijk, (defect,)))
     return IdentityReport(name, True)
 
 
@@ -318,13 +335,11 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be 'left', 'right', or 'bi'")
     n = a.dim
-    den = lcm(*(y.denominator for row in a.nz for pairs in row for _, y in pairs))
     col = [[upper_index(n, min(x, b), max(x, b)) if x != b else None for b in range(n)]
            for x in range(n)]
-    scaled = [(p, q, b, y.numerator * (den // y.denominator))
-              for p, row in enumerate(a.nz) for q, pairs in enumerate(row) for b, y in pairs]
     terms = [((x, p, q), col[x][b], v if x < b else -v)
-             for p, q, b, v in scaled for x in range(n) if x != b]
+             for p, row in enumerate(a.int_nz[1]) for q, pairs in enumerate(row)
+             for b, v in pairs for x in range(n) if x != b]
     distinct = {}
     for row in _scatter("right-symplectic" if side == "right" else "left-symplectic",
                         terms).values():
@@ -362,9 +377,8 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
         raise ValueError("coordinate space does not match the stated dimension")
     if dim % 2:
         return None
-    nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in space.basis.entries]
-    den = lcm(*(x.denominator for row in nonzero for _, x in row))
-    basis = [[(k, x.numerator * (den // x.denominator)) for k, x in row] for row in nonzero]
+    den, scaled = _int_scale(space.basis.entries)
+    basis = [[(k, x) for k, x in enumerate(row) if x] for row in scaled]
     cells = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
     def gram(coords):  # the int Gram matrix of sparse coordinates (k, x)
@@ -396,20 +410,31 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
 
 def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     """Solve W^T (e_i ⋆ e_j) = rhs for every basis pair with (W^T)^-1 = (W^-1)^T,
-    where rhs[k] = -omega(e_j, e_p*e_q) and (p, q) = pair(i, k)."""
+    where rhs[k] = -omega(e_j, e_p*e_q) and (p, q) = pair(i, k).
+
+    Both factors are ints: the rhs are read off the int Gram table and
+    (W^-1)^T is scaled once by the lcm of its denominators, so each nonzero
+    output entry is one Fraction of an int sum over the product of the scales.
+    """
     if not form.nondegenerate:
         raise ValueError("star product requires a nondegenerate form")
     n = a.dim
-    g = _gram_table(form, a)
-    wt_inv = form.w_inv.transpose().entries
+    scale, g = _gram_table(form, a)
+    dinv, w_inv = _int_scale(form.w_inv.entries)
+    den = scale * dinv
+    # column k of (W^-1)^T is row k of W^-1
+    cols = [[(x, v) for x, v in enumerate(row) if v] for row in w_inv]
     c = []
     for i in range(n):
         rows = [g[p][q] for p, q in (pair(i, k) for k in range(n))]
         row = []
         for j in range(n):
-            rhs = [(k, -r[j]) for k, r in enumerate(rows) if r[j]]
-            row.append(tuple(sum((m[k] * y for k, y in rhs if m[k]), ZERO)
-                             for m in wt_inv))
+            out = [0] * n
+            for k, r in enumerate(rows):
+                if r and r[j]:
+                    for x, v in cols[k]:
+                        out[x] -= v * r[j]
+            row.append(tuple(Fraction(t, den) if t else ZERO for t in out))
         c.append(tuple(row))
     return Algebra(n, tuple(c), a.labels)
 

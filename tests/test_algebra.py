@@ -1,5 +1,6 @@
 """Structure-constant algebras and the Leibniz-type identity checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympleib import algebra
 from sympleib.algebra import (
     Algebra,
     IdentityReport,
@@ -347,16 +349,19 @@ def _assert_reports_equal_the_oracle(a):
 
 
 _CONSTANT = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# halves and thirds together, so that the int scale of a table is 6, not 2
+_MIXED = st.sampled_from([Fraction(x) for x in ("-2", "-1", "-1/2", "-1/3", "0", "1/3", "1/2",
+                                               "1", "2")])
 
 
 @st.composite
-def sparse_algebras(draw, max_dim=6):
+def sparse_algebras(draw, max_dim=6, constant=_CONSTANT):
     """Dimension 1..max_dim, from a single nonzero constant up to a dense table."""
     n = draw(st.integers(1, max_dim))
     index = st.integers(0, n - 1)
     count = draw(st.sampled_from([1, 2, n, n * n, n ** 3]))
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k, x in draw(st.lists(st.tuples(index, index, index, _CONSTANT),
+    for i, j, k, x in draw(st.lists(st.tuples(index, index, index, constant),
                                     max_size=count)):
         c[i][j][k] = x
     return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
@@ -395,6 +400,30 @@ def test_catalog_identity_reports_equal_the_dense_scans(a):
 def test_identity_reports_equal_the_dense_scans(a):
     _assert_reports_equal_the_oracle(a)
     _assert_reports_equal_the_oracle(opposite(a))
+
+
+@_PROPERTY
+@given(sparse_algebras(constant=_MIXED))
+def test_identity_reports_equal_the_dense_scans_with_halves_and_thirds(a):
+    _assert_reports_equal_the_oracle(a)
+    _assert_reports_equal_the_oracle(opposite(a))
+
+
+@_PROPERTY
+@given(sparse_algebras(max_dim=5, constant=_MIXED))
+def test_the_scan_skips_only_triples_where_every_term_is_zero(a):
+    """_touched yields each triple once, in order, and every triple it leaves
+    out has every term of the table zero, evaluated densely."""
+    def term(side, u, v, w):
+        return (_dense_mul_basis_vec(a, u, a.c[v][w]) if side == "L"
+                else _dense_mul_vec_basis(a, a.c[u][v], w))
+    for table in (algebra._LEFT_LEIBNIZ, algebra._RIGHT_LEIBNIZ, algebra._LEFT_SYMMETRIC,
+                  algebra._JACOBI):
+        touched = list(algebra._touched(a.int_nz[1], table))
+        assert touched == sorted(set(touched))
+        for ijk in set(itertools.product(range(a.dim), repeat=3)) - set(touched):
+            assert all(is_zero_vector(term(side, ijk[x], ijk[y], ijk[z]))
+                       for _, side, x, y, z in table)
 
 
 def test_the_differential_cases_reach_every_witness_kind():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -435,6 +436,22 @@ def test_catalog_verify_samples_pass(capsys):
     assert "BS4_G: 10/10 pass" in out
 
 
+def test_catalog_verify_refuses_a_hostile_sample_count_at_once(capsys, monkeypatch):
+    drawn = []
+
+    def sample_verify(fid, seed, count):
+        drawn.append(count)
+        return SimpleNamespace(outcomes=[], samples=count, seed=seed, ok=True)
+    monkeypatch.setattr(catalog, "sample_verify", sample_verify)
+    for count in ("10001", "1000000000"):
+        code, out, err = run(capsys, "catalog", "verify", "BS4_M", "--samples", count)
+        assert (code, out) == (2, "")
+        assert err == f"error: samples {count} exceeds the limit of 10000\n"
+    assert drawn == []
+    code, out, _ = run(capsys, "catalog", "verify", "BS4_M", "--samples", "10000")
+    assert (code, drawn) == (0, [10000])
+
+
 def test_catalog_unknown_id_exits_2_with_the_list(capsys):
     code, _, err = run(capsys, "catalog", "verify", "NOPE")
     assert code == 2
@@ -642,6 +659,63 @@ def test_omega_verify_output_is_pinned(capsys, tmp_path, name):
             assert err == ""
             got.append(f"{code} {hashlib.sha256(out.encode()).hexdigest()[:16]}")
     assert tuple(got) == VERIFY_GOLDEN[name]
+
+
+# ---------------------------------------------------------------------------
+# check and star: pinned output
+
+def _kernel_cases():
+    """A sheared block sum with its form, the same with one product entry
+    moved, and a sheared sum whose form blocks are scaled by 1/2 and 2/3."""
+    (b0, w_b0), (dim2, w_dim2), (bs4a, w_bs4a) = (
+        (a, form.w) for a, form in map(instantiate, ("RR3_SIXDIM_B0", "DIM2_NONLIE", "BS4_A")))
+    s8, w8 = _sheared_pair((b0, w_b0), (dim2, w_dim2))
+    s6, w6 = _sheared_pair((bs4a, w_bs4a.scale(HALF)), (dim2, w_dim2.scale(Fraction(2, 3))))
+    return {"B0+DIM2 sheared": (s8, SkewForm(Matrix.from_rows(w8))),
+            "B0+DIM2 sheared+moved": (_moved(s8), SkewForm(Matrix.from_rows(w8))),
+            "BS4_A+DIM2 sheared, scaled form": (s6, SkewForm(Matrix.from_rows(w6)))}
+
+
+def _pinned(capsys, path, *argv):
+    got = []
+    for prefix in ((), ("--json-out",)):
+        code, out, err = run(capsys, *prefix, *argv[:1], str(path), *argv[1:])
+        assert err == ""
+        got.append(f"{code} {hashlib.sha256(out.encode()).hexdigest()[:16]}")
+    return got
+
+
+# exit code and the first 16 hex digits of sha256(stdout) of `check FILE
+# --left --symmetric --lsym --lie`, then of the same with --json-out,
+# recorded before the identity scans skipped untouched triples
+CHECK_GOLDEN = {
+    "B0+DIM2 sheared": (
+        "1 82e2536ea5d84bb3", "1 ab64afecd4208f9f"),
+    "B0+DIM2 sheared+moved": (
+        "1 99d4f96aaf3bed30", "1 1f2bde7c4121b0c7"),
+    "BS4_A+DIM2 sheared, scaled form": (
+        "1 5e639f2306af41c4", "1 8b7d5aedf4a5c0e5"),
+}
+
+# the same for `star FILE --side S`, S = left, right, each without and with
+# --json-out, recorded before the star product was computed over ints
+STAR_GOLDEN = {
+    "B0+DIM2 sheared": (
+        "0 0b0dbb3f6005f396", "0 0b0dbb3f6005f396", "0 d26af93efd09e6d6", "0 d26af93efd09e6d6"),
+    "B0+DIM2 sheared+moved": (
+        "0 09c81679dc328cb0", "0 09c81679dc328cb0", "0 55e81910a839b5c6", "0 55e81910a839b5c6"),
+    "BS4_A+DIM2 sheared, scaled form": (
+        "0 aae258a8dd6b88a4", "0 aae258a8dd6b88a4", "0 aae258a8dd6b88a4", "0 aae258a8dd6b88a4"),
+}
+
+
+@pytest.mark.parametrize("name", list(_kernel_cases()))
+def test_check_and_star_output_is_pinned(capsys, tmp_path, name):
+    path = tmp_path / "a.json"
+    path.write_text(serialize_algebra(*_kernel_cases()[name]), encoding="utf-8")
+    check = _pinned(capsys, path, "check", "--left", "--symmetric", "--lsym", "--lie")
+    star = [h for side in ("left", "right") for h in _pinned(capsys, path, "star", "--side", side)]
+    assert (tuple(check), tuple(star)) == (CHECK_GOLDEN[name], STAR_GOLDEN[name])
 
 
 # ---------------------------------------------------------------------------

@@ -146,3 +146,45 @@ def test_extension_g_must_be_lie_with_a_closed_form():
     with pytest.raises(ValueError, match="not a Lie algebra") as err:
         parse_extension(dumps(doc))
     assert not isinstance(err.value, FileFormatError)
+
+
+def _entry_sites():
+    """(site, document with `bad` at one entry of that site, parser)."""
+    def product(bad):
+        return {"dim": 2, "products": [{"left": 1, "right": 2, "value": [0, bad]}]}
+
+    def form(bad):
+        return {"dim": 2, "form": [[1, 2, bad]]}
+
+    def extension(key, bad):
+        doc = extension_doc()
+        doc[key][0][-1][-1] = bad
+        return doc
+    yield "products[0].value[1]", product, algebra_from_dict
+    yield "form[0][2]", form, algebra_from_dict
+    yield "F[0][1][1]", lambda bad: extension("F", bad), lambda d: parse_extension(dumps(d))
+    yield "psi[0][0][1]", lambda bad: extension("psi", bad), lambda d: parse_extension(dumps(d))
+    yield "omega[0][0][0]", lambda bad: extension("omega", bad), lambda d: parse_extension(dumps(d))
+
+
+@pytest.mark.parametrize("site, make, parse", list(_entry_sites()), ids=lambda v: v
+                         if isinstance(v, str) else "")
+@pytest.mark.parametrize("bad, reason", [
+    ("1/0", "'1/0' is not an integer or a fraction p/q with a nonzero denominator"),
+    (0.5, "cannot interpret 0.5 as a rational (floats are not allowed)"),
+    (True, "cannot interpret a bool as a rational"),
+    (None, "cannot interpret None as a rational (floats are not allowed)"),
+])
+def test_a_rejected_entry_names_its_position(site, make, parse, bad, reason):
+    with pytest.raises(FileFormatError) as err:
+        parse(make(bad))
+    assert str(err.value) == f"{site}: {reason}"
+
+
+@pytest.mark.parametrize("value", [0, 1, -64, 64, -65, 65, 10 ** 30, "-7/3"])
+def test_entries_inside_and_outside_the_small_int_table_parse_exactly(value):
+    doc = {"dim": 2, "products": [{"left": 1, "right": 2, "value": [0, value]}],
+           "form": [[1, 2, value]]}
+    algebra, form = algebra_from_dict(doc)
+    assert algebra.c[0][1][1] == form.w.entries[0][1] == Fraction(value)
+    assert type(algebra.c[0][1][1]) is Fraction

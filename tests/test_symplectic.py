@@ -541,17 +541,21 @@ def test_bi_solve_on_every_one_entry_move(fid):
 
 
 _SMALL = st.sampled_from([Fraction(-1), Fraction(-1, 2), ZERO, Fraction(1, 2), Fraction(1)])
+# halves and thirds together, so that the int scales of W and of the constants differ
+_MIXED = st.sampled_from([Fraction(x) for x in ("-2", "-1", "-1/2", "-1/3", "0", "1/3", "1/2",
+                                                "1", "2")])
 
 
 @st.composite
-def _sparse_small_algebras(draw, max_dim=5):
-    """Dimension 2..max_dim, any product (not necessarily Leibniz), entries in
-    {-1, -1/2, 0, 1/2, 1}, from one nonzero constant up to a dense table."""
-    n = draw(st.integers(2, max_dim))
+def _sparse_small_algebras(draw, max_dim=5, entry=_SMALL, dims=None):
+    """Dimension 2..max_dim (or one drawn from dims), any product (not
+    necessarily Leibniz), entries in {-1, -1/2, 0, 1/2, 1} by default, from
+    one nonzero constant up to a dense table."""
+    n = draw(st.integers(2, max_dim) if dims is None else dims)
     index = st.integers(0, n - 1)
     c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     count = draw(st.sampled_from([1, 2, n, n * n, n ** 3]))
-    for i, j, k, x in draw(st.lists(st.tuples(index, index, index, _SMALL), max_size=count)):
+    for i, j, k, x in draw(st.lists(st.tuples(index, index, index, entry), max_size=count)):
         c[i][j][k] = x
     return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
 
@@ -564,11 +568,12 @@ def test_solve_equals_the_dense_kernel_on_random_sparse_algebras(a):
 
 
 @st.composite
-def _sparse_pairs(draw):
+def _sparse_pairs(draw, entry=_SMALL, dims=None):
     """A product from _sparse_small_algebras up to dimension 6 and a skew form:
-    half the time with random entries in {-1, -1/2, 0, 1/2, 1}, half the time
-    a random member of its left form space, so that compatible forms occur."""
-    a = draw(_sparse_small_algebras(6))
+    half the time with random entries in {-1, -1/2, 0, 1/2, 1} (or the given
+    entries), half the time a random member of its left form space, so that
+    compatible forms occur."""
+    a = draw(_sparse_small_algebras(6, entry, dims))
     n = a.dim
     space = solve_symplectic_forms(a, "left")
     if draw(st.booleans()) and space.dim:
@@ -576,7 +581,7 @@ def _sparse_pairs(draw):
         coords = [sum((c * row[k] for c, row in zip(coefs, space.basis.entries)), ZERO)
                   for k in range(space.ambient_dim)]
     else:
-        coords = draw(st.lists(_SMALL, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        coords = draw(st.lists(entry, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     return a, form_from_coords(n, coords)
 
 
@@ -588,6 +593,27 @@ def test_sides_agree_and_bi_equals_the_naive_scan_on_random_sparse_pairs(pair):
     # the check-side statement of the equal left, right and bi form spaces
     assert (is_symplectic_left(a, form).holds == is_symplectic_right(a, form).holds
             == is_bi_symplectic(a, form).holds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_pairs(_MIXED, st.sampled_from([2, 4, 6])))
+def test_checks_and_stars_equal_the_naive_ones_with_halves_and_thirds(pair):
+    """Entries with denominators 2 and 3, so W and the constants have
+    different int scales; witnesses and defects must agree exactly.  Even
+    dimensions only, so that most forms can be nondegenerate."""
+    a, form = pair
+    assert is_symplectic_left(a, form) == _naive_left(a, form)
+    assert is_symplectic_right(a, form) == _naive_right(a, form)
+    assert is_bi_symplectic(a, form) == _naive_bi(a, form)
+    if not form.nondegenerate:
+        for star in (star_left, star_right):
+            with pytest.raises(ValueError, match="nondegenerate"):
+                star(a, form)
+        return
+    left, right = star_left(a, form), star_right(a, form)
+    assert left.c == _naive_star(a, form, lambda i, k: a.c[i][k])
+    assert right.c == _naive_star(a, form, lambda i, k: a.c[k][i])
+    assert all(type(x) is Fraction for b in (left, right) for row in b.c for v in row for x in v)
 
 
 def _block_form(*forms):
