@@ -37,11 +37,9 @@ except ValueError as exc:
 
 # Randomized verification over a family's parameter space.
 print()
-run = sample_verify("BS4_M", seed=2, count=8)
-passes = 0
-for outcome in run.outcomes:
-    ok = all(check.ok for check in outcome.checks)
-    passes += ok
-    shown = " ".join(f"{k}={v}" for k, v in outcome.params)
-    print(f"  sample {outcome.index} [{'ok' if ok else 'FAIL':>4}] {shown}")
-print(f"{run.family_id}: {passes}/{run.samples} pass")
+samples = sample_verify("BS4_M", seed=2, count=8)
+for index, (params, sample_report) in enumerate(samples):
+    shown = " ".join(f"{k}={v}" for k, v in params)
+    print(f"  sample {index} [{'ok' if sample_report.ok else 'FAIL':>4}] {shown}")
+passes = sum(sample_report.ok for _, sample_report in samples)
+print(f"BS4_M: {passes}/{len(samples)} pass")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from sympleib.exactlin import (
     HALF,
@@ -36,6 +36,7 @@ from sympleib.exactlin import (
     vscale,
     vsub,
 )
+from sympleib.reporting import Check, Witness
 
 
 @dataclass(frozen=True)
@@ -101,38 +102,6 @@ class Algebra:
         s = lcm(*(x.denominator for row in self.nz for pairs in row for _, x in pairs))
         return s, tuple(tuple(tuple((k, x.numerator * (s // x.denominator)) for k, x in pairs)
                               for pairs in row) for row in self.nz)
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Where an identity fails: which check, at which basis indices, by how much."""
-
-    kind: str
-    indices: tuple[int, ...]
-    defect: tuple[Fraction, ...]
-
-    def describe(self) -> str:
-        """One line with 1-based indices, e.g. ``jacobi fails at (1, 2, 3) with defect (1, 0)``.
-
-        A witness without indices is a degenerate form, and its vector is a
-        radical vector: ``degenerate-form: radical vector (1, 0)``.
-        """
-        vector = ", ".join(str(x) for x in self.defect)
-        if not self.indices:
-            return f"{self.kind}: radical vector ({vector})"
-        spot = ", ".join(str(i + 1) for i in self.indices)
-        return f"{self.kind} fails at ({spot}) with defect ({vector})"
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    holds: bool
-    witness: Optional[Witness] = None
-
-    def __post_init__(self):
-        if self.holds != (self.witness is None):
-            raise ValueError("holds must mean exactly that no witness exists")
 
 
 def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -222,7 +191,7 @@ def _touched(nz, terms):
         yield from sorted(found)
 
 
-def _scan_identity(a: Algebra, name: str, kind: str, terms) -> IdentityReport:
+def _scan_identity(a: Algebra, name: str, kind: str, terms) -> Check:
     """Sum the term table at the basis triples in lexicographic order.
 
     Only the triples where some term's inner product is nonzero and meets
@@ -250,43 +219,41 @@ def _scan_identity(a: Algebra, name: str, kind: str, terms) -> IdentityReport:
                         acc[k] = acc.get(k, 0) + sign * p * q
         if any(acc.values()):
             defect = tuple(Fraction(acc.get(k, 0), s * s) for k in range(a.dim))
-            return IdentityReport(name, False, Witness(kind, ijk, defect))
-    return IdentityReport(name, True)
+            return Check(name, False, witness=Witness(kind, ijk, defect))
+    return Check(name, True)
 
 
-def is_left_leibniz(a: Algebra) -> IdentityReport:
+def is_left_leibniz(a: Algebra) -> Check:
     """u*(v*w) = (u*v)*w + v*(u*w) on all basis triples."""
     return _scan_identity(a, "left-leibniz", "left-leibniz", _LEFT_LEIBNIZ)
 
 
-def is_right_leibniz(a: Algebra) -> IdentityReport:
+def is_right_leibniz(a: Algebra) -> Check:
     """(v*w)*u = (v*u)*w + v*(w*u) on all basis triples, u = e_i."""
     return _scan_identity(a, "right-leibniz", "right-leibniz", _RIGHT_LEIBNIZ)
 
 
-def is_symmetric_leibniz(a: Algebra) -> IdentityReport:
-    left = is_left_leibniz(a)
-    if not left.holds:
-        return IdentityReport("symmetric-leibniz", False, left.witness)
-    right = is_right_leibniz(a)
-    if not right.holds:
-        return IdentityReport("symmetric-leibniz", False, right.witness)
-    return IdentityReport("symmetric-leibniz", True)
+def is_symmetric_leibniz(a: Algebra) -> Check:
+    for side in (is_left_leibniz, is_right_leibniz):
+        rep = side(a)
+        if not rep.holds:
+            return Check("symmetric-leibniz", False, witness=rep.witness)
+    return Check("symmetric-leibniz", True)
 
 
-def is_left_symmetric(a: Algebra) -> IdentityReport:
+def is_left_symmetric(a: Algebra) -> Check:
     """ass(u,v,w) = ass(v,u,w) where ass(u,v,w) = (u*v)*w - u*(v*w)."""
     return _scan_identity(a, "left-symmetric", "left-symmetric", _LEFT_SYMMETRIC)
 
 
-def is_lie(a: Algebra) -> IdentityReport:
+def is_lie(a: Algebra) -> Check:
     for i in range(a.dim):
         for j in range(a.dim):
             if not (a.nz[i][j] or a.nz[j][i]):
                 continue
             d = vadd(a.c[i][j], a.c[j][i])
             if not is_zero_vector(d):
-                return IdentityReport("lie", False, Witness("antisymmetry", (i, j), d))
+                return Check("lie", False, witness=Witness("antisymmetry", (i, j), d))
     return _scan_identity(a, "lie", "jacobi", _JACOBI)
 
 

@@ -77,32 +77,6 @@ class FamilySpec:
         return _generic_sample(self, rng)
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
-    index: int
-    params: tuple[tuple[str, Rational], ...]
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-@dataclass(frozen=True)
-class VerificationRun:
-    family_id: str
-    seed: int
-    samples: int
-    outcomes: tuple[SampleOutcome, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(o.ok for o in self.outcomes)
-
-    def failures(self) -> list[SampleOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-
 def _generic_sample(spec: FamilySpec, rng: random.Random,
                     attempts: int = 400) -> Params:
     for _ in range(attempts):
@@ -632,6 +606,12 @@ def instantiate(family_id: str, params: Mapping[str, object] | None = None
     return spec.builder(resolve_params(family_id, params))
 
 
+def _non_lie(a: Algebra, w: SkewForm) -> Check:
+    holds = not is_lie(a).holds
+    return Check("non-lie", holds, "" if holds else "the product is a Lie bracket")
+
+
+# claim -> check(algebra, form); each check is named after its claim
 _PREDICATES = {
     "left-leibniz": lambda a, w: is_left_leibniz(a),
     "right-leibniz": lambda a, w: is_right_leibniz(a),
@@ -640,16 +620,8 @@ _PREDICATES = {
     "right-symplectic": is_symplectic_right,
     "bi-symplectic": is_bi_symplectic,
     "lie": lambda a, w: is_lie(a),
+    "non-lie": _non_lie,
 }
-
-
-def _claim_check(claim: str, algebra: Algebra, form: SkewForm) -> Check:
-    if claim == "non-lie":
-        rep = is_lie(algebra)
-        return Check("non-lie", not rep.holds,
-                     "" if not rep.holds else "the product is a Lie bracket")
-    rep = _PREDICATES[claim](algebra, form)
-    return Check(claim, rep.holds, "" if rep.holds else rep.witness.describe())
 
 
 def verify(family_id: str, params: Mapping[str, object] | None = None
@@ -660,21 +632,18 @@ def verify(family_id: str, params: Mapping[str, object] | None = None
     if spec.extra_checks is not None:
         checks.extend(spec.extra_checks(resolved))
     algebra, form = spec.builder(resolved)
-    checks.extend(_claim_check(c, algebra, form) for c in spec.claims)
+    checks.extend(_PREDICATES[c](algebra, form) for c in spec.claims)
     return SystemReport(family_id, tuple(checks))
 
 
 def sample_verify(family_id: str, seed: int = 0, count: int = 20
-                  ) -> VerificationRun:
+                  ) -> list[tuple[tuple[tuple[str, Rational], ...], SystemReport]]:
+    """count samples drawn with random.Random(seed): each is its parameters,
+    sorted by name, and their verify report."""
     spec = get(family_id)
     rng = random.Random(seed)
-    outcomes = []
-    for index in range(count):
-        params = spec.sample(rng)
-        report = verify(family_id, params)
-        outcomes.append(SampleOutcome(index, tuple(sorted(params.items())),
-                                      report.checks))
-    return VerificationRun(family_id, seed, count, tuple(outcomes))
+    return [(tuple(sorted(params.items())), verify(family_id, params))
+            for params in (spec.sample(rng) for _ in range(count))]
 
 
 def extension_data(family_id: str, params: Mapping[str, object] | None = None

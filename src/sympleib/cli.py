@@ -22,9 +22,8 @@ from fractions import Fraction
 from typing import Any
 
 from . import catalog
-from .algebra import (Algebra, IdentityReport, is_left_leibniz,
-                      is_left_symmetric, is_lie, is_right_leibniz,
-                      is_symmetric_leibniz)
+from .algebra import (Algebra, is_left_leibniz, is_left_symmetric, is_lie,
+                      is_right_leibniz, is_symmetric_leibniz)
 from .core import core
 from .extension import (build_double_extension, build_left_symmetric,
                         check_full_system, check_reduced_system)
@@ -63,7 +62,7 @@ def _entries_text(entries) -> str:
 
 
 def _check_dict(c: Check) -> dict[str, Any]:
-    d: dict[str, Any] = {"name": c.name, "ok": c.ok}
+    d: dict[str, Any] = {"name": c.name, "ok": c.holds}
     if c.detail:
         d["detail"] = c.detail
     return d
@@ -72,10 +71,6 @@ def _check_dict(c: Check) -> dict[str, Any]:
 def _report_dict(rep: SystemReport) -> dict[str, Any]:
     return {"title": rep.title, "ok": rep.ok,
             "checks": [_check_dict(c) for c in rep.checks]}
-
-
-def _identity_check(rep: IdentityReport) -> Check:
-    return Check(rep.name, rep.holds, "" if rep.holds else rep.witness.describe())
 
 
 def _finish(args, code: int, lines: list[str], doc: dict[str, Any]) -> int:
@@ -105,10 +100,10 @@ def cmd_check(args) -> int:
     requested = [fn for name, fn in _CHECKS if getattr(args, name)]
     if not requested:
         requested = [is_left_leibniz]
-    checks = [_identity_check(fn(algebra)) for fn in requested]
+    checks = [fn(algebra) for fn in requested]
     lines = [c.line() for c in checks]
     doc = {"command": "check", "checks": [_check_dict(c) for c in checks]}
-    return _finish(args, 0 if all(c.ok for c in checks) else 1, lines, doc)
+    return _finish(args, 0 if all(c.holds for c in checks) else 1, lines, doc)
 
 
 def cmd_omega(args) -> int:
@@ -133,11 +128,11 @@ def cmd_omega(args) -> int:
 
     if form is None:
         raise UsageError("omega verify needs a form in the file")
-    check = _identity_check({"left": is_symplectic_left, "right": is_symplectic_right,
-                             "bi": is_bi_symplectic}[args.side](algebra, form))
+    check = {"left": is_symplectic_left, "right": is_symplectic_right,
+             "bi": is_bi_symplectic}[args.side](algebra, form)
     doc = {"command": "omega", "mode": "verify", "side": args.side,
            "checks": [_check_dict(check)]}
-    return _finish(args, 0 if check.ok else 1, [check.line()], doc)
+    return _finish(args, 0 if check.holds else 1, [check.line()], doc)
 
 
 def cmd_star(args) -> int:
@@ -272,26 +267,22 @@ def cmd_catalog_verify(args) -> int:
         raise UsageError("samples must be non-negative")
     if args.samples > MAX_SAMPLES:
         raise UsageError(f"samples {args.samples} exceeds the limit of {MAX_SAMPLES}")
-    run = catalog.sample_verify(args.id, seed=args.seed, count=args.samples)
+    samples = catalog.sample_verify(args.id, seed=args.seed, count=args.samples)
     lines = []
     outcomes = []
-    passes = 0
-    for o in run.outcomes:
-        params = {k: rational_to_json(v) for k, v in o.params}
-        ptext = " ".join(f"{k}={v}" for k, v in params.items())
-        mark = "ok" if o.ok else "FAIL"
-        passes += o.ok
-        lines.append(f"sample {o.index:>3} [{mark:>4}] {ptext}")
-        for c in o.checks:
-            if not c.ok:
-                lines.append("  " + c.line())
-        outcomes.append({"index": o.index, "ok": o.ok, "params": params,
-                         "checks": [_check_dict(c) for c in o.checks]})
-    lines.append(f"{args.id}: {passes}/{run.samples} pass")
+    for index, (params, report) in enumerate(samples):
+        shown = {k: rational_to_json(v) for k, v in params}
+        ptext = " ".join(f"{k}={v}" for k, v in shown.items())
+        lines.append(f"sample {index:>3} [{'ok' if report.ok else 'FAIL':>4}] {ptext}")
+        lines += ["  " + c.line() for c in report.failed()]
+        outcomes.append({"index": index, "ok": report.ok, "params": shown,
+                         "checks": [_check_dict(c) for c in report.checks]})
+    passes = sum(o["ok"] for o in outcomes)
+    lines.append(f"{args.id}: {passes}/{args.samples} pass")
     doc = {"command": "catalog", "mode": "verify", "family": args.id,
-           "seed": run.seed, "samples": run.samples, "passes": passes,
+           "seed": args.seed, "samples": args.samples, "passes": passes,
            "outcomes": outcomes}
-    return _finish(args, 0 if run.ok else 1, lines, doc)
+    return _finish(args, 0 if passes == len(outcomes) else 1, lines, doc)
 
 
 # ---------------------------------------------------------------------------

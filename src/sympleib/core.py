@@ -9,7 +9,7 @@ dim I and measures how far the input is from that symplectic Lie algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from sympleib.algebra import (
@@ -71,7 +71,7 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     rep = is_symplectic_left(a, form)
     if not rep.holds:
         note = " (basis indices count from 1)" if rep.witness.indices else ""
-        raise ValueError(f"input is not left symplectic: {rep.witness.describe()}{note}")
+        raise ValueError(f"input is not left symplectic: {rep.detail}{note}")
     n = a.dim
     leib = leibniz_ideal(a)
     ideal = intersect(leib, orthogonal(form, leib))
@@ -119,7 +119,7 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
 
     lie_rep = is_lie(reduced_algebra)
     if not lie_rep.holds:
-        raise CoreError(f"reduced algebra is not Lie: {lie_rep.witness.describe()}")
+        raise CoreError(f"reduced algebra is not Lie: {lie_rep.detail}")
 
     h_dim = n - ideal_perp.dim
     if h_dim != ideal.dim:
@@ -189,10 +189,9 @@ def verify_core_properties(a: Algebra, form: SkewForm,
                 ok = False
     checks.append(Check("star-products-with-I-vanish", ok))
 
-    lie_rep = is_lie(dec.reduced.algebra)
-    checks.append(Check("reduced-algebra-is-lie", lie_rep.holds))
-    sym_rep = is_symplectic_left(dec.reduced.algebra, dec.reduced.form)
-    checks.append(Check("reduced-form-is-symplectic", sym_rep.holds))
+    checks.append(replace(is_lie(dec.reduced.algebra), name="reduced-algebra-is-lie"))
+    checks.append(replace(is_symplectic_left(dec.reduced.algebra, dec.reduced.form),
+                          name="reduced-form-is-symplectic"))
 
     # the star product must die in the quotient by I-perp; inclusion already
     # says so, recheck through the quotient coordinates

@@ -41,8 +41,6 @@ from typing import Sequence
 
 from sympleib.algebra import (
     Algebra,
-    IdentityReport,
-    Witness,
     center,
     derivations,
     is_left_leibniz,
@@ -72,7 +70,7 @@ from sympleib.exactlin import (
     vsub,
     vzero,
 )
-from sympleib.reporting import Check, SystemReport
+from sympleib.reporting import Check, SystemReport, Witness
 from sympleib.symplectic import (
     SkewForm,
     is_bi_symplectic,
@@ -103,22 +101,20 @@ class SymplecticLie:
     def __init__(self, g: Algebra, form: SkewForm):
         rep = is_lie(g)
         if not rep.holds:
-            raise ValueError(f"not a Lie algebra: {rep.witness.describe()}")
+            raise ValueError(f"not a Lie algebra: {rep.detail}")
         srep = is_symplectic_left(g, form)
         if not srep.holds:
-            raise ValueError(f"form is not symplectic for the bracket: {srep.witness.describe()}")
+            raise ValueError(f"form is not symplectic for the bracket: {srep.detail}")
         star = star_left(g, form)
         lsym = is_left_symmetric(star)
         if not lsym.holds:
-            raise ValueError("internal error: star product is not left symmetric: "
-                             f"{lsym.witness.describe()}")
+            raise ValueError(f"internal error: star product is not left symmetric: {lsym.detail}")
         n = g.dim
         commutator = Algebra(n, tuple(tuple(vsub(star.c[i][j], star.c[j][i]) for j in range(n))
                                       for i in range(n)))
         comm = _same_product("star-commutator", commutator, g)
         if not comm.holds:
-            raise ValueError("internal error: star commutator differs from bracket: "
-                             f"{comm.witness.describe()}")
+            raise ValueError(f"internal error: star commutator differs from bracket: {comm.detail}")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "star", star)
@@ -471,7 +467,7 @@ def _verify(*checks) -> None:
     for what, run in checks:
         rep = run()
         if not rep.holds:
-            raise AssertionError(f"{what}: {rep.witness.describe()}")
+            raise AssertionError(f"{what}: {rep.detail}")
 
 
 def _left_symplectic_checks(algebra: Algebra, form: SkewForm) -> tuple:
@@ -479,13 +475,13 @@ def _left_symplectic_checks(algebra: Algebra, form: SkewForm) -> tuple:
             ("assembled form is not compatible", lambda: is_symplectic_left(algebra, form)))
 
 
-def _same_product(kind: str, a: Algebra, b: Algebra) -> IdentityReport:
+def _same_product(kind: str, a: Algebra, b: Algebra) -> Check:
     """Whether two products on one basis agree; the witness is the first pair
     (i, j) where they differ, with defect a(e_i, e_j) - b(e_i, e_j)."""
     for i, j in product(range(a.dim), repeat=2):
         if a.c[i][j] != b.c[i][j]:
-            return IdentityReport(kind, False, Witness(kind, (i, j), vsub(a.c[i][j], b.c[i][j])))
-    return IdentityReport(kind, True)
+            return Check(kind, False, witness=Witness(kind, (i, j), vsub(a.c[i][j], b.c[i][j])))
+    return Check(kind, True)
 
 
 def _pairings(form: SkewForm, vectors, u) -> list:
@@ -593,7 +589,7 @@ def build_lagrangian(p: int, omega_cube) -> LagrangianExtension:
     """
     Om = _vector_grid(p, p, omega_cube)
     cube = _omega_cube(p, Om)
-    if not cube.ok:
+    if not cube.holds:
         raise ValueError(f"cube condition {cube.detail}")
     layout = _layout(p, 0, ())
     algebra = _fill(layout, lambda x, y: ((), Om[x][y]))
@@ -656,7 +652,7 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
     if any(not right_mult(gs.star, ps[x][y]).is_zero()
            for x in range(p) for y in range(p)):
         failures.append("Rstar-psi-zero")
-    if not _omega_cube(p, Om).ok:
+    if not _omega_cube(p, Om).holds:
         failures.append("omega-cube")
     if failures:
         raise ValueError("preconditions violated: " + ", ".join(failures))

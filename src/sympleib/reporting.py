@@ -1,19 +1,62 @@
-"""Named multi-check reports shared by the core and extension machinery."""
+"""The one report type: every check the library runs returns a ``Check``.
+
+A ``Check`` names what was checked and whether it holds.  A failed identity
+carries a ``Witness`` (the basis indices and the exact defect), which fills
+in its detail; other failures give their detail as text.  A
+``SystemReport`` is a titled list of checks: a criterion system, the core
+properties, or one catalog sample.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 
 @dataclass(frozen=True)
+class Witness:
+    """Where an identity fails: which check, at which basis indices, by how much."""
+
+    kind: str
+    indices: tuple[int, ...]
+    defect: tuple[Fraction, ...]
+
+    def describe(self) -> str:
+        """One line with 1-based indices, e.g. ``jacobi fails at (1, 2, 3) with defect (1, 0)``.
+
+        A witness without indices is a degenerate form, and its vector is a
+        radical vector: ``degenerate-form: radical vector (1, 0)``.
+        """
+        vector = ", ".join(str(x) for x in self.defect)
+        if not self.indices:
+            return f"{self.kind}: radical vector ({vector})"
+        spot = ", ".join(str(i + 1) for i in self.indices)
+        return f"{self.kind} fails at ({spot}) with defect ({vector})"
+
+
+@dataclass(frozen=True, init=False)
 class Check:
+    """One named check; a witness, only on a failure, gives the detail."""
+
     name: str
-    ok: bool
+    holds: bool
     detail: str = ""
+    witness: Optional[Witness] = None
+
+    def __init__(self, name: str, holds: bool, detail: str = "",
+                 witness: Optional[Witness] = None):
+        if witness is not None:
+            if holds:
+                raise ValueError("a check that holds has no witness")
+            detail = detail or witness.describe()
+        # one dict update, not a frozen setattr per field: the criteria make
+        # dozens of checks per request
+        self.__dict__.update(name=name, holds=holds, detail=detail, witness=witness)
 
     def line(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        suffix = f"  ({self.detail})" if self.detail and not self.ok else ""
+        mark = "ok" if self.holds else "FAIL"
+        suffix = f"  ({self.detail})" if self.detail and not self.holds else ""
         return f"[{mark:>4}] {self.name}{suffix}"
 
 
@@ -24,10 +67,10 @@ class SystemReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all(c.holds for c in self.checks)
 
     def failed(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.ok)
+        return tuple(c for c in self.checks if not c.holds)
 
     def lines(self) -> list[str]:
         return [self.title] + [c.line() for c in self.checks]

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from sympleib.algebra import Algebra, IdentityReport, Witness, split
+from sympleib.algebra import Algebra, split
 from sympleib.exactlin import (
     ZERO,
     Matrix,
@@ -40,6 +40,7 @@ from sympleib.exactlin import (
     rat,
     span,
 )
+from sympleib.reporting import Check, Witness
 
 
 @dataclass(frozen=True)
@@ -146,19 +147,18 @@ def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
     return form.w_inv @ m.transpose() @ form.w
 
 
-def _degenerate_report(name: str, form: SkewForm) -> IdentityReport:
-    return IdentityReport(name, False,
-                          Witness("degenerate-form", (), form.radical_vector()))
+def _degenerate_report(name: str, form: SkewForm) -> Check:
+    return Check(name, False, witness=Witness("degenerate-form", (), form.radical_vector()))
 
 
-def _scalar_triple_report(name: str, kind: str, n: int, defect) -> IdentityReport:
+def _scalar_triple_report(name: str, kind: str, n: int, defect) -> Check:
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 d = defect(i, j, k)
                 if d != 0:
-                    return IdentityReport(name, False, Witness(kind, (i, j, k), (d,)))
-    return IdentityReport(name, True)
+                    return Check(name, False, witness=Witness(kind, (i, j, k), (d,)))
+    return Check(name, True)
 
 
 # Each identity at u, v, w = e_i, e_j, e_k, keyed by its witness kind and
@@ -199,7 +199,7 @@ def _scatter(kind: str, terms) -> dict:
     return rows
 
 
-def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> IdentityReport:
+def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> Check:
     """The first failing triple of the full scan of each kind in turn."""
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
@@ -213,16 +213,16 @@ def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> IdentityRepo
         ijk = min((t for t, row in rows.items() if row[0]), default=None)
         if ijk is not None:
             defect = Fraction(rows[ijk][0], 2 * scale)
-            return IdentityReport(name, False, Witness(kind, ijk, (defect,)))
-    return IdentityReport(name, True)
+            return Check(name, False, witness=Witness(kind, ijk, (defect,)))
+    return Check(name, True)
 
 
-def is_symplectic_left(a: Algebra, form: SkewForm) -> IdentityReport:
+def is_symplectic_left(a: Algebra, form: SkewForm) -> Check:
     """omega(u, v*w) - omega(v, u*w) = (1/2) omega(u*v, w) - (1/2) omega(v*u, w)."""
     return _compat_report(a, form, "left-symplectic", ("left-symplectic",))
 
 
-def is_symplectic_right(a: Algebra, form: SkewForm) -> IdentityReport:
+def is_symplectic_right(a: Algebra, form: SkewForm) -> Check:
     """omega(u, w*v) - omega(v, w*u) = (1/2) omega(v*u, w) - (1/2) omega(u*v, w)."""
     return _compat_report(a, form, "right-symplectic", ("right-symplectic",))
 
@@ -235,7 +235,7 @@ def _d_omega(form: SkewForm, bracket: Algebra, i: int, j: int, k: int,
             + omega(form, e[k], bracket.c[i][j]))
 
 
-def is_symplectic_left_split(a: Algebra, form: SkewForm) -> IdentityReport:
+def is_symplectic_left_split(a: Algebra, form: SkewForm) -> Check:
     """Equivalent reformulation through the commutator/anticommutator split.
 
     d omega(u, v, w) = omega(v, u <> w) - omega(u, v <> w), where the bracket
@@ -258,7 +258,7 @@ def is_symplectic_left_split(a: Algebra, form: SkewForm) -> IdentityReport:
                                  a.dim, defect)
 
 
-def is_symplectic_right_split(a: Algebra, form: SkewForm) -> IdentityReport:
+def is_symplectic_right_split(a: Algebra, form: SkewForm) -> Check:
     """d omega(u, v, w) = omega(u, v <> w) - omega(v, u <> w), mirror of the left case.
 
     A test oracle for is_symplectic_right, evaluated with omega like the left one.
@@ -278,7 +278,7 @@ def is_symplectic_right_split(a: Algebra, form: SkewForm) -> IdentityReport:
                                  a.dim, defect)
 
 
-def is_bi_symplectic(a: Algebra, form: SkewForm) -> IdentityReport:
+def is_bi_symplectic(a: Algebra, form: SkewForm) -> Check:
     """The form is closed for the commutator bracket ("d-omega"), and the
     anticommutator satisfies omega(u <> w, v) = omega(v <> w, u)
     ("diamond-symmetry"); checked in that order on the product's Gram table."""
@@ -417,7 +417,8 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     output entry is one Fraction of an int sum over the product of the scales.
     """
     if not form.nondegenerate:
-        raise ValueError("star product requires a nondegenerate form")
+        raise ValueError("star product requires a nondegenerate form: "
+                         + _degenerate_report("star", form).detail)
     n = a.dim
     scale, g = _gram_table(form, a)
     dinv, w_inv = _int_scale(form.w_inv.entries)
@@ -492,4 +493,4 @@ class SymplecticAlgebra:
             raise ValueError("side must be 'left', 'right', or 'bi'")
         rep = checks[self.side](self.algebra, self.form)
         if not rep.holds:
-            raise ValueError(f"form is not {rep.name} compatible: {rep.witness.describe()}")
+            raise ValueError(f"form is not {rep.name} compatible: {rep.detail}")

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from sympleib import algebra
 from sympleib.algebra import (
     Algebra,
-    IdentityReport,
-    Witness,
     center,
     change_basis,
     derivations,
@@ -33,6 +31,7 @@ from sympleib.algebra import (
 from sympleib.catalog import instantiate, list_families
 from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kernel, span, vadd,
                                vector, vsub, vzero, zero_subspace)
+from sympleib.reporting import Check, Witness
 
 
 def _dim2(x=3):
@@ -285,8 +284,8 @@ def _dense_scan(name, kind, a, defect):
             for k in range(a.dim):
                 d = defect(i, j, k)
                 if not is_zero_vector(d):
-                    return IdentityReport(name, False, Witness(kind, (i, j, k), tuple(d)))
-    return IdentityReport(name, True)
+                    return Check(name, False, witness=Witness(kind, (i, j, k), tuple(d)))
+    return Check(name, True)
 
 
 def _dense_left_leibniz(a):
@@ -307,8 +306,8 @@ def _dense_symmetric_leibniz(a):
     """The former symmetric Leibniz check over the dense scans (test oracle)."""
     for rep in (_dense_left_leibniz(a), _dense_right_leibniz(a)):
         if not rep.holds:
-            return IdentityReport("symmetric-leibniz", False, rep.witness)
-    return IdentityReport("symmetric-leibniz", True)
+            return Check("symmetric-leibniz", False, witness=rep.witness)
+    return Check("symmetric-leibniz", True)
 
 
 def _dense_left_symmetric(a):
@@ -325,7 +324,7 @@ def _dense_lie(a):
         for j in range(a.dim):
             d = vadd(a.c[i][j], a.c[j][i])
             if not is_zero_vector(d):
-                return IdentityReport("lie", False, Witness("antisymmetry", (i, j), d))
+                return Check("lie", False, witness=Witness("antisymmetry", (i, j), d))
     return _dense_scan("lie", "jacobi", a, lambda i, j, k: vadd(
         vadd(_dense_mul_vec_basis(a, a.c[i][j], k), _dense_mul_vec_basis(a, a.c[j][k], i)),
         _dense_mul_vec_basis(a, a.c[k][i], j)))

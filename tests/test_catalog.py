@@ -95,28 +95,28 @@ def test_verify_reports_one_check_per_claim():
 def test_sample_verify_reproducible_and_green():
     run1 = sample_verify("BS4_A", seed=7, count=20)
     run2 = sample_verify("BS4_A", seed=7, count=20)
-    assert run1.ok and len(run1.outcomes) == 20
-    assert [o.params for o in run1.outcomes] == [o.params for o in run2.outcomes]
+    assert all(report.ok for _, report in run1) and len(run1) == 20
+    assert [params for params, _ in run1] == [params for params, _ in run2]
+    assert all([k for k, _ in params] == ["t", "x", "y", "z"] for params, _ in run1)
 
     raw = sample_verify("RR3_SIXDIM_RAW", seed=1, count=20)
-    assert raw.ok
-    for outcome in raw.outcomes:
-        p = dict(outcome.params)
+    assert all(report.ok for _, report in raw)
+    for params, _ in raw:
+        p = dict(params)
         assert p["z"] * p["x"] == 0 and p["z"] * p["s"] == 0
 
-    empty = sample_verify("BS4_B", seed=0, count=0)
-    assert empty.ok and empty.outcomes == ()
+    assert sample_verify("BS4_B", seed=0, count=0) == []
 
 
 def test_all_families_pass_sampled_verification():
     for fid in list_families():
-        run = sample_verify(fid, seed=11, count=6)
-        assert run.ok, f"{fid}: {run.failures()[0]}"
+        for params, report in sample_verify(fid, seed=11, count=6):
+            assert report.ok, f"{fid} at {params}: {report.failed()}"
 
 
 def test_bs4_m_sampler_hits_both_form_signs():
     rng_run = sample_verify("BS4_M", seed=3, count=16)
-    signs = {dict(o.params)["s"] for o in rng_run.outcomes}
+    signs = {dict(params)["s"] for params, _ in rng_run}
     assert signs == {Fraction(1), Fraction(-1)}
 
 
@@ -145,7 +145,7 @@ def test_rank_one_data_passes_the_criterion():
 
 def test_extension_families_report_their_criterion_as_one_check():
     rr3, abel = get("RR3_SIXDIM_RAW"), get("ABEL2_CASE1")
-    assert [(c.ok, c.detail) for c in rr3.extra_checks(rr3.default_params())] == \
+    assert [(c.holds, c.detail) for c in rr3.extra_checks(rr3.default_params())] == \
         [(True, "")] * 3
     bad = {**rr3.default_params(), "z": Fraction(1)}  # z * x != 0
     assert rr3.extra_checks(bad) == [
@@ -161,7 +161,7 @@ def test_rank_one_family_runs_its_criterion_once_per_sample(monkeypatch):
     monkeypatch.setattr(extension, "check_reduced_system",
                         lambda *args: calls.append(args) or check_reduced_system(*args))
     rr3 = get("RR3_SIXDIM_RAW")
-    assert [c.ok for c in rr3.extra_checks(rr3.default_params())] == [True] * 3
+    assert [c.holds for c in rr3.extra_checks(rr3.default_params())] == [True] * 3
     assert len(calls) == 1
 
 

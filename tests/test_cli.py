@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, pipelines, reproducibility."""
 
 import collections
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -8,7 +9,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -340,6 +340,16 @@ def test_core_prints_the_witness_as_the_check_does(capsys, tmp_path):
     assert "Fraction(" not in err
 
 
+def test_star_on_a_degenerate_form_names_the_radical_vector(capsys, tmp_path):
+    path = tmp_path / "degenerate.json"
+    path.write_text('{"dim": 1, "form": []}', encoding="utf-8")
+    for side in ("left", "right"):
+        code, out, err = run(capsys, "star", str(path), "--side", side)
+        assert (code, out) == (1, "")
+        assert err == ("error: star product requires a nondegenerate form: "
+                       "degenerate-form: radical vector (1)\n")
+
+
 def extension_dir(tmp_path, text):
     (tmp_path / "rr3_base.json").write_text(RR3_BASE, encoding="utf-8")
     path = tmp_path / "ext.json"
@@ -441,7 +451,7 @@ def test_catalog_verify_refuses_a_hostile_sample_count_at_once(capsys, monkeypat
 
     def sample_verify(fid, seed, count):
         drawn.append(count)
-        return SimpleNamespace(outcomes=[], samples=count, seed=seed, ok=True)
+        return []
     monkeypatch.setattr(catalog, "sample_verify", sample_verify)
     for count in ("10001", "1000000000"):
         code, out, err = run(capsys, "catalog", "verify", "BS4_M", "--samples", count)
@@ -854,3 +864,122 @@ def test_extend_reports_a_broken_star_without_a_traceback(capsys, tmp_path, monk
     assert err.startswith("error: internal error: star commutator differs from bracket: "
                           "star-commutator fails at (1, 2)")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# catalog verify and core: pinned output
+
+def _digest(code, out):
+    return f"{code} {hashlib.sha256(out.encode()).hexdigest()[:16]}"
+
+
+def _catalog_verify_digests(capsys, fid):
+    got = []
+    for prefix in ((), ("--json-out",)):
+        code, out, err = run(capsys, *prefix, "catalog", "verify", fid,
+                             "--samples", "3", "--seed", "5")
+        assert err == ""
+        got.append(_digest(code, out))
+    return tuple(got)
+
+
+# exit code and the first 16 hex digits of sha256(stdout) of `catalog verify
+# FID --samples 3 --seed 5`, then of the same with --json-out, recorded
+# before a catalog sample became one SystemReport
+CATALOG_GOLDEN = {
+    "DIM2_NONLIE": ("0 94a34c2761d943f1", "0 9c11f3840d96a1fc"),
+    "R4_LEFT": ("0 73a43646209aafaa", "0 f1473a1536e90b0a"),
+    "BS4_A": ("0 57cfe766a7e91ece", "0 dc37d3766c9ebf2c"),
+    "BS4_B": ("0 45687c117130a1e1", "0 3e3c8c1d00d20342"),
+    "BS4_C": ("0 e5106d425ef07ad8", "0 010f7d99864900f5"),
+    "BS4_D": ("0 8a0b3e6126eaa05d", "0 cd1bd64bfce08ce2"),
+    "BS4_E": ("0 5bbe0395c6fea6b2", "0 6667d95c2412f799"),
+    "BS4_F": ("0 89da80186323bcbd", "0 f06ecf4f167789df"),
+    "BS4_G": ("0 17ddf7a9c08ac46a", "0 bb2d1ef421ee65ab"),
+    "BS4_H": ("0 317db063b4a0dc2e", "0 2f18bfdcb0460ec2"),
+    "BS4_I": ("0 c6802de6fcfadd2f", "0 33ea871e44dd5b7e"),
+    "BS4_J": ("0 ba621de92b7111eb", "0 639f30be32189013"),
+    "BS4_K": ("0 d8d1d34ca98c9532", "0 21fbb538bc0950a7"),
+    "BS4_L": ("0 c9d48e9a809f029d", "0 e997c113660b53c4"),
+    "BS4_M": ("0 e09ed9d122d718d7", "0 df1398d6c01208f5"),
+    "BS4_N": ("0 f127c5f88a7df58e", "0 dd24a7773bcdbaa0"),
+    "LIE_RR3M1": ("0 c33591dab1285e3d", "0 d70fb58ba53d94ae"),
+    "CORE2_NONABELIAN": ("0 ea1fec5eee4931bf", "0 c395a6f37fd72cc9"),
+    "ABEL2_CASE1": ("0 3a2ff9a3b7cc01fc", "0 c08c3ec3e162a36e"),
+    "ABEL2_CASE2": ("0 d51b6ffe68ed2032", "0 6b0de6d9acb0bd90"),
+    "RR3_SIXDIM_RAW": ("0 2000e3ca94530765", "0 8baf71b2772c9279"),
+    "RR3_SIXDIM_B0": ("0 61152762459b68ce", "0 dd54c88fdabf8cc9"),
+    "RR3_SIXDIM_BNE0": ("0 d6c6c801cab20df9", "0 862718f2bf94f33a"),
+}
+
+
+@pytest.mark.parametrize("fid", list_families())
+def test_catalog_verify_output_is_pinned(capsys, fid):
+    assert _catalog_verify_digests(capsys, fid) == CATALOG_GOLDEN[fid]
+
+
+def _moved_family(monkeypatch, fid):
+    """Rebuild fid with e_1 * e_n moved by one along e_2 (see _moved)."""
+    spec = catalog.get(fid)
+
+    def builder(params):
+        a, form = spec.builder(params)
+        return _moved(a), form
+    monkeypatch.setitem(catalog._BY_ID, fid, dataclasses.replace(spec, builder=builder))
+
+
+# the same on families whose builder moves one product entry, so that the
+# [FAIL] lines and their witness details are pinned
+MOVED_CATALOG_GOLDEN = {
+    "R4_LEFT": ("1 f5587b000df6754f", "1 20ed096cdd90e7fe"),
+    "BS4_G": ("1 3c6edef8853ad143", "1 b57a7cbfb8a4945f"),
+    "ABEL2_CASE1": ("1 e4a05ae61c8dec52", "1 5ae74267e84256f3"),
+    "LIE_RR3M1": ("1 3d18e50fc95aa115", "1 4475c539f363aa23"),
+}
+
+
+@pytest.mark.parametrize("fid", list(MOVED_CATALOG_GOLDEN))
+def test_catalog_verify_failures_are_pinned(capsys, monkeypatch, fid):
+    _moved_family(monkeypatch, fid)
+    code, out, _ = run(capsys, "catalog", "verify", fid, "--samples", "3", "--seed", "5")
+    assert code == 1 and "  [FAIL] " in out and "fails at (" in out
+    assert _catalog_verify_digests(capsys, fid) == MOVED_CATALOG_GOLDEN[fid]
+
+
+def test_catalog_verify_pins_a_failed_non_lie_claim(capsys, monkeypatch):
+    spec = catalog.get("DIM2_NONLIE")
+    monkeypatch.setitem(catalog._BY_ID, "DIM2_NONLIE", dataclasses.replace(
+        spec, builder=lambda params: (Algebra.from_table(2, {}), spec.builder(params)[1])))
+    code, out, _ = run(capsys, "catalog", "verify", "DIM2_NONLIE", "--samples", "1", "--seed", "5")
+    assert (code, out.splitlines()[1:]) == (1, ["  [FAIL] non-lie  (the product is a Lie bracket)",
+                                                "DIM2_NONLIE: 0/1 pass"])
+
+
+def _core_cases():
+    s8, form = _kernel_cases()["B0+DIM2 sheared"]
+    return {"R4_LEFT": instantiate("R4_LEFT"), "B0+DIM2 sheared": (s8, form),
+            "B0+DIM2 sheared, degenerate": _verify_cases()["B0+DIM2 sheared, degenerate"]}
+
+
+# exit code and the first 16 hex digits of sha256(stdout) of `core FILE`,
+# then of `--json-out core FILE`, then the digest of their common stderr,
+# recorded before the report types were merged
+CORE_GOLDEN = {
+    "R4_LEFT": ("0 c83c89f65dbbd967", "0 adfcb119ea31b753", "e3b0c44298fc1c14"),
+    "B0+DIM2 sheared": ("0 faf652fe5597c8a6", "0 abd25b099c2b3679", "e3b0c44298fc1c14"),
+    "B0+DIM2 sheared, degenerate": ("1 e3b0c44298fc1c14", "1 e3b0c44298fc1c14",
+                                    "34ac68b1a1ce8788"),
+}
+
+
+@pytest.mark.parametrize("name", list(_core_cases()))
+def test_core_output_is_pinned(capsys, tmp_path, name):
+    path = tmp_path / "a.json"
+    path.write_text(serialize_algebra(*_core_cases()[name]), encoding="utf-8")
+    got, errs = [], []
+    for prefix in ((), ("--json-out",)):
+        code, out, err = run(capsys, *prefix, "core", str(path))
+        got.append(_digest(code, out))
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert (*got, hashlib.sha256(errs[0].encode()).hexdigest()[:16]) == CORE_GOLDEN[name]

@@ -1,11 +1,14 @@
 """Core reduction: isotropic kernel, reduced symplectic Lie algebra, defect."""
 
+import dataclasses
+
 import pytest
 
 from sympleib.algebra import Algebra, is_lie, leibniz_ideal
 from sympleib.core import CoreError, core, verify_core_properties
 from sympleib.exactlin import Matrix, basis_vector, span
-from sympleib.symplectic import form_from_pairs, omega, orthogonal
+from sympleib.reporting import Check, Witness
+from sympleib.symplectic import SymplecticAlgebra, form_from_pairs, omega, orthogonal
 
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})
 W12 = form_from_pairs(2, {(1, 2): 1})
@@ -95,6 +98,16 @@ def test_verify_core_properties_r4():
 def test_verify_core_properties_dim2_and_lie():
     assert verify_core_properties(_dim2(), W12).ok
     assert verify_core_properties(_rr3_minus1(), W14_23).ok
+
+
+def test_verify_core_properties_keeps_the_witnesses_of_the_reduced_checks():
+    # a reduced part that is left symplectic but not Lie: e2*e2 = 3 e1
+    dec = dataclasses.replace(core(_r4(), W14_23), reduced=SymplecticAlgebra(_dim2(), W12))
+    checks = {c.name: c for c in verify_core_properties(_r4(), W14_23, dec).checks}
+    lie = checks["reduced-algebra-is-lie"]
+    assert lie == Check(lie.name, False, witness=Witness("antisymmetry", (1, 1), (6, 0)))
+    assert lie.detail == "antisymmetry fails at (2, 2) with defect (6, 0)"
+    assert checks["reduced-form-is-symplectic"] == Check("reduced-form-is-symplectic", True)
 
 
 def test_leibniz_span_isotropic_intersection_nonzero_for_non_lie():

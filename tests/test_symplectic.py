@@ -12,14 +12,12 @@ from sympleib import symplectic
 
 from sympleib.algebra import (
     Algebra,
-    IdentityReport,
-    Witness,
     change_basis,
     is_left_symmetric,
     multiply,
     split,
 )
-from sympleib.catalog import _claim_check, get, instantiate, list_families
+from sympleib.catalog import _PREDICATES, get, instantiate, list_families
 from sympleib.exactlin import (
     ZERO,
     Matrix,
@@ -33,6 +31,7 @@ from sympleib.exactlin import (
     vstack,
     zero_subspace,
 )
+from sympleib.reporting import Check, Witness
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
@@ -330,15 +329,14 @@ def test_symplectic_algebra_bundle_checks_on_construction():
 def _naive_scan(name, kind, form, n, defect):
     """First basis triple whose defect, built from omega calls, is nonzero."""
     if not form.nondegenerate:
-        return IdentityReport(name, False,
-                              Witness("degenerate-form", (), form.radical_vector()))
+        return Check(name, False, witness=Witness("degenerate-form", (), form.radical_vector()))
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 d = defect(i, j, k)
                 if d != 0:
-                    return IdentityReport(name, False, Witness(kind, (i, j, k), (d,)))
-    return IdentityReport(name, True)
+                    return Check(name, False, witness=Witness(kind, (i, j, k), (d,)))
+    return Check(name, True)
 
 
 def _left_defect(a, form):
@@ -642,8 +640,8 @@ def test_direct_sums_keep_every_shared_catalog_claim(fids, seed):
     a, form = _direct_sum(*(alg for alg, _ in pairs)), _block_form(*(w for _, w in pairs))
     shared = set.intersection(*(set(get(fid).claims) for fid in fids))
     for claim in sorted(shared):
-        check = _claim_check(claim, a, form)
-        assert check.ok, (claim, check.detail)
+        check = _PREDICATES[claim](a, form)
+        assert check.holds, (claim, check.detail)
     naive = _naive_bi(a, form)
     assert is_bi_symplectic(a, form) == naive
     assert naive.holds or "bi-symplectic" not in shared
