@@ -8,8 +8,8 @@ Two equivalent forms of that list are implemented, the long direct one and
 the shorter reduced one, and the skew case G = -F, xi = -psi has a third.
 One table writes each equation once: its name, its index ranges and its
 defect over the derived operators (F*, G*, S, S*, K, K*), built once per
-call by one helper.  A criterion is a title and an ordered tuple of equation
-names; the dense copies of the criteria in tests/test_extension.py are their
+request, over ints at one scale.  A criterion is a title and an ordered tuple
+of equation names; the dense copies in tests/test_extension.py are their
 oracles.  The rank-one criterion (p = 1) is the reduced list read on the
 embedded data (F, S - F, c0, a0, b0, lambda).  Specialized builders cover the
 Lagrangian case (g absent), the isotropic image with inner derivations, rank
@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
 from typing import Sequence
 
 from sympleib.algebra import (
@@ -47,9 +49,7 @@ from sympleib.algebra import (
     is_left_symmetric,
     is_lie,
     is_symmetric_leibniz,
-    left_mult,
     leibniz_ideal,
-    multiply,
     opposite,
     right_mult,
 )
@@ -60,13 +60,11 @@ from sympleib.exactlin import (
     Matrix,
     Subspace,
     basis_vector,
-    is_zero_vector,
     rat,
     solve_unique,
     vadd,
     vector,
     vscale,
-    vstack,
     vsub,
     vzero,
 )
@@ -78,7 +76,6 @@ from sympleib.symplectic import (
     is_lagrangian,
     is_symplectic_left,
     omega,
-    omega_adjoint,
     orthogonal,
     star_left,
     star_right,
@@ -122,9 +119,6 @@ class SymplecticLie:
     @property
     def dim(self) -> int:
         return self.g.dim
-
-    def adjoint(self, m: Matrix) -> Matrix:
-        return omega_adjoint(self.form, m)
 
 
 def _vector_grid(p: int, m: int, entries) -> tuple:
@@ -186,19 +180,11 @@ def zero_cube(p: int) -> tuple:
 # generic check plumbing
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    if isinstance(x, tuple):
-        return is_zero_vector(x)
-    if isinstance(x, Matrix):
-        return x.is_zero()
-    raise TypeError(f"cannot test {type(x)} for zero")
-
-
 def _scan(name: str, indices, defect) -> Check:
+    """The first index whose defect (a number, an int matrix or a tuple) is nonzero."""
     for idx in indices:
-        if not _is_zero(defect(*idx)):
+        d = defect(*idx)
+        if any(d) if isinstance(d, tuple) else d:
             return Check(name, False, f"fails at indices {idx}")
     return Check(name, True)
 
@@ -207,67 +193,137 @@ def _derivation_check(g: Algebra, ops: Sequence[Matrix], name: str) -> Check:
     """Whether each D in ops is a derivation: D(e_a e_b) = D(e_a) e_b + e_a D(e_b)
     at every basis pair, the first failing (t, a, b) in order reported.
 
-    Both sides are summed as one sparse {k: value} difference over the nonzero
-    structure constants ``g.nz`` and the nonzero entries of D's columns.
+    Both sides are summed as one sparse {k: value} difference over the int
+    constants ``g.int_nz`` and the nonzero entries of D's columns.
     """
-    n, nz = g.dim, g.nz
+    n, nz = g.dim, g.int_nz[1]
     for t, d in enumerate(ops):
         cols = [[(r, x) for r, x in enumerate(d.col(k)) if x] for k in range(n)]
         for a, b in product(range(n), repeat=2):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int] = {}
             for k, x in nz[a][b]:  # D(e_a e_b)
                 for r, y in cols[k]:
-                    acc[r] = acc.get(r, ZERO) + x * y
+                    acc[r] = acc.get(r, 0) + x * y
             for r, y in cols[a]:  # D(e_a) e_b
                 for k, x in nz[r][b]:
-                    acc[k] = acc.get(k, ZERO) - y * x
+                    acc[k] = acc.get(k, 0) - y * x
             for r, y in cols[b]:  # e_a D(e_b)
                 for k, x in nz[a][r]:
-                    acc[k] = acc.get(k, ZERO) - y * x
+                    acc[k] = acc.get(k, 0) - y * x
             if any(acc.values()):
                 return Check(name, False, f"operator {t} fails at pair ({a}, {b})")
     return Check(name, True)
 
 
+def _times(s: int, rows) -> tuple:
+    """The rows of Fractions times s, as ints; s clears every denominator."""
+    return tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
+
+
+class _Ints:
+    """A square int matrix with the operations the criteria use; true when nonzero."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        self.rows = rows
+
+    def __add__(self, other: "_Ints") -> "_Ints":
+        return _Ints(tuple(tuple(map(add, r, t)) for r, t in zip(self.rows, other.rows)))
+
+    def __sub__(self, other: "_Ints") -> "_Ints":
+        return _Ints(tuple(tuple(map(sub, r, t)) for r, t in zip(self.rows, other.rows)))
+
+    def __matmul__(self, other: "_Ints") -> "_Ints":
+        cols = tuple(zip(*other.rows))
+        return _Ints(tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.rows))
+
+    def __floordiv__(self, q: int) -> "_Ints":  # exact wherever it is used
+        return _Ints(tuple(tuple(x // q for x in r) for r in self.rows))
+
+    def __bool__(self) -> bool:
+        return any(map(any, self.rows))
+
+    def col(self, j: int) -> tuple[int, ...]:
+        return tuple(r[j] for r in self.rows)
+
+    def matvec(self, v) -> tuple[int, ...]:
+        return tuple(sum(map(mul, r, v)) for r in self.rows)
+
+
+def _mult(c, u) -> _Ints:
+    """The matrix of v -> u v over the int constants c[i][j] = e_i e_j."""
+    m = len(u)
+    out = [[0] * m for _ in range(m)]
+    for i, x in enumerate(u):
+        if x:
+            for j, v in enumerate(c[i]):
+                for k, z in enumerate(v):
+                    if z:
+                        out[k][j] += x * z
+    return _Ints(tuple(map(tuple, out)))
+
+
 class _Derived:
-    """What the criteria and the block tables read off (gs, d): the data as
-    p, m = dim g, F, G, th, ps, xi, Om, the maps ad, R* and omega of g, and
-    per h direction F*, G*, S = F + G, S*, K = S/2 - F - F* and K*, each
-    built on first use and then kept."""
+    """What the criteria and the block tables read off (gs, d), over ints.
+
+    Every atom is held times one scale s: the data F, G, th, ps, xi, Om, the
+    constants c of g and cs of its star, the Gram matrix w, and per h
+    direction F*, G*, S = F + G, S*, K = S/2 - F - F* and K* = S*/2 - F* - F
+    (the adjoint is an involution for a skew form).  For D the lcm of the
+    denominators of the data, the constants and W, and d_v that of W^-1,
+    s = 2 d_v D^2 makes each an int, as d_v D^2 F* = (d_v W^-1)(D F)^T(D W).
+    Each equation is homogeneous in the atoms: its defect is s^k times the
+    true one, so it vanishes at the same indices.
+    """
 
     def __init__(self, gs: SymplecticLie, d: ExtensionData):
         if d.gdim != gs.dim:
             raise ValueError("extension data does not match the algebra dimension")
-        self.g, self.star, self.adjoint = gs.g, gs.star, gs.adjoint
-        self.ad, self.rstar = partial(left_mult, gs.g), partial(right_mult, gs.star)
-        self.om = partial(omega, gs.form)
-        self.p, self.m = d.p, d.gdim
-        self.F, self.G, self.th, self.ps, self.xi, self.Om = (
-            d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube)
+        self.g, self.p, self.m = gs.g, d.p, d.gdim
+        grids = (d.theta, d.psi, d.xi, d.omega_cube)
+        D = lcm(*(x.denominator for op in (*d.F, *d.G, gs.form.w) for r in op.entries for x in r),
+                *(x.denominator for grid in grids for row in grid for v in row for x in v),
+                *(x.denominator for a in (gs.g, gs.star) for row in a.nz for pairs in row
+                  for _, x in pairs))
+        dv = lcm(*(x.denominator for r in gs.form.w_inv.entries for x in r))
+        s = self.scale = 2 * dv * D * D
+        self.th, self.ps, self.xi, self.Om = (tuple(_times(s, row) for row in grid)
+                                              for grid in grids)
+        self.c, self.cs = (tuple(_times(s, row) for row in a.c) for a in (gs.g, gs.star))
+        self.w, winv = _Ints(_times(s, gs.form.w.entries)), _Ints(_times(dv, gs.form.w_inv.entries))
+        # ad u = [u, .], rstar u = . * u and lstar[a] = e_a * . in the star
+        self.ad, self.rstar = partial(_mult, self.c), partial(_mult, tuple(zip(*self.cs)))
+        self.lstar = tuple(_Ints(tuple(zip(*row))) for row in self.cs)
+
+        def adjoint(op: _Ints) -> _Ints:  # (d_v W^-1)(s op)^T(s W) = d_v s^2 op*
+            return (winv @ _Ints(tuple(zip(*op.rows))) @ self.w) // (dv * s)
+        self.F, self.G = (tuple(_Ints(_times(s, op.entries)) for op in ops) for ops in (d.F, d.G))
+        self.Fs, self.Gs = tuple(map(adjoint, self.F)), tuple(map(adjoint, self.G))
+        self.S, self.Ss = tuple(map(add, self.F, self.G)), tuple(map(add, self.Fs, self.Gs))
+        self.K = tuple(S // 2 - f - fs for S, f, fs in zip(self.S, self.F, self.Fs))
+        self.Ks = tuple(Ss // 2 - fs - f for Ss, f, fs in zip(self.Ss, self.F, self.Fs))
 
     @cached_property
-    def Fs(self) -> tuple[Matrix, ...]:
-        return tuple(map(self.adjoint, self.F))
+    def views(self) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+        """F* and K as Fraction matrices, each entry divided by the scale."""
+        s, m = self.scale, self.m
+        return tuple(tuple(Matrix(m, m, tuple(tuple(Fraction(x, s) if x else ZERO for x in r)
+                                              for r in op.rows)) for op in ops)
+                     for ops in (self.Fs, self.K))
 
-    @cached_property
-    def Gs(self) -> tuple[Matrix, ...]:
-        return tuple(map(self.adjoint, self.G))
+    def om(self, u, v) -> int:
+        return sum(map(mul, u, self.w.matvec(v)))
 
-    @cached_property
-    def S(self) -> tuple[Matrix, ...]:
-        return tuple(f + g for f, g in zip(self.F, self.G))
 
-    @cached_property
-    def Ss(self) -> tuple[Matrix, ...]:
-        return tuple(map(self.adjoint, self.S))
-
-    @cached_property
-    def K(self) -> tuple[Matrix, ...]:
-        return tuple(s.scale(HALF) - f - fs for s, f, fs in zip(self.S, self.F, self.Fs))
-
-    @cached_property
-    def Ks(self) -> tuple[Matrix, ...]:
-        return tuple(map(self.adjoint, self.K))
+def _derived(gs: SymplecticLie, d: ExtensionData) -> _Derived:
+    """The derived set of (gs, d), kept on d for the last gs (held, so compared
+    by identity): a request's criteria and block tables build it once."""
+    kept = d.__dict__.get("_derived")
+    if kept is None or kept[0] is not gs:
+        kept = (gs, _Derived(gs, d))
+        object.__setattr__(d, "_derived", kept)
+    return kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +331,9 @@ class _Derived:
 
 
 def _omega_cube(p: int, Om) -> Check:
-    """Om(x, z, y) - Om(y, z, x) = (Om(x, y, z) - Om(y, x, z)) / 2 on h^3."""
+    """Om(x, z, y) - Om(y, z, x) = (Om(x, y, z) - Om(y, x, z)) / 2 on h^3, doubled."""
     return _scan("omega-cube", product(range(p), repeat=3), lambda x, y, z:
-                 Om[x][z][y] - Om[y][z][x] - HALF * Om[x][y][z] + HALF * Om[y][x][z])
+                 2 * (Om[x][z][y] - Om[y][z][x]) - Om[x][y][z] + Om[y][x][z])
 
 
 def _over(ranges: str, defect):
@@ -289,15 +345,15 @@ def _over(ranges: str, defect):
     return run
 
 
-# name -> run(e, name), a Check on the derived operators e
+# name -> run(e, name), a Check on the derived set e; the three with a half are doubled
 _EQUATIONS = {
     "F-derivations": lambda e, name: _derivation_check(e.g, e.F, name),
     "G-derivations": lambda e, name: _derivation_check(e.g, e.G, name),
     "omega-cube": lambda e, name: _omega_cube(e.p, e.Om),
     "psi-antisym-theta": _over("pp", lambda e, x, y: vsub(
-        vsub(e.ps[x][y], e.ps[y][x]), vscale(HALF, vsub(e.th[x][y], e.th[y][x])))),
+        vscale(2, vsub(e.ps[x][y], e.ps[y][x])), vsub(e.th[x][y], e.th[y][x]))),
     "theta-from-xi-psi": _over("pp", lambda e, x, y: vsub(
-        e.th[x][y], vadd(e.xi[y][x], vscale(HALF, vsub(e.ps[x][y], e.xi[x][y]))))),
+        vscale(2, vsub(e.th[x][y], e.xi[y][x])), vsub(e.ps[x][y], e.xi[x][y]))),
     "theta-xi-psi-pairing": _over("pppp", lambda e, x, y, z, t:
         e.om(e.th[x][y], e.xi[z][t]) - e.om(e.th[y][z], e.ps[x][t])
         + e.om(e.th[x][z], e.ps[y][t])),
@@ -324,9 +380,8 @@ _EQUATIONS = {
         (e.F[x] @ e.F[y] - e.F[y] @ e.F[x]) + (e.F[x] @ e.G[y] - e.G[y] @ e.F[x])),
     "ad-S-image": _over("pm", lambda e, x, r: e.ad(e.S[x].col(r))),
     "K-bracket-derivation": _over("pmm", lambda e, x, a, b: vsub(
-        e.K[x].matvec(e.g.c[a][b]),
-        vsub(multiply(e.star, basis_vector(e.m, a), e.K[x].col(b)),
-             multiply(e.star, basis_vector(e.m, b), e.K[x].col(a))))),
+        e.K[x].matvec(e.c[a][b]),
+        vsub(e.lstar[a].matvec(e.K[x].col(b)), e.lstar[b].matvec(e.K[x].col(a))))),
     "psi-xi-antisym": _over("pp", lambda e, x, y: vsub(
         vsub(e.ps[x][y], e.ps[y][x]), vsub(e.xi[y][x], e.xi[x][y]))),
     "F-theta-cyclic-S": _over("ppp", lambda e, x, y, z: vsub(
@@ -339,10 +394,10 @@ _EQUATIONS = {
     "Rstar-psi-FF": _over("pp", lambda e, x, y: e.rstar(e.ps[x][y])
         - ((e.F[y] + e.Fs[y]) @ e.F[x] + e.Fs[x] @ (e.F[y] + e.Fs[y]))),
     "Rstar-psi-xi": _over("pp", lambda e, x, y: e.rstar(vadd(e.ps[x][y], e.xi[x][y]))),
-    "S-star-image": _over("pmm", lambda e, x, a, b: e.S[x].matvec(e.star.c[a][b])),
+    "S-star-image": _over("pmm", lambda e, x, a, b: e.S[x].matvec(e.cs[a][b])),
     "S-skew-adjoint": _over("p", lambda e, x: e.Ss[x] + e.S[x]),
     "S-F-annihilation": _over("pp", lambda e, x, y:
-        vstack([e.S[x] @ e.S[y], e.F[x] @ e.S[y], e.S[x] @ e.F[y]])),
+        (e.S[x] @ e.S[y], e.F[x] @ e.S[y], e.S[x] @ e.F[y])),
     "cyclic-pairing": _over("pppp", lambda e, x, y, z, t:
         e.om(e.th[x][y], e.ps[z][t]) + e.om(e.th[y][z], e.ps[x][t])
         + e.om(e.th[z][x], e.ps[y][t])),
@@ -352,7 +407,7 @@ _EQUATIONS["theta-psi-antisym"] = _EQUATIONS["theta-from-xi-psi"]
 
 
 def _criterion(gs: SymplecticLie, d: ExtensionData, title: str, names) -> SystemReport:
-    e = _Derived(gs, d)
+    e = _derived(gs, d)
     return SystemReport(title, tuple(_EQUATIONS[name](e, name) for name in names))
 
 
@@ -491,10 +546,10 @@ def _pairings(form: SkewForm, vectors, u) -> list:
 
 def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
     """The block tables (hh, hg, gh, gg) of the product and of its star,
-    read off the derived operators F* and K = S/2 - F - F*."""
-    der = _Derived(gs, d)
-    g, wg, p, m, Fs, K = der.g, gs.form, der.p, der.m, der.Fs, der.K
-    F, G, th, ps, xi, Om = der.F, der.G, der.th, der.ps, der.xi, der.Om
+    read off the data and the derived operators F* and K = S/2 - F - F*."""
+    g, wg, p, m = gs.g, gs.form, d.p, d.gdim
+    Fs, K = _derived(gs, d).views
+    F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
     e = [basis_vector(m, a) for a in range(m)]
     prod = (
         lambda x, y: (th[x][y], Om[x][y]),
@@ -506,7 +561,7 @@ def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
         lambda x, y: (ps[x][y], [Om[x][k][y] for k in range(p)]),
         lambda x, a: (vscale(-ONE, Fs[x].col(a)), _pairings(wg, th[x], e[a])),
         lambda a, x: (K[x].col(a), _pairings(wg, [xi[k][x] for k in range(p)], e[a])),
-        lambda a, b: (der.star.c[a][b], _pairings(wg, [G[k].col(a) for k in range(p)], e[b])),
+        lambda a, b: (gs.star.c[a][b], _pairings(wg, [G[k].col(a) for k in range(p)], e[b])),
     )
     return prod, star
 

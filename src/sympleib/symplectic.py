@@ -335,8 +335,9 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be 'left', 'right', or 'bi'")
     n = a.dim
-    col = [[upper_index(n, min(x, b), max(x, b)) if x != b else None for b in range(n)]
-           for x in range(n)]
+    col: list[list] = [[None] * n for _ in range(n)]  # col[x][b]: the coordinate of (x, b)
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        col[i][j] = col[j][i] = k
     terms = [((x, p, q), col[x][b], v if x < b else -v)
              for p, row in enumerate(a.int_nz[1]) for q, pairs in enumerate(row)
              for b, v in pairs for x in range(n) if x != b]
@@ -347,7 +348,9 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
         if items:
             d = gcd(*(v for _, v in items)) * (1 if items[0][1] > 0 else -1)
             distinct[tuple((c, v // d) for c, v in items)] = None
-    return kernel([{c: Fraction(v) for c, v in row} for row in distinct],
+    # short rows first, by lead column: the pivots stay sparse; the RREF is canonical
+    return kernel([{c: Fraction(v) for c, v in row}
+                   for row in sorted(distinct, key=lambda r: (len(r), r[0][0]))],
                   n * (n - 1) // 2)
 
 

@@ -17,7 +17,7 @@ from sympleib.algebra import Algebra, change_basis
 from sympleib.catalog import instantiate, list_families
 from sympleib.cli import _build_parser, main
 from sympleib.exactlin import HALF, Matrix, vadd, vscale
-from sympleib.extension import ExtensionData
+from sympleib.extension import ExtensionData, zero_cube, zero_grid
 from sympleib.fileformat import algebra_to_dict, parse_algebra, rational_to_json, serialize_algebra
 from sympleib.symplectic import SkewForm
 
@@ -738,7 +738,8 @@ EXTEND_FLAGS = (("--system", "full"), ("--system", "reduced"),
 
 # exit code and the first 16 hex digits of sha256(stdout + stderr) of
 # `extend FILE FLAGS` for each of EXTEND_FLAGS, then of `--json-out extend
-# FILE FLAGS`, recorded before the criteria summed over nonzeros only
+# FILE FLAGS`, recorded before the criteria summed over nonzeros only; the
+# two p = 2 cases were recorded before the criteria ran over ints
 EXTEND_GOLDEN = {
     "ABEL2_CASE1": (
         "0 4cbf9a0a1c403d67", "0 d4f8b8172b594c59", "0 3164e1b6480e9ceb",
@@ -770,6 +771,16 @@ EXTEND_GOLDEN = {
         "1 893c432131add743", "1 97b7332f41f5d3b7",
         "1 82a15bdc65aa1b27", "1 bfad424b582f9c39", "1 bfad424b582f9c39",
         "1 82a15bdc65aa1b27", "1 bfad424b582f9c39"),
+    "RR3_ZERO_P2": (
+        "0 4cbf9a0a1c403d67", "0 d4f8b8172b594c59", "0 d34dbd610540b3ca",
+        "0 d3487f845672e94d", "0 eea1e072db192750",
+        "0 e08b60a88248046a", "0 84ef81c1d4f918fb", "0 5f80b3948935515c",
+        "0 83fc4505ffb6d263", "0 7b1f48fca5b7038c"),
+    "RR3_ZERO_P2+moved": (
+        "1 264f849486797945", "1 1b0b09453577c866", "1 1b0b09453577c866",
+        "1 264f849486797945", "1 1b0b09453577c866",
+        "1 f6cba1858ff7846e", "1 10bc8909cec933cb", "1 10bc8909cec933cb",
+        "1 f6cba1858ff7846e", "1 10bc8909cec933cb"),
 }
 
 
@@ -790,15 +801,24 @@ def _bumped(name, d):
 
 def _extension_cases():
     """The two extension families and the rank-one rr(3,-1) data at their
-    defaults, each followed by its bumped copy."""
-    gs, F, S, a0, b0, lam = catalog.rank_one_data()
+    defaults, each followed by its bumped copy, then zero data with p = 2
+    over rr(3,-1) and the same with theta(h_2, h_1) moved along e_1."""
+    rr3, F, S, a0, b0, lam = catalog.rank_one_data()
     c0 = vscale(HALF, vadd(a0, b0))
     cases = {fid: catalog.extension_data(fid) for fid in ("ABEL2_CASE1", "ABEL2_CASE2")}
-    cases["RR3_RANK_ONE"] = gs, ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]],
-                                              [[[lam]]])
+    cases["RR3_RANK_ONE"] = rr3, ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]],
+                                               [[[lam]]])
     for name, (gs, d) in cases.items():
         yield name, gs, d
         yield name + "+bumped", gs, _bumped(name, d)
+    m = rr3.dim
+    zero = ExtensionData(2, [Matrix.zero(m, m)] * 2, [Matrix.zero(m, m)] * 2,
+                         zero_grid(2, m), zero_grid(2, m), zero_grid(2, m), zero_cube(2))
+    yield "RR3_ZERO_P2", rr3, zero
+    theta = [[list(v) for v in row] for row in zero.theta]
+    theta[1][0][0] += 1
+    yield "RR3_ZERO_P2+moved", rr3, ExtensionData(2, zero.F, zero.G, theta, zero.psi, zero.xi,
+                                                  zero.omega_cube)
 
 
 def _extension_text(gs, d) -> str:
@@ -849,6 +869,26 @@ def test_extend_runs_each_criterion_once(capsys, tmp_path, monkeypatch, flags, w
     code, out, _ = run(capsys, "extend", extension_dir(tmp_path, RR3_EXTENSION), *flags)
     assert code == 0 and json.loads(out)
     assert calls == want
+
+
+@pytest.mark.parametrize("flags", [
+    ("--system", "reduced", "--build", "--star"),
+    ("--system", "full", "--build", "--star"),
+])
+def test_extend_builds_the_derived_operators_once(capsys, tmp_path, monkeypatch, flags):
+    """The criteria, the builder's gate, the product and the star of one
+    request read one derived set."""
+    builds = []
+
+    class Counted(extension._Derived):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(extension, "_Derived", Counted)
+    code, out, _ = run(capsys, "--json-out", "extend", extension_dir(tmp_path, RR3_EXTENSION),
+                       *flags)
+    assert code == 0 and set(json.loads(out)) >= {"product", "star"}
+    assert len(builds) == 1
 
 
 def test_build_double_extension_rejects_a_full_report_as_its_gate():

@@ -4,11 +4,11 @@ import dataclasses
 
 import pytest
 
-from sympleib.algebra import Algebra, is_lie, leibniz_ideal
-from sympleib.core import CoreError, core, verify_core_properties
+from sympleib.algebra import Algebra, is_lie, leibniz_ideal, multiply
+from sympleib.core import CoreError, _first_nonzero, core, verify_core_properties
 from sympleib.exactlin import Matrix, basis_vector, span
 from sympleib.reporting import Check, Witness
-from sympleib.symplectic import SymplecticAlgebra, form_from_pairs, omega, orthogonal
+from sympleib.symplectic import SymplecticAlgebra, form_from_pairs, omega, orthogonal, star_left
 
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})
 W12 = form_from_pairs(2, {(1, 2): 1})
@@ -108,6 +108,53 @@ def test_verify_core_properties_keeps_the_witnesses_of_the_reduced_checks():
     assert lie == Check(lie.name, False, witness=Witness("antisymmetry", (1, 1), (6, 0)))
     assert lie.detail == "antisymmetry fails at (2, 2) with defect (6, 0)"
     assert checks["reduced-form-is-symplectic"] == Check("reduced-form-is-symplectic", True)
+
+
+def _first_escape(products, sub):
+    """The first (i, j) in lexicographic order with products.c[i][j] outside sub."""
+    n = products.dim
+    return next((i, j) for i in range(n) for j in range(n) if not sub.contains(products.c[i][j]))
+
+
+def test_verify_core_properties_names_the_first_escaping_product():
+    # with I-perp replaced by I = span(e4), e1 e2 = e3 is the first product to escape
+    a, dec = _r4(), core(_r4(), W14_23)
+    star = star_left(a, W14_23)
+    report = verify_core_properties(a, W14_23, dataclasses.replace(dec, ideal_perp=dec.ideal))
+    assert {c.name for c in report.failed()} == {
+        "products-inside-I-perp", "star-products-inside-I-perp", "projected-star-is-zero"}
+    checks = {c.name: c for c in report.checks}
+    assert checks["products-inside-I-perp"].detail == (
+        "products-inside-I-perp fails at (1, 2) with defect (0, 0, 1, 0)")
+    i, j = _first_escape(star, dec.ideal)
+    residue = dec.ideal.reduce(star.c[i][j])
+    assert checks["star-products-inside-I-perp"].witness == Witness(
+        "star-products-inside-I-perp", (i, j), residue)
+    # the quotient by span(e4) keeps the coordinates e1, e2, e3
+    assert checks["projected-star-is-zero"].witness == Witness(
+        "projected-star-is-zero", (i, j), residue[:3])
+
+
+def test_verify_core_properties_names_the_first_product_with_I_that_survives():
+    # with I replaced by I-perp = span(e2, e3, e4): e1 e2 = e3 and e2 e1 = -e3
+    a, dec = _r4(), core(_r4(), W14_23)
+    star = star_left(a, W14_23)
+    report = verify_core_properties(a, W14_23, dataclasses.replace(dec, ideal=dec.ideal_perp))
+    checks = {c.name: c for c in report.checks}
+    assert checks["products-with-I-vanish"].witness == Witness(
+        "products-with-I-vanish", (0, 0), (0, 0, 1, 0, 0, 0, -1, 0))
+    z, e1 = dec.ideal_perp.basis.entries[0], basis_vector(4, 0)
+    assert checks["star-products-with-I-vanish"].witness == Witness(
+        "star-products-with-I-vanish", (0, 0), multiply(star, e1, z) + multiply(star, z, e1))
+
+
+def test_core_witness_scan_stops_at_the_first_failure():
+    def defects():
+        yield (0, 1), (0, 0)
+        yield (1, 0), (2, 0)
+        raise AssertionError("scanned past the first failure")
+    assert _first_nonzero("x", defects()) == Check("x", False, witness=Witness("x", (1, 0), (2, 0)))
+    assert _first_nonzero("x", iter([((0, 0), (0,))])) == Check("x", True)
 
 
 def test_leibniz_span_isotropic_intersection_nonzero_for_non_lie():

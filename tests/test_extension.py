@@ -72,6 +72,16 @@ def _rr3():
     return SymplecticLie(g, W14_23)
 
 
+def _rr3_scaled():
+    # rr3 with its bracket times 3/2 and its form times 2/3: the constants, W
+    # and W^-1 all carry denominators
+    g = Algebra.from_table(4, {
+        (1, 2): {2: Fraction(3, 2)}, (2, 1): {2: Fraction(-3, 2)},
+        (1, 3): {3: Fraction(-3, 2)}, (3, 1): {3: Fraction(3, 2)},
+    })
+    return SymplecticLie(g, form_from_pairs(4, {(1, 4): Fraction(2, 3), (2, 3): Fraction(2, 3)}))
+
+
 def _case1_data(alpha, beta, psi1, xi1, om):
     # over the 2-dim abelian base: S strictly upper, theta forced by psi and xi
     S = Matrix.from_rows([[0, alpha], [0, 0]])
@@ -843,7 +853,7 @@ def test_criteria_equal_the_dense_oracles_on_every_one_slot_perturbation(fid):
         assert {"F-derivations", "G-derivations", "K-bracket-derivation"} <= failing
 
 
-_SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+_SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(1, 3)])
 
 
 @st.composite
@@ -872,11 +882,47 @@ def _extension_data_over(draw, gs, max_p=3):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_criteria_equal_the_dense_oracles_on_random_data(data):
-    gs = data.draw(st.sampled_from([_abelian2(), _rr3()]))
+    gs = data.draw(st.sampled_from([_abelian2(), _rr3(), _rr3_scaled()]))
     _assert_criteria_equal_the_oracles(gs, data.draw(_extension_data_over(gs)))
 
 
-@pytest.mark.parametrize("gs", [_abelian2(), _aff1(), _rr3()], ids=["abelian2", "aff1", "rr3"])
+def _assert_int_atoms_are_the_fraction_operators(gs, d):
+    """Every int atom of the derived set, divided by its scale, is the
+    Fraction operator it stands for: F*, G*, S*, K* through omega_adjoint,
+    S = F + G and K = S/2 - F - F*; the Fraction views are F* and K."""
+    e = extension._Derived(gs, d)
+
+    def frac(rows):
+        return tuple(tuple(Fraction(x, e.scale) for x in r) for r in rows)
+    assert frac(e.w.rows) == gs.form.w.entries
+    assert tuple(map(frac, e.c)) == gs.g.c and tuple(map(frac, e.cs)) == gs.star.c
+    assert [tuple(map(frac, grid)) for grid in (e.th, e.ps, e.xi, e.Om)] == [
+        d.theta, d.psi, d.xi, d.omega_cube]
+    for x in range(d.p):
+        F, G = d.F[x], d.G[x]
+        S, Fs = F + G, omega_adjoint(gs.form, F)
+        K = S.scale(HALF) - F - Fs
+        want = {"F": F, "G": G, "Fs": Fs, "Gs": omega_adjoint(gs.form, G), "S": S,
+                "Ss": omega_adjoint(gs.form, S), "K": K, "Ks": omega_adjoint(gs.form, K)}
+        for name, op in want.items():
+            assert frac(getattr(e, name)[x].rows) == op.entries, name
+        assert (e.views[0][x], e.views[1][x]) == (Fs, K)
+
+
+@pytest.mark.parametrize("case", list(_catalog_extension_cases()), ids=lambda c: c[0])
+def test_int_atoms_are_the_fraction_operators_on_the_catalog(case):
+    _assert_int_atoms_are_the_fraction_operators(*case[1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_int_atoms_are_the_fraction_operators_on_random_data(data):
+    gs = data.draw(st.sampled_from([_abelian2(), _aff1(), _rr3(), _rr3_scaled()]))
+    _assert_int_atoms_are_the_fraction_operators(gs, data.draw(_extension_data_over(gs)))
+
+
+@pytest.mark.parametrize("gs", [_abelian2(), _aff1(), _rr3(), _rr3_scaled()],
+                         ids=["abelian2", "aff1", "rr3", "rr3-scaled"])
 def test_zero_data_pass_both_criteria_for_every_p(gs):
     for p in (1, 2, 3):
         m = gs.dim
@@ -884,6 +930,21 @@ def test_zero_data_pass_both_criteria_for_every_p(gs):
                           zero_grid(p, m), zero_grid(p, m), zero_grid(p, m), zero_cube(p))
         _assert_criteria_equal_the_oracles(gs, d)
         assert check_reduced_system(gs, d).ok and check_full_system(gs, d).ok
+
+
+def test_the_equations_with_a_half_hold_where_the_half_matters():
+    """p = 2 data over the abelian plane where psi, theta and Omega have
+    nonzero antisymmetric parts, so psi-antisym-theta, theta-from-xi-psi and
+    omega-cube hold only with their halves; the assembled algebra agrees."""
+    gs, zero = _abelian2(), Matrix.zero(2, 2)
+    psi = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+    xi = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
+    theta = [[[0, 0], [Fraction(3, 2), 0]], [[Fraction(-1, 2), 0], [0, 0]]]
+    cube = [[[0, 1], [0, 0]], [[2, 0], [0, 0]]]
+    d = ExtensionData(2, [zero] * 2, [zero] * 2, theta, psi, xi, cube)
+    assert check_full_system(gs, d).ok and check_reduced_system(gs, d).ok
+    _assert_criteria_equal_the_oracles(gs, d)
+    build_double_extension(gs, d)
 
 
 def _assert_isotropic_equals_the_oracle(gs, F, psi, theta, om):
