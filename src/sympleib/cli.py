@@ -110,7 +110,9 @@ def cmd_omega(args) -> int:
     algebra, form = load_algebra(args.file)
     if args.mode == "solve":
         space = solve_symplectic_forms(algebra, args.side)
-        basis = [coords_to_entries(algebra.dim, row) for row in space.basis.entries]
+        # the nonzero positions of each basis row, read off the int basis
+        basis = [coords_to_entries(algebra.dim, ((k, row[k]) for k, _ in nonzero))
+                 for row, nonzero in zip(space.basis.entries, space.int_basis[1])]
         rep = find_nondegenerate(space, algebra.dim, seed=args.seed)
         lines = [f"side: {args.side}",
                  f"solution space dimension: {space.dim}"]

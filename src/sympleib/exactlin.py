@@ -5,21 +5,25 @@ canonical subspaces, and exact linear solving.  There is no floating point
 anywhere in this package; every comparison is exact and every tolerance is
 zero.
 
-All row reduction runs on one sparse core, ``reduce_rows``: rows are held as
-``{column: nonzero value}`` maps and merged one at a time into fully reduced
-pivot rows, so zero entries cost nothing and zero or repeated rows die after
-one pass against the pivots.  ``rref``, ``kernel``, ``solve``, ``span``,
-``intersect`` and ``Matrix.inverse`` all read their answers off that core;
-because the RREF of a row space is unique, the order in which rows arrive
-never shows in a result.  Determinants are computed apart from it, by Bareiss
-fraction-free elimination over Python ints (``int_det``).
+All row reduction runs on one sparse, fraction-free core, ``reduce_rows``:
+rows are held as ``{column: nonzero value}`` maps, scaled to ints, and merged
+one at a time into pivot rows by cross-multiplying with gcd-reduced factors,
+so zero entries cost nothing and zero or repeated rows die after one pass
+against the pivots.  Each pivot row is kept primitive with a positive lead:
+it is the one such int multiple of its row of the RREF, whatever order the
+rows arrive in.  ``rref``, ``kernel``, ``solve``, ``span``, ``intersect`` and
+``Matrix.inverse`` read their answers off that core and divide by the lead
+only there, at the output; ``Subspace.int_basis`` reads the int rows back
+for callers that go on over ints.  Determinants are computed apart from it, by
+Bareiss fraction-free elimination over Python ints (``int_det``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 Rational = Fraction
@@ -187,11 +191,11 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        pivots = reduce_rows({**_sparse(r), n + i: ONE} for i, r in enumerate(self.entries))
+        pivots = reduce_rows({**_sparse(r), n + i: 1} for i, r in enumerate(self.entries))
         if any(i not in pivots for i in range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(n, n, tuple(tuple(pivots[i].get(n + j, ZERO) for j in range(n))
-                                  for i in range(n)))
+        # the RREF of [M | I] is [I | M^-1]
+        return Matrix(n, n, _dense_rows(pivots, n, start=n))
 
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -243,71 +247,107 @@ def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def reduce_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """The fully reduced pivot rows of the span of ``rows``, keyed by pivot column.
+def _primitive(r: dict[int, int], sign: int = 1) -> dict[int, int]:
+    """r divided by the gcd of its entries, times sign."""
+    g = sign * gcd(*r.values())
+    return r if g == 1 else {j: x // g for j, x in r.items()}
 
-    Rows are sparse maps ``{column: nonzero Fraction}``.  Each incoming row is
-    cleared against the pivots found so far; whatever is left is scaled to
-    lead with 1 at its smallest column, which is then cleared from the
-    earlier pivot rows.  Every pivot row thus leads at its own column and
-    vanishes at every other pivot column, so the rows sorted by pivot are the
-    RREF of the input, whatever order the rows came in.
+
+def _clear(r: dict[int, int], p: Mapping[int, int], c: int) -> None:
+    """r times a minus p times f in place, with a = p[c] / g > 0 and
+    f = r[c] / g for g = gcd(p[c], r[c]): r then vanishes at column c."""
+    g = gcd(p[c], r[c])
+    a, f = p[c] // g, r[c] // g
+    if a != 1:
+        for j in r:
+            r[j] *= a
+    for j, y in p.items():
+        v = r.get(j, 0) - f * y
+        if v:
+            r[j] = v
+        else:
+            del r[j]
+
+
+def reduce_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
+    """The pivot rows of the span of ``rows``, keyed by pivot column, over ints.
+
+    Rows are sparse maps ``{column: value}`` of ints or Fractions.  Each
+    incoming row is scaled by the lcm of its denominators and cleared against
+    the pivots found so far by cross-multiplying with gcd-reduced factors, so
+    nothing is divided.  Whatever is left is made primitive with a positive
+    lead at its smallest column, which is then cleared from the earlier pivot
+    rows, each made primitive again.  Every pivot row thus leads at its own
+    column, vanishes at every other pivot column, and is the primitive int
+    multiple with a positive lead of its row of the RREF of the input: that
+    multiple is unique, so the pivots do not depend on the order the rows came
+    in.  The callers divide by the lead once, at the output.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = dict(row)
+        d = lcm(*[x.denominator for x in row.values()])
+        r = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
         # a pivot row is zero at the other pivot columns, so clearing one
         # pivot column of r never touches another
-        for c in [c for c in r if c in pivots]:
-            f = r[c]
-            for j, y in pivots[c].items():
-                v = r.get(j, ZERO) - f * y
-                if v:
-                    r[j] = v
-                else:
-                    del r[j]
+        for c in r.keys() & pivots.keys():
+            _clear(r, pivots[c], c)
         if not r:
             continue
         lead = min(r)
-        if r[lead] != 1:
-            d = r[lead]
-            r = {j: x / d for j, x in r.items()}
-        for p in pivots.values():
-            f = p.get(lead)
-            if f:
-                for j, y in r.items():
-                    v = p.get(j, ZERO) - f * y
-                    if v:
-                        p[j] = v
-                    else:
-                        del p[j]
+        r = _primitive(r, 1 if r[lead] > 0 else -1)
+        for c, p in pivots.items():
+            if lead in p:  # r is zero at c, so p stays positive there
+                _clear(p, r, lead)
+                pivots[c] = _primitive(p)
         pivots[lead] = r
     return pivots
 
 
-def _dense_rows(pivots: Mapping[int, Mapping[int, Fraction]], cols: int
+def _dense_rows(pivots: Mapping[int, Mapping[int, int]], cols: int, start: int = 0
                 ) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row.get(j, ZERO) for j in range(cols))
-                 for _, row in sorted(pivots.items()))
+    """The RREF rows of ``pivots`` in pivot order, at columns start .. start + cols - 1."""
+    out = []
+    for p, row in sorted(pivots.items()):
+        lead, dense = row[p], [ZERO] * cols
+        for j, x in row.items():
+            if start <= j < start + cols:
+                # the lead divides to 1, which needs no new Fraction
+                dense[j - start] = ONE if x == lead else Fraction(x, lead)
+        out.append(tuple(dense))
+    return tuple(out)
 
 
-def _subspace(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
-    basis = _dense_rows(reduce_rows(rows), ambient_dim)
-    return Subspace(ambient_dim, Matrix(len(basis), ambient_dim, basis))
+def _subspace(ambient_dim: int, pivots: dict[int, dict[int, int]]) -> "Subspace":
+    """The subspace whose canonical basis the int pivot rows hold."""
+    basis = _dense_rows(pivots, ambient_dim)
+    space = Subspace(ambient_dim, Matrix(len(basis), ambient_dim, basis))
+    space.__dict__["_pivots"] = pivots  # for int_basis, not a field
+    return space
 
 
-def _null_space(pivots: Mapping[int, Mapping[int, Fraction]], cols: int) -> "Subspace":
-    """Canonical kernel of the RREF held by ``pivots``: one vector per free column."""
+def _null_space(pivots: Mapping[int, Mapping[int, int]], cols: int) -> "Subspace":
+    """Canonical kernel of the row space held by ``pivots``: per free column f,
+    the vector that is 1 at f, 0 at the other free columns and -row[f] / lead
+    at each pivot, built over ints as that vector times the lcm of the leads
+    it reads.
+
+    A free column that no pivot row reads gives the unit vector e_f.  No other
+    vector, and so no row of their RREF, is nonzero at f, so e_f is a pivot row
+    of the kernel as it stands, and only the other vectors are reduced.
+    """
+    reads: dict[int, list] = {f: [] for f in range(cols) if f not in pivots}
+    for p, row in pivots.items():
+        for j, x in row.items():
+            if j != p:  # a pivot row is zero at the other pivot columns
+                reads[j].append((p, row[p], x))
     vecs = []
-    for f in range(cols):
-        if f not in pivots:
-            v = {f: ONE}
-            for p, row in pivots.items():
-                x = row.get(f)
-                if x:
-                    v[p] = -x
-            vecs.append(v)
-    return _subspace(cols, vecs)
+    for f, terms in reads.items():
+        if terms:
+            m = lcm(*(lead for _, lead, _ in terms))
+            vecs.append({f: m, **{p: -x * (m // lead) for p, lead, x in terms}})
+    kernel_pivots = reduce_rows(vecs)
+    kernel_pivots.update((f, {f: 1}) for f, terms in reads.items() if not terms)
+    return _subspace(cols, kernel_pivots)
 
 
 def rref(m: Matrix) -> Matrix:
@@ -349,6 +389,22 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return pivot_columns(self.basis)
 
+    @cached_property
+    def int_basis(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(d, rows): d is the lcm of the denominators of the basis, and each
+        row holds the pairs (column, d * entry) of its nonzero entries, in
+        column order, as ints.
+
+        It is read off the primitive pivot rows the basis was divided from,
+        so d is the lcm of their leads.
+        """
+        pivots = self.__dict__.get("_pivots")
+        if pivots is None:  # built directly, not by the core: reduce the basis again
+            pivots = reduce_rows(map(_sparse, self.basis.entries))
+        d = lcm(*(row[p] for p, row in pivots.items()))
+        return d, tuple(tuple(sorted((j, x * (d // row[p])) for j, x in row.items()))
+                        for p, row in sorted(pivots.items()))
+
     def contains(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vector(self.reduce(v))
 
@@ -380,7 +436,7 @@ def span(ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
     for v in rows:
         if len(v) != ambient_dim:
             raise ValueError("ambient dimension mismatch")
-    return _subspace(ambient_dim, map(_sparse, rows))
+    return _subspace(ambient_dim, reduce_rows(map(_sparse, rows)))
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -397,12 +453,13 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return span(a.ambient_dim, list(a.basis.entries) + list(b.basis.entries))
 
 
-def kernel(m: Matrix | Iterable[Mapping[int, Fraction]], cols: Optional[int] = None
+def kernel(m: Matrix | Iterable[Mapping[int, int | Fraction]], cols: Optional[int] = None
            ) -> Subspace:
     """Canonical basis of {v : m v = 0}.
 
-    ``m`` is a Matrix, or an iterable of sparse rows ``{column: nonzero
-    Fraction}`` with ``cols`` columns, for systems too sparse to build densely.
+    ``m`` is a Matrix, or an iterable of sparse rows ``{column: nonzero int
+    or Fraction}`` with ``cols`` columns, for systems too sparse to build
+    densely.
     """
     if isinstance(m, Matrix):
         return _null_space(reduce_rows(map(_sparse, m.entries)), m.cols)
@@ -449,7 +506,11 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Optional[tuple[Fraction, 
                        for p, row in pivots.items() if p < n}, n)
     if n in pivots:
         return None, ker
-    return tuple(pivots[p].get(n, ZERO) if p in pivots else ZERO for p in range(n)), ker
+    x = [ZERO] * n
+    for p, row in pivots.items():
+        if n in row:
+            x[p] = Fraction(row[n], row[p])
+    return tuple(x), ker
 
 
 def solve_unique(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:

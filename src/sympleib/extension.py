@@ -220,6 +220,20 @@ def _times(s: int, rows) -> tuple:
     return tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
 
 
+def _constants_times(s: int, a: Algebra) -> tuple:
+    """The structure constants of a times s, as dense int tuples filled in from
+    the nonzeros ``a.int_nz``; s is a multiple of their scale."""
+    dc, nz = a.int_nz
+    f = s // dc
+
+    def dense(pairs) -> tuple:
+        v = [0] * a.dim
+        for k, x in pairs:
+            v[k] = f * x
+        return tuple(v)
+    return tuple(tuple(map(dense, row)) for row in nz)
+
+
 class _Ints:
     """A square int matrix with the operations the criteria use; true when nonzero."""
 
@@ -284,13 +298,12 @@ class _Derived:
         grids = (d.theta, d.psi, d.xi, d.omega_cube)
         D = lcm(*(x.denominator for op in (*d.F, *d.G, gs.form.w) for r in op.entries for x in r),
                 *(x.denominator for grid in grids for row in grid for v in row for x in v),
-                *(x.denominator for a in (gs.g, gs.star) for row in a.nz for pairs in row
-                  for _, x in pairs))
+                gs.g.int_nz[0], gs.star.int_nz[0])
         dv = lcm(*(x.denominator for r in gs.form.w_inv.entries for x in r))
         s = self.scale = 2 * dv * D * D
         self.th, self.ps, self.xi, self.Om = (tuple(_times(s, row) for row in grid)
                                               for grid in grids)
-        self.c, self.cs = (tuple(_times(s, row) for row in a.c) for a in (gs.g, gs.star))
+        self.c, self.cs = _constants_times(s, gs.g), _constants_times(s, gs.star)
         self.w, winv = _Ints(_times(s, gs.form.w.entries)), _Ints(_times(dv, gs.form.w_inv.entries))
         # ad u = [u, .], rstar u = . * u and lstar[a] = e_a * . in the star
         self.ad, self.rstar = partial(_mult, self.c), partial(_mult, tuple(zip(*self.cs)))
@@ -737,10 +750,20 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
 
 def _rank_one_data(F: Matrix, S: Matrix, a0, b0, lam) -> ExtensionData:
     """(F, S, a0, b0, lambda) as general data with p = 1: G = S - F,
-    theta = c0 = (a0 + b0)/2, psi = a0, xi = b0 and Omega = lambda."""
-    a0, b0 = vector(a0), vector(b0)
-    c0 = vscale(HALF, vadd(a0, b0))
-    return ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]], [[[lam]]])
+    theta = c0 = (a0 + b0)/2, psi = a0, xi = b0 and Omega = lambda.
+
+    The data is kept on F for the last (S, a0, b0, lambda), compared by
+    value, as the derived set is kept on the data: a check and a build on the
+    same arguments share one data object, and so one derived set.
+    """
+    key = (S, vector(a0), vector(b0), rat(lam))
+    kept = F.__dict__.get("_rank_one")
+    if kept is None or kept[0] != key:
+        _, a0, b0, lam = key
+        c0 = vscale(HALF, vadd(a0, b0))
+        kept = (key, ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]], [[[lam]]]))
+        object.__setattr__(F, "_rank_one", kept)
+    return kept[1]
 
 
 def check_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,

@@ -70,14 +70,15 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def coords_to_entries(dim: int, coords) -> list[list[int | str]]:
-    """File entries of the skew form with these strict upper-triangle coordinates."""
-    cells = ((i, j) for i in range(dim) for j in range(i + 1, dim))
-    return [[i + 1, j + 1, rational_to_json(x)]
-            for (i, j), x in zip(cells, coords, strict=True) if x]
+    """File entries of the skew form whose strict upper-triangle coordinates
+    are the pairs (position, value) of ``coords``, in position order; zero
+    values are skipped."""
+    cells = [(i + 1, j + 1) for i in range(dim) for j in range(i + 1, dim)]
+    return [[*cells[k], rational_to_json(x)] for k, x in coords if x]
 
 
 def form_to_entries(form: SkewForm) -> list[list[int | str]]:
-    return coords_to_entries(form.dim, form_coords(form))
+    return coords_to_entries(form.dim, enumerate(form_coords(form)))
 
 
 def algebra_to_dict(algebra: Algebra, form: SkewForm | None = None

@@ -330,7 +330,8 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     W[x][b] over the nonzero c[p][q][b], and W[x][b] is +-1 times an
     upper-triangle coordinate.  Every row is built over ints (the constants
     scaled by the lcm of their denominators) and made primitive, so rows
-    equal up to a scalar reach the elimination once.
+    equal up to a scalar reach the elimination once, and the elimination
+    runs on those ints.
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be 'left', 'right', or 'bi'")
@@ -349,8 +350,7 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
             d = gcd(*(v for _, v in items)) * (1 if items[0][1] > 0 else -1)
             distinct[tuple((c, v // d) for c, v in items)] = None
     # short rows first, by lead column: the pivots stay sparse; the RREF is canonical
-    return kernel([{c: Fraction(v) for c, v in row}
-                   for row in sorted(distinct, key=lambda r: (len(r), r[0][0]))],
+    return kernel(map(dict, sorted(distinct, key=lambda r: (len(r), r[0][0]))),
                   n * (n - 1) // 2)
 
 
@@ -368,8 +368,9 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
     matrix of odd size is always singular, so odd dimensions return None
     without drawing.
 
-    The attempts run over integers: the basis is scaled by the lcm of its
-    denominators, each combination is tested with int_det, and only the
+    The attempts run over integers: they read the basis scaled by the lcm of
+    its denominators (``Subspace.int_basis``, which the solver fills in from
+    its int pivots), each combination is tested with int_det, and only the
     winner is turned back into rationals and built as a SkewForm.  When the
     first attempt fails and the basis forms share a nonzero radical vector,
     every member of the space is degenerate, so that None is exact and is
@@ -380,8 +381,7 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
         raise ValueError("coordinate space does not match the stated dimension")
     if dim % 2:
         return None
-    den, scaled = _int_scale(space.basis.entries)
-    basis = [[(k, x) for k, x in enumerate(row) if x] for row in scaled]
+    den, basis = space.int_basis
     cells = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
     def gram(coords):  # the int Gram matrix of sparse coordinates (k, x)
@@ -402,7 +402,7 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
         if int_det(gram(enumerate(coords))):
             return form_from_coords(dim, [Fraction(x, den) for x in coords])
         # the stacked Gram rows of the basis have a kernel: a common radical
-        if attempt == 0 and kernel([{j: Fraction(x) for j, x in enumerate(r) if x}
+        if attempt == 0 and kernel([{j: x for j, x in enumerate(r) if x}
                                     for row in basis for r in gram(row)], dim).dim:
             return None
     return None

@@ -165,6 +165,30 @@ def test_rank_one_family_runs_its_criterion_once_per_sample(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rank_one_family_builds_one_derived_set_per_sample(monkeypatch):
+    """check_rank_one and build_rank_one on one sample share one data object,
+    so the criterion and the block tables read one derived set."""
+    builds = []
+    init = extension._Derived.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+    monkeypatch.setattr(extension._Derived, "__init__", counted)
+    rng = random.Random(3)
+    rr3 = get("RR3_SIXDIM_RAW")
+    for params in [rr3.default_params()] + [rr3.sample(rng) for _ in range(4)]:
+        before = len(builds)
+        assert verify("RR3_SIXDIM_RAW", params).ok
+        assert len(builds) - before == 1
+    # the data is kept on F and compared by value
+    _, F, S, a0, b0, lam = rank_one_data()
+    d = extension._rank_one_data(F, S, a0, b0, lam)
+    assert extension._rank_one_data(F, S, list(a0), b0, lam) is d
+    moved = extension._rank_one_data(F, S, a0, b0, lam + 1)
+    assert moved is not d and moved.omega_cube[0][0][0] == lam + 1
+
+
 def test_rr3_displayed_forms_carry_their_cross_terms():
     _, w_raw = instantiate("RR3_SIXDIM_RAW")
     assert w_raw.w.entries[4][5] == -1

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -603,6 +604,29 @@ def test_omega_solve_output_is_pinned(capsys, tmp_path, name):
             assert (code, err) == (0, "")
             got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
     assert tuple(got) == SOLVE_GOLDEN[name]
+
+
+def _dense_product(n, seed):
+    """Every structure constant drawn from [-3, 3]: the dense case of the form
+    solve, whose answer is the zero space."""
+    rng = random.Random(seed)
+    return Algebra.from_table(n, {(i, j): [rng.randint(-3, 3) for _ in range(n)]
+                                  for i in range(1, n + 1) for j in range(1, n + 1)})
+
+
+def test_omega_solve_on_a_dense_dim_12_product_is_pinned(capsys, tmp_path):
+    """About 0.1 s with the fraction-free elimination (0.6 s over Fractions);
+    CI runs the same recipe at dim 16 under a time limit."""
+    path = tmp_path / "dense.json"
+    path.write_text(serialize_algebra(_dense_product(12, 12)), encoding="utf-8")
+    outs = []
+    for prefix in ((), ("--json-out",)):
+        code, out, err = run(capsys, *prefix, "omega", str(path), "solve")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert "solution space dimension: 0\n" in outs[0]
+    assert [hashlib.sha256(out.encode()).hexdigest()[:16] for out in outs] == [
+        "22d9d22835cddfb1", "305caac0f72e1d74"]
 
 
 # ---------------------------------------------------------------------------

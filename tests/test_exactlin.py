@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from sympleib.exactlin import (
     ZERO,
     Matrix,
+    Subspace,
+    _dense_rows,
     basis_vector,
     full_subspace,
     intersect,
@@ -18,6 +21,7 @@ from sympleib.exactlin import (
     kernel,
     pivot_columns,
     rat,
+    reduce_rows,
     rref,
     solve,
     solve_unique,
@@ -26,6 +30,7 @@ from sympleib.exactlin import (
     vector,
     zero_subspace,
 )
+from sympleib.symplectic import _int_scale
 
 
 def _random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -385,3 +390,113 @@ def test_products_reject_mismatched_shapes():
         Matrix.zero(2, 3).matvec((ZERO, ZERO))
     assert Matrix.zero(0, 3).matvec((ZERO,) * 3) == ()
     assert (Matrix.zero(2, 0) @ Matrix.zero(0, 4)) == Matrix.zero(2, 4)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free core on int, Fraction and mixed sparse rows, with
+# numerators up to 2^64 and nontrivial denominators, against sympy
+
+_INT = st.integers(-2 ** 64, 2 ** 64)
+_FRACTION = st.builds(Fraction, _INT, st.integers(1, 10 ** 6))
+_VALUES = {"int": _INT, "fraction": _FRACTION, "mixed": st.one_of(_INT, _FRACTION)}
+_CORE = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def sparse_systems(draw, square=False):
+    """(cols, rows): sparse rows {column: nonzero value} whose values are all
+    ints, all Fractions or both, with some rows repeated times a scalar."""
+    value = _VALUES[draw(st.sampled_from(sorted(_VALUES)))]
+    entry = st.one_of(st.just(0), st.just(0), value)
+    cols = draw(st.integers(1, 5))
+    rows = [{j: x for j in range(cols) if (x := draw(entry))}
+            for _ in range(cols if square else draw(st.integers(1, 7)))]
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(value.filter(bool))
+        copy = {j: c * x for j, x in draw(st.sampled_from(rows)).items()}
+        if square:
+            rows[draw(st.integers(0, cols - 1))] = copy
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), copy)
+    return cols, rows
+
+
+def _matrix_of(cols, rows):
+    return Matrix.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows])
+
+
+@_CORE
+@given(sparse_systems())
+def test_core_kernel_and_rref_equal_sympy(system):
+    cols, rows = system
+    m = _matrix_of(cols, rows)
+    s = _sympy_exact(m)
+    assert kernel(rows, cols).basis.entries == _canonical_rows(s.nullspace(), cols)
+    assert kernel(m) == kernel(rows, cols)
+    expected, pivots = s.rref()
+    dense = tuple(tuple(_frac(expected[i, j]) for j in range(cols)) for i in range(m.rows))
+    assert rref(m).entries == dense
+    assert _dense_rows(reduce_rows(rows), cols) == dense[:len(pivots)]
+
+
+@_CORE
+@given(sparse_systems(), st.data())
+def test_core_solve_equals_sympy(system, data):
+    cols, rows = system
+    m = _matrix_of(cols, rows)
+    rhs = [Fraction(x) for x in data.draw(st.lists(_VALUES["mixed"], min_size=m.rows,
+                                                   max_size=m.rows))]
+    x, ker = solve(m, rhs)
+    assert ker == kernel(rows, cols)
+    try:
+        sol, params = _sympy_exact(m).gauss_jordan_solve(
+            sympy.Matrix(m.rows, 1, [sympy.Rational(v.numerator, v.denominator) for v in rhs]))
+    except ValueError:
+        assert x is None
+        return
+    particular = sol.subs({t: 0 for t in params})
+    assert x == tuple(_frac(particular[i, 0]) for i in range(cols))
+
+
+@_CORE
+@given(sparse_systems(square=True))
+def test_core_inverse_equals_sympy(system):
+    m = _matrix_of(*system)
+    s = _sympy_exact(m)
+    if s.det() == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        inv = s.inv()
+        assert m.inverse().entries == tuple(tuple(_frac(inv[i, j]) for j in range(m.cols))
+                                            for i in range(m.rows))
+
+
+@_CORE
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_core_pivots_are_primitive_and_independent_of_row_order(system, rng):
+    cols, rows = system
+    pivots = reduce_rows(rows)
+    for p, row in pivots.items():
+        assert all(type(x) is int for x in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1 and min(row) == p
+        assert all(q == p or q not in row for q in pivots)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert reduce_rows(shuffled) == pivots
+    assert reduce_rows(reversed(rows)) == pivots
+
+
+def _sparse_int_scale(rows):
+    d, scaled = _int_scale(rows)
+    return d, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in scaled)
+
+
+@_CORE
+@given(sparse_systems())
+def test_int_basis_is_the_basis_scaled_to_ints(system):
+    cols, rows = system
+    dense = [[row.get(j, 0) for j in range(cols)] for row in rows]
+    for space in (span(cols, dense), kernel(rows, cols)):
+        assert space.int_basis == _sparse_int_scale(space.basis.entries)
+        assert Subspace(space.ambient_dim, space.basis).int_basis == space.int_basis

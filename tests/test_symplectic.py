@@ -21,6 +21,7 @@ from sympleib.catalog import _PREDICATES, get, instantiate, list_families
 from sympleib.exactlin import (
     ZERO,
     Matrix,
+    Subspace,
     basis_vector,
     int_det,
     intersect,
@@ -35,6 +36,7 @@ from sympleib.reporting import Check, Witness
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
+    _int_scale,
     find_nondegenerate,
     form_coords,
     form_from_coords,
@@ -727,3 +729,35 @@ def test_degenerate_spaces_without_a_common_radical_run_every_draw(monkeypatch):
     assert find_nondegenerate(space, 4, seed=3, attempts=40) is None
     assert len(calls) == 40
     assert _dense_find_nondegenerate(space, 4, seed=3, attempts=40) is None
+
+
+def _assert_int_basis_and_search_agree(a):
+    """The int basis the solver fills in from its pivots is the Fraction basis
+    scaled to ints, so find_nondegenerate makes the same draws, and returns
+    the same form, on the solved space, on the span of its Fraction rows and
+    on a Subspace built directly, which scales its own basis."""
+    space = solve_symplectic_forms(a)
+    d, scaled = _int_scale(space.basis.entries)
+    assert space.int_basis == (d, tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                                        for row in scaled))
+    rebuilt = span(space.ambient_dim, space.basis.entries)
+    direct = Subspace(space.ambient_dim, space.basis)
+    assert rebuilt == direct == space
+    assert rebuilt.int_basis == direct.int_basis == space.int_basis
+    for seed in (0, 1, 7):
+        form = find_nondegenerate(space, a.dim, seed=seed)
+        assert find_nondegenerate(rebuilt, a.dim, seed=seed) == form
+        assert find_nondegenerate(direct, a.dim, seed=seed) == form
+
+
+@pytest.mark.parametrize("fid", list_families())
+def test_solver_int_basis_on_catalog_and_sheared_products(fid):
+    a, _ = instantiate(fid)
+    for alg in (a, _sheared(a)):
+        _assert_int_basis_and_search_agree(alg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_small_algebras(6, _MIXED, st.sampled_from([4, 6])))
+def test_solver_int_basis_on_random_products_with_halves_and_thirds(a):
+    _assert_int_basis_and_search_agree(a)
