@@ -3,7 +3,8 @@
 An algebra on basis e_1..e_n is stored as the tensor c with
 e_i * e_j = sum_k c[i][j][k] e_k (0-based internally).  Every product is
 evaluated through the sparse view ``Algebra.nz``: ``nz[i][j]`` holds the
-nonzero pairs ``(k, c[i][j][k])``, built once per algebra on first use.
+nonzero pairs ``(k, c[i][j][k])``, filled in by ``from_table`` from the
+products it is given, or built once on first use.
 
 All identity checks run over basis triples, which suffices because every
 identity here is multilinear.  Each identity is one signed term table over
@@ -63,24 +64,36 @@ class Algebra:
 
         products maps (i, j) to either a {k: coefficient} mapping or a full
         coordinate vector for e_i * e_j.  Indices are 1-based by default to
-        match how such tables are usually written down.
+        match how such tables are usually written down.  Each coefficient is
+        coerced once (a Fraction is taken as it is), and the sparse view
+        ``nz`` is filled in from the listed products as the tensor is built,
+        as is ``int_nz`` at scale 1 when every constant is an integer.
         """
         off = 1 if one_based else 0
-        c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        zero = (ZERO,) * dim
+        c = [[zero] * dim for _ in range(dim)]
+        nz = [[()] * dim for _ in range(dim)]
         for (i, j), val in products.items():
             i -= off
             j -= off
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"product index ({i + off}, {j + off}) out of range")
             if isinstance(val, Mapping):
+                v = list(zero)
                 for k, x in val.items():
-                    c[i][j][k - off] = rat(x)
+                    v[k - off] = x if type(x) is Fraction else rat(x)
             else:
                 if len(val) != dim:
                     raise ValueError("product vector has wrong length")
-                c[i][j] = [rat(x) for x in val]
-        return Algebra(dim, tuple(tuple(tuple(v) for v in row) for row in c),
-                       tuple(labels))
+                v = [x if type(x) is Fraction else rat(x) for x in val]
+            c[i][j] = tuple(v)
+            nz[i][j] = tuple((k, x) for k, x in enumerate(v) if x is not ZERO and x)
+        a = Algebra(dim, tuple(map(tuple, c)), tuple(labels))
+        vars(a)["nz"] = nz = tuple(map(tuple, nz))
+        if all(x.denominator == 1 for row in nz for pairs in row for _, x in pairs):
+            vars(a)["int_nz"] = (1, tuple(tuple(tuple((k, x.numerator) for k, x in pairs)
+                                                for pairs in row) for row in nz))
+        return a
 
     def basis_label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"e{i + 1}"

@@ -113,19 +113,16 @@ def cmd_omega(args) -> int:
         # the nonzero positions of each basis row, read off the int basis
         basis = [coords_to_entries(algebra.dim, ((k, row[k]) for k, _ in nonzero))
                  for row, nonzero in zip(space.basis.entries, space.int_basis[1])]
-        rep = find_nondegenerate(space, algebra.dim, seed=args.seed)
+        found = find_nondegenerate(space, algebra.dim, seed=args.seed)
+        rep = None if found is None else form_to_entries(found)
         lines = [f"side: {args.side}",
                  f"solution space dimension: {space.dim}"]
         for k, entries in enumerate(basis, start=1):
             lines.append(f"basis {k}: {_entries_text(entries)}")
-        if rep is None:
-            lines.append("nondegenerate representative: none found")
-        else:
-            lines.append("nondegenerate representative: "
-                         + _entries_text(form_to_entries(rep)))
+        lines.append("nondegenerate representative: "
+                     + ("none found" if rep is None else _entries_text(rep)))
         doc = {"command": "omega", "mode": "solve", "side": args.side,
-               "dimension": space.dim, "basis": basis,
-               "nondegenerate": None if rep is None else form_to_entries(rep)}
+               "dimension": space.dim, "basis": basis, "nondegenerate": rep}
         return _finish(args, 0, lines, doc)
 
     if form is None:

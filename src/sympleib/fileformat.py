@@ -11,6 +11,7 @@ minutes before failing.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -31,9 +32,9 @@ class FileFormatError(ValueError):
 
 
 def rational_to_json(value: Rational) -> int | str:
-    frac = Fraction(value)
+    frac = value if type(value) is Fraction else Fraction(value)
     if frac.denominator == 1:
-        return int(frac)
+        return frac.numerator
     return f"{frac.numerator}/{frac.denominator}"
 
 
@@ -64,16 +65,24 @@ def rational_from_json(value: object, where: str, *index: int) -> Fraction:
         raise FileFormatError(f"{where.format(*index) if index else where}: {exc}") from None
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, message: str, *args) -> None:
+    """Refuse the input unless ``condition``; given ``args``, ``message`` is a
+    format string for them, formatted only on refusal."""
     if not condition:
-        raise FileFormatError(message)
+        raise FileFormatError(message.format(*args) if args else message)
+
+
+@functools.cache
+def _cells(dim: int) -> tuple[tuple[int, int], ...]:
+    """The 1-based cells (i, j), i < j, in upper-triangle coordinate order."""
+    return tuple((i + 1, j + 1) for i in range(dim) for j in range(i + 1, dim))
 
 
 def coords_to_entries(dim: int, coords) -> list[list[int | str]]:
     """File entries of the skew form whose strict upper-triangle coordinates
     are the pairs (position, value) of ``coords``, in position order; zero
     values are skipped."""
-    cells = [(i + 1, j + 1) for i in range(dim) for j in range(i + 1, dim)]
+    cells = _cells(dim)
     return [[*cells[k], rational_to_json(x)] for k, x in coords if x]
 
 
@@ -87,15 +96,13 @@ def algebra_to_dict(algebra: Algebra, form: SkewForm | None = None
     if algebra.labels:
         doc["labels"] = list(algebra.labels)
     products = []
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            value = algebra.c[i][j]
-            if any(x != 0 for x in value):
-                products.append({
-                    "left": i + 1,
-                    "right": j + 1,
-                    "value": [rational_to_json(x) for x in value],
-                })
+    for i, row in enumerate(algebra.nz):
+        for j, pairs in enumerate(row):
+            if pairs:
+                value = [0] * algebra.dim
+                for k, x in pairs:
+                    value[k] = rational_to_json(x)
+                products.append({"left": i + 1, "right": j + 1, "value": value})
     doc["products"] = products
     if form is not None:
         doc["form"] = form_to_entries(form)
@@ -138,40 +145,41 @@ def algebra_from_dict(doc: Mapping[str, Any]
     _expect(not labels or len(labels) == dim,
             "labels must have one entry per basis vector")
 
-    table: dict[tuple[int, int], list[Fraction]] = {}
+    # each product's nonzero pairs, 0-based: from_table fills in the sparse view from them
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for k, item in enumerate(doc.get("products", [])):
-        where = f"products[{k}]"
-        _expect(isinstance(item, dict), f"{where}: must be an object")
+        _expect(isinstance(item, dict), "products[{}]: must be an object", k)
         for key in ("left", "right", "value"):
-            _expect(key in item, f"{where}: missing field: {key}")
+            _expect(key in item, "products[{}]: missing field: {}", k, key)
         i, j = item["left"], item["right"]
         for name, idx in (("left", i), ("right", j)):
             _expect(isinstance(idx, int) and not isinstance(idx, bool)
                     and 1 <= idx <= dim,
-                    f"{where}: {name} index out of range 1..{dim}")
-        _expect((i, j) not in table, f"{where}: duplicate product ({i}, {j})")
+                    "products[{}]: {} index out of range 1..{}", k, name, dim)
+        _expect((i - 1, j - 1) not in table, "products[{}]: duplicate product ({}, {})", k, i, j)
         value = item["value"]
         _expect(isinstance(value, list) and len(value) == dim,
-                f"{where}: value must be a vector of length {dim}")
-        table[(i, j)] = [rational_from_json(x, "products[{}].value[{}]", k, n)
-                         for n, x in enumerate(value)]
+                "products[{}]: value must be a vector of length {}", k, dim)
+        nonzero = table[(i - 1, j - 1)] = {}
+        for n, x in enumerate(value):
+            x = rational_from_json(x, "products[{}].value[{}]", k, n)
+            if x is not ZERO and x:
+                nonzero[n] = x
 
-    algebra = Algebra.from_table(dim, table, labels=tuple(labels))
+    algebra = Algebra.from_table(dim, table, labels=tuple(labels), one_based=False)
 
     form = None
     if "form" in doc:
         pairs: dict[tuple[int, int], Fraction] = {}
         for k, item in enumerate(doc["form"]):
-            where = f"form[{k}]"
-            _expect(isinstance(item, list) and len(item) == 3,
-                    f"{where}: must be [i, j, value]")
+            _expect(isinstance(item, list) and len(item) == 3, "form[{}]: must be [i, j, value]", k)
             i, j, value = item
             for idx in (i, j):
                 _expect(isinstance(idx, int) and not isinstance(idx, bool)
                         and 1 <= idx <= dim,
-                        f"{where}: index out of range 1..{dim}")
-            _expect(i < j, f"{where}: only strict upper-triangle entries")
-            _expect((i, j) not in pairs, f"{where}: duplicate entry ({i}, {j})")
+                        "form[{}]: index out of range 1..{}", k, dim)
+            _expect(i < j, "form[{}]: only strict upper-triangle entries", k)
+            _expect((i, j) not in pairs, "form[{}]: duplicate entry ({}, {})", k, i, j)
             pairs[(i, j)] = rational_from_json(value, "form[{}][2]", k)
         form = form_from_pairs(dim, pairs)
     return algebra, form
@@ -199,11 +207,10 @@ def _matrix_from_json(rows: object, m: int, where: str) -> Matrix:
             f"{where}: expected {m} rows")
     parsed = []
     for r, row in enumerate(rows):
-        _expect(isinstance(row, list) and len(row) == m,
-                f"{where}[{r}]: expected {m} entries")
-        parsed.append([rational_from_json(x, where + "[{}][{}]", r, c)
-                       for c, x in enumerate(row)])
-    return Matrix.from_rows(parsed)
+        _expect(isinstance(row, list) and len(row) == m, "{}[{}]: expected {} entries", where, r, m)
+        parsed.append(tuple(rational_from_json(x, where + "[{}][{}]", r, c)
+                            for c, x in enumerate(row)))
+    return Matrix(m, m, tuple(parsed))
 
 
 def _vector_table_from_json(data: object, p: int, m: int, where: str) -> list:
@@ -211,12 +218,11 @@ def _vector_table_from_json(data: object, p: int, m: int, where: str) -> list:
             f"{where}: expected {p} rows")
     out = []
     for i, row in enumerate(data):
-        _expect(isinstance(row, list) and len(row) == p,
-                f"{where}[{i}]: expected {p} entries")
+        _expect(isinstance(row, list) and len(row) == p, "{}[{}]: expected {} entries", where, i, p)
         vecs = []
         for j, vec in enumerate(row):
             _expect(isinstance(vec, list) and len(vec) == m,
-                    f"{where}[{i}][{j}]: expected a vector of length {m}")
+                    "{}[{}][{}]: expected a vector of length {}", where, i, j, m)
             vecs.append([rational_from_json(x, where + "[{}][{}][{}]", i, j, n)
                          for n, x in enumerate(vec)])
         out.append(vecs)

@@ -59,6 +59,14 @@ class SkewForm:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "nondegenerate", w.det() != 0)
 
+    @classmethod
+    def _nondegenerate(cls, w: Matrix) -> "SkewForm":
+        """The form of a W the caller built skew and has found invertible
+        (find_nondegenerate, by int_det): no skew scan and no second det."""
+        form = object.__new__(cls)
+        form.__dict__.update(w=w, nondegenerate=True)
+        return form
+
     @property
     def dim(self) -> int:
         return self.w.rows
@@ -87,9 +95,10 @@ def form_from_pairs(dim: int, pairs: Mapping[tuple[int, int], object],
         if not (0 <= i < dim and 0 <= j < dim) or i == j:
             raise ValueError(f"invalid form index pair ({i + off}, {j + off})")
         x = rat(v)
-        rows[i][j] += x
-        rows[j][i] -= x
-    return SkewForm(Matrix.from_rows(rows))
+        if rows[i][j] is not ZERO:  # the mirror cell (j, i) was given too: they add up
+            x += rows[i][j]
+        rows[i][j], rows[j][i] = x, -x
+    return SkewForm(Matrix(dim, dim, tuple(map(tuple, rows))))
 
 
 def omega(form: SkewForm, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -296,7 +305,9 @@ def upper_index(n: int, i: int, j: int) -> int:
 
 
 def form_from_coords(n: int, coords: Sequence[Fraction]) -> SkewForm:
-    """Inverse of the strict upper-triangle coordinate encoding."""
+    """Inverse of the strict upper-triangle coordinate encoding, through the
+    public, checked SkewForm constructor.  No library path calls it; the tests
+    keep it as the oracle for the form find_nondegenerate builds directly."""
     if len(coords) != n * (n - 1) // 2:
         raise ValueError("coordinate vector has wrong length")
     rows = [[ZERO] * n for _ in range(n)]
@@ -371,7 +382,9 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
     The attempts run over integers: they read the basis scaled by the lcm of
     its denominators (``Subspace.int_basis``, which the solver fills in from
     its int pivots), each combination is tested with int_det, and only the
-    winner is turned back into rationals and built as a SkewForm.  When the
+    winner is turned back into rationals.  Its SkewForm keeps what the search
+    knows: the Gram matrix is skew by construction and int_det found it
+    invertible, so there is no skew scan and no second determinant.  When the
     first attempt fails and the basis forms share a nonzero radical vector,
     every member of the space is degenerate, so that None is exact and is
     returned at once; otherwise the draws go on unchanged.  The CLI prints
@@ -384,8 +397,8 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
     den, basis = space.int_basis
     cells = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
-    def gram(coords):  # the int Gram matrix of sparse coordinates (k, x)
-        w = [[0] * dim for _ in range(dim)]
+    def gram(coords, zero=0):  # the Gram matrix of sparse coordinates (k, x)
+        w = [[zero] * dim for _ in range(dim)]
         for k, x in coords:
             i, j = cells[k]
             w[i][j], w[j][i] = x, -x
@@ -400,7 +413,8 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
                 for k, y in row:
                     coords[k] += c * y
         if int_det(gram(enumerate(coords))):
-            return form_from_coords(dim, [Fraction(x, den) for x in coords])
+            w = gram(((k, Fraction(x, den)) for k, x in enumerate(coords) if x), ZERO)
+            return SkewForm._nondegenerate(Matrix(dim, dim, tuple(map(tuple, w))))
         # the stacked Gram rows of the basis have a kernel: a common radical
         if attempt == 0 and kernel([{j: x for j, x in enumerate(r) if x}
                                     for row in basis for r in gram(row)], dim).dim:

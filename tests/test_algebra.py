@@ -29,8 +29,8 @@ from sympleib.algebra import (
     split,
 )
 from sympleib.catalog import instantiate, list_families
-from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kernel, span, vadd,
-                               vector, vsub, vzero, zero_subspace)
+from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kernel, rat, span,
+                               vadd, vector, vsub, vzero, zero_subspace)
 from sympleib.reporting import Check, Witness
 
 
@@ -543,6 +543,53 @@ def test_nz_lists_the_nonzero_constants_and_leaves_equality_alone():
     assert a.nz[1][0] == ((2, -1),)
     assert a.nz[3][3] == ()
     assert a == _r4() and hash(a) == hash(_r4())
+
+
+# table entries: small ints (shared Fractions once parsed), ints far outside that
+# table, Fractions, strings, and zeros written every way
+_TABLE_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from([0, Fraction(0), ZERO, "0", "-0", "0/7", "5", "-2/6", "3/4"]),
+)
+
+
+@st.composite
+def product_tables(draw, max_dim=5):
+    """(n, products) with {k: x} mappings, full vectors and all-zero vectors mixed."""
+    n = draw(st.integers(0, max_dim))
+    if n == 0:
+        return 0, {}
+    index = st.integers(1, n)
+    value = st.one_of(st.dictionaries(index, _TABLE_ENTRY, max_size=n),
+                      st.lists(_TABLE_ENTRY, min_size=n, max_size=n),
+                      st.just([0] * n))
+    return n, draw(st.dictionaries(st.tuples(index, index), value, max_size=n * n))
+
+
+@_PROPERTY
+@given(product_tables())
+def test_from_table_seeds_the_sparse_view_the_cache_would_compute(table):
+    n, products = table
+    a = Algebra.from_table(n, products)
+    want = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), val in products.items():
+        for k, x in (val.items() if isinstance(val, dict) else enumerate(val, start=1)):
+            want[i - 1][j - 1][k - 1] = rat(x)
+    assert a.c == tuple(tuple(map(tuple, row)) for row in want)
+    seeded = dict(vars(a))
+    integral = all(x.denominator == 1 for row in a.c for v in row for x in v)
+    assert ("int_nz" in seeded) == integral
+    vars(a).pop("nz")
+    vars(a).pop("int_nz", None)
+    assert a.nz == seeded["nz"]
+    if integral:
+        assert a.int_nz == seeded["int_nz"]
+    assert all(x for row in a.nz for pairs in row for _, x in pairs)  # no zero enters
+    plain = Algebra(n, a.c)
+    assert a == plain and hash(a) == hash(plain)
+    assert (plain.nz, plain.int_nz) == (seeded["nz"], a.int_nz)
 
 
 def test_witness_describe_uses_one_based_indices_and_plain_rationals():

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympleib.algebra import Algebra
+from sympleib.algebra import Algebra, change_basis
 from sympleib.catalog import instantiate, list_families
 from sympleib.fileformat import (
     FileFormatError,
@@ -15,7 +17,8 @@ from sympleib.fileformat import (
     parse_extension,
     serialize_algebra,
 )
-from sympleib.symplectic import form_from_pairs
+from sympleib.exactlin import Matrix
+from sympleib.symplectic import SkewForm, form_from_pairs
 
 
 def roundtrip(algebra, form):
@@ -188,3 +191,62 @@ def test_entries_inside_and_outside_the_small_int_table_parse_exactly(value):
     algebra, form = algebra_from_dict(doc)
     assert algebra.c[0][1][1] == form.w.entries[0][1] == Fraction(value)
     assert type(algebra.c[0][1][1]) is Fraction
+
+
+# file entries: JSON ints inside and far outside the small-int table, strings,
+# and zeros written as "0", "-0" and "0/7"
+_FILE_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                        st.sampled_from(["0", "-0", "0/7", "-0/3", "5", "-2/6", "3/4", "65"]))
+
+
+@st.composite
+def algebra_files(draw, max_dim=5):
+    n = draw(st.integers(1, max_dim))
+    index = st.integers(1, n)
+    cells = draw(st.lists(st.tuples(index, index), unique=True, max_size=n * n))
+    doc = {"dim": n, "products": [
+        {"left": i, "right": j, "value": draw(st.lists(_FILE_ENTRY, min_size=n, max_size=n))}
+        for i, j in cells]}
+    if n > 1 and draw(st.booleans()):
+        upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        doc["form"] = [[i, j, draw(_FILE_ENTRY)]
+                       for i, j in draw(st.lists(st.sampled_from(upper), unique=True))]
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_files())
+def test_a_parsed_file_seeds_the_sparse_view_the_cache_would_compute(doc):
+    a, form = algebra_from_dict(doc)
+    seeded = dict(vars(a))
+    integral = all(x.denominator == 1 for row in a.c for v in row for x in v)
+    assert ("int_nz" in seeded) == integral
+    plain = Algebra(a.dim, a.c, a.labels)
+    assert a.nz == plain.nz and a.int_nz == plain.int_nz
+    assert all(x for row in a.nz for pairs in row for _, x in pairs)  # no zero enters
+    for item in doc["products"]:
+        assert a.c[item["left"] - 1][item["right"] - 1] == tuple(map(Fraction, item["value"]))
+    if "form" in doc:
+        want = form_from_pairs(a.dim, {(i, j): Fraction(x) for i, j, x in doc["form"]})
+        assert form == want and form.nondegenerate == want.nondegenerate
+    text = serialize_algebra(a, form)
+    assert serialize_algebra(*parse_algebra(text)) == text
+
+
+def _sheared(a, form):
+    """a and its form in the basis of an upper triangular P with fractional entries."""
+    n = a.dim
+    p = Matrix.from_rows([[1 if i == j else Fraction(j - i, 3) if j > i else 0
+                           for j in range(n)] for i in range(n)])
+    return change_basis(a, p), SkewForm(p.transpose() @ form.w @ p)
+
+
+@pytest.mark.parametrize("fid", list_families())
+def test_every_family_and_its_shear_round_trip_through_the_seeded_parse(fid):
+    for algebra, form in (instantiate(fid), _sheared(*instantiate(fid))):
+        text = serialize_algebra(algebra, form)
+        parsed_a, parsed_w = parse_algebra(text)
+        assert parsed_a == algebra and parsed_a.labels == algebra.labels
+        assert parsed_w == form and parsed_w.nondegenerate == form.nondegenerate
+        assert parsed_a.nz == algebra.nz and parsed_a.int_nz == algebra.int_nz
+        assert serialize_algebra(parsed_a, parsed_w) == text

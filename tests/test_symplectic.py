@@ -119,6 +119,15 @@ def test_skew_form_construction():
     assert not degenerate.nondegenerate
 
 
+def test_form_from_pairs_assigns_each_cell_and_adds_a_given_mirror_cell():
+    w = form_from_pairs(3, {(1, 2): 3, (1, 3): Fraction(-1, 2)}).w.entries
+    assert (w[0][1], w[1][0], w[0][2], w[2][0], w[1][2]) == (3, -3, Fraction(-1, 2),
+                                                             Fraction(1, 2), 0)
+    # W = sum of x (E_ij - E_ji), so (2, 1): 1 takes 1 off the (1, 2) entry
+    w = form_from_pairs(2, {(1, 2): 3, (2, 1): 1}).w.entries
+    assert (w[0][1], w[1][0]) == (2, -2)
+
+
 def test_omega_evaluation():
     u = vector([1, 2, 0, 0])
     v = vector([0, 0, 3, 4])
@@ -729,6 +738,38 @@ def test_degenerate_spaces_without_a_common_radical_run_every_draw(monkeypatch):
     assert find_nondegenerate(space, 4, seed=3, attempts=40) is None
     assert len(calls) == 40
     assert _dense_find_nondegenerate(space, 4, seed=3, attempts=40) is None
+
+
+def test_the_found_form_keeps_the_determinant_the_search_computed(monkeypatch):
+    """find_nondegenerate builds its winner from the int Gram matrix int_det
+    accepted, with no SkewForm constructor call and no Matrix.det; the checked
+    public constructor, through the oracle form_from_coords, agrees."""
+    rng = random.Random(12)
+    dense = Algebra.from_table(12, {(i, j): [rng.randint(-3, 3) for _ in range(12)]
+                                    for i in range(1, 13) for j in range(1, 13)})
+    algebras = [alg for fid in list_families()
+                for alg in (instantiate(fid)[0], _sheared(instantiate(fid)[0]))] + [dense]
+    spaces = [(solve_symplectic_forms(alg), alg.dim) for alg in algebras]
+    calls = []
+    init, det = SkewForm.__init__, Matrix.det
+    monkeypatch.setattr(SkewForm, "__init__", lambda self, w: calls.append(w) or init(self, w))
+    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or det(self))
+    found = [find_nondegenerate(space, dim, seed=seed) for space, dim in spaces
+             for seed in (0, 1)]
+    assert calls == []
+    monkeypatch.undo()
+    assert found[-1] is None  # the dense product carries only the zero form
+    forms = [form for form in found if form is not None]
+    assert len(forms) > len(list_families())
+    for form in forms:
+        checked = SkewForm(form.w)
+        assert form == checked == form_from_coords(form.dim, form_coords(form))
+        assert form.nondegenerate and checked.nondegenerate and form.w.det() != 0
+    # outside input still goes through both checks
+    with pytest.raises(ValueError, match="not skew"):
+        SkewForm(Matrix.from_rows([[0, 1, 0], [-1, 0, 2], [0, 2, 0]]))
+    assert not SkewForm(Matrix.from_rows([[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 1],
+                                          [0, -1, -1, 0]])).nondegenerate
 
 
 def _assert_int_basis_and_search_agree(a):
