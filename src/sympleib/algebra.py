@@ -81,6 +81,8 @@ class Algebra:
             if isinstance(val, Mapping):
                 v = list(zero)
                 for k, x in val.items():
+                    if not 0 <= k - off < dim:
+                        raise ValueError(f"product coordinate {k} out of range")
                     v[k - off] = x if type(x) is Fraction else rat(x)
             else:
                 if len(val) != dim:

@@ -6,16 +6,17 @@ anywhere in this package; every comparison is exact and every tolerance is
 zero.
 
 All row reduction runs on one sparse, fraction-free core, ``reduce_rows``:
-rows are held as ``{column: nonzero value}`` maps, scaled to ints, and merged
-one at a time into pivot rows by cross-multiplying with gcd-reduced factors,
-so zero entries cost nothing and zero or repeated rows die after one pass
-against the pivots.  Each pivot row is kept primitive with a positive lead:
-it is the one such int multiple of its row of the RREF, whatever order the
-rows arrive in.  ``rref``, ``kernel``, ``solve``, ``span``, ``intersect`` and
-``Matrix.inverse`` read their answers off that core and divide by the lead
-only there, at the output; ``Subspace.int_basis`` reads the int rows back
-for callers that go on over ints.  Determinants are computed apart from it, by
-Bareiss fraction-free elimination over Python ints (``int_det``).
+rows are held as ``{column: nonzero value}`` maps; a single-entry row is a
+unit pivot as it stands, and the other rows drop its column, are scaled to
+ints and merged one at a time into pivot rows by cross-multiplying with
+gcd-reduced factors, so zero entries cost nothing and zero or repeated rows
+die after one pass against the pivots.  Each pivot row is kept primitive: it
+is the one int multiple with a positive lead of its row of the RREF, whatever
+order the rows arrive in.  ``rref``, ``kernel``, ``solve``, ``span``,
+``intersect`` and ``Matrix.inverse`` read their answers off that core and
+divide by the lead only there, at the output; ``Subspace.int_basis`` reads the
+int rows back for callers that go on over ints.  Determinants are computed
+apart from it, by Bareiss fraction-free elimination over ints (``int_det``).
 """
 
 from __future__ import annotations
@@ -272,21 +273,26 @@ def _clear(r: dict[int, int], p: Mapping[int, int], c: int) -> None:
 def reduce_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
     """The pivot rows of the span of ``rows``, keyed by pivot column, over ints.
 
-    Rows are sparse maps ``{column: value}`` of ints or Fractions.  Each
-    incoming row is scaled by the lcm of its denominators and cleared against
-    the pivots found so far by cross-multiplying with gcd-reduced factors, so
-    nothing is divided.  Whatever is left is made primitive with a positive
-    lead at its smallest column, which is then cleared from the earlier pivot
-    rows, each made primitive again.  Every pivot row thus leads at its own
-    column, vanishes at every other pivot column, and is the primitive int
-    multiple with a positive lead of its row of the RREF of the input: that
-    multiple is unique, so the pivots do not depend on the order the rows came
-    in.  The callers divide by the lead once, at the output.
+    Rows are sparse maps ``{column: value}`` of ints or Fractions.  A
+    single-entry row {c: x} says x_c = 0: it is the pivot {c: 1} as it is,
+    and column c is dropped from the other rows.  Each of those is scaled by
+    the lcm of its denominators and cleared against the pivots so far by
+    cross-multiplying with gcd-reduced factors, so nothing is divided; what
+    is left is made primitive with a positive lead at its smallest column,
+    which is cleared from the earlier pivot rows, each made primitive again.
+    So every pivot row leads at its own column, is zero at the other pivot
+    columns, and is the one primitive int multiple with a positive lead of its
+    row of the RREF, whatever the order of the rows.  The callers divide by
+    the lead once, at the output.
     """
+    rows = list(rows)
+    units = {c: {c: 1} for row in rows if len(row) == 1 for c, x in row.items() if x}
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
+        if len(row) == 1:
+            continue
         d = lcm(*[x.denominator for x in row.values()])
-        r = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+        r = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x and j not in units}
         # a pivot row is zero at the other pivot columns, so clearing one
         # pivot column of r never touches another
         for c in r.keys() & pivots.keys():
@@ -300,6 +306,7 @@ def reduce_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[
                 _clear(p, r, lead)
                 pivots[c] = _primitive(p)
         pivots[lead] = r
+    pivots.update(units)
     return pivots
 
 

@@ -11,12 +11,12 @@ evaluated through the table g[p][q] = W c[p][q], built once per call over
 ints: W and the constants are scaled by the lcm of their denominators, so
 omega(e_x, e_p*e_q) = g[p][q][x] / s and omega(e_p*e_q, e_x) = -g[p][q][x] / s
 for one scale s.  The left, right and bi identities are written once, as one
-table of position templates: the checks scatter the nonzeros of g through it
-and divide once, for the witness, and solve_symplectic_forms scatters the
-nonzero structure constants.  The star products solve against (W^-1)^T
-scaled to ints, with one Fraction per nonzero output entry.  The ``*_split``
-checks evaluate every scalar with omega instead and serve as independent
-test oracles.
+table of position templates, and one scatter runs them product by product:
+the checks scatter the nonzeros of g through it and divide once, for the
+witness, and solve_symplectic_forms scatters the nonzero structure constants.
+The star products solve against (W^-1)^T scaled to ints, with one Fraction
+per nonzero output entry.  The ``*_split`` checks evaluate every scalar with
+omega instead and serve as independent test oracles.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import itemgetter
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from sympleib.algebra import Algebra, split
@@ -183,28 +182,31 @@ _TEMPLATES = {
                 (-1, 2, 1, 0)),
     "diamond-symmetry": ((1, 0, 1, 2), (1, 0, 2, 1), (-1, 1, 0, 2), (-1, 1, 2, 0)),
 }
-# per template, 2 * coef and place: (x, p, q) -> the triple (i, j, k) it sits in
-_PLACE = {kind: [(twice, itemgetter(*((x, p, q).index(r) for r in range(3))))
-                 for twice, x, p, q in templates] for kind, templates in _TEMPLATES.items()}
 
 
-def _scatter(kind: str, terms) -> dict:
+def _scatter(kind: str, products) -> dict:
     """Twice the identity at every triple (i, j, k), i < j, that a term touches.
 
-    A term ((x, p, q), col, v) stands for v * omega(e_x, e_p*e_q) in column col;
-    each template adds it, times its 2 * coef, to the one triple it belongs
-    to.  A term landing at i >= j is skipped, and no first witness is lost:
-    every identity here is antisymmetric in (i, j) (d-omega totally so), so it
+    ``products`` lists (p, q, entries); an entry (x, col, v) stands for
+    v * omega(e_x, e_p*e_q) in column col.  Each template adds it, times its
+    2 * coef, to the one triple it belongs to, and fixes which of x, p, q sit
+    at i, j and k: i < j is tested once per product, or bounds x.  A term
+    landing at i >= j is skipped, and no first witness is lost: every
+    identity here is antisymmetric in (i, j) (d-omega totally so), so it
     vanishes at i = j, and a failing (i, j, k), i > j, has the failing
     (j, i, k) before it in the full lexicographic scan.
     """
     rows: dict = {}
-    for twice, place in _PLACE[kind]:
-        for xpq, col, v in terms:
-            ijk = place(xpq)
-            if ijk[0] < ijk[1]:
-                row = rows.setdefault(ijk, {})
-                row[col] = row.get(col, 0) + twice * v
+    for twice, x_at, p_at, q_at in _TEMPLATES[kind]:
+        swap = q_at < p_at  # of p and q, y sits before z in (i, j, k)
+        for p, q, entries in products:
+            y, z = (q, p) if swap else (p, q)
+            if x_at < 2 or y < z:
+                for x, col, v in entries:
+                    if x_at == 2 or (x < y if x_at == 0 else y < x):
+                        ijk = (x, y, z) if x_at == 0 else (y, x, z) if x_at == 1 else (y, z, x)
+                        row = rows.setdefault(ijk, {})
+                        row[col] = row.get(col, 0) + twice * v
     return rows
 
 
@@ -215,10 +217,10 @@ def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> Check:
     if not form.nondegenerate:
         return _degenerate_report(name, form)
     scale, g = _gram_table(form, a)
-    terms = [((x, p, q), 0, v) for p, row in enumerate(g) for q, image in enumerate(row)
-             if image for x, v in enumerate(image) if v]
+    products = [(p, q, [(x, 0, v) for x, v in enumerate(image) if v])
+                for p, row in enumerate(g) for q, image in enumerate(row) if image]
     for kind in kinds:
-        rows = _scatter(kind, terms)
+        rows = _scatter(kind, products)
         ijk = min((t for t, row in rows.items() if row[0]), default=None)
         if ijk is not None:
             defect = Fraction(rows[ijk][0], 2 * scale)
@@ -340,9 +342,9 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     templates the checks use: omega(e_x, e_p*e_q) is the sum of c[p][q][b] *
     W[x][b] over the nonzero c[p][q][b], and W[x][b] is +-1 times an
     upper-triangle coordinate.  Every row is built over ints (the constants
-    scaled by the lcm of their denominators) and made primitive, so rows
-    equal up to a scalar reach the elimination once, and the elimination
-    runs on those ints.
+    scaled by the lcm of their denominators), and rows repeated exactly reach
+    the elimination once, shortest first; it makes each pivot primitive, and
+    takes the rows with a single entry (about half) as unit pivots.
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be 'left', 'right', or 'bi'")
@@ -350,19 +352,18 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     col: list[list] = [[None] * n for _ in range(n)]  # col[x][b]: the coordinate of (x, b)
     for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
         col[i][j] = col[j][i] = k
-    terms = [((x, p, q), col[x][b], v if x < b else -v)
-             for p, row in enumerate(a.int_nz[1]) for q, pairs in enumerate(row)
-             for b, v in pairs for x in range(n) if x != b]
+    products = [(p, q, [(x, col[x][b], v if x < b else -v)
+                        for b, v in pairs for x in range(n) if x != b])
+                for p, row in enumerate(a.int_nz[1]) for q, pairs in enumerate(row) if pairs]
     distinct = {}
     for row in _scatter("right-symplectic" if side == "right" else "left-symplectic",
-                        terms).values():
-        items = sorted((c, v) for c, v in row.items() if v)
-        if items:
-            d = gcd(*(v for _, v in items)) * (1 if items[0][1] > 0 else -1)
-            distinct[tuple((c, v // d) for c, v in items)] = None
-    # short rows first, by lead column: the pivots stay sparse; the RREF is canonical
-    return kernel(map(dict, sorted(distinct, key=lambda r: (len(r), r[0][0]))),
-                  n * (n - 1) // 2)
+                        products).values():
+        if 0 in row.values():  # terms that cancelled
+            row = {c: v for c, v in row.items() if v}
+        if row:
+            distinct[tuple(row.items())] = row
+    # short rows first: the pivots stay sparse; the RREF is canonical
+    return kernel(sorted(distinct.values(), key=len), n * (n - 1) // 2)
 
 
 def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,

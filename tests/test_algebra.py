@@ -31,7 +31,9 @@ from sympleib.algebra import (
 from sympleib.catalog import instantiate, list_families
 from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kernel, rat, span,
                                vadd, vector, vsub, vzero, zero_subspace)
+from sympleib.extension import ExtensionData
 from sympleib.reporting import Check, Witness
+from sympleib.symplectic import form_from_pairs
 
 
 def _dim2(x=3):
@@ -590,6 +592,44 @@ def test_from_table_seeds_the_sparse_view_the_cache_would_compute(table):
     plain = Algebra(n, a.c)
     assert a == plain and hash(a) == hash(plain)
     assert (plain.nz, plain.int_nz) == (seeded["nz"], a.int_nz)
+
+
+_Z2 = Matrix.zero(2, 2)
+_GRID = [[[0, 0]]]
+
+
+@pytest.mark.parametrize("build, message", [
+    # unchecked, a 1-based k of 0 would write the last coordinate (list index -1)
+    (lambda: Algebra.from_table(2, {(1, 1): {0: 5}}), "product coordinate 0 out of range"),
+    (lambda: Algebra.from_table(2, {(1, 1): {3: 5}}), "product coordinate 3 out of range"),
+    (lambda: Algebra.from_table(2, {(0, 0): {2: 5}}, one_based=False),
+     "product coordinate 2 out of range"),
+    (lambda: Algebra.from_table(2, {(1, 1): {-1: 5}}), "product coordinate -1 out of range"),
+    (lambda: Algebra.from_table(2, {(0, 1): {1: 5}}), r"product index \(0, 1\) out of range"),
+    (lambda: Algebra.from_table(2, {(1, 3): {1: 5}}), r"product index \(1, 3\) out of range"),
+    (lambda: Algebra.from_table(2, {(1, 1): [5]}), "product vector has wrong length"),
+    (lambda: form_from_pairs(2, {(1, 3): 1}), r"invalid form index pair \(1, 3\)"),
+    (lambda: form_from_pairs(2, {(0, 1): 1}), r"invalid form index pair \(0, 1\)"),
+    (lambda: form_from_pairs(2, {(2, 2): 1}), r"invalid form index pair \(2, 2\)"),
+    (lambda: ExtensionData(1, [_Z2], [], _GRID, _GRID, _GRID, [[[0]]]),
+     "need one F and one G operator per h direction"),
+    (lambda: ExtensionData(0, [], [], [], [], [], []), "p must be positive"),
+    (lambda: ExtensionData(1, [_Z2], [Matrix.zero(3, 3)], _GRID, _GRID, _GRID, [[[0]]]),
+     "operators must be square of equal size"),
+    (lambda: ExtensionData(1, [_Z2], [_Z2], [[[0, 0, 0]]], _GRID, _GRID, [[[0]]]),
+     "grid vector has wrong length"),
+    (lambda: ExtensionData(1, [_Z2], [_Z2], _GRID, _GRID, _GRID, [[[0, 0]]]),
+     "grid vector has wrong length"),
+])
+def test_public_constructors_refuse_out_of_range_indices_and_bad_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_from_table_accepts_every_coordinate_in_range():
+    a = Algebra.from_table(2, {(1, 1): {1: 5, 2: 7}})
+    assert a.c[0][0] == (5, 7)
+    assert Algebra.from_table(2, {(0, 0): {0: 5, 1: 7}}, one_based=False) == a
 
 
 def test_witness_describe_uses_one_based_indices_and_plain_rationals():

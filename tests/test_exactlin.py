@@ -425,10 +425,31 @@ def _matrix_of(cols, rows):
     return Matrix.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows])
 
 
-@_CORE
-@given(sparse_systems())
-def test_core_kernel_and_rref_equal_sympy(system):
-    cols, rows = system
+@st.composite
+def unit_systems(draw, square=False):
+    """sparse_systems with single-entry rows put in at drawn places: one with
+    a Fraction value, one per further drawn column, rows whose only other
+    entries sit on those columns (so one entry is left once they are dropped),
+    and a zero written as a one-entry row."""
+    cols, rows = draw(sparse_systems(square))
+    value = _VALUES["mixed"].filter(bool)
+    units = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=cols))
+    extra = [{units[0]: draw(_FRACTION.filter(bool))}]
+    extra += [{u: draw(value)} for u in units[1:]]
+    free = [j for j in range(cols) if j not in units]
+    for _ in range(draw(st.integers(0, 2)) if free else 0):
+        on = draw(st.lists(st.sampled_from(units), min_size=1, max_size=2))
+        extra.append({draw(st.sampled_from(free)): draw(value), **{u: draw(value) for u in on}})
+    extra.append({draw(st.integers(0, cols - 1)): 0})
+    for row in extra:
+        if square:
+            rows[draw(st.integers(0, cols - 1))] = row
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    return cols, rows
+
+
+def _assert_kernel_and_rref_equal_sympy(cols, rows):
     m = _matrix_of(cols, rows)
     s = _sympy_exact(m)
     assert kernel(rows, cols).basis.entries == _canonical_rows(s.nullspace(), cols)
@@ -440,12 +461,19 @@ def test_core_kernel_and_rref_equal_sympy(system):
 
 
 @_CORE
-@given(sparse_systems(), st.data())
-def test_core_solve_equals_sympy(system, data):
-    cols, rows = system
+@given(sparse_systems())
+def test_core_kernel_and_rref_equal_sympy(system):
+    _assert_kernel_and_rref_equal_sympy(*system)
+
+
+@_CORE
+@given(unit_systems())
+def test_core_kernel_and_rref_with_single_entry_rows_equal_sympy(system):
+    _assert_kernel_and_rref_equal_sympy(*system)
+
+
+def _assert_solve_equals_sympy(cols, rows, rhs):
     m = _matrix_of(cols, rows)
-    rhs = [Fraction(x) for x in data.draw(st.lists(_VALUES["mixed"], min_size=m.rows,
-                                                   max_size=m.rows))]
     x, ker = solve(m, rhs)
     assert ker == kernel(rows, cols)
     try:
@@ -459,9 +487,36 @@ def test_core_solve_equals_sympy(system, data):
 
 
 @_CORE
-@given(sparse_systems(square=True))
-def test_core_inverse_equals_sympy(system):
-    m = _matrix_of(*system)
+@given(sparse_systems(), st.data())
+def test_core_solve_equals_sympy(system, data):
+    cols, rows = system
+    rhs = [Fraction(x) for x in data.draw(st.lists(_VALUES["mixed"], min_size=len(rows),
+                                                   max_size=len(rows)))]
+    _assert_solve_equals_sympy(cols, rows, rhs)
+
+
+@_CORE
+@given(unit_systems(), st.data())
+def test_core_solve_with_single_entry_rows_equals_sympy(system, data):
+    """Half the time the right-hand side is m x for a drawn x, so that the
+    system is consistent; a zero row of m with a nonzero right-hand side
+    makes the single-entry row [0 | v] on the augmented column."""
+    cols, rows = system
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(_VALUES["mixed"], min_size=cols, max_size=cols))
+        rhs = [sum((Fraction(v) * x[j] for j, v in row.items()), ZERO) for row in rows]
+    else:
+        rhs = [Fraction(v) for v in data.draw(st.lists(_VALUES["mixed"], min_size=len(rows),
+                                                       max_size=len(rows)))]
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(rows)))
+        rows = rows[:at] + [{}] + rows[at:]
+        rhs = rhs[:at] + [Fraction(data.draw(_VALUES["mixed"].filter(bool)))] + rhs[at:]
+    _assert_solve_equals_sympy(cols, rows, rhs)
+
+
+def _assert_inverse_equals_sympy(cols, rows):
+    m = _matrix_of(cols, rows)
     s = _sympy_exact(m)
     if s.det() == 0:
         with pytest.raises(ValueError):
@@ -473,9 +528,18 @@ def test_core_inverse_equals_sympy(system):
 
 
 @_CORE
-@given(sparse_systems(), st.randoms(use_true_random=False))
-def test_core_pivots_are_primitive_and_independent_of_row_order(system, rng):
-    cols, rows = system
+@given(sparse_systems(square=True))
+def test_core_inverse_equals_sympy(system):
+    _assert_inverse_equals_sympy(*system)
+
+
+@_CORE
+@given(unit_systems(square=True))
+def test_core_inverse_with_single_entry_rows_equals_sympy(system):
+    _assert_inverse_equals_sympy(*system)
+
+
+def _assert_pivots_are_primitive_and_independent_of_row_order(rows, rng):
     pivots = reduce_rows(rows)
     for p, row in pivots.items():
         assert all(type(x) is int for x in row.values())
@@ -485,6 +549,33 @@ def test_core_pivots_are_primitive_and_independent_of_row_order(system, rng):
     rng.shuffle(shuffled)
     assert reduce_rows(shuffled) == pivots
     assert reduce_rows(reversed(rows)) == pivots
+    assert reduce_rows(dict(row) for row in rows) == pivots  # a one-shot generator
+
+
+@_CORE
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_core_pivots_are_primitive_and_independent_of_row_order(system, rng):
+    _assert_pivots_are_primitive_and_independent_of_row_order(system[1], rng)
+
+
+@_CORE
+@given(unit_systems(), st.randoms(use_true_random=False))
+def test_core_pivots_with_single_entry_rows_are_primitive_and_order_free(system, rng):
+    cols, rows = system
+    _assert_pivots_are_primitive_and_independent_of_row_order(rows, rng)
+    pivots = reduce_rows(rows)
+    for row in rows:
+        if len(row) == 1 and any(row.values()):
+            (c, _), = row.items()
+            assert pivots[c] == {c: 1}
+
+
+def test_single_entry_rows_become_unit_pivots_and_leave_the_other_rows():
+    # {0: 4, 2: 5} keeps one entry once column 2 is dropped; the Fraction
+    # single entry -3/7 at column 2 only says that coordinate is 0
+    rows = [{2: Fraction(-3, 7)}, {0: 4, 2: 5}, {1: 6, 3: -2, 2: 1}, {3: 0}]
+    assert reduce_rows(iter(rows)) == {2: {2: 1}, 0: {0: 1}, 1: {1: 3, 3: -1}}
+    assert kernel(rows, 4).basis.entries == ((0, 1, 0, 3),)
 
 
 def _sparse_int_scale(rows):

@@ -577,6 +577,29 @@ def test_solve_equals_the_dense_kernel_on_random_sparse_algebras(a):
 
 
 @st.composite
+def _pool_shaped_algebras(draw):
+    """Dimension 6..8 with 1 to 2n nonzero constants in halves, thirds and
+    small ints, as in the sums the benchmark solves: most distinct form rows
+    then have a single entry."""
+    n = draw(st.integers(6, 8))
+    index = st.integers(0, n - 1)
+    cells = draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=2 * n,
+                          unique=True))
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in cells:
+        c[i][j][k] = draw(_MIXED.filter(bool))
+    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
+
+
+@settings(max_examples=5, deadline=None)
+@given(_pool_shaped_algebras())
+def test_solve_equals_the_dense_kernel_on_pool_shaped_algebras(a):
+    left, right = _dense_form_system(a, "left"), _dense_form_system(a, "right")
+    for side, dense in (("left", left), ("right", right), ("bi", vstack([left, right]))):
+        assert solve_symplectic_forms(a, side) == kernel(dense), side
+
+
+@st.composite
 def _sparse_pairs(draw, entry=_SMALL, dims=None):
     """A product from _sparse_small_algebras up to dimension 6 and a skew form:
     half the time with random entries in {-1, -1/2, 0, 1/2, 1} (or the given
