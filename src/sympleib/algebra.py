@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from math import lcm
 from typing import Mapping, Sequence
 
 from sympleib.exactlin import (
@@ -29,6 +28,7 @@ from sympleib.exactlin import (
     Matrix,
     Subspace,
     basis_vector,
+    int_scaled,
     is_zero_vector,
     kernel,
     rat,
@@ -114,9 +114,10 @@ class Algebra:
     def int_nz(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """(s, t): s is the lcm of the denominators of the constants and
         t[i][j] holds the pairs (k, s * c[i][j][k]) of nz[i][j], as ints."""
-        s = lcm(*(x.denominator for row in self.nz for pairs in row for _, x in pairs))
-        return s, tuple(tuple(tuple((k, x.numerator * (s // x.denominator)) for k, x in pairs)
-                              for pairs in row) for row in self.nz)
+        s, (flat,) = int_scaled([[x for row in self.nz for pairs in row for _, x in pairs]])
+        scaled = iter(flat)
+        return s, tuple(tuple(tuple((k, next(scaled)) for k, _ in pairs) for pairs in row)
+                        for row in self.nz)
 
 
 def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -134,20 +135,6 @@ def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[
                 for k, z in row[j]:
                     out[k] += f * z
     return tuple(out)
-
-
-def left_mult(a: Algebra, u: Sequence[Fraction]) -> Matrix:
-    """Matrix of v -> u * v in the standard basis, summed over the nonzero u_i only."""
-    n = a.dim
-    if len(u) != n:
-        raise ValueError("vector length does not match algebra dimension")
-    m = [[ZERO] * n for _ in range(n)]
-    for i, x in enumerate(u):
-        if x:
-            for j, pairs in enumerate(a.nz[i]):  # e_i * e_j
-                for k, z in pairs:
-                    m[k][j] += x * z
-    return Matrix(n, n, tuple(map(tuple, m)))
 
 
 def right_mult(a: Algebra, u: Sequence[Fraction]) -> Matrix:
@@ -308,18 +295,23 @@ def center(a: Algebra) -> Subspace:
     return kernel(rows, n)
 
 
-def is_ideal(a: Algebra, s: Subspace) -> bool:
-    """Two-sided ideal test for the given subspace."""
+def ideal_check(a: Algebra, s: Subspace, name: str) -> Check:
+    """Two-sided ideal test; the detail names the first e_j b or b e_j out of s, b in its basis."""
     if s.ambient_dim != a.dim:
         raise ValueError("ambient dimension mismatch")
     for b in s.basis.entries:
         for j in range(a.dim):
             ej = basis_vector(a.dim, j)
             if not s.contains(multiply(a, ej, b)):
-                return False
+                return Check(name, False, f"e{j + 1} * (basis vector) escapes")
             if not s.contains(multiply(a, b, ej)):
-                return False
-    return True
+                return Check(name, False, f"(basis vector) * e{j + 1} escapes")
+    return Check(name, True)
+
+
+def is_ideal(a: Algebra, s: Subspace) -> bool:
+    """Two-sided ideal test for the given subspace."""
+    return ideal_check(a, s, "ideal").holds
 
 
 def quotient(a: Algebra, i: Subspace) -> tuple[Algebra, Matrix]:

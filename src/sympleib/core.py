@@ -15,6 +15,7 @@ from itertools import product
 
 from sympleib.algebra import (
     Algebra,
+    ideal_check,
     is_lie,
     leibniz_ideal,
     multiply,
@@ -140,17 +141,6 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     )
 
 
-def _is_ideal_check(a: Algebra, s: Subspace, name: str) -> Check:
-    for b in s.basis.entries:
-        for j in range(a.dim):
-            ej = basis_vector(a.dim, j)
-            if not s.contains(multiply(a, ej, b)):
-                return Check(name, False, f"e{j + 1} * (basis vector) escapes")
-            if not s.contains(multiply(a, b, ej)):
-                return Check(name, False, f"(basis vector) * e{j + 1} escapes")
-    return Check(name, True)
-
-
 def _first_nonzero(name: str, defects) -> Check:
     """The first nonzero defect of the (indices, defect) pairs is the witness."""
     for idx, d in defects:
@@ -170,15 +160,9 @@ def verify_core_properties(a: Algebra, form: SkewForm,
         dec = core(a, form)
     star = star_left(a, form)
     leib = leibniz_ideal(a)
-    checks = []
-
-    checks.append(_is_ideal_check(a, leib, "leibniz-span-product-ideal"))
-    checks.append(_is_ideal_check(star, leib, "leibniz-span-star-ideal"))
-
-    checks.append(_is_ideal_check(a, dec.ideal, "I-product-ideal"))
-    checks.append(_is_ideal_check(star, dec.ideal, "I-star-ideal"))
-    checks.append(_is_ideal_check(a, dec.ideal_perp, "I-perp-product-ideal"))
-    checks.append(_is_ideal_check(star, dec.ideal_perp, "I-perp-star-ideal"))
+    checks = [ideal_check(b, s, f"{what}-{kind}-ideal")
+              for what, s in (("leibniz-span", leib), ("I", dec.ideal), ("I-perp", dec.ideal_perp))
+              for kind, b in (("product", a), ("star", star))]
 
     n = a.dim
     pairs = list(product(range(n), repeat=2))

@@ -17,6 +17,10 @@ order the rows arrive in.  ``rref``, ``kernel``, ``solve``, ``span``,
 divide by the lead only there, at the output; ``Subspace.int_basis`` reads the
 int rows back for callers that go on over ints.  Determinants are computed
 apart from it, by Bareiss fraction-free elimination over ints (``int_det``).
+``int_scaled`` is the one place a table of Fractions is carried over to ints,
+as (s, s times the table) for s the lcm of its denominators: for the
+determinant here and for the int views of ``algebra``, ``symplectic`` and
+``extension``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -79,6 +84,22 @@ def vscale(c: Fraction, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def is_zero_vector(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
+
+
+def denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the denominators: the least s >= 1 with every s * x an int."""
+    return lcm(*(x.denominator for x in values if x is not ZERO))
+
+
+def int_scaled(rows: Iterable[Sequence[Fraction]], s: Optional[int] = None
+               ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(s, the rows times s as int tuples), s the ``denominator`` of the entries unless a
+    multiple of it is given; the shared ZERO, as most zeros are, costs no arithmetic."""
+    rows = tuple(rows)
+    if s is None:
+        s = denominator(chain.from_iterable(rows))
+    return s, tuple(tuple(0 if x is ZERO else x.numerator * (s // x.denominator) for x in r)
+                    for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +194,11 @@ class Matrix:
         return all(is_zero_vector(r) for r in self.entries)
 
     def det(self) -> Fraction:
-        """Determinant by Bareiss elimination over Python ints.
-
-        Each row is scaled once by the lcm of its denominators; the integer
-        determinant is then divided by the product of those scales.
-        """
+        """Bareiss elimination over ints: det(s M) / s^n for the ``int_scaled`` s M."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        scale = 1
-        rows = []
-        for r in self.entries:
-            d = lcm(*(x.denominator for x in r))
-            rows.append([x.numerator * (d // x.denominator) for x in r])
-            scale *= d
-        return Fraction(int_det(rows), scale)
+        s, rows = int_scaled(self.entries)
+        return Fraction(int_det(list(map(list, rows))), s ** self.rows)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -201,17 +213,6 @@ class Matrix:
     def _same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-
-
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    mats = [m for m in mats if m.rows > 0]
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column counts differ")
-    return Matrix.from_rows([r for m in mats for r in m.entries])
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ Two equivalent forms of that list are implemented, the long direct one and
 the shorter reduced one, and the skew case G = -F, xi = -psi has a third.
 One table writes each equation once: its name, its index ranges and its
 defect over the derived operators (F*, G*, S, S*, K, K*), built once per
-request, over ints at one scale.  A criterion is a title and an ordered tuple
-of equation names; the dense copies in tests/test_extension.py are their
-oracles.  The rank-one criterion (p = 1) is the reduced list read on the
-embedded data (F, S - F, c0, a0, b0, lambda).  Specialized builders cover the
-Lagrangian case (g absent), the isotropic image with inner derivations, rank
-one, and the commutative bi-symplectic construction from a symmetric cubic
-form.
+request, over ints at one scale (``exactlin.int_scaled``).  A criterion is a
+title and an ordered tuple of equation names; the dense copies in
+tests/test_extension.py are their oracles.  The rank-one criterion (p = 1) is
+the reduced list read on the embedded data (F, S - F, c0, a0, b0, lambda).
+Specialized builders cover the Lagrangian case (g absent), the isotropic
+image with inner derivations, rank one, and the commutative bi-symplectic
+construction from a symmetric cubic form.
 
 Every construction on h + g + h* is assembled the same way.  A layout names
 the basis positions of h, g and h* and the basis labels: the rank-one
@@ -60,6 +60,8 @@ from sympleib.exactlin import (
     Matrix,
     Subspace,
     basis_vector,
+    denominator,
+    int_scaled,
     rat,
     solve_unique,
     vadd,
@@ -122,8 +124,9 @@ class SymplecticLie:
 
 
 def _vector_grid(p: int, m: int, entries) -> tuple:
-    grid = tuple(tuple(tuple(rat(x) for x in entries[i][j]) for j in range(p))
-                 for i in range(p))
+    if len(entries) != p or any(len(row) != p for row in entries):
+        raise ValueError(f"grid must be {p} x {p}")
+    grid = tuple(tuple(tuple(rat(x) for x in v) for v in row) for row in entries)
     if any(len(v) != m for row in grid for v in row):
         raise ValueError("grid vector has wrong length")
     return grid
@@ -215,25 +218,6 @@ def _derivation_check(g: Algebra, ops: Sequence[Matrix], name: str) -> Check:
     return Check(name, True)
 
 
-def _times(s: int, rows) -> tuple:
-    """The rows of Fractions times s, as ints; s clears every denominator."""
-    return tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
-
-
-def _constants_times(s: int, a: Algebra) -> tuple:
-    """The structure constants of a times s, as dense int tuples filled in from
-    the nonzeros ``a.int_nz``; s is a multiple of their scale."""
-    dc, nz = a.int_nz
-    f = s // dc
-
-    def dense(pairs) -> tuple:
-        v = [0] * a.dim
-        for k, x in pairs:
-            v[k] = f * x
-        return tuple(v)
-    return tuple(tuple(map(dense, row)) for row in nz)
-
-
 class _Ints:
     """A square int matrix with the operations the criteria use; true when nonzero."""
 
@@ -296,22 +280,24 @@ class _Derived:
             raise ValueError("extension data does not match the algebra dimension")
         self.g, self.p, self.m = gs.g, d.p, d.gdim
         grids = (d.theta, d.psi, d.xi, d.omega_cube)
-        D = lcm(*(x.denominator for op in (*d.F, *d.G, gs.form.w) for r in op.entries for x in r),
-                *(x.denominator for grid in grids for row in grid for v in row for x in v),
+        D = lcm(denominator(x for op in (*d.F, *d.G, gs.form.w) for r in op.entries for x in r),
+                denominator(x for grid in grids for row in grid for v in row for x in v),
                 gs.g.int_nz[0], gs.star.int_nz[0])
-        dv = lcm(*(x.denominator for r in gs.form.w_inv.entries for x in r))
+        dv, winv = int_scaled(gs.form.w_inv.entries)
         s = self.scale = 2 * dv * D * D
-        self.th, self.ps, self.xi, self.Om = (tuple(_times(s, row) for row in grid)
-                                              for grid in grids)
-        self.c, self.cs = _constants_times(s, gs.g), _constants_times(s, gs.star)
-        self.w, winv = _Ints(_times(s, gs.form.w.entries)), _Ints(_times(dv, gs.form.w_inv.entries))
+
+        def times(rows) -> tuple:
+            return int_scaled(rows, s)[1]
+        self.th, self.ps, self.xi, self.Om = (tuple(map(times, grid)) for grid in grids)
+        self.c, self.cs = tuple(map(times, gs.g.c)), tuple(map(times, gs.star.c))
+        self.w, winv = _Ints(times(gs.form.w.entries)), _Ints(winv)
         # ad u = [u, .], rstar u = . * u and lstar[a] = e_a * . in the star
         self.ad, self.rstar = partial(_mult, self.c), partial(_mult, tuple(zip(*self.cs)))
         self.lstar = tuple(_Ints(tuple(zip(*row))) for row in self.cs)
 
         def adjoint(op: _Ints) -> _Ints:  # (d_v W^-1)(s op)^T(s W) = d_v s^2 op*
             return (winv @ _Ints(tuple(zip(*op.rows))) @ self.w) // (dv * s)
-        self.F, self.G = (tuple(_Ints(_times(s, op.entries)) for op in ops) for ops in (d.F, d.G))
+        self.F, self.G = (tuple(_Ints(times(op.entries)) for op in ops) for ops in (d.F, d.G))
         self.Fs, self.Gs = tuple(map(adjoint, self.F)), tuple(map(adjoint, self.G))
         self.S, self.Ss = tuple(map(add, self.F, self.G)), tuple(map(add, self.Fs, self.Gs))
         self.K = tuple(S // 2 - f - fs for S, f, fs in zip(self.S, self.F, self.Fs))

@@ -8,15 +8,16 @@ nondegeneracy fails them with an explicit witness.
 
 Every identity here is linear in omega and in the product, so it is
 evaluated through the table g[p][q] = W c[p][q], built once per call over
-ints: W and the constants are scaled by the lcm of their denominators, so
-omega(e_x, e_p*e_q) = g[p][q][x] / s and omega(e_p*e_q, e_x) = -g[p][q][x] / s
-for one scale s.  The left, right and bi identities are written once, as one
-table of position templates, and one scatter runs them product by product:
-the checks scatter the nonzeros of g through it and divide once, for the
-witness, and solve_symplectic_forms scatters the nonzero structure constants.
-The star products solve against (W^-1)^T scaled to ints, with one Fraction
-per nonzero output entry.  The ``*_split`` checks evaluate every scalar with
-omega instead and serve as independent test oracles.
+ints: W by ``exactlin.int_scaled`` and the constants as ``Algebra.int_nz``,
+each at the lcm of its denominators, so omega(e_x, e_p*e_q) = g[p][q][x] / s
+and omega(e_p*e_q, e_x) = -g[p][q][x] / s for one scale s.  The left, right
+and bi identities are written once, as one table of position templates, and
+one scatter runs them product by product: the checks scatter the nonzeros of
+g through it and divide once, for the witness, and solve_symplectic_forms
+scatters the nonzero structure constants.  The star products solve against
+(W^-1)^T scaled to ints, with one Fraction per nonzero output entry.  The
+``*_split`` checks evaluate every scalar with omega instead and serve as
+independent test oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from sympleib.algebra import Algebra, split
@@ -35,6 +35,7 @@ from sympleib.exactlin import (
     Subspace,
     basis_vector,
     int_det,
+    int_scaled,
     kernel,
     rat,
     span,
@@ -115,19 +116,13 @@ def omega(form: SkewForm, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fract
     return total
 
 
-def _int_scale(rows) -> tuple[int, list[list[int]]]:
-    """(d, rows times d) for the lcm d of the denominators of the Fraction rows."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
 def _gram_table(form: SkewForm, a: Algebra) -> tuple[int, list[list[Optional[tuple[int, ...]]]]]:
     """(s, g) with g[p][q] = s W c[p][q], as ints, so that omega(e_x, e_p*e_q)
     = g[p][q][x] / s; s is the lcm of W's denominators times that of the
     constants, and g[p][q] is None where e_p*e_q = 0."""
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
-    dw, w = _int_scale(form.w.entries)
+    dw, w = int_scaled(form.w.entries)
     dc, nz = a.int_nz
     cols = [[(x, row[b]) for x, row in enumerate(w) if row[b]] for b in range(a.dim)]
 
@@ -140,19 +135,6 @@ def _gram_table(form: SkewForm, a: Algebra) -> tuple[int, list[list[Optional[tup
                 out[x] += v * y
         return tuple(out)
     return dw * dc, [[image(pairs) for pairs in row] for row in nz]
-
-
-def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
-    """The adjoint m* with omega(m* u, v) = omega(u, m v).
-
-    Because the form is skew, the same matrix also satisfies the mirrored
-    convention omega(u, m* v) = omega(m u, v).
-    """
-    if not form.nondegenerate:
-        raise ValueError("adjoint requires a nondegenerate form")
-    if m.rows != form.dim or m.cols != form.dim:
-        raise ValueError("operator shape does not match the form")
-    return form.w_inv @ m.transpose() @ form.w
 
 
 def _degenerate_report(name: str, form: SkewForm) -> Check:
@@ -431,7 +413,7 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     where rhs[k] = -omega(e_j, e_p*e_q) and (p, q) = pair(i, k).
 
     Both factors are ints: the rhs are read off the int Gram table and
-    (W^-1)^T is scaled once by the lcm of its denominators, so each nonzero
+    (W^-1)^T is scaled once to ints by ``int_scaled``, so each nonzero
     output entry is one Fraction of an int sum over the product of the scales.
     """
     if not form.nondegenerate:
@@ -439,7 +421,7 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
                          + _degenerate_report("star", form).detail)
     n = a.dim
     scale, g = _gram_table(form, a)
-    dinv, w_inv = _int_scale(form.w_inv.entries)
+    dinv, w_inv = int_scaled(form.w_inv.entries)
     den = scale * dinv
     # column k of (W^-1)^T is row k of W^-1
     cols = [[(x, v) for x, v in enumerate(row) if v] for row in w_inv]

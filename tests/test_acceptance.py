@@ -54,11 +54,12 @@ from sympleib.symplectic import (
     is_symplectic_right,
     is_symplectic_right_split,
     omega,
-    omega_adjoint,
     orthogonal,
     solve_symplectic_forms,
     star_left,
 )
+
+from oracles import omega_adjoint
 
 SEED = 20260815
 

@@ -20,7 +20,6 @@ from sympleib.algebra import (
     is_lie,
     is_right_leibniz,
     is_symmetric_leibniz,
-    left_mult,
     leibniz_ideal,
     multiply,
     opposite,
@@ -34,6 +33,8 @@ from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kerne
 from sympleib.extension import ExtensionData
 from sympleib.reporting import Check, Witness
 from sympleib.symplectic import form_from_pairs
+
+from oracles import left_mult
 
 
 def _dim2(x=3):
@@ -620,6 +621,12 @@ _GRID = [[[0, 0]]]
      "grid vector has wrong length"),
     (lambda: ExtensionData(1, [_Z2], [_Z2], _GRID, _GRID, _GRID, [[[0, 0]]]),
      "grid vector has wrong length"),
+    # unchecked, a missing row raised a bare IndexError and an extra one was dropped
+    (lambda: ExtensionData(1, [_Z2], [_Z2], [], _GRID, _GRID, [[[0]]]), "grid must be 1 x 1"),
+    (lambda: ExtensionData(1, [_Z2], [_Z2], _GRID, _GRID, _GRID, [[[0]], [[0]]]),
+     "grid must be 1 x 1"),
+    (lambda: ExtensionData(1, [_Z2], [_Z2], _GRID, [[[0, 0], [0, 0]]], _GRID, [[[0]]]),
+     "grid must be 1 x 1"),
 ])
 def test_public_constructors_refuse_out_of_range_indices_and_bad_shapes(build, message):
     with pytest.raises(ValueError, match=message):

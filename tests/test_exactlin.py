@@ -15,7 +15,9 @@ from sympleib.exactlin import (
     Subspace,
     _dense_rows,
     basis_vector,
+    denominator,
     full_subspace,
+    int_scaled,
     intersect,
     is_zero_vector,
     kernel,
@@ -30,7 +32,6 @@ from sympleib.exactlin import (
     vector,
     zero_subspace,
 )
-from sympleib.symplectic import _int_scale
 
 
 def _random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -579,7 +580,7 @@ def test_single_entry_rows_become_unit_pivots_and_leave_the_other_rows():
 
 
 def _sparse_int_scale(rows):
-    d, scaled = _int_scale(rows)
+    d, scaled = int_scaled(rows)
     return d, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in scaled)
 
 
@@ -591,3 +592,20 @@ def test_int_basis_is_the_basis_scaled_to_ints(system):
     for space in (span(cols, dense), kernel(rows, cols)):
         assert space.int_basis == _sparse_int_scale(space.basis.entries)
         assert Subspace(space.ambient_dim, space.basis).int_basis == space.int_basis
+
+
+def _primes(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_ENTRY, max_size=5), max_size=4), st.integers(1, 12))
+def test_int_scaled_uses_the_least_scale_and_any_multiple_of_it(rows, k):
+    s, scaled = int_scaled(iter(rows))
+    assert s == denominator(x for r in rows for x in r)
+    assert [len(t) for t in scaled] == [len(r) for r in rows]
+    assert all(type(y) is int and y == s * x for r, t in zip(rows, scaled) for x, y in zip(r, t))
+    # s is the least scale: s / q leaves some entry a proper fraction, for each prime q | s
+    for q in _primes(s):
+        assert any((s // q * x).denominator != 1 for r in rows for x in r)
+    assert int_scaled(rows, k * s) == (k * s, tuple(tuple(k * y for y in t) for t in scaled))

@@ -45,10 +45,11 @@ from sympleib.symplectic import (
     is_bi_symplectic,
     is_symplectic_left,
     omega,
-    omega_adjoint,
     star_left,
 )
 from sympleib.reporting import Check, SystemReport
+
+from oracles import omega_adjoint
 
 W12 = form_from_pairs(2, {(1, 2): 1})
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})

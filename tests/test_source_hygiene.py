@@ -2,7 +2,9 @@
 
 No module of ``src/sympleib`` imports a name it never uses, and no private
 top-level function goes unreferenced across the package.  ``from __future__``
-imports and the re-exports of ``__init__.py`` are exempt.
+imports and the re-exports of ``__init__.py`` are exempt.  Only ``exactlin``
+scales a Fraction table to ints (``int_scaled``): no other module divides by
+a ``.denominator``.
 """
 
 import ast
@@ -51,3 +53,17 @@ def test_no_unused_imports_or_unreferenced_private_functions():
                      if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                      and node.name not in referenced]
     assert problems == []
+
+
+def _denominator_divisions(tree: ast.Module) -> list[int]:
+    """The lines of each ``//`` whose right operand is a ``.denominator`` attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.right, ast.Attribute) and node.right.attr == "denominator"]
+
+
+def test_only_exactlin_scales_fractions_to_ints():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "exactlin.py"
+             for line in _denominator_divisions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
