@@ -16,11 +16,11 @@ lexicographic order together with the exact defect.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Mapping, Sequence
 
 from sympleib.exactlin import (
     HALF,
@@ -28,7 +28,7 @@ from sympleib.exactlin import (
     Matrix,
     Subspace,
     basis_vector,
-    int_scaled,
+    int_scaled_pairs,
     is_zero_vector,
     kernel,
     rat,
@@ -67,7 +67,7 @@ class Algebra:
         match how such tables are usually written down.  Each coefficient is
         coerced once (a Fraction is taken as it is), and the sparse view
         ``nz`` is filled in from the listed products as the tensor is built,
-        as is ``int_nz`` at scale 1 when every constant is an integer.
+        and from it the int view ``int_nz``, at whatever scale the constants need.
         """
         off = 1 if one_based else 0
         zero = (ZERO,) * dim
@@ -92,9 +92,7 @@ class Algebra:
             nz[i][j] = tuple((k, x) for k, x in enumerate(v) if x is not ZERO and x)
         a = Algebra(dim, tuple(map(tuple, c)), tuple(labels))
         vars(a)["nz"] = nz = tuple(map(tuple, nz))
-        if all(x.denominator == 1 for row in nz for pairs in row for _, x in pairs):
-            vars(a)["int_nz"] = (1, tuple(tuple(tuple((k, x.numerator) for k, x in pairs)
-                                                for pairs in row) for row in nz))
+        vars(a)["int_nz"] = int_scaled_pairs(nz)
         return a
 
     def basis_label(self, i: int) -> str:
@@ -113,11 +111,9 @@ class Algebra:
     @cached_property
     def int_nz(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """(s, t): s is the lcm of the denominators of the constants and
-        t[i][j] holds the pairs (k, s * c[i][j][k]) of nz[i][j], as ints."""
-        s, (flat,) = int_scaled([[x for row in self.nz for pairs in row for _, x in pairs]])
-        scaled = iter(flat)
-        return s, tuple(tuple(tuple((k, next(scaled)) for k, _ in pairs) for pairs in row)
-                        for row in self.nz)
+        t[i][j] holds the pairs (k, s * c[i][j][k]) of nz[i][j], as ints
+        (``exactlin.int_scaled_pairs``); ``from_table`` fills it in at every scale."""
+        return int_scaled_pairs(self.nz)
 
 
 def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:

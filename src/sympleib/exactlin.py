@@ -17,10 +17,11 @@ order the rows arrive in.  ``rref``, ``kernel``, ``solve``, ``span``,
 divide by the lead only there, at the output; ``Subspace.int_basis`` reads the
 int rows back for callers that go on over ints.  Determinants are computed
 apart from it, by Bareiss fraction-free elimination over ints (``int_det``).
-``int_scaled`` is the one place a table of Fractions is carried over to ints,
-as (s, s times the table) for s the lcm of its denominators: for the
-determinant here and for the int views of ``algebra``, ``symplectic`` and
-``extension``.
+``int_scaled`` (dense rows) and ``int_scaled_pairs`` (sparse pair lists) are
+where a table of Fractions is carried over to ints, as (s, s times the table)
+for s the lcm of its denominators: for the int views of ``algebra``,
+``symplectic`` and ``extension``; the determinant scales its rows the same
+way, straight into the lists it eliminates in.
 """
 
 from __future__ import annotations
@@ -100,6 +101,16 @@ def int_scaled(rows: Iterable[Sequence[Fraction]], s: Optional[int] = None
         s = denominator(chain.from_iterable(rows))
     return s, tuple(tuple(0 if x is ZERO else x.numerator * (s // x.denominator) for x in r)
                     for r in rows)
+
+
+def int_scaled_pairs(table: Sequence[Sequence[Sequence[tuple[int, Fraction]]]]
+                     ) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+    """``int_scaled`` for a table of sparse pair lists, such as ``Algebra.nz``:
+    (s, the table with each pair (k, x) as (k, s * x)), s the lcm of the
+    denominators of the values; an empty list, as most are, is kept as it is."""
+    s = lcm(*{x.denominator for row in table for pairs in row for _, x in pairs})
+    return s, tuple([tuple([tuple([(k, x.numerator * (s // x.denominator)) for k, x in pairs])
+                            if pairs else pairs for pairs in row]) for row in table])
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +205,14 @@ class Matrix:
         return all(is_zero_vector(r) for r in self.entries)
 
     def det(self) -> Fraction:
-        """Bareiss elimination over ints: det(s M) / s^n for the ``int_scaled`` s M."""
+        """Bareiss elimination over ints: det(s M) / s^n for s M scaled as by
+        ``int_scaled``, built straight into the mutable rows ``int_det`` works in."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        s, rows = int_scaled(self.entries)
-        return Fraction(int_det(list(map(list, rows))), s ** self.rows)
+        s = denominator(chain.from_iterable(self.entries))
+        rows = [[0 if x is ZERO else x.numerator * (s // x.denominator) for x in r]
+                for r in self.entries]
+        return Fraction(int_det(rows), s ** self.rows)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -277,7 +291,8 @@ def reduce_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[
     Rows are sparse maps ``{column: value}`` of ints or Fractions.  A
     single-entry row {c: x} says x_c = 0: it is the pivot {c: 1} as it is,
     and column c is dropped from the other rows.  Each of those is scaled by
-    the lcm of its denominators and cleared against the pivots so far by
+    the lcm of its denominators (a row of ints is taken as it is, with no
+    lcm and no rescaling) and cleared against the pivots so far by
     cross-multiplying with gcd-reduced factors, so nothing is divided; what
     is left is made primitive with a positive lead at its smallest column,
     which is cleared from the earlier pivot rows, each made primitive again.
@@ -292,8 +307,12 @@ def reduce_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[
     for row in rows:
         if len(row) == 1:
             continue
-        d = lcm(*[x.denominator for x in row.values()])
-        r = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x and j not in units}
+        if all(type(x) is int for x in row.values()):  # already over ints
+            r = {j: x for j, x in row.items() if x and j not in units}
+        else:
+            d = lcm(*[x.denominator for x in row.values()])
+            r = {j: x.numerator * (d // x.denominator) for j, x in row.items()
+                 if x and j not in units}
         # a pivot row is zero at the other pivot columns, so clearing one
         # pivot column of r never touches another
         for c in r.keys() & pivots.keys():

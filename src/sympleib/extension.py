@@ -33,13 +33,13 @@ star_left.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
 from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
-from typing import Sequence
 
 from sympleib.algebra import (
     Algebra,
@@ -126,8 +126,11 @@ class SymplecticLie:
 def _vector_grid(p: int, m: int, entries) -> tuple:
     if len(entries) != p or any(len(row) != p for row in entries):
         raise ValueError(f"grid must be {p} x {p}")
-    grid = tuple(tuple(tuple(rat(x) for x in v) for v in row) for row in entries)
-    if any(len(v) != m for row in grid for v in row):
+    # a scalar where a vector belongs, a string ("1/2") included, is refused
+    # as a vector of the wrong length
+    grid = tuple(tuple(vector(v) if isinstance(v, Iterable) and not isinstance(v, str)
+                       else None for v in row) for row in entries)
+    if any(v is None or len(v) != m for row in grid for v in row):
         raise ValueError("grid vector has wrong length")
     return grid
 

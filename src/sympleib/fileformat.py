@@ -162,6 +162,8 @@ def algebra_from_dict(doc: Mapping[str, Any]
                 "products[{}]: value must be a vector of length {}", k, dim)
         nonzero = table[(i - 1, j - 1)] = {}
         for n, x in enumerate(value):
+            if type(x) is int and not x:  # a JSON 0, most entries; false and 0.0 are refused
+                continue
             x = rational_from_json(x, "products[{}].value[{}]", k, n)
             if x is not ZERO and x:
                 nonzero[n] = x

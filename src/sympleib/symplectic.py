@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
 
 from sympleib.algebra import Algebra, split
@@ -38,6 +38,7 @@ from sympleib.exactlin import (
     int_scaled,
     kernel,
     rat,
+    reduce_rows,
     span,
 )
 from sympleib.reporting import Check, Witness
@@ -166,29 +167,46 @@ _TEMPLATES = {
 }
 
 
-def _scatter(kind: str, products) -> dict:
-    """Twice the identity at every triple (i, j, k), i < j, that a term touches.
+def _scatter(kind: str, products, n: int) -> dict:
+    """Twice the identity at every triple (i, j, k), i < j, that a term
+    touches, keyed by (i n + j) n + k, so that key order is the
+    lexicographic order of the triples.
 
-    ``products`` lists (p, q, entries); an entry (x, col, v) stands for
-    v * omega(e_x, e_p*e_q) in column col.  Each template adds it, times its
-    2 * coef, to the one triple it belongs to, and fixes which of x, p, q sit
-    at i, j and k: i < j is tested once per product, or bounds x.  A term
+    ``products`` lists (p, q, entries, s); an entry (x, col, v) stands for
+    s * v * omega(e_x, e_p*e_q) in column col.  Each template adds it, times
+    its 2 * coef, to the one triple it belongs to, and fixes which of x, p, q
+    sit at i, j and k: i < j is tested once per product, or bounds x.  A term
     landing at i >= j is skipped, and no first witness is lost: every
     identity here is antisymmetric in (i, j) (d-omega totally so), so it
     vanishes at i = j, and a failing (i, j, k), i > j, has the failing
     (j, i, k) before it in the full lexicographic scan.
     """
     rows: dict = {}
+    setdefault = rows.setdefault
+    nn = n * n
     for twice, x_at, p_at, q_at in _TEMPLATES[kind]:
         swap = q_at < p_at  # of p and q, y sits before z in (i, j, k)
-        for p, q, entries in products:
+        for p, q, entries, s in products:
             y, z = (q, p) if swap else (p, q)
-            if x_at < 2 or y < z:
+            t = twice * s
+            # one loop per place of x: at most one comparison per entry
+            if x_at == 0:
+                base = y * n + z
                 for x, col, v in entries:
-                    if x_at == 2 or (x < y if x_at == 0 else y < x):
-                        ijk = (x, y, z) if x_at == 0 else (y, x, z) if x_at == 1 else (y, z, x)
-                        row = rows.setdefault(ijk, {})
-                        row[col] = row.get(col, 0) + twice * v
+                    if x < y:
+                        row = setdefault(x * nn + base, {})
+                        row[col] = row.get(col, 0) + t * v
+            elif x_at == 1:
+                base = y * nn + z
+                for x, col, v in entries:
+                    if y < x:
+                        row = setdefault(base + x * n, {})
+                        row[col] = row.get(col, 0) + t * v
+            elif y < z:
+                base = (y * n + z) * n
+                for x, col, v in entries:
+                    row = setdefault(base + x, {})
+                    row[col] = row.get(col, 0) + t * v
     return rows
 
 
@@ -199,14 +217,16 @@ def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> Check:
     if not form.nondegenerate:
         return _degenerate_report(name, form)
     scale, g = _gram_table(form, a)
-    products = [(p, q, [(x, 0, v) for x, v in enumerate(image) if v])
+    products = [(p, q, [(x, 0, v) for x, v in enumerate(image) if v], 1)
                 for p, row in enumerate(g) for q, image in enumerate(row) if image]
+    n = a.dim
     for kind in kinds:
-        rows = _scatter(kind, products)
-        ijk = min((t for t, row in rows.items() if row[0]), default=None)
-        if ijk is not None:
-            defect = Fraction(rows[ijk][0], 2 * scale)
-            return Check(name, False, witness=Witness(kind, ijk, (defect,)))
+        rows = _scatter(kind, products, n)
+        key = min((t for t, row in rows.items() if row[0]), default=None)
+        if key is not None:
+            defect = Fraction(rows[key][0], 2 * scale)
+            ij, k = divmod(key, n)
+            return Check(name, False, witness=Witness(kind, (*divmod(ij, n), k), (defect,)))
     return Check(name, True)
 
 
@@ -308,6 +328,19 @@ def form_coords(form: SkewForm) -> tuple[Fraction, ...]:
     return tuple(form.w.entries[i][j] for i in range(n) for j in range(i + 1, n))
 
 
+@cache
+def _coordinates(n: int) -> tuple[tuple, tuple]:
+    """(cells, signed) in dimension n: cells[k] is the cell (i, j), i < j, of
+    upper-triangle coordinate k, and signed[b] holds, for each x != b in
+    order, (x, k, +1 or -1) with W[x][b] = +-coordinate k: k is the
+    coordinate of the cell {x, b}, and the sign is + for x < b.  Filled in
+    per dimension on first use."""
+    cells = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    at = {cell: k for k, cell in enumerate(cells)}
+    return cells, tuple(tuple((x, at[x, b], 1) if x < b else (x, at[b, x], -1)
+                              for x in range(n) if x != b) for b in range(n))
+
+
 def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     """All skew forms satisfying the chosen compatibility ("left", "right", or
     "bi" for both), as a subspace of strict upper-triangle coordinates.
@@ -323,29 +356,53 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     The rows are scattered off the nonzero structure constants through the
     templates the checks use: omega(e_x, e_p*e_q) is the sum of c[p][q][b] *
     W[x][b] over the nonzero c[p][q][b], and W[x][b] is +-1 times an
-    upper-triangle coordinate.  Every row is built over ints (the constants
-    scaled by the lcm of their denominators), and rows repeated exactly reach
-    the elimination once, shortest first; it makes each pivot primitive, and
-    takes the rows with a single entry (about half) as unit pivots.
+    upper-triangle coordinate, so each constant hands the scatter the signed
+    coordinates of column b, read off a per-dimension table, with itself as
+    the factor.  Every row is built over ints (``Algebra.int_nz``).  A row
+    with a single entry (about
+    half) says that coordinate is 0: it becomes the unit pivot, and its
+    column is dropped from the other rows.  Exact repeats are removed before
+    and after that drop, and the rows left reach the elimination once each,
+    shortest first, after the unit pivots.
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be 'left', 'right', or 'bi'")
     n = a.dim
-    col: list[list] = [[None] * n for _ in range(n)]  # col[x][b]: the coordinate of (x, b)
-    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
-        col[i][j] = col[j][i] = k
-    products = [(p, q, [(x, col[x][b], v if x < b else -v)
-                        for b, v in pairs for x in range(n) if x != b])
-                for p, row in enumerate(a.int_nz[1]) for q, pairs in enumerate(row) if pairs]
-    distinct = {}
-    for row in _scatter("right-symplectic" if side == "right" else "left-symplectic",
-                        products).values():
-        if 0 in row.values():  # terms that cancelled
-            row = {c: v for c, v in row.items() if v}
-        if row:
-            distinct[tuple(row.items())] = row
+    signed = _coordinates(n)[1]
+    products = [(p, q, signed[b], v) for p, row in enumerate(a.int_nz[1])
+                for q, pairs in enumerate(row) for b, v in pairs]
+    scattered = _scatter("right-symplectic" if side == "right" else "left-symplectic",
+                         products, n)
+    # each row keyed by its entries, so that exact repeats meet
+    rows = {tuple(row.items()): row for row in scattered.values()}
+    units = {key[0][0] for key in rows if len(key) == 1 and key[0][1]}
+    rest = {}
+    for key, row in rows.items():
+        if len(key) > 1:
+            if 0 in row.values() or not units.isdisjoint(row):  # a cancelled term, a unit column
+                row = {c: v for c, v in row.items() if v and c not in units}
+                key = tuple(row.items())
+            rest[key] = row
+    rest.pop((), None)
     # short rows first: the pivots stay sparse; the RREF is canonical
-    return kernel(sorted(distinct.values(), key=len), n * (n - 1) // 2)
+    return kernel([{c: 1} for c in units] + sorted(rest.values(), key=len), n * (n - 1) // 2)
+
+
+def _radical_free(basis: Sequence[Sequence[tuple[int, int]]], dim: int) -> bool:
+    """Whether the skew forms with the given sparse int coordinates (k, x)
+    share no nonzero radical vector: the rank of their Gram rows, stacked, is
+    dim.  Each form's row i holds x at j and row j holds -x at i for each of
+    its coordinates at the cell k = (i, j)."""
+    cells = _coordinates(dim)[0]
+    rows = []
+    for coords in basis:
+        gram: dict[int, dict[int, int]] = {}
+        for k, x in coords:
+            i, j = cells[k]
+            gram.setdefault(i, {})[j] = x
+            gram.setdefault(j, {})[i] = -x
+        rows += gram.values()
+    return len(reduce_rows(rows)) == dim
 
 
 def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
@@ -370,15 +427,17 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
     invertible, so there is no skew scan and no second determinant.  When the
     first attempt fails and the basis forms share a nonzero radical vector,
     every member of the space is degenerate, so that None is exact and is
-    returned at once; otherwise the draws go on unchanged.  The CLI prints
-    "none found" in both cases.
+    returned at once; otherwise the draws go on unchanged.  That test is one
+    rank: the sparse int Gram rows of the basis forms, stacked, go to
+    ``reduce_rows``, and a rank below dim is a common radical.  The CLI
+    prints "none found" in both cases.
     """
     if space.ambient_dim != dim * (dim - 1) // 2:
         raise ValueError("coordinate space does not match the stated dimension")
     if dim % 2:
         return None
     den, basis = space.int_basis
-    cells = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    cells = _coordinates(dim)[0]
 
     def gram(coords, zero=0):  # the Gram matrix of sparse coordinates (k, x)
         w = [[zero] * dim for _ in range(dim)]
@@ -398,9 +457,7 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
         if int_det(gram(enumerate(coords))):
             w = gram(((k, Fraction(x, den)) for k, x in enumerate(coords) if x), ZERO)
             return SkewForm._nondegenerate(Matrix(dim, dim, tuple(map(tuple, w))))
-        # the stacked Gram rows of the basis have a kernel: a common radical
-        if attempt == 0 and kernel([{j: x for j, x in enumerate(r) if x}
-                                    for row in basis for r in gram(row)], dim).dim:
+        if attempt == 0 and not _radical_free(basis, dim):
             return None
     return None
 

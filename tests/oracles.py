@@ -8,8 +8,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from sympleib.algebra import Algebra
-from sympleib.exactlin import ZERO, Matrix
-from sympleib.symplectic import SkewForm
+from sympleib.exactlin import ZERO, Matrix, Subspace, full_subspace, kernel
+from sympleib.symplectic import SkewForm, form_from_coords
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -49,3 +49,11 @@ def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError("operator shape does not match the form")
     return form.w_inv @ m.transpose() @ form.w
+
+
+def common_radical(space: Subspace, dim: int) -> Subspace:
+    """The vectors in the radical of every form of the space: the kernel of the
+    dense Gram matrices of its basis forms, stacked.  The zero space holds
+    only the zero form, whose radical is everything."""
+    grams = [form_from_coords(dim, row).w for row in space.basis.entries]
+    return kernel(vstack(grams)) if grams else full_subspace(dim)

@@ -1,6 +1,7 @@
 """Structure-constant algebras and the Leibniz-type identity checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -582,13 +583,17 @@ def test_from_table_seeds_the_sparse_view_the_cache_would_compute(table):
             want[i - 1][j - 1][k - 1] = rat(x)
     assert a.c == tuple(tuple(map(tuple, row)) for row in want)
     seeded = dict(vars(a))
-    integral = all(x.denominator == 1 for row in a.c for v in row for x in v)
-    assert ("int_nz" in seeded) == integral
+    assert "nz" in seeded and "int_nz" in seeded  # at every scale, not only at 1
     vars(a).pop("nz")
-    vars(a).pop("int_nz", None)
+    vars(a).pop("int_nz")
     assert a.nz == seeded["nz"]
-    if integral:
-        assert a.int_nz == seeded["int_nz"]
+    assert a.int_nz == seeded["int_nz"]
+    # the scale read off the dense tensor: the lcm of its denominators, times each constant
+    s, scaled = seeded["int_nz"]
+    assert s == math.lcm(*(x.denominator for row in a.c for v in row for x in v))
+    assert scaled == tuple(tuple(tuple((k, x * s) for k, x in enumerate(v) if x) for v in row)
+                           for row in a.c)
+    assert all(type(x) is int for row in scaled for pairs in row for _, x in pairs)
     assert all(x for row in a.nz for pairs in row for _, x in pairs)  # no zero enters
     plain = Algebra(n, a.c)
     assert a == plain and hash(a) == hash(plain)
@@ -620,6 +625,14 @@ _GRID = [[[0, 0]]]
     (lambda: ExtensionData(1, [_Z2], [_Z2], [[[0, 0, 0]]], _GRID, _GRID, [[[0]]]),
      "grid vector has wrong length"),
     (lambda: ExtensionData(1, [_Z2], [_Z2], _GRID, _GRID, _GRID, [[[0, 0]]]),
+     "grid vector has wrong length"),
+    # unchecked, a scalar where a vector belongs raised a bare TypeError
+    (lambda: ExtensionData(1, [_Z2], [_Z2], [[0]], _GRID, _GRID, [[[0]]]),
+     "grid vector has wrong length"),
+    (lambda: ExtensionData(1, [_Z2], [_Z2], _GRID, _GRID, _GRID, [[0]]),
+     "grid vector has wrong length"),
+    # unchecked, the string "12" was read as the vector (1, 2)
+    (lambda: ExtensionData(1, [_Z2], [_Z2], [["12"]], _GRID, _GRID, [[[0]]]),
      "grid vector has wrong length"),
     # unchecked, a missing row raised a bare IndexError and an extra one was dropped
     (lambda: ExtensionData(1, [_Z2], [_Z2], [], _GRID, _GRID, [[[0]]]), "grid must be 1 x 1"),

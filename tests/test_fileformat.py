@@ -177,6 +177,10 @@ def _entry_sites():
     (0.5, "cannot interpret 0.5 as a rational (floats are not allowed)"),
     (True, "cannot interpret a bool as a rational"),
     (None, "cannot interpret None as a rational (floats are not allowed)"),
+    # equal to the JSON 0 that the product parse skips, and still refused
+    (False, "cannot interpret a bool as a rational"),
+    (0.0, "cannot interpret 0.0 as a rational (floats are not allowed)"),
+    (-0.0, "cannot interpret -0.0 as a rational (floats are not allowed)"),
 ])
 def test_a_rejected_entry_names_its_position(site, make, parse, bad, reason):
     with pytest.raises(FileFormatError) as err:
@@ -219,8 +223,7 @@ def algebra_files(draw, max_dim=5):
 def test_a_parsed_file_seeds_the_sparse_view_the_cache_would_compute(doc):
     a, form = algebra_from_dict(doc)
     seeded = dict(vars(a))
-    integral = all(x.denominator == 1 for row in a.c for v in row for x in v)
-    assert ("int_nz" in seeded) == integral
+    assert "nz" in seeded and "int_nz" in seeded  # at every scale, not only at 1
     plain = Algebra(a.dim, a.c, a.labels)
     assert a.nz == plain.nz and a.int_nz == plain.int_nz
     assert all(x for row in a.nz for pairs in row for _, x in pairs)  # no zero enters

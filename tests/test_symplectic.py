@@ -55,7 +55,7 @@ from sympleib.symplectic import (
     upper_index,
 )
 
-from oracles import omega_adjoint, vstack
+from oracles import common_radical, omega_adjoint, vstack
 
 
 def _dim2(x=3):
@@ -591,12 +591,49 @@ def _pool_shaped_algebras(draw):
     return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c))
 
 
-@settings(max_examples=5, deadline=None)
-@given(_pool_shaped_algebras())
-def test_solve_equals_the_dense_kernel_on_pool_shaped_algebras(a):
+def _assert_every_side_is_the_dense_kernel(a):
     left, right = _dense_form_system(a, "left"), _dense_form_system(a, "right")
     for side, dense in (("left", left), ("right", right), ("bi", vstack([left, right]))):
         assert solve_symplectic_forms(a, side) == kernel(dense), side
+
+
+@settings(max_examples=5, deadline=None)
+@given(_pool_shaped_algebras())
+def test_solve_equals_the_dense_kernel_on_pool_shaped_algebras(a):
+    _assert_every_side_is_the_dense_kernel(a)
+
+
+def _through_from_table(a):
+    """a rebuilt by from_table, which fills in int_nz at whatever scale the constants need."""
+    return Algebra.from_table(a.dim, {(i, j): dict(pairs) for i, row in enumerate(a.nz)
+                                      for j, pairs in enumerate(row) if pairs}, one_based=False)
+
+
+@settings(max_examples=5, deadline=None)
+@given(_pool_shaped_algebras())
+def test_solve_equals_the_dense_kernel_on_pool_shaped_tables_at_their_own_scale(a):
+    a = _through_from_table(a)
+    assert "int_nz" in vars(a)
+    _assert_every_side_is_the_dense_kernel(a)
+
+
+def _single_only_after_the_unit_drop(dense):
+    """The rows of a dense form system with two or more entries, all but one
+    of them at columns where some row has a single entry."""
+    rows = [{j for j, x in enumerate(r) if x} for r in dense.entries]
+    units = set().union(*(r for r in rows if len(r) == 1))
+    return [r for r in rows if len(r) > 1 and len(r - units) == 1]
+
+
+@pytest.mark.parametrize("fid, shear, scale", [("BS4_M", False, 1), ("BS4_M", True, 27),
+                                               ("RR3_SIXDIM_RAW", False, 2),
+                                               ("RR3_SIXDIM_B0", False, 2)])
+def test_rows_single_only_after_the_unit_drop_reach_the_dense_kernel(fid, shear, scale):
+    a = instantiate(fid)[0]
+    a = _through_from_table(_sheared(a) if shear else a)
+    assert a.int_nz[0] == scale
+    assert _single_only_after_the_unit_drop(_dense_form_system(a, "left"))
+    _assert_every_side_is_the_dense_kernel(a)
 
 
 @st.composite
@@ -751,6 +788,49 @@ def test_a_common_radical_ends_the_search_after_one_draw(monkeypatch, seed):
     calls.clear()
     assert find_nondegenerate(zero_subspace(6), 4, seed=seed) is None
     assert len(calls) == 1
+
+
+@st.composite
+def _form_spaces(draw):
+    """(space, dim): dim 1..7, and the span of up to four coordinate vectors,
+    each a multiple of one coordinate (a unit-coordinate form) or a few
+    entries, ints or with halves and thirds; no vector gives the zero space."""
+    dim = draw(st.integers(1, 7))
+    cols = dim * (dim - 1) // 2
+    vectors = []
+    for _ in range(draw(st.integers(0, 4) if cols else st.just(0))):
+        v = [ZERO] * cols
+        entries = draw(st.lists(st.tuples(st.integers(0, cols - 1), _MIXED.filter(bool)),
+                                min_size=1, max_size=1 if draw(st.booleans()) else cols))
+        for k, x in entries:
+            v[k] = x
+        vectors.append(v)
+    return span(cols, vectors), dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_spaces())
+def test_the_sparse_rank_test_finds_the_common_radical_of_the_dense_oracle(space_dim):
+    space, dim = space_dim
+    free = symplectic._radical_free(space.int_basis[1], dim)
+    assert free == (common_radical(space, dim).dim == 0)
+
+
+def test_the_rank_test_sees_the_radicals_the_search_relies_on():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [  # (space, dim, has a common radical)
+        (span(6, [[1, half, 0, 0, 0, 0], [0, 0, 0, third, 0, 0]]), 4, True),  # e_4
+        (span(6, [basis_vector(6, upper_index(4, 0, j)) for j in (1, 2, 3)]), 4, False),
+        (span(6, [basis_vector(6, upper_index(4, 0, 1)), basis_vector(6, upper_index(4, 2, 3))]),
+         4, False),
+        (zero_subspace(6), 4, True),
+        (zero_subspace(3), 3, True),
+        (span(3, [[1, 2, 3]]), 3, True),  # a skew form of odd size is degenerate
+        (zero_subspace(0), 1, True),
+    ]
+    for space, dim, radical in cases:
+        assert symplectic._radical_free(space.int_basis[1], dim) is not radical
+        assert (common_radical(space, dim).dim > 0) is radical
 
 
 def test_degenerate_spaces_without_a_common_radical_run_every_draw(monkeypatch):
