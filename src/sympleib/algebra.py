@@ -10,8 +10,11 @@ All identity checks run over basis triples, which suffices because every
 identity here is multilinear.  Each identity is one signed term table over
 the positions 0, 1, 2 of the triple (i, j, k): ``("L", x, y, z)`` stands for
 e_x*(e_y*e_z) and ``("R", x, y, z)`` for (e_x*e_y)*e_z.  One scanner sums a
-table's terms at every triple and reports the first failing triple in
-lexicographic order together with the exact defect.
+table's terms over ints, one slice (i, j) at a time with every k at once,
+walking each term's paths through two nonzero products once off the int
+view ``Algebra.int_nz`` and the support lists ``Algebra.int_support``, and
+reports the first failing triple in lexicographic order together with the
+exact defect.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from itertools import product
 
 from sympleib.exactlin import (
     HALF,
@@ -29,7 +32,6 @@ from sympleib.exactlin import (
     Subspace,
     basis_vector,
     int_scaled_pairs,
-    is_zero_vector,
     kernel,
     rat,
     span,
@@ -115,6 +117,18 @@ class Algebra:
         (``exactlin.int_scaled_pairs``); ``from_table`` fills it in at every scale."""
         return int_scaled_pairs(self.nz)
 
+    @cached_property
+    def int_support(self) -> tuple[tuple, tuple, tuple]:
+        """(right, left, cols) over t = ``int_nz[1]``: right[p] holds the pairs
+        (q, t[p][q]) and left[q] the pairs (p, t[p][q]) of the nonzero products
+        e_p * e_q, in index order, and cols[q][p] is t[p][q].  Built once and
+        read by every identity scan of the algebra."""
+        t = self.int_nz[1]
+        cols = tuple(zip(*t))
+        return (tuple(tuple((q, pairs) for q, pairs in enumerate(row) if pairs) for row in t),
+                tuple(tuple((p, pairs) for p, pairs in enumerate(col) if pairs) for col in cols),
+                cols)
+
 
 def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Bilinear product of two coordinate vectors."""
@@ -155,69 +169,82 @@ _LEFT_SYMMETRIC = ((1, "R", 0, 1, 2), (-1, "L", 0, 1, 2),
 _JACOBI = ((1, "R", 0, 1, 2), (1, "R", 1, 2, 0), (1, "R", 2, 0, 1))
 
 
-def _touched(nz, terms):
-    """The triples (i, j, k), in lexicographic order, at which some term can be nonzero.
+def _slices(a: Algebra, terms):
+    """Yield ((i, j), acc) for the slices (i, j) in lexicographic order: acc[k]
+    holds s^2 times the table's defect at (i, j, k), s the scale of
+    ``Algebra.int_nz``, for each k that a path of some term reaches.
 
-    The term e_u * (e_v * e_w) is zero unless e_u * e_m != 0 for some e_m in
-    the support of e_v * e_w, and (e_u * e_v) * e_w unless e_m * e_w != 0
-    for such an e_m in e_u * e_v: each term is a path through two nonzero
-    products.  The triples come one i at a time, so a scan that stops early
-    has enumerated only the paths of the i values it reached.
+    Each term is a path through two nonzero products.  At a fixed (i, j)
+    the paths of every term are walked once off ``int_nz`` and the support
+    lists ``Algebra.int_support``, the free position k running along them,
+    and each adds p * q, p and q its two scaled constants, to the defect of
+    its own k.  At a k no path reaches, every term is zero.
     """
-    n = len(nz)
-    right = [[q for q in range(n) if nz[p][q]] for p in range(n)]  # e_p * e_q != 0
-    left = [[p for p in range(n) if nz[p][q]] for q in range(n)]
-    pairs = [(p, q) for p in range(n) for q in right[p]]
-    # per term: the position f of the outer factor and s of the first inner one,
-    # the outer factors next to each e_m and the e_m next to each outer factor
-    paths = []
-    for _, side, x, y, z in terms:
-        s, t, f = (y, z, x) if side == "L" else (x, y, z)
-        outer, beside = (left, right) if side == "L" else (right, left)
-        paths.append((f, s, itemgetter(*((s, t, f).index(r) for r in range(3))), outer, beside))
-    for i in range(n):
-        found = set()
-        for f, s, place, outer, beside in paths:
-            if f == 0:  # the outer factor is e_i
-                near = set(beside[i])
-                found.update(place((p, q, i)) for p, q in pairs
-                             if any(m in near for m, _ in nz[p][q]))
-                continue
-            for p, q in ([(i, q) for q in right[i]] if s == 0 else [(p, i) for p in left[i]]):
-                reach = set().union(*(outer[m] for m, _ in nz[p][q]))
-                found.update(place((p, q, r)) for r in reach)
-        yield from sorted(found)
+    nz = a.int_nz[1]
+    right, left, cols = a.int_support
+    n = a.dim
+    # the k-outer walks (sign, support, its position, rows, their position):
+    # k and the first product's pairs (m, p) from a support list, then the
+    # pairs (c, q) of the second product from rows[m]; and the k-inner walks
+    # (sign, positions of the first product, support): its pairs (m, p), then
+    # k and the second product from support[m]
+    outer, inner = [], []
+    for sign, side, x, y, z in terms:
+        if side == "L":  # e_x * (e_y * e_z)
+            if z == 2:
+                outer.append((sign, right, y, nz, x))
+            elif y == 2:
+                outer.append((sign, left, z, nz, x))
+            else:
+                inner.append((sign, y, z, left))
+        else:  # (e_x * e_y) * e_z
+            if z == 2:
+                inner.append((sign, x, y, right))
+            elif y == 2:
+                outer.append((sign, right, x, cols, z))
+            else:
+                outer.append((sign, left, y, cols, z))
+    for ij in product(range(n), repeat=2):
+        acc: dict[int, list[int]] = {}
+        for sign, support, at, table, by in outer:
+            rows = table[ij[by]]
+            for k, pairs in support[ij[at]]:
+                for m, p in pairs:
+                    row = rows[m]
+                    if row:
+                        out = acc.get(k)
+                        if out is None:
+                            out = acc[k] = [0] * n
+                        f = sign * p
+                        for c, q in row:
+                            out[c] += f * q
+        for sign, at, by, support in inner:
+            for m, p in nz[ij[at]][ij[by]]:
+                f = sign * p
+                for k, row in support[m]:
+                    out = acc.get(k)
+                    if out is None:
+                        out = acc[k] = [0] * n
+                    for c, q in row:
+                        out[c] += f * q
+        yield ij, acc
 
 
 def _scan_identity(a: Algebra, name: str, kind: str, terms) -> Check:
     """Sum the term table at the basis triples in lexicographic order.
 
-    Only the triples where some term's inner product is nonzero and meets
-    the outer factor in a nonzero product are visited (see ``_touched``); at
-    every other triple each term, and so the defect, is zero, so the first
-    failing triple and its defect are those of the full n^3 scan, and a scan
-    that fails early stops as early.  The sums run over the int view
-    ``Algebra.int_nz``: every term is a product of two constants scaled by
-    s, so the true defect is the int sum over s^2.  The defect is kept as
-    ``{k: value}``; the dense vector is built only for the first triple
-    where it is nonzero, which becomes the witness.
+    The triples are taken one slice (i, j) at a time (``_slices``), every k
+    at once.  The first slice with a nonzero defect holds the first failing
+    triple, at its least such k; the scan stops there and builds the dense
+    defect of that triple only, the witness, as the int sum over s^2.
     """
-    s, nz = a.int_nz
-    for ijk in _touched(nz, terms):
-        acc: dict[int, int] = {}
-        for sign, side, x, y, z in terms:
-            u, v, w = ijk[x], ijk[y], ijk[z]
-            if side == "L":  # e_u * (e_v * e_w)
-                for m, p in nz[v][w]:
-                    for k, q in nz[u][m]:
-                        acc[k] = acc.get(k, 0) + sign * p * q
-            else:  # (e_u * e_v) * e_w
-                for m, p in nz[u][v]:
-                    for k, q in nz[m][w]:
-                        acc[k] = acc.get(k, 0) + sign * p * q
-        if any(acc.values()):
-            defect = tuple(Fraction(acc.get(k, 0), s * s) for k in range(a.dim))
-            return Check(name, False, witness=Witness(kind, ijk, defect))
+    s = a.int_nz[0]
+    for ij, acc in _slices(a, terms):
+        if acc:
+            for k in sorted(acc):
+                if any(acc[k]):
+                    defect = tuple(Fraction(x, s * s) for x in acc[k])
+                    return Check(name, False, witness=Witness(kind, (*ij, k), defect))
     return Check(name, True)
 
 
@@ -245,13 +272,22 @@ def is_left_symmetric(a: Algebra) -> Check:
 
 
 def is_lie(a: Algebra) -> Check:
+    """Antisymmetry on the basis pairs, then the Jacobi identity.
+
+    e_i * e_j + e_j * e_i is summed over the int view; the first pair where
+    it is nonzero has i <= j (the sum is symmetric), and only its dense
+    defect is built, as the witness.
+    """
+    nz = a.int_nz[1]
     for i in range(a.dim):
-        for j in range(a.dim):
-            if not (a.nz[i][j] or a.nz[j][i]):
-                continue
-            d = vadd(a.c[i][j], a.c[j][i])
-            if not is_zero_vector(d):
-                return Check("lie", False, witness=Witness("antisymmetry", (i, j), d))
+        for j in range(i, a.dim):
+            if nz[i][j] or nz[j][i]:
+                d = dict(nz[i][j])
+                for k, x in nz[j][i]:
+                    d[k] = d.get(k, 0) + x
+                if any(d.values()):
+                    return Check("lie", False, witness=Witness(
+                        "antisymmetry", (i, j), vadd(a.c[i][j], a.c[j][i])))
     return _scan_identity(a, "lie", "jacobi", _JACOBI)
 
 

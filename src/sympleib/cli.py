@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import catalog
-from .algebra import (Algebra, is_left_leibniz, is_left_symmetric, is_lie,
+from .algebra import (is_left_leibniz, is_left_symmetric, is_lie,
                       is_right_leibniz, is_symmetric_leibniz)
 from .core import core
 from .extension import (build_double_extension, build_left_symmetric,
@@ -140,8 +140,6 @@ def cmd_star(args) -> int:
         raise UsageError("star needs a form in the file")
     star = star_left(algebra, form) if args.side == "left" \
         else star_right(algebra, form)
-    if algebra.labels:
-        star = Algebra(star.dim, star.c, algebra.labels)
     print(dumps(algebra_to_dict(star, form)), end="")
     return 0
 

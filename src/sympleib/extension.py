@@ -19,9 +19,9 @@ construction from a symmetric cubic form.
 Every construction on h + g + h* is assembled the same way.  A layout names
 the basis positions of h, g and h* and the basis labels: the rank-one
 builders use the order (g, e, e*), the others (h, g, h*), with g absent in
-the Lagrangian case.  One filler, the only place a zero tensor is
-allocated, writes a product from one table per block (h,h), (h,g), (g,h),
-(g,g), each giving an entry's g-part and h*-part; one form helper writes the
+the Lagrangian case.  One filler writes a product from one table per
+block (h,h), (h,g), (g,h), (g,g), each giving an entry's g-part and
+h*-part, through ``Algebra.from_table``; one form helper writes the
 middle Gram matrix plus the pairing W[h_i][h*_i] = -1; and one verifier runs
 a builder's post-build checks and raises with the witness of the first that
 fails.  The double extension and its star are two block tables over the
@@ -90,7 +90,10 @@ class SymplecticLie:
 
     The star product u * v, defined by omega(u * v, w) = -omega(v, [u, w]),
     is left symmetric with commutator equal to the bracket; both facts are
-    verified at construction time.
+    verified at construction time, after the Jacobi identity of g and the
+    form's compatibility, all four over the int views of the two algebras:
+    the commutator is compared with the bracket pair by pair, the scales
+    cross-multiplied, and no commutator algebra is built.
     """
 
     g: Algebra
@@ -108,10 +111,7 @@ class SymplecticLie:
         lsym = is_left_symmetric(star)
         if not lsym.holds:
             raise ValueError(f"internal error: star product is not left symmetric: {lsym.detail}")
-        n = g.dim
-        commutator = Algebra(n, tuple(tuple(vsub(star.c[i][j], star.c[j][i]) for j in range(n))
-                                      for i in range(n)))
-        comm = _same_product("star-commutator", commutator, g)
+        comm = _star_commutator(star, g)
         if not comm.holds:
             raise ValueError(f"internal error: star commutator differs from bracket: {comm.detail}")
         object.__setattr__(self, "g", g)
@@ -483,10 +483,11 @@ def _fill(layout: _Layout, hh=None, hg=None, gh=None, gg=None) -> Algebra:
 
     A table maps the local indices (x, y) of e_x * e_y, each counted inside
     its own block, to the product's (g-part, h*-part).  A block left out is
-    zero, a part given as () is zero, and only nonzero coordinates are written.
+    zero, a part given as () is zero, and only nonzero coordinates are
+    written, as a product table for ``Algebra.from_table``, which seeds the
+    sparse and int views.
     """
-    n = layout.dim
-    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    products = {}
     h, g, hs = layout.h, layout.g, layout.hs
     for rows, cols, table in ((h, h, hh), (h, g, hg), (g, h, gh), (g, g, gg)):
         if table is None:
@@ -494,11 +495,10 @@ def _fill(layout: _Layout, hh=None, hg=None, gh=None, gg=None) -> Algebra:
         for x, r in enumerate(rows):
             for y, s in enumerate(cols):
                 gpart, hspart = table(x, y)
-                out = c[r][s]
-                for k, v in (*zip(g, gpart), *zip(hs, hspart)):
-                    if v:
-                        out[k] = v
-    return Algebra(n, tuple(tuple(tuple(v) for v in row) for row in c), layout.labels)
+                entry = {k: v for k, v in (*zip(g, gpart), *zip(hs, hspart)) if v}
+                if entry:
+                    products[r, s] = entry
+    return Algebra.from_table(layout.dim, products, layout.labels, one_based=False)
 
 
 def _form(layout: _Layout, middle, extra=()) -> SkewForm:
@@ -539,6 +539,26 @@ def _same_product(kind: str, a: Algebra, b: Algebra) -> Check:
         if a.c[i][j] != b.c[i][j]:
             return Check(kind, False, witness=Witness(kind, (i, j), vsub(a.c[i][j], b.c[i][j])))
     return Check(kind, True)
+
+
+def _star_commutator(star: Algebra, g: Algebra) -> Check:
+    """Whether u * v - v * u = [u, v] for a Lie algebra g, compared over the
+    int views, each side times the other's scale.  Both sides are
+    antisymmetric, so the first pair (i, j) where they differ has i < j; its
+    defect (e_i * e_j - e_j * e_i) - [e_i, e_j] is the witness."""
+    ds, ts = star.int_nz
+    dg, tg = g.int_nz
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            d = {k: -ds * x for k, x in tg[i][j]}
+            for f, pairs in ((dg, ts[i][j]), (-dg, ts[j][i])):
+                for k, x in pairs:
+                    d[k] = d.get(k, 0) + f * x
+            if any(d.values()):
+                return Check("star-commutator", False, witness=Witness(
+                    "star-commutator", (i, j),
+                    vsub(vsub(star.c[i][j], star.c[j][i]), g.c[i][j])))
+    return Check("star-commutator", True)
 
 
 def _pairings(form: SkewForm, vectors, u) -> list:

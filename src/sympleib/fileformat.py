@@ -21,7 +21,7 @@ from typing import Any, Mapping
 from .algebra import Algebra
 from .exactlin import ZERO, Matrix, Rational, rat
 from .extension import ExtensionData, SymplecticLie
-from .symplectic import SkewForm, form_coords, form_from_pairs
+from .symplectic import SkewForm, form_from_pairs
 
 
 MAX_DIM = 48
@@ -87,7 +87,10 @@ def coords_to_entries(dim: int, coords) -> list[list[int | str]]:
 
 
 def form_to_entries(form: SkewForm) -> list[list[int | str]]:
-    return coords_to_entries(form.dim, enumerate(form_coords(form)))
+    """File entries of a skew form: its strict upper-triangle nonzeros, read
+    off the Gram matrix row by row (the shared ZERO skipped by identity)."""
+    return [[i + 1, j + 1, rational_to_json(x)] for i, row in enumerate(form.w.entries)
+            for j, x in enumerate(row[i + 1:], i + 1) if x is not ZERO and x]
 
 
 def algebra_to_dict(algebra: Algebra, form: SkewForm | None = None

@@ -472,6 +472,8 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     Both factors are ints: the rhs are read off the int Gram table and
     (W^-1)^T is scaled once to ints by ``int_scaled``, so each nonzero
     output entry is one Fraction of an int sum over the product of the scales.
+    The nonzero products go to ``Algebra.from_table``, which seeds the
+    star's sparse and int views.
     """
     if not form.nondegenerate:
         raise ValueError("star product requires a nondegenerate form: "
@@ -482,19 +484,18 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     den = scale * dinv
     # column k of (W^-1)^T is row k of W^-1
     cols = [[(x, v) for x, v in enumerate(row) if v] for row in w_inv]
-    c = []
+    products = {}
     for i in range(n):
         rows = [g[p][q] for p, q in (pair(i, k) for k in range(n))]
-        row = []
         for j in range(n):
             out = [0] * n
             for k, r in enumerate(rows):
                 if r and r[j]:
                     for x, v in cols[k]:
                         out[x] -= v * r[j]
-            row.append(tuple(Fraction(t, den) if t else ZERO for t in out))
-        c.append(tuple(row))
-    return Algebra(n, tuple(c), a.labels)
+            if any(out):
+                products[i, j] = {x: Fraction(t, den) for x, t in enumerate(out) if t}
+    return Algebra.from_table(n, products, a.labels, one_based=False)
 
 
 def star_left(a: Algebra, form: SkewForm) -> Algebra:

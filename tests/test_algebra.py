@@ -30,7 +30,7 @@ from sympleib.algebra import (
 )
 from sympleib.catalog import instantiate, list_families
 from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kernel, rat, span,
-                               vadd, vector, vsub, vzero, zero_subspace)
+                               vadd, vector, vscale, vsub, vzero, zero_subspace)
 from sympleib.extension import ExtensionData
 from sympleib.reporting import Check, Witness
 from sympleib.symplectic import form_from_pairs
@@ -412,21 +412,36 @@ def test_identity_reports_equal_the_dense_scans_with_halves_and_thirds(a):
     _assert_reports_equal_the_oracle(opposite(a))
 
 
+# k at each of the three places of either side, so that every walk of
+# _slices runs; no identity table has k as the outer factor of an "L" term
+_EVERY_WALK = ((1, "L", 0, 1, 2), (-1, "L", 1, 2, 0), (1, "L", 2, 0, 1),
+               (1, "R", 0, 1, 2), (1, "R", 1, 2, 0), (-1, "R", 2, 0, 1))
+
+
 @_PROPERTY
 @given(sparse_algebras(max_dim=5, constant=_MIXED))
-def test_the_scan_skips_only_triples_where_every_term_is_zero(a):
-    """_touched yields each triple once, in order, and every triple it leaves
-    out has every term of the table zero, evaluated densely."""
+def test_every_slice_scatters_the_dense_term_sum(a):
+    """_slices yields each slice (i, j) once, in order, and at every k its
+    scattered defect is s^2 times the table's term sum at (i, j, k),
+    evaluated densely, zeros included: a k it leaves out has a zero sum."""
     def term(side, u, v, w):
         return (_dense_mul_basis_vec(a, u, a.c[v][w]) if side == "L"
                 else _dense_mul_vec_basis(a, a.c[u][v], w))
+    n, s = a.dim, a.int_nz[0]
     for table in (algebra._LEFT_LEIBNIZ, algebra._RIGHT_LEIBNIZ, algebra._LEFT_SYMMETRIC,
-                  algebra._JACOBI):
-        touched = list(algebra._touched(a.int_nz[1], table))
-        assert touched == sorted(set(touched))
-        for ijk in set(itertools.product(range(a.dim), repeat=3)) - set(touched):
-            assert all(is_zero_vector(term(side, ijk[x], ijk[y], ijk[z]))
-                       for _, side, x, y, z in table)
+                  algebra._JACOBI, _EVERY_WALK):
+        slices = list(algebra._slices(a, table))
+        assert [ij for ij, _ in slices] == list(itertools.product(range(n), repeat=2))
+        for ij, acc in slices:
+            assert set(acc) <= set(range(n))
+            for k in range(n):
+                ijk = (*ij, k)
+                dense = [ZERO] * n
+                for sign, side, x, y, z in table:
+                    dense = vadd(dense, vscale(sign, term(side, ijk[x], ijk[y], ijk[z])))
+                got = acc.get(k, [0] * n)
+                assert all(type(x) is int for x in got)
+                assert got == [x * s * s for x in dense]
 
 
 def test_the_differential_cases_reach_every_witness_kind():

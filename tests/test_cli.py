@@ -20,7 +20,7 @@ from sympleib.cli import _build_parser, main
 from sympleib.exactlin import HALF, Matrix, vadd, vscale
 from sympleib.extension import ExtensionData, zero_cube, zero_grid
 from sympleib.fileformat import algebra_to_dict, parse_algebra, rational_to_json, serialize_algebra
-from sympleib.symplectic import SkewForm
+from sympleib.symplectic import SkewForm, form_from_pairs, star_left, star_right
 
 RR3_BASE = """\
 {
@@ -307,6 +307,20 @@ def test_star_of_an_abelian_algebra_is_zero(capsys, tmp_path):
     code, out, _ = run(capsys, "star", str(path))
     assert code == 0
     assert json.loads(out)["products"] == []
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_star_of_a_labelled_file_keeps_its_labels(capsys, tmp_path, side):
+    a = Algebra.from_table(2, {(1, 1): {1: 1}, (1, 2): {2: 1}}, labels=("x", "y"))
+    w = form_from_pairs(2, {(1, 2): 1})
+    path = tmp_path / "labelled.json"
+    path.write_text(serialize_algebra(a, w), encoding="utf-8")
+    code, out, _ = run(capsys, "star", str(path), "--side", side)
+    assert code == 0
+    assert json.loads(out)["labels"] == ["x", "y"]
+    star = (star_left if side == "left" else star_right)(a, w)
+    assert star.labels == ("x", "y")
+    assert parse_algebra(out) == (star, w)
 
 
 def test_core_splits_the_r4_example(capsys, r4):
