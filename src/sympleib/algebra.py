@@ -118,16 +118,15 @@ class Algebra:
         return int_scaled_pairs(self.nz)
 
     @cached_property
-    def int_support(self) -> tuple[tuple, tuple, tuple]:
+    def int_support(self) -> tuple[list, list, list]:
         """(right, left, cols) over t = ``int_nz[1]``: right[p] holds the pairs
         (q, t[p][q]) and left[q] the pairs (p, t[p][q]) of the nonzero products
         e_p * e_q, in index order, and cols[q][p] is t[p][q].  Built once and
-        read by every identity scan of the algebra."""
+        read, never changed, by every identity scan of the algebra."""
         t = self.int_nz[1]
-        cols = tuple(zip(*t))
-        return (tuple(tuple((q, pairs) for q, pairs in enumerate(row) if pairs) for row in t),
-                tuple(tuple((p, pairs) for p, pairs in enumerate(col) if pairs) for col in cols),
-                cols)
+        cols = list(zip(*t))
+        return ([[(q, pairs) for q, pairs in enumerate(row) if pairs] for row in t],
+                [[(p, pairs) for p, pairs in enumerate(col) if pairs] for col in cols], cols)
 
 
 def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
