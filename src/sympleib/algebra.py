@@ -34,7 +34,7 @@ from sympleib.exactlin import (
     int_scaled_pairs,
     kernel,
     rat,
-    span,
+    row_space,
     vadd,
     vscale,
     vsub,
@@ -68,8 +68,8 @@ class Algebra:
         coordinate vector for e_i * e_j.  Indices are 1-based by default to
         match how such tables are usually written down.  Each coefficient is
         coerced once (a Fraction is taken as it is), and the sparse view
-        ``nz`` is filled in from the listed products as the tensor is built,
-        and from it the int view ``int_nz``, at whatever scale the constants need.
+        ``nz`` is filled in from the listed products as the tensor is built.
+        The int view ``int_nz`` is left to its first read.
         """
         off = 1 if one_based else 0
         zero = (ZERO,) * dim
@@ -93,8 +93,7 @@ class Algebra:
             c[i][j] = tuple(v)
             nz[i][j] = tuple((k, x) for k, x in enumerate(v) if x is not ZERO and x)
         a = Algebra(dim, tuple(map(tuple, c)), tuple(labels))
-        vars(a)["nz"] = nz = tuple(map(tuple, nz))
-        vars(a)["int_nz"] = int_scaled_pairs(nz)
+        vars(a)["nz"] = tuple(map(tuple, nz))
         return a
 
     def basis_label(self, i: int) -> str:
@@ -114,7 +113,7 @@ class Algebra:
     def int_nz(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """(s, t): s is the lcm of the denominators of the constants and
         t[i][j] holds the pairs (k, s * c[i][j][k]) of nz[i][j], as ints
-        (``exactlin.int_scaled_pairs``); ``from_table`` fills it in at every scale."""
+        (``exactlin.int_scaled_pairs``), built on first read."""
         return int_scaled_pairs(self.nz)
 
     @cached_property
@@ -270,23 +269,32 @@ def is_left_symmetric(a: Algebra) -> Check:
     return _scan_identity(a, "left-symmetric", "left-symmetric", _LEFT_SYMMETRIC)
 
 
+def _symmetrized(a: Algebra):
+    """Yield ((i, j), row) for the pairs i <= j in lexicographic order where
+    e_i * e_j + e_j * e_i is nonzero: row holds its nonzero coordinates
+    {k: s * x}, summed over the int view ``Algebra.int_nz`` at its scale s."""
+    nz = a.int_nz[1]
+    for i, row in enumerate(nz):
+        for j in range(i, a.dim):
+            if row[j] or nz[j][i]:
+                d = dict(row[j])
+                for k, x in nz[j][i]:
+                    d[k] = d.get(k, 0) + x
+                d = {k: x for k, x in d.items() if x}
+                if d:
+                    yield (i, j), d
+
+
 def is_lie(a: Algebra) -> Check:
     """Antisymmetry on the basis pairs, then the Jacobi identity.
 
-    e_i * e_j + e_j * e_i is summed over the int view; the first pair where
-    it is nonzero has i <= j (the sum is symmetric), and only its dense
-    defect is built, as the witness.
+    The first pair with e_i * e_j + e_j * e_i nonzero (``_symmetrized``) has
+    i <= j (the sum is symmetric), and only its dense defect is built, as the
+    witness.
     """
-    nz = a.int_nz[1]
-    for i in range(a.dim):
-        for j in range(i, a.dim):
-            if nz[i][j] or nz[j][i]:
-                d = dict(nz[i][j])
-                for k, x in nz[j][i]:
-                    d[k] = d.get(k, 0) + x
-                if any(d.values()):
-                    return Check("lie", False, witness=Witness(
-                        "antisymmetry", (i, j), vadd(a.c[i][j], a.c[j][i])))
+    for (i, j), _ in _symmetrized(a):
+        return Check("lie", False, witness=Witness(
+            "antisymmetry", (i, j), vadd(a.c[i][j], a.c[j][i])))
     return _scan_identity(a, "lie", "jacobi", _JACOBI)
 
 
@@ -310,9 +318,10 @@ def split(a: Algebra) -> tuple[Algebra, Algebra]:
 
 
 def leibniz_ideal(a: Algebra) -> Subspace:
-    """Span of all symmetrized basis products e_i*e_j + e_j*e_i."""
-    vecs = [vadd(a.c[i][j], a.c[j][i]) for i in range(a.dim) for j in range(i, a.dim)]
-    return span(a.dim, vecs)
+    """Span of all symmetrized basis products e_i*e_j + e_j*e_i, reduced as
+    the sparse int rows ``_symmetrized`` sums (a common scale leaves the span
+    as it is)."""
+    return row_space(a.dim, (row for _, row in _symmetrized(a)))
 
 
 def center(a: Algebra) -> Subspace:

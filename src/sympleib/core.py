@@ -21,19 +21,19 @@ from sympleib.algebra import (
     multiply,
 )
 from sympleib.exactlin import (
+    ZERO,
     Matrix,
     Subspace,
     basis_vector,
     intersect,
     is_zero_vector,
-    vzero,
+    row_space,
 )
 from sympleib.reporting import Check, SystemReport, Witness
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
     is_symplectic_left,
-    omega,
     orthogonal,
     star_left,
 )
@@ -53,23 +53,34 @@ class CoreDecomposition:
     h_lift: Matrix             # rows: a complement of ideal_perp in the ambient algebra
 
 
-def _complement_rows(inner: Subspace, outer: Subspace) -> list[tuple[Fraction, ...]]:
-    """Rows of outer's canonical basis whose pivot is not a pivot of inner.
+def _complement_positions(inner: Subspace, outer: Subspace) -> list[int]:
+    """Positions of the rows of outer's canonical basis whose pivot is not a pivot of inner.
 
     Valid whenever inner is contained in outer: both bases are in RREF, so the
     pivots of inner form a subset of the pivots of outer and the remaining rows
     represent a complement of inner inside outer.
     """
     inner_pivots = set(inner.pivots)
-    outer_pivots = outer.pivots
-    if not inner_pivots <= set(outer_pivots):
+    if not inner_pivots <= set(outer.pivots):
         raise CoreError("pivot containment failed; inner subspace is not inside outer")
-    return [row for row, p in zip(outer.basis.entries, outer_pivots)
-            if p not in inner_pivots]
+    return [t for t, p in enumerate(outer.pivots) if p not in inner_pivots]
+
+
+def _pairing(covector: dict[int, int], u) -> int:
+    """The covector {column: value} at the int vector u, given as its pairs (column, value)."""
+    return sum(covector.get(j, 0) * y for j, y in u)
 
 
 def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
-    """Carry out the reduction; raises CoreError if any step fails to verify."""
+    """Carry out the reduction; raises CoreError if any step fails to verify.
+
+    Past the subspaces, everything runs on int data: the representatives are
+    the int basis rows of I-perp (``Subspace.int_basis``, at one scale d), the
+    products are taken over ``Algebra.int_nz``, reduced modulo I-perp and I
+    by ``Subspace.int_reduce``, and the pairings read ``SkewForm.int_covectors``;
+    each value in the answer is one Fraction of an int over the product of
+    the scales.
+    """
     rep = is_symplectic_left(a, form)
     if not rep.holds:
         note = " (basis indices count from 1)" if rep.witness.indices else ""
@@ -81,41 +92,54 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     if not ideal_perp.contains_subspace(ideal):
         raise CoreError("isotropy failed: I is not inside its own orthogonal")
 
-    reps = _complement_rows(ideal, ideal_perp)
+    kept = _complement_positions(ideal, ideal_perp)
+    d, perp_rows = ideal_perp.int_basis
+    reps = [perp_rows[t] for t in kept]  # d times the representatives
+    rep_pivots = [ideal_perp.pivots[t] for t in kept]
+    complement = row_space(n, map(dict, reps))  # its RREF rows are the representatives
     m = len(reps)
-    rep_pivots = [p for p in ideal_perp.pivots if p not in set(ideal.pivots)]
 
     # induced product: multiply representatives, kill the I coordinates, read
-    # off the coefficients at the representative pivot columns
+    # off the coefficients at the representative pivot columns; the product
+    # of two representatives is s d^2 times the true one, and its reduction
+    # modulo I is e s d^2 times the true one, (e, _) the int basis of I
+    s, t = a.int_nz
+    scale = ideal.int_basis[0] * s * d * d
     c = []
     for ra in reps:
         row = []
         for rb in reps:
-            prod = multiply(a, ra, rb)
-            if not ideal_perp.contains(prod):
+            prod: dict[int, int] = {}
+            for i, x in ra:
+                products = t[i]
+                for j, y in rb:
+                    f = x * y
+                    for k, z in products[j]:
+                        prod[k] = prod.get(k, 0) + f * z
+            if ideal_perp.int_reduce(prod.items()):
                 raise CoreError("products do not land in the orthogonal of I")
-            red = ideal.reduce(prod)
-            coords = tuple(red[p] for p in rep_pivots)
-            rebuilt = list(vzero(n))
-            for x, r in zip(coords, reps):
-                rebuilt = [u + x * v for u, v in zip(rebuilt, r)]
-            if tuple(rebuilt) != red:
+            red = ideal.int_reduce(prod.items())
+            if complement.int_reduce(red.items()):
                 raise CoreError("reduced product left the chosen complement")
-            row.append(coords)
+            row.append(tuple(Fraction(red[p], scale) if p in red else ZERO for p in rep_pivots))
         c.append(tuple(row))
     reduced_algebra = Algebra(m, tuple(c))
 
     # induced form on representatives; well-definedness means representative
     # shifts by I cannot change it, which needs omega(I, I-perp) = 0
-    for z in ideal.basis.entries:
+    zs = ideal.int_basis[1]
+    for z in form.int_covectors(zs):
         for r in reps:
-            if omega(form, z, r) != 0:
+            if _pairing(z, r):
                 raise CoreError("induced form depends on the choice of representatives")
-        for z2 in ideal.basis.entries:
-            if omega(form, z, z2) != 0:
+        for z2 in zs:
+            if _pairing(z, z2):
                 raise CoreError("I is not isotropic")
-    gram = Matrix.from_rows([[omega(form, ra, rb) for rb in reps] for ra in reps])
-    reduced_form = SkewForm(gram)
+    gram_scale = form.int_w[0] * d * d
+    gram = tuple(tuple(Fraction(v, gram_scale) if v else ZERO
+                       for v in (_pairing(ra, rb) for rb in reps))
+                 for ra in form.int_covectors(reps))
+    reduced_form = SkewForm(Matrix(m, m, gram))
     if not reduced_form.nondegenerate:
         raise CoreError("induced form is degenerate")
 
@@ -129,7 +153,8 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     perp_pivots = set(ideal_perp.pivots)
     h_rows = [basis_vector(n, j) for j in range(n) if j not in perp_pivots]
     h_lift = Matrix.from_rows(h_rows) if h_rows else Matrix.zero(0, n)
-    reduced_lift = Matrix.from_rows(reps) if reps else Matrix.zero(0, n)
+    reduced_lift = Matrix.from_rows([ideal_perp.basis.entries[t] for t in kept]) if kept \
+        else Matrix.zero(0, n)
 
     return CoreDecomposition(
         ideal=ideal,

@@ -13,9 +13,12 @@ gcd-reduced factors, so zero entries cost nothing and zero or repeated rows
 die after one pass against the pivots.  Each pivot row is kept primitive: it
 is the one int multiple with a positive lead of its row of the RREF, whatever
 order the rows arrive in.  ``rref``, ``kernel``, ``solve``, ``span``,
-``intersect`` and ``Matrix.inverse`` read their answers off that core and
-divide by the lead only there, at the output; ``Subspace.int_basis`` reads the
-int rows back for callers that go on over ints.  Determinants are computed
+``row_space``, ``intersect`` and ``Matrix.inverse`` read their answers off
+that core and divide by the lead only there, at the output.  A subspace keeps
+its int pivot rows (``Subspace.int_pivots``): its pivots, its int basis and
+its int reduction (``Subspace.int_reduce``) are read off them, for callers
+that go on over ints, and ``intersect`` stacks the int annihilator rows of
+both inputs.  Determinants are computed
 apart from it, by Bareiss fraction-free elimination over ints (``int_det``).
 ``int_scaled`` (dense rows) and ``int_scaled_pairs`` (sparse pair lists) are
 where a table of Fractions is carried over to ints, as (s, s times the table)
@@ -344,24 +347,22 @@ def _dense_rows(pivots: Mapping[int, Mapping[int, int]], cols: int, start: int =
     return tuple(out)
 
 
-def _subspace(ambient_dim: int, pivots: dict[int, dict[int, int]]) -> "Subspace":
-    """The subspace whose canonical basis the int pivot rows hold."""
+def row_space(ambient_dim: int, rows: Iterable[Mapping[int, int | Fraction]]) -> "Subspace":
+    """The canonical subspace spanned by sparse rows ``{column: value}`` of
+    ints or Fractions, their columns below ``ambient_dim``: the RREF of
+    ``reduce_rows``, which the subspace keeps as its int pivot rows."""
+    pivots = reduce_rows(rows)
     basis = _dense_rows(pivots, ambient_dim)
     space = Subspace(ambient_dim, Matrix(len(basis), ambient_dim, basis))
-    space.__dict__["_pivots"] = pivots  # for int_basis, not a field
+    space.__dict__["int_pivots"] = pivots  # the cached property, filled in
     return space
 
 
-def _null_space(pivots: Mapping[int, Mapping[int, int]], cols: int) -> "Subspace":
-    """Canonical kernel of the row space held by ``pivots``: per free column f,
-    the vector that is 1 at f, 0 at the other free columns and -row[f] / lead
-    at each pivot, built over ints as that vector times the lcm of the leads
-    it reads.
-
-    A free column that no pivot row reads gives the unit vector e_f.  No other
-    vector, and so no row of their RREF, is nonzero at f, so e_f is a pivot row
-    of the kernel as it stands, and only the other vectors are reduced.
-    """
+def _annihilator_rows(pivots: Mapping[int, Mapping[int, int]], cols: int) -> list[dict[int, int]]:
+    """Int rows spanning the kernel of the row space held by ``pivots``: per
+    free column f, the vector that is 1 at f, 0 at the other free columns and
+    -row[f] / lead at each pivot, times the lcm of the leads it reads.  A free
+    column that no pivot row reads gives the unit row {f: 1}."""
     reads: dict[int, list] = {f: [] for f in range(cols) if f not in pivots}
     for p, row in pivots.items():
         for j, x in row.items():
@@ -372,9 +373,9 @@ def _null_space(pivots: Mapping[int, Mapping[int, int]], cols: int) -> "Subspace
         if terms:
             m = lcm(*(lead for _, lead, _ in terms))
             vecs.append({f: m, **{p: -x * (m // lead) for p, lead, x in terms}})
-    kernel_pivots = reduce_rows(vecs)
-    kernel_pivots.update((f, {f: 1}) for f, terms in reads.items() if not terms)
-    return _subspace(cols, kernel_pivots)
+        else:
+            vecs.append({f: 1})
+    return vecs
 
 
 def rref(m: Matrix) -> Matrix:
@@ -384,7 +385,8 @@ def rref(m: Matrix) -> Matrix:
 
 
 def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
-    """Pivot columns of a matrix already in RREF (first nonzero per row)."""
+    """Pivot columns of a matrix already in RREF (first nonzero per row): the
+    pivots of a ``Subspace`` built directly, with no int pivot rows kept."""
     pivs = []
     for row in reduced.entries:
         j = next((k for k, x in enumerate(row) if x != 0), None)
@@ -402,7 +404,9 @@ class Subspace:
     """A subspace of K^n held by its canonical basis.
 
     The basis matrix is in RREF with zero rows pruned, so two subspaces are
-    equal exactly when their dataclass fields are equal.
+    equal exactly when their dataclass fields are equal.  A subspace built by
+    the elimination core keeps its int pivot rows (``int_pivots``); the
+    pivots, the int basis and the reductions are read off them.
     """
 
     ambient_dim: int
@@ -412,8 +416,17 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
+    @cached_property
+    def int_pivots(self) -> dict[int, dict[int, int]]:
+        """The primitive int pivot rows of the basis, keyed by pivot column, as
+        ``reduce_rows`` returns them: kept by the core that built the subspace,
+        or, for a subspace built directly, reduced again from its basis."""
+        return reduce_rows(map(_sparse, self.basis.entries))
+
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
+        if "int_pivots" in self.__dict__:
+            return tuple(sorted(self.int_pivots))
         return pivot_columns(self.basis)
 
     @cached_property
@@ -425,9 +438,7 @@ class Subspace:
         It is read off the primitive pivot rows the basis was divided from,
         so d is the lcm of their leads.
         """
-        pivots = self.__dict__.get("_pivots")
-        if pivots is None:  # built directly, not by the core: reduce the basis again
-            pivots = reduce_rows(map(_sparse, self.basis.entries))
+        pivots = self.int_pivots
         d = lcm(*(row[p] for p, row in pivots.items()))
         return d, tuple(tuple(sorted((j, x * (d // row[p])) for j, x in row.items()))
                         for p, row in sorted(pivots.items()))
@@ -439,19 +450,36 @@ class Subspace:
         """Subtract basis rows to zero out the pivot coordinates of v.
 
         The result is zero iff v lies in the subspace; in general it is the
-        canonical representative of v modulo the subspace.
+        canonical representative of v modulo the subspace.  It is
+        ``int_reduce`` of v times the lcm t of its denominators, divided by
+        d t once per nonzero entry.
         """
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        w = list(v)
-        for row, p in zip(self.basis.entries, self.pivots):
-            if w[p] != 0:
-                f = w[p]  # pivot entries are 1 in RREF
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+        t, (row,) = int_scaled([v])
+        out = self.int_reduce((j, x) for j, x in enumerate(row) if x)
+        dt = self.int_basis[0] * t
+        return tuple(Fraction(out[j], dt) if j in out else ZERO for j in range(self.ambient_dim))
+
+    def int_reduce(self, v: Iterable[tuple[int, int]]) -> dict[int, int]:
+        """``reduce`` over ints: for an int vector v, given as its pairs
+        (column, value), d times the reduction of v, as its nonzero entries
+        {column: value}, with (d, rows) the ``int_basis``.  A basis row is zero
+        at the other pivot columns, so its coefficient is read off v itself."""
+        d, rows = self.int_basis
+        v = dict(v)
+        out = {j: d * x for j, x in v.items()}
+        for p, row in zip(self.pivots, rows):
+            f = v.get(p)
+            if f:
+                for j, y in row:
+                    out[j] = out.get(j, 0) - f * y
+        return {j: x for j, x in out.items() if x}
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return all(not self.int_reduce(row) for row in other.int_basis[1])
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -463,7 +491,7 @@ def span(ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
     for v in rows:
         if len(v) != ambient_dim:
             raise ValueError("ambient dimension mismatch")
-    return _subspace(ambient_dim, reduce_rows(map(_sparse, rows)))
+    return row_space(ambient_dim, map(_sparse, rows))
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -477,7 +505,7 @@ def full_subspace(n: int) -> Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return span(a.ambient_dim, list(a.basis.entries) + list(b.basis.entries))
+    return row_space(a.ambient_dim, [*a.int_pivots.values(), *b.int_pivots.values()])
 
 
 def kernel(m: Matrix | Iterable[Mapping[int, int | Fraction]], cols: Optional[int] = None
@@ -489,10 +517,10 @@ def kernel(m: Matrix | Iterable[Mapping[int, int | Fraction]], cols: Optional[in
     densely.
     """
     if isinstance(m, Matrix):
-        return _null_space(reduce_rows(map(_sparse, m.entries)), m.cols)
-    if cols is None:
+        m, cols = map(_sparse, m.entries), m.cols
+    elif cols is None:
         raise ValueError("sparse rows need a column count")
-    return _null_space(reduce_rows(m), cols)
+    return row_space(cols, _annihilator_rows(reduce_rows(m), cols))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -501,15 +529,14 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     The annihilator of a subspace with basis matrix B is kernel(B); a vector
     lies in the subspace iff every annihilator row kills it, so stacking the
     annihilators of both inputs cuts out the intersection without needing any
-    bilinear form.
+    bilinear form.  Each annihilator is spanned by int rows read off the int
+    pivot rows, one per free column, and the stack goes to ``kernel`` as
+    sparse rows.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    constraints = list(kernel(a.basis).basis.entries) + list(kernel(b.basis).basis.entries)
-    if not constraints:
-        return full_subspace(n)
-    return kernel(Matrix.from_rows(constraints))
+    return kernel(_annihilator_rows(a.int_pivots, n) + _annihilator_rows(b.int_pivots, n), n)
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Optional[tuple[Fraction, ...]], Subspace]:
@@ -529,8 +556,8 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Optional[tuple[Fraction, 
             yield row
     pivots = reduce_rows(augmented())
     # the RREF of [m | rhs], cut to its first n columns, is the RREF of m
-    ker = _null_space({p: {j: x for j, x in row.items() if j < n}
-                       for p, row in pivots.items() if p < n}, n)
+    ker = row_space(n, _annihilator_rows({p: {j: x for j, x in row.items() if j < n}
+                                          for p, row in pivots.items() if p < n}, n))
     if n in pivots:
         return None, ker
     x = [ZERO] * n

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from sympleib.algebra import Algebra, split
 from sympleib.exactlin import (
@@ -36,10 +36,10 @@ from sympleib.exactlin import (
     basis_vector,
     int_det,
     int_scaled,
+    int_scaled_pairs,
     kernel,
     rat,
     reduce_rows,
-    span,
 )
 from sympleib.reporting import Check, Witness
 
@@ -71,6 +71,29 @@ class SkewForm:
     @property
     def dim(self) -> int:
         return self.w.rows
+
+    @cached_property
+    def int_w(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(d, rows): d is the lcm of W's denominators and rows[x] holds the
+        pairs (y, d * W[x][y]) of the nonzero entries of row x, in column
+        order, as ints (``exactlin.int_scaled_pairs``); computed once per form."""
+        d, (rows,) = int_scaled_pairs([[tuple((y, x) for y, x in enumerate(row) if x is not ZERO and x)
+                                        for row in self.w.entries]])
+        return d, rows
+
+    def int_covectors(self, vectors: Iterable[Iterable[tuple[int, int]]]) -> list[dict[int, int]]:
+        """For each int vector u, given as its pairs (column, value), the
+        nonzero entries {y: value} of d u^T W, d = ``int_w[0]``: the row of
+        v -> d omega(u, v)."""
+        rows = self.int_w[1]
+        out = []
+        for u in vectors:
+            cov: dict[int, int] = {}
+            for x, c in u:
+                for y, v in rows[x]:
+                    cov[y] = cov.get(y, 0) + c * v
+            out.append({y: v for y, v in cov.items() if v})
+        return out
 
     @cached_property
     def w_inv(self) -> Matrix:
@@ -123,9 +146,9 @@ def _gram_table(form: SkewForm, a: Algebra) -> tuple[int, list[list[Optional[tup
     constants, and g[p][q] is None where e_p*e_q = 0."""
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
-    dw, w = int_scaled(form.w.entries)
+    dw, w = form.int_w
     dc, nz = a.int_nz
-    cols = [[(x, row[b]) for x, row in enumerate(w) if row[b]] for b in range(a.dim)]
+    cols = [[(x, -v) for x, v in row] for row in w]  # W is skew: W[x][b] = -W[b][x]
 
     def image(pairs):
         if not pairs:
@@ -473,7 +496,7 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     (W^-1)^T is scaled once to ints by ``int_scaled``, so each nonzero
     output entry is one Fraction of an int sum over the product of the scales.
     The nonzero products go to ``Algebra.from_table``, which seeds the
-    star's sparse and int views.
+    star's sparse view.
     """
     if not form.nondegenerate:
         raise ValueError("star product requires a nondegenerate form: "
@@ -516,13 +539,12 @@ def star_right(a: Algebra, form: SkewForm) -> Algebra:
 # orthogonals
 
 def orthogonal(form: SkewForm, s: Subspace) -> Subspace:
-    """{v : omega(v, s) = 0}; computed from stacked constraint rows W b."""
+    """{v : omega(v, s) = 0}: the kernel of the constraint rows b^T W, one
+    per vector b of the int basis of s, built over ints as sparse rows
+    (``SkewForm.int_covectors``)."""
     if s.ambient_dim != form.dim:
         raise ValueError("ambient dimension mismatch")
-    if s.dim == 0:
-        return span(form.dim, [basis_vector(form.dim, i) for i in range(form.dim)])
-    rows = [form.w.matvec(b) for b in s.basis.entries]
-    return kernel(Matrix.from_rows(rows))
+    return kernel(form.int_covectors(s.int_basis[1]), form.dim)
 
 
 def is_isotropic(form: SkewForm, s: Subspace) -> bool:

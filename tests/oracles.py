@@ -8,7 +8,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from sympleib.algebra import Algebra
-from sympleib.exactlin import ZERO, Matrix, Subspace, full_subspace, kernel
+from sympleib.exactlin import (
+    ZERO,
+    Matrix,
+    Subspace,
+    basis_vector,
+    full_subspace,
+    kernel,
+    pivot_columns,
+    span,
+    vadd,
+)
 from sympleib.symplectic import SkewForm, form_from_coords
 
 
@@ -57,3 +67,49 @@ def common_radical(space: Subspace, dim: int) -> Subspace:
     only the zero form, whose radical is everything."""
     grams = [form_from_coords(dim, row).w for row in space.basis.entries]
     return kernel(vstack(grams)) if grams else full_subspace(dim)
+
+
+def dense_pivots(space: Subspace) -> tuple[int, ...]:
+    """Oracle for ``Subspace.pivots``: the first nonzero column of each row of
+    the dense RREF basis, found by Fraction comparisons."""
+    return pivot_columns(space.basis)
+
+
+def dense_reduce(space: Subspace, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Oracle for ``Subspace.reduce``: subtract whole dense basis rows to zero
+    out the pivot coordinates of v, with the pivots read off the dense basis."""
+    if len(v) != space.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    w = list(v)
+    for row, p in zip(space.basis.entries, dense_pivots(space)):
+        if w[p] != 0:
+            f = w[p]  # pivot entries are 1 in RREF
+            w = [a - f * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
+def dense_leibniz_ideal(a: Algebra) -> Subspace:
+    """Oracle for ``algebra.leibniz_ideal``: the span of the dense Fraction
+    sums e_i*e_j + e_j*e_i, i <= j."""
+    return span(a.dim, [vadd(a.c[i][j], a.c[j][i]) for i in range(a.dim) for j in range(i, a.dim)])
+
+
+def dense_orthogonal(form: SkewForm, s: Subspace) -> Subspace:
+    """Oracle for ``symplectic.orthogonal``: the kernel of the dense rows W b,
+    b in the Fraction basis of s."""
+    if s.ambient_dim != form.dim:
+        raise ValueError("ambient dimension mismatch")
+    if s.dim == 0:
+        return span(form.dim, [basis_vector(form.dim, i) for i in range(form.dim)])
+    return kernel(Matrix.from_rows([form.w.matvec(b) for b in s.basis.entries]))
+
+
+def dense_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Oracle for ``exactlin.intersect``: the kernel of the stacked dense
+    canonical annihilators kernel(A) and kernel(B) of the two bases."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    constraints = list(kernel(a.basis).basis.entries) + list(kernel(b.basis).basis.entries)
+    if not constraints:
+        return full_subspace(a.ambient_dim)
+    return kernel(Matrix.from_rows(constraints))

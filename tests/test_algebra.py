@@ -598,13 +598,12 @@ def test_from_table_seeds_the_sparse_view_the_cache_would_compute(table):
             want[i - 1][j - 1][k - 1] = rat(x)
     assert a.c == tuple(tuple(map(tuple, row)) for row in want)
     seeded = dict(vars(a))
-    assert "nz" in seeded and "int_nz" in seeded  # at every scale, not only at 1
+    assert "nz" in seeded
     vars(a).pop("nz")
-    vars(a).pop("int_nz")
     assert a.nz == seeded["nz"]
-    assert a.int_nz == seeded["int_nz"]
-    # the scale read off the dense tensor: the lcm of its denominators, times each constant
-    s, scaled = seeded["int_nz"]
+    # the int view, at every scale, not only at 1: the lcm of the dense
+    # tensor's denominators, times each constant
+    s, scaled = a.int_nz
     assert s == math.lcm(*(x.denominator for row in a.c for v in row for x in v))
     assert scaled == tuple(tuple(tuple((k, x * s) for k, x in enumerate(v) if x) for v in row)
                            for row in a.c)

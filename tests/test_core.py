@@ -1,14 +1,37 @@
 """Core reduction: isotropic kernel, reduced symplectic Lie algebra, defect."""
 
 import dataclasses
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympleib.algebra import Algebra, is_lie, leibniz_ideal, multiply
+from oracles import dense_intersect, dense_leibniz_ideal, dense_orthogonal, dense_pivots, dense_reduce
+from sympleib.algebra import Algebra, change_basis, is_lie, leibniz_ideal, multiply
+from sympleib.catalog import get, instantiate, list_families
 from sympleib.core import CoreError, _first_nonzero, core, verify_core_properties
-from sympleib.exactlin import Matrix, basis_vector, span
+from sympleib.exactlin import (
+    ZERO,
+    Matrix,
+    Subspace,
+    basis_vector,
+    int_scaled,
+    intersect,
+    is_zero_vector,
+    span,
+)
 from sympleib.reporting import Check, Witness
-from sympleib.symplectic import SymplecticAlgebra, form_from_pairs, omega, orthogonal, star_left
+from sympleib.symplectic import (
+    SkewForm,
+    SymplecticAlgebra,
+    form_from_pairs,
+    omega,
+    orthogonal,
+    star_left,
+)
+from test_algebra import sparse_algebras
 
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})
 W12 = form_from_pairs(2, {(1, 2): 1})
@@ -162,5 +185,102 @@ def test_leibniz_span_isotropic_intersection_nonzero_for_non_lie():
     for a, form in ((_r4(), W14_23), (_dim2(), W12)):
         assert not is_lie(a).holds
         leib = leibniz_ideal(a)
-        from sympleib.exactlin import intersect
         assert intersect(leib, orthogonal(form, leib)).dim > 0
+
+
+_ENTRY = st.sampled_from([ZERO, ZERO, Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2),
+                          Fraction(3, 4)])
+
+
+def _assert_reductions_equal_the_oracle(space, vectors, others):
+    direct = Subspace(space.ambient_dim, space.basis)  # no int pivot rows kept
+    assert space.pivots == direct.pivots == dense_pivots(space)
+    d = space.int_basis[0]
+    for v in vectors:
+        want = dense_reduce(space, v)
+        assert space.reduce(v) == direct.reduce(v) == want
+        assert space.contains(v) == is_zero_vector(want)
+        t, (scaled,) = int_scaled([v])
+        assert space.int_reduce((j, x) for j, x in enumerate(scaled) if x) == {
+            j: x * d * t for j, x in enumerate(want) if x}
+    for other in others:
+        assert space.contains_subspace(other) == all(
+            is_zero_vector(dense_reduce(space, r)) for r in other.basis.entries)
+
+
+# 100 examples, about 1.5 s: dimension 1..6, skew forms that may be degenerate
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_core_subspace_routes_equal_the_dense_oracles(data):
+    a = data.draw(sparse_algebras())
+    n = a.dim
+    form = form_from_pairs(n, {(i, j): data.draw(_ENTRY) for i in range(n)
+                               for j in range(i + 1, n)}, one_based=False)
+    vectors = data.draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), max_size=n))
+    drawn = span(n, vectors)
+    leib = leibniz_ideal(a)
+    assert leib == dense_leibniz_ideal(a)
+    spaces = [drawn, leib]
+    for s in (drawn, leib):
+        perp = orthogonal(form, s)
+        assert perp == dense_orthogonal(form, s)
+        cut = intersect(s, perp)
+        assert cut == dense_intersect(s, perp)
+        spaces += [perp, cut]
+    assert intersect(drawn, leib) == dense_intersect(drawn, leib)
+    probes = [tuple(v) for v in vectors] + [a.c[i][j] for i in range(n) for j in range(n)]
+    for space in spaces:
+        _assert_reductions_equal_the_oracle(space, probes, spaces)
+
+
+_WITH_IDEAL = [fid for fid in list_families() if fid.startswith("BS4_")] + [
+    "CORE2_NONABELIAN", "RR3_SIXDIM_RAW", "RR3_SIXDIM_B0", "RR3_SIXDIM_BNE0"]
+
+
+def _unimodular(n, rng):
+    """A product of 3n elementary shears (row i += c row j, c in +-1, +-2):
+    an integer matrix of determinant 1, so its inverse is integral too."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    return Matrix.from_rows(p)
+
+
+@pytest.mark.parametrize("fid", _WITH_IDEAL)
+def test_core_survives_a_unimodular_change_of_basis(fid):
+    """The defaults and three seeded samples, those with I != 0 (a sample of
+    an RR3 family can be Lie, with I = 0), each under its own random P."""
+    rng = random.Random(fid)
+    spec = get(fid)
+    checked = 0
+    for params in (spec.default_params(), *(spec.sample(rng) for _ in range(3))):
+        a, w = instantiate(fid, params)
+        dim_i = core(a, w).ideal.dim
+        if dim_i == 0:
+            continue
+        checked += 1
+        p = _unimodular(a.dim, rng)
+        b, wb = change_basis(a, p), SkewForm(p.transpose() @ w.w @ p)
+        dec = core(b, wb)
+        assert dec.ideal.dim == dim_i == dec.h_dim
+        assert dec.reduced.algebra.dim == a.dim - 2 * dim_i
+        report = verify_core_properties(b, wb, dec)
+        assert report.ok, str(report)
+        _assert_reduced_pair_is_the_dense_one(b, wb, dec)
+    assert checked >= 3
+
+
+def _assert_reduced_pair_is_the_dense_one(a, form, dec):
+    """The reduced product and form, recomputed in Fractions from the lifts:
+    the product of two lifts modulo I, read at the lifts' pivots, and omega
+    of two lifts."""
+    reps = dec.reduced_lift.entries
+    pivots = [next(j for j, x in enumerate(r) if x) for r in reps]
+    for ra, row in zip(reps, dec.reduced.algebra.c):
+        for rb, coords in zip(reps, row):
+            red = dense_reduce(dec.ideal, multiply(a, ra, rb))
+            assert coords == tuple(red[p] for p in pivots)
+    assert dec.reduced.form.w == Matrix.from_rows([[omega(form, ra, rb) for rb in reps]
+                                                   for ra in reps])

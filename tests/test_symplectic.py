@@ -1,6 +1,7 @@
 """Skew forms, compatibility identities, star products."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -604,7 +605,7 @@ def test_solve_equals_the_dense_kernel_on_pool_shaped_algebras(a):
 
 
 def _through_from_table(a):
-    """a rebuilt by from_table, which fills in int_nz at whatever scale the constants need."""
+    """a rebuilt by from_table, whose int_nz is read at whatever scale the constants need."""
     return Algebra.from_table(a.dim, {(i, j): dict(pairs) for i, row in enumerate(a.nz)
                                       for j, pairs in enumerate(row) if pairs}, one_based=False)
 
@@ -613,7 +614,7 @@ def _through_from_table(a):
 @given(_pool_shaped_algebras())
 def test_solve_equals_the_dense_kernel_on_pool_shaped_tables_at_their_own_scale(a):
     a = _through_from_table(a)
-    assert "int_nz" in vars(a)
+    assert a.int_nz[0] == math.lcm(*(x.denominator for row in a.nz for pairs in row for _, x in pairs))
     _assert_every_side_is_the_dense_kernel(a)
 
 
