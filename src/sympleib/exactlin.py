@@ -384,17 +384,6 @@ def rref(m: Matrix) -> Matrix:
     return Matrix(m.rows, m.cols, rows + ((ZERO,) * m.cols,) * (m.rows - len(rows)))
 
 
-def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
-    """Pivot columns of a matrix already in RREF (first nonzero per row): the
-    pivots of a ``Subspace`` built directly, with no int pivot rows kept."""
-    pivs = []
-    for row in reduced.entries:
-        j = next((k for k, x in enumerate(row) if x != 0), None)
-        if j is not None:
-            pivs.append(j)
-    return tuple(pivs)
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -425,9 +414,7 @@ class Subspace:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        if "int_pivots" in self.__dict__:
-            return tuple(sorted(self.int_pivots))
-        return pivot_columns(self.basis)
+        return tuple(sorted(self.int_pivots))
 
     @cached_property
     def int_basis(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:

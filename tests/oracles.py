@@ -15,7 +15,6 @@ from sympleib.exactlin import (
     basis_vector,
     full_subspace,
     kernel,
-    pivot_columns,
     span,
     vadd,
 )
@@ -67,6 +66,17 @@ def common_radical(space: Subspace, dim: int) -> Subspace:
     only the zero form, whose radical is everything."""
     grams = [form_from_coords(dim, row).w for row in space.basis.entries]
     return kernel(vstack(grams)) if grams else full_subspace(dim)
+
+
+def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
+    """Pivot columns of a matrix already in RREF: the first nonzero entry of
+    each row, found by Fraction comparisons."""
+    pivs = []
+    for row in reduced.entries:
+        j = next((k for k, x in enumerate(row) if x != 0), None)
+        if j is not None:
+            pivs.append(j)
+    return tuple(pivs)
 
 
 def dense_pivots(space: Subspace) -> tuple[int, ...]:

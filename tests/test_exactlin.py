@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pivot_columns
 from sympleib.exactlin import (
     ZERO,
     Matrix,
@@ -21,7 +22,6 @@ from sympleib.exactlin import (
     intersect,
     is_zero_vector,
     kernel,
-    pivot_columns,
     rat,
     reduce_rows,
     rref,
