@@ -127,6 +127,11 @@ class Algebra:
         return ([[(q, pairs) for q, pairs in enumerate(row) if pairs] for row in t],
                 [[(p, pairs) for p, pairs in enumerate(col) if pairs] for col in cols], cols)
 
+    @cached_property
+    def identity_reports(self) -> dict[str, Check]:
+        """name -> the report of each identity ``_scan_identity`` ran on this object."""
+        return {}
+
 
 def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Bilinear product of two coordinate vectors."""
@@ -234,8 +239,16 @@ def _scan_identity(a: Algebra, name: str, kind: str, terms) -> Check:
     The triples are taken one slice (i, j) at a time (``_slices``), every k
     at once.  The first slice with a nonzero defect holds the first failing
     triple, at its least such k; the scan stops there and builds the dense
-    defect of that triple only, the witness, as the int sum over s^2.
+    defect of that triple only, the witness, as the int sum over s^2.  The
+    report is kept on the object (``Algebra.identity_reports``) for a rerun.
     """
+    reports = a.identity_reports
+    if name not in reports:
+        reports[name] = _first_failure(a, name, kind, terms)
+    return reports[name]
+
+
+def _first_failure(a: Algebra, name: str, kind: str, terms) -> Check:
     s = a.int_nz[0]
     for ij, acc in _slices(a, terms):
         if acc:

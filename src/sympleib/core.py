@@ -139,7 +139,7 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     gram = tuple(tuple(Fraction(v, gram_scale) if v else ZERO
                        for v in (_pairing(ra, rb) for rb in reps))
                  for ra in form.int_covectors(reps))
-    reduced_form = SkewForm(Matrix(m, m, gram))
+    reduced_form = SkewForm._skew(Matrix(m, m, gram))  # omega is skew over ints
     if not reduced_form.nondegenerate:
         raise CoreError("induced form is degenerate")
 

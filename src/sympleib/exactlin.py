@@ -209,7 +209,9 @@ class Matrix:
 
     def det(self) -> Fraction:
         """Bareiss elimination over ints: det(s M) / s^n for s M scaled as by
-        ``int_scaled``, built straight into the mutable rows ``int_det`` works in."""
+        ``int_scaled``, built straight into the mutable rows ``int_det`` works in.
+        No library path calls it: the tests keep it as the oracle for
+        ``SkewForm.nondegenerate``, which is a rank."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         s = denominator(chain.from_iterable(self.entries))

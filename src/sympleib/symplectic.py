@@ -1,9 +1,9 @@
 """Skew bilinear forms, compatibility identities, and star products.
 
 A form is stored as its full Gram matrix W with omega(u, v) = u^T W v.
-Nondegeneracy is a cached flag (det W != 0), recomputed whenever a form is
-constructed; degenerate forms are legal objects so that solution spaces of
-the compatibility equations can be inspected, but every predicate that needs
+Nondegeneracy is decided on first read, as the rank of W's sparse int rows,
+and kept; degenerate forms are legal objects so that solution spaces of the
+compatibility equations can be inspected, but every predicate that needs
 nondegeneracy fails them with an explicit witness.
 
 Every identity here is linear in omega and in the product, so it is
@@ -23,7 +23,7 @@ independent test oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -47,7 +47,6 @@ from sympleib.reporting import Check, Witness
 @dataclass(frozen=True)
 class SkewForm:
     w: Matrix
-    nondegenerate: bool = field(compare=False)
 
     def __init__(self, w: Matrix):
         if w.rows != w.cols:
@@ -58,15 +57,23 @@ class SkewForm:
                 if (e[i][j] or e[j][i]) and e[i][j] != -e[j][i]:
                     raise ValueError(f"form matrix is not skew at ({i}, {j})")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "nondegenerate", w.det() != 0)
 
     @classmethod
-    def _nondegenerate(cls, w: Matrix) -> "SkewForm":
-        """The form of a W the caller built skew and has found invertible
-        (find_nondegenerate, by int_det): no skew scan and no second det."""
+    def _skew(cls, w: Matrix, nondegenerate: Optional[bool] = None) -> "SkewForm":
+        """The form of a square W the caller built skew, with no skew scan; a
+        caller that already knows whether W is invertible (find_nondegenerate,
+        by int_det) passes it as ``nondegenerate``."""
         form = object.__new__(cls)
-        form.__dict__.update(w=w, nondegenerate=True)
+        form.__dict__["w"] = w
+        if nondegenerate is not None:
+            form.__dict__["nondegenerate"] = nondegenerate
         return form
+
+    @cached_property
+    def nondegenerate(self) -> bool:
+        """Whether W is invertible: the rank of its sparse int rows
+        (``int_w``), by ``reduce_rows``, is dim.  Decided on first read."""
+        return len(reduce_rows(map(dict, self.int_w[1]))) == self.dim
 
     @property
     def dim(self) -> int:
@@ -122,7 +129,7 @@ def form_from_pairs(dim: int, pairs: Mapping[tuple[int, int], object],
         if rows[i][j] is not ZERO:  # the mirror cell (j, i) was given too: they add up
             x += rows[i][j]
         rows[i][j], rows[j][i] = x, -x
-    return SkewForm(Matrix(dim, dim, tuple(map(tuple, rows))))
+    return SkewForm._skew(Matrix(dim, dim, tuple(map(tuple, rows))))
 
 
 def omega(form: SkewForm, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -447,7 +454,7 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
     its int pivots), each combination is tested with int_det, and only the
     winner is turned back into rationals.  Its SkewForm keeps what the search
     knows: the Gram matrix is skew by construction and int_det found it
-    invertible, so there is no skew scan and no second determinant.  When the
+    invertible, so there is no skew scan and no rank to take.  When the
     first attempt fails and the basis forms share a nonzero radical vector,
     every member of the space is degenerate, so that None is exact and is
     returned at once; otherwise the draws go on unchanged.  That test is one
@@ -479,7 +486,7 @@ def find_nondegenerate(space: Subspace, dim: int, seed: int = 0,
                     coords[k] += c * y
         if int_det(gram(enumerate(coords))):
             w = gram(((k, Fraction(x, den)) for k, x in enumerate(coords) if x), ZERO)
-            return SkewForm._nondegenerate(Matrix(dim, dim, tuple(map(tuple, w))))
+            return SkewForm._skew(Matrix(dim, dim, tuple(map(tuple, w))), nondegenerate=True)
         if attempt == 0 and not _radical_free(basis, dim):
             return None
     return None

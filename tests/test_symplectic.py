@@ -19,6 +19,7 @@ from sympleib.algebra import (
     split,
 )
 from sympleib.catalog import _PREDICATES, get, instantiate, list_families
+from sympleib.core import core
 from sympleib.exactlin import (
     ZERO,
     Matrix,
@@ -33,6 +34,7 @@ from sympleib.exactlin import (
     vector,
     zero_subspace,
 )
+from sympleib.fileformat import parse_algebra, serialize_algebra
 from sympleib.reporting import Check, Witness
 from sympleib.symplectic import (
     SkewForm,
@@ -906,3 +908,68 @@ def test_solver_int_basis_on_catalog_and_sheared_products(fid):
 @given(_sparse_small_algebras(6, _MIXED, st.sampled_from([4, 6])))
 def test_solver_int_basis_on_random_products_with_halves_and_thirds(a):
     _assert_int_basis_and_search_agree(a)
+
+
+@st.composite
+def _skew_pairs(draw):
+    """(dim, pairs, forced): 0-based strict upper-triangle entries in dim
+    0..12, halves and thirds among them, either sparse (up to dim drawn
+    cells) or dense (every cell drawn, zeros included).  forced says the form
+    must be degenerate: an odd dim, one row zeroed, or one row made a
+    multiple of another by the congruence P^T W P, where P is the identity
+    with column r replaced by lam e_t."""
+    dim = draw(st.integers(0, 12))
+    cells = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    if draw(st.booleans()):
+        pairs = dict(zip(cells, draw(st.lists(_MIXED, min_size=len(cells), max_size=len(cells)))))
+    else:
+        pairs = dict(draw(st.lists(st.tuples(st.sampled_from(cells), _MIXED.filter(bool)),
+                                   max_size=dim))) if cells else {}
+    how = draw(st.sampled_from(["free", "zero row", "dependent rows"])) if dim > 1 else "free"
+    if how == "zero row":
+        r = draw(st.integers(0, dim - 1))
+        pairs = {cell: x for cell, x in pairs.items() if r not in cell}
+    elif how == "dependent rows":
+        r, t = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        lam = draw(_MIXED)
+        p = Matrix.from_rows([[lam if (i, j) == (t, r) else int(i == j != r) for j in range(dim)]
+                              for i in range(dim)])
+        w = (p.transpose() @ form_from_pairs(dim, pairs, one_based=False).w @ p).entries
+        pairs = {(i, j): w[i][j] for i, j in cells if w[i][j]}
+    return dim, pairs, how != "free" or dim % 2 == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_skew_pairs())
+def test_nondegenerate_is_the_determinant_test(case):
+    """SkewForm.nondegenerate, a rank decided on first read, against the
+    Bareiss determinant, its oracle: 300 examples, on the form built from
+    pairs and on the checked constructor's form of the same matrix."""
+    dim, pairs, forced = case
+    form = form_from_pairs(dim, pairs, one_based=False)
+    assert "nondegenerate" not in vars(form)
+    det = form.w.det()
+    assert form.nondegenerate == (det != 0)
+    assert SkewForm(form.w).nondegenerate == (det != 0)
+    assert not (forced and det)
+
+
+def test_parsed_and_reduced_forms_skip_the_skew_scan_and_the_determinant(monkeypatch):
+    """The forms built skew by construction, the parsed file's and core's
+    reduced one, go through neither the checked constructor nor Matrix.det,
+    and their flag agrees with the checked constructor and the determinant."""
+    cases = [(fid, serialize_algebra(*instantiate(fid))) for fid in list_families()
+             if "left-symplectic" in get(fid).claims]
+    calls = []
+    init, det = SkewForm.__init__, Matrix.det
+    monkeypatch.setattr(SkewForm, "__init__", lambda self, w: calls.append(w) or init(self, w))
+    monkeypatch.setattr(Matrix, "det", lambda self: calls.append(self) or det(self))
+    forms = []
+    for fid, text in cases:
+        a, form = parse_algebra(text)
+        forms += [form, core(a, form).reduced.form]
+    assert calls == []
+    monkeypatch.undo()
+    assert len(forms) == 2 * len(cases) > 2
+    for form in forms:
+        assert form.nondegenerate and SkewForm(form.w).nondegenerate and form.w.det() != 0
