@@ -1,5 +1,6 @@
 """Family registry: exact tables, constraints, claims, seeded verification."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from sympleib.catalog import (
 from sympleib import extension
 from sympleib.core import core
 from sympleib.exactlin import vector
+from sympleib.fileformat import serialize_algebra
 from sympleib.extension import check_rank_one, check_reduced_system
 from sympleib.reporting import Check
 from sympleib.symplectic import form_from_pairs, is_symplectic_left
@@ -252,3 +254,72 @@ def test_samplers_respect_constraints():
             params = spec.sample(rng)
             for constraint in spec.constraints:
                 assert constraint.satisfied(params), (fid, constraint.name)
+
+
+def _pinned_params(fid):
+    """A family's defaults, then 10 samples drawn with random.Random(fid)."""
+    spec = get(fid)
+    rng = random.Random(fid)
+    return [spec.default_params()] + [spec.sample(rng) for _ in range(10)]
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode() + b"\0")
+    return h.hexdigest()[:16]
+
+
+# the first 16 hex digits of sha256 over serialize_algebra(*instantiate(fid, p))
+# for p in _pinned_params(fid), each text followed by a NUL byte; recorded
+# while every family still had its own builder function, so a coefficient
+# moved while the registry is rewritten shows here even where every claim
+# still holds
+BUILD_GOLDEN = {
+    "DIM2_NONLIE": "2c5d5734caaba1d9",
+    "R4_LEFT": "bc83cb43135c37a3",
+    "BS4_A": "71d8a1b47de429b4",
+    "BS4_B": "875506a783c43f24",
+    "BS4_C": "182f0d45309978a2",
+    "BS4_D": "bc827e3a00d062fe",
+    "BS4_E": "27adf045bc044b42",
+    "BS4_F": "8dd985b5ce1d619c",
+    "BS4_G": "de48a12502312836",
+    "BS4_H": "f325bb06724c600d",
+    "BS4_I": "d4dc7a7c8e64aa26",
+    "BS4_J": "ac03673c1895b210",
+    "BS4_K": "17c1e9422a161cd7",
+    "BS4_L": "23eaf4475f437022",
+    "BS4_M": "e29a894579522bb0",
+    "BS4_N": "838a919b1e9fd1a5",
+    "LIE_RR3M1": "058c6ff104694afb",
+    "CORE2_NONABELIAN": "708762a39d2651cb",
+    "ABEL2_CASE1": "bd1c76856adf2872",
+    "ABEL2_CASE2": "9004b18559de4685",
+    "RR3_SIXDIM_RAW": "47c3b9e7ab2f5d1d",
+    "RR3_SIXDIM_B0": "265ba01eeeaf5494",
+    "RR3_SIXDIM_BNE0": "e6e5f95286fb136e",
+}
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_built_tables_are_pinned(fid):
+    texts = (serialize_algebra(*instantiate(fid, p)) for p in _pinned_params(fid))
+    assert _digest(texts) == BUILD_GOLDEN[fid]
+
+
+def test_extension_and_rank_one_data_are_pinned():
+    """The same digest over the repr of the (core, data) pairs and of the
+    solved rank-one data, at the defaults and 10 samples."""
+    assert _digest(repr(extension_data("ABEL2_CASE1", p))
+                   for p in _pinned_params("ABEL2_CASE1")) == "2452de135d4e3255"
+    assert _digest(repr(extension_data("ABEL2_CASE2", p))
+                   for p in _pinned_params("ABEL2_CASE2")) == "4911c455801b70c3"
+    assert _digest(repr(rank_one_data(p))
+                   for p in _pinned_params("RR3_SIXDIM_RAW")) == "6d787fa9286e21c6"
+
+
+def test_parameters_are_the_keys_of_the_defaults_in_order():
+    for fid in ALL_IDS:
+        spec = get(fid)
+        assert spec.param_names == tuple(k for k, _ in spec.defaults), fid
