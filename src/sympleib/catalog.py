@@ -5,6 +5,17 @@ around: the two- and four-dimensional bi-symplectic classification, the
 flat example on the plane and on four-space, the solvable Lie algebra
 rr(3,-1), and the parameterized extension families over two-dimensional
 and four-dimensional cores.
+
+A family is one ``_family`` row of the registry: its id, a description,
+its defaults, whose keys in order are its parameter names, its
+constraints, its builder and its claims.  Most families are written down
+as a table: their builder is ``_table(dim, form, products)``, where
+``products`` takes the parameters by name and returns the 1-based sparse
+product table of ``Algebra.from_table``, and ``form`` is the
+upper-triangle pairs of the form, or a function of the parameters giving
+them.  The extension families over the abelian plane are declared by
+their data maker in ``_EXTENSION_DATA``, and the rank-one family over
+rr(3,-1) is a table checked against its solved data.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from .algebra import (
     is_right_leibniz,
     is_symmetric_leibniz,
 )
-from .exactlin import Matrix, Rational, rat
+from .exactlin import HALF, Matrix, Rational, rat
 from .extension import (
     ExtensionData,
     SymplecticLie,
@@ -113,173 +124,30 @@ def _rr3_base() -> SymplecticLie:
 # ---------------------------------------------------------------------------
 # builders
 
-E4 = ("e1", "e2", "e3", "e4")
 W_14_23 = {(1, 4): 1, (2, 3): 1}
 W_12_34 = {(1, 2): 1, (3, 4): 1}
 W_13_24 = {(1, 3): 1, (2, 4): 1}
 
 
-def _dim2_nonlie(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(2, {(2, 2): {1: p["x"]}}, labels=("e1", "e2"))
-    return a, form_from_pairs(2, {(1, 2): 1})
+def _table(dim: int, form, products: Callable[..., Mapping], labels: tuple[str, ...] = ()
+           ) -> Callable[[Params], tuple[Algebra, SkewForm]]:
+    """The builder of a family written down as a table: ``products(**params)``
+    is its 1-based sparse product table and ``form`` its upper-triangle pairs,
+    or a function of the parameters giving them; the labels default to e1, e2, ..."""
+    labels = labels or tuple(f"e{i + 1}" for i in range(dim))
 
-
-def _r4_left(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (1, 1): {4: 1}, (1, 2): {3: 1}, (1, 3): {4: 1},
-        (2, 1): {3: -1}, (3, 1): {4: -1},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_14_23)
-
-
-def _lie_rr3m1(p: Params) -> tuple[Algebra, SkewForm]:
-    gs = _rr3_base()
-    return gs.g, gs.form
-
-
-def _bs4_a(p: Params) -> tuple[Algebra, SkewForm]:
-    x, y, z, t = p["x"], p["y"], p["z"], p["t"]
-    a = Algebra.from_table(4, {
-        (1, 1): {3: x, 4: y},
-        (1, 2): {3: y, 4: z}, (2, 1): {3: y, 4: z},
-        (2, 2): {3: z, 4: t},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_13_24)
-
-
-def _bs4_b(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {(1, 1): {4: p["x"]}}, labels=E4)
-    return a, form_from_pairs(4, W_14_23)
-
-
-def _bs4_c(p: Params) -> tuple[Algebra, SkewForm]:
-    x, y, z, t = p["x"], p["y"], p["z"], p["t"]
-    a = Algebra.from_table(4, {
-        (1, 2): {3: 1 + z, 4: y}, (2, 1): {3: z - 1, 4: y},
-        (1, 1): {3: y, 4: x},
-        (2, 2): {3: t, 4: z},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_14_23)
-
-
-def _bs4_d(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (1, 2): {3: 1}, (2, 1): {3: -1}, (2, 2): {3: p["x"]},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_14_23)
-
-
-def _bs4_e(p: Params) -> tuple[Algebra, SkewForm]:
-    x, a = p["x"], p["a"]
-    alg = Algebra.from_table(4, {
-        (1, 2): {3: 1 + x / a, 4: x}, (2, 1): {3: x / a - 1, 4: x},
-        (1, 1): {3: x, 4: a * x},
-        (2, 2): {3: x / (a * a), 4: x / a},
-    }, labels=E4)
-    return alg, form_from_pairs(4, W_14_23)
-
-
-def _bs4_f(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (1, 2): {3: 1}, (2, 1): {3: -1}, (1, 1): {4: p["x"]},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_14_23)
-
-
-def _bs4_g(p: Params) -> tuple[Algebra, SkewForm]:
-    x, a = p["x"], p["a"]
-    alg = Algebra.from_table(4, {
-        (1, 2): {3: 1 + x, 4: x / a}, (2, 1): {3: x - 1, 4: x / a},
-        (1, 1): {3: x / a, 4: x / (a * a)},
-        (2, 2): {3: a * x, 4: x},
-    }, labels=E4)
-    return alg, form_from_pairs(4, W_14_23)
-
-
-def _bs4_h(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (1, 2): {2: 1}, (2, 1): {2: -1}, (4, 4): {3: p["x"]},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_12_34)
-
-
-def _bs4_i(p: Params) -> tuple[Algebra, SkewForm]:
-    x, a = p["x"], p["a"]
-    alg = Algebra.from_table(4, {
-        (1, 2): {2: 1}, (2, 1): {2: -1},
-        (3, 3): {3: x, 4: -a * x},
-        (3, 4): {3: x / a, 4: -x}, (4, 3): {3: x / a, 4: -x},
-        (4, 4): {3: x / (a * a), 4: -x / a},
-    }, labels=E4)
-    return alg, form_from_pairs(4, W_12_34)
-
-
-def _bs4_j(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (1, 2): {2: 1}, (2, 1): {2: -1}, (3, 3): {4: p["x"]},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_12_34)
-
-
-def _bs4_k(p: Params) -> tuple[Algebra, SkewForm]:
-    x, a = p["x"], p["a"]
-    alg = Algebra.from_table(4, {
-        (1, 2): {2: 1}, (2, 1): {2: -1},
-        (3, 3): {3: x, 4: -x / a},
-        (3, 4): {3: a * x, 4: -x}, (4, 3): {3: a * x, 4: -x},
-        (4, 4): {3: a * a * x, 4: -a * x},
-    }, labels=E4)
-    return alg, form_from_pairs(4, W_12_34)
-
-
-def _bs4_l(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (1, 2): {2: 1}, (2, 1): {2: -1},
-        (1, 3): {3: -1}, (3, 1): {3: 1},
-        (1, 1): {4: p["x"]},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_14_23)
-
-
-def _bs4_m(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (4, 1): {1: 1}, (1, 4): {1: -1},
-        (4, 3): {2: 1}, (3, 4): {2: -1},
-        (3, 3): {2: p["x"]},
-    }, labels=E4)
-    return a, form_from_pairs(4, {(1, 4): 1, (2, 3): p["s"]})
-
-
-def _bs4_n(p: Params) -> tuple[Algebra, SkewForm]:
-    a = Algebra.from_table(4, {
-        (4, 1): {2: 1}, (1, 4): {2: -1},
-        (4, 2): {3: 1}, (2, 4): {3: -1},
-        (4, 4): {3: p["x"]},
-    }, labels=E4)
-    return a, form_from_pairs(4, W_12_34)
-
-
-def _core2_nonabelian(p: Params) -> tuple[Algebra, SkewForm]:
-    al, be, lam, mu, om = p["alpha"], p["beta"], p["lam"], p["mu"], p["om"]
-    a = Algebra.from_table(4, {
-        (1, 1): {4: om},
-        (1, 2): {2: al, 4: -al * al / lam},
-        (2, 1): {2: -al, 4: al * al / lam},
-        (1, 3): {2: be, 4: mu},
-        (3, 1): {2: -be, 4: -mu},
-        (2, 3): {2: lam, 4: -al},
-        (3, 2): {2: -lam, 4: al},
-    }, labels=("H", "e", "f", "estar"))
-    return a, form_from_pairs(4, {(1, 4): -1, (2, 3): 1})
+    def build(p: Params) -> tuple[Algebra, SkewForm]:
+        return (Algebra.from_table(dim, products(**p), labels=labels),
+                form_from_pairs(dim, form(**p) if callable(form) else form))
+    return build
 
 
 def _abel2_case1_data(p: Params) -> ExtensionData:
     al, be, psi1, xi1 = p["alpha"], p["beta"], p["psi1"], p["xi1"]
     S = Matrix.from_rows([[0, al], [0, 0]])
     F = Matrix.from_rows([[0, be], [0, 0]])
-    half = Fraction(1, 2)
     return ExtensionData(1, [F], [S - F],
-                         [[[half * (psi1 + xi1), 0]]],
+                         [[[HALF * (psi1 + xi1), 0]]],
                          [[[psi1, 0]]], [[[xi1, 0]]], [[[p["om"]]]])
 
 
@@ -291,12 +159,9 @@ def _abel2_case2_data(p: Params) -> ExtensionData:
                          [[[0, 0]]], [[c]], [[[-x for x in c]]], [[[p["om"]]]])
 
 
-def _abel2_case1(p: Params) -> tuple[Algebra, SkewForm]:
-    return build_double_extension(_abelian2_base(), _abel2_case1_data(p))
-
-
-def _abel2_case2(p: Params) -> tuple[Algebra, SkewForm]:
-    return build_double_extension(_abelian2_base(), _abel2_case2_data(p))
+# the extension families over the abelian plane, each declared by its data
+_EXTENSION_DATA: dict[str, Callable[[Params], ExtensionData]] = {
+    "ABEL2_CASE1": _abel2_case1_data, "ABEL2_CASE2": _abel2_case2_data}
 
 
 def _rr3_solution(p: Params) -> tuple[Matrix, Matrix, tuple, tuple, Rational]:
@@ -315,70 +180,47 @@ def _rr3_solution(p: Params) -> tuple[Matrix, Matrix, tuple, tuple, Rational]:
     return F, S, a0, b0, p["lam"]
 
 
-def _rr3_sixdim_raw(p: Params) -> tuple[Algebra, SkewForm]:
-    b1, b2, b3, b = p["b1"], p["b2"], p["b3"], p["b"]
-    s, x, y, z, lam = p["s"], p["x"], p["y"], p["z"], p["lam"]
-    half = Fraction(1, 2)
-    a = Algebra.from_table(6, {
-        (5, 1): {2: b1, 3: b2, 4: b3, 6: -y},
-        (5, 2): {2: -b, 6: -b2 * b},
-        (5, 3): {3: b, 6: b1 * b},
-        (1, 5): {2: -b1, 3: -b2, 4: s - b3, 6: y - 2 * x},
-        (2, 5): {2: b, 6: b2 * b},
-        (3, 5): {3: -b, 6: -b1 * b},
-        (5, 4): {6: z}, (4, 5): {6: -z},
-        (1, 2): {2: 1, 6: b2}, (2, 1): {2: -1, 6: -b2},
-        (1, 3): {3: -1, 6: -b1}, (3, 1): {3: 1, 6: b1},
-        (1, 1): {6: -half * s},
-        (5, 5): {4: x, 6: lam},
-    }, labels=("e1", "e2", "e3", "e4", "e5", "e6"))
-    return a, form_from_pairs(6, {(1, 4): 1, (2, 3): 1, (5, 6): -1})
+_RR3_FORM = {(1, 4): 1, (2, 3): 1, (5, 6): -1}
+_RR3_RAW_DEFAULTS = {"b1": 2, "b2": -1, "b3": 3, "b": 4, "s": 5, "x": -2, "y": 6, "z": 0,
+                     "lam": 7}
+_RR3_DEFAULTS = {"b1": 2, "b2": -1, "b3": 3, "s": 5, "x": -2, "y": 6, "z": 0, "lam": 7}
+_RR3_CONSTRAINTS = (Constraint("zx-zero", "zero", lambda p: p["z"] * p["x"]),
+                    Constraint("zs-zero", "zero", lambda p: p["z"] * p["s"]))
+
+_RR3_RAW = _table(6, _RR3_FORM, lambda b1, b2, b3, b, s, x, y, z, lam: {
+    (5, 1): {2: b1, 3: b2, 4: b3, 6: -y},
+    (5, 2): {2: -b, 6: -b2 * b},
+    (5, 3): {3: b, 6: b1 * b},
+    (1, 5): {2: -b1, 3: -b2, 4: s - b3, 6: y - 2 * x},
+    (2, 5): {2: b, 6: b2 * b},
+    (3, 5): {3: -b, 6: -b1 * b},
+    (5, 4): {6: z}, (4, 5): {6: -z},
+    (1, 2): {2: 1, 6: b2}, (2, 1): {2: -1, 6: -b2},
+    (1, 3): {3: -1, 6: -b1}, (3, 1): {3: 1, 6: b1},
+    (1, 1): {6: -HALF * s},
+    (5, 5): {4: x, 6: lam},
+})
 
 
-def _rr3_sixdim_b0(p: Params) -> tuple[Algebra, SkewForm]:
-    b1, b2, b3 = p["b1"], p["b2"], p["b3"]
-    s, x, y, z, lam = p["s"], p["x"], p["y"], p["z"], p["lam"]
-    half = Fraction(1, 2)
+def _rr3_b0_products(b1, b2, b3, s, x, y, z, lam) -> dict:
+    """The table of RR3_SIXDIM_B0; RR3_SIXDIM_BNE0 adds the action of e5 on e2, e3."""
     yy = y + 2 * b2 * b1
-    a = Algebra.from_table(6, {
+    return {
         (5, 1): {4: b3, 6: -yy},
         (1, 5): {4: s - b3, 6: yy - 2 * x},
         (5, 4): {6: z}, (4, 5): {6: -z},
         (1, 2): {2: 1}, (2, 1): {2: -1},
         (1, 3): {3: -1}, (3, 1): {3: 1},
-        (1, 1): {6: -half * s},
+        (1, 1): {6: -HALF * s},
         (5, 5): {4: x, 6: lam},
-    }, labels=("e1", "e2", "e3", "e4", "e5", "e6"))
-    return a, form_from_pairs(6, {(1, 4): 1, (2, 3): 1, (5, 6): -1})
-
-
-def _rr3_sixdim_bne0(p: Params) -> tuple[Algebra, SkewForm]:
-    b1, b2, b3 = p["b1"], p["b2"], p["b3"]
-    s, x, y, z, lam = p["s"], p["x"], p["y"], p["z"], p["lam"]
-    half = Fraction(1, 2)
-    yy = y + 2 * b2 * b1
-    a = Algebra.from_table(6, {
-        (5, 1): {4: b3, 6: -yy},
-        (5, 2): {2: -1}, (2, 5): {2: 1},
-        (5, 3): {3: 1}, (3, 5): {3: -1},
-        (1, 5): {4: s - b3, 6: yy - 2 * x},
-        (5, 4): {6: z}, (4, 5): {6: -z},
-        (1, 2): {2: 1}, (2, 1): {2: -1},
-        (1, 3): {3: -1}, (3, 1): {3: 1},
-        (1, 1): {6: -half * s},
-        (5, 5): {4: x, 6: lam},
-    }, labels=("e1", "e2", "e3", "e4", "e5", "e6"))
-    return a, form_from_pairs(6, {
-        (1, 2): b2, (1, 3): b1, (1, 4): 1, (2, 3): 1,
-        (5, 6): -1, (2, 5): b2, (3, 5): b1,
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
 # samplers and extra verification routes
 
 
-def _rr3_sampler(names: tuple[str, ...]):
+def _rr3_sampler(names):
     def draw(rng: random.Random) -> Params:
         params: Params = {n: Fraction(rng.randint(-6, 6)) for n in names}
         if rng.choice((True, False)):
@@ -403,13 +245,6 @@ def _system_check(name: str, rep: SystemReport) -> Check:
                  "failed: " + ", ".join(c.name for c in rep.failed()))
 
 
-def _abel2_checks(case_data) -> Callable[[Params], list[Check]]:
-    def run(params: Params) -> list[Check]:
-        return [_system_check("reduced-system",
-                              check_reduced_system(_abelian2_base(), case_data(params)))]
-    return run
-
-
 def _rr3_raw_checks(params: Params) -> list[Check]:
     gs = _rr3_base()
     F, S, a0, b0, lam = _rr3_solution(params)
@@ -417,7 +252,7 @@ def _rr3_raw_checks(params: Params) -> list[Check]:
     checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
         built, built_form = build_rank_one(gs, F, S, a0, b0, lam, gate=rep)
-        table, table_form = _rr3_sixdim_raw(params)
+        table, table_form = _RR3_RAW(params)
         checks.append(Check("construction-matches-display",
                             built.c == table.c))
         checks.append(Check("form-matches-display",
@@ -429,146 +264,157 @@ def _rr3_raw_checks(params: Params) -> list[Check]:
 # the registry
 
 BISYM = ("symmetric-leibniz", "bi-symplectic", "non-lie")
+_LEFT = ("left-leibniz", "left-symplectic")
+_X, _XA = {"x": 1}, {"x": 1, "a": 2}
+_X_NONZERO, _XA_NONZERO = [_nonzero("x")], [_nonzero("x"), _nonzero("a")]
 
 
-def _family(fid, description, params, defaults, constraints, builder, claims,
+def _family(fid, description, defaults, constraints, builder, claims,
             sampler=None, extra=None) -> FamilySpec:
-    return FamilySpec(fid, description, tuple(params),
+    return FamilySpec(fid, description, tuple(defaults),
                       tuple((k, rat(v)) for k, v in defaults.items()),
                       tuple(constraints), builder, tuple(claims),
                       sampler, extra)
 
 
+def _extension_family(fid, description, defaults, constraints, claims) -> FamilySpec:
+    """A family over the abelian plane built from its ``_EXTENSION_DATA``, with
+    the reduced system on the same data as its extra check."""
+    data = _EXTENSION_DATA[fid]
+    return _family(
+        fid, description, defaults, constraints,
+        lambda p: build_double_extension(_abelian2_base(), data(p)), claims,
+        extra=lambda p: [_system_check("reduced-system",
+                                       check_reduced_system(_abelian2_base(), data(p)))])
+
+
 _FAMILIES: tuple[FamilySpec, ...] = (
-    _family("DIM2_NONLIE",
-            "plane with a single square e2*e2 = x e1",
-            ("x",), {"x": 1}, [_nonzero("x")], _dim2_nonlie, BISYM),
+    _family("DIM2_NONLIE", "plane with a single square e2*e2 = x e1", _X, _X_NONZERO,
+            _table(2, {(1, 2): 1}, lambda x: {(2, 2): {1: x}}), BISYM),
     _family("R4_LEFT",
             "four-dimensional left and right Leibniz algebra that is "
-            "neither Lie nor left symmetric",
-            (), {}, [], _r4_left,
+            "neither Lie nor left symmetric", {}, [],
+            _table(4, W_14_23, lambda: {
+                (1, 1): {4: 1}, (1, 2): {3: 1}, (1, 3): {4: 1},
+                (2, 1): {3: -1}, (3, 1): {4: -1}}),
             ("left-leibniz", "right-leibniz", "symmetric-leibniz",
              "left-symplectic", "right-symplectic", "bi-symplectic",
              "non-lie")),
-    _family("BS4_A",
-            "totally symmetric products into the span of e3, e4",
-            ("x", "y", "z", "t"), {"x": 1, "y": 2, "z": 3, "t": 4},
-            [], _bs4_a, BISYM + ()),
-    _family("BS4_B",
-            "one square e1*e1 = x e4",
-            ("x",), {"x": 1}, [_nonzero("x")], _bs4_b, BISYM),
-    _family("BS4_C",
-            "skew part e3 between e1 and e2 over a symmetric layer",
-            ("x", "y", "z", "t"), {"x": 1, "y": 2, "z": 3, "t": 4},
-            [], _bs4_c, BISYM),
-    _family("BS4_D",
-            "commutator e3 with a single square e2*e2 = x e3",
-            ("x",), {"x": 1}, [_nonzero("x")], _bs4_d, BISYM),
-    _family("BS4_E",
-            "commutator e3 with squares scaled by x and a",
-            ("x", "a"), {"x": 1, "a": 2},
-            [_nonzero("x"), _nonzero("a")], _bs4_e, BISYM),
-    _family("BS4_F",
-            "commutator e3 with a single square e1*e1 = x e4",
-            ("x",), {"x": 1}, [_nonzero("x")], _bs4_f, BISYM),
-    _family("BS4_G",
-            "commutator e3 with squares scaled by x and a, dual weights",
-            ("x", "a"), {"x": 1, "a": 2},
-            [_nonzero("x"), _nonzero("a")], _bs4_g, BISYM),
-    _family("BS4_H",
-            "non-abelian plane plus a square e4*e4 = x e3",
-            ("x",), {"x": 1}, [_nonzero("x")], _bs4_h, BISYM),
-    _family("BS4_I",
-            "non-abelian plane plus a rank-one symmetric block on e3, e4",
-            ("x", "a"), {"x": 1, "a": 2},
-            [_nonzero("x"), _nonzero("a")], _bs4_i, BISYM),
-    _family("BS4_J",
-            "non-abelian plane plus a square e3*e3 = x e4",
-            ("x",), {"x": 1}, [_nonzero("x")], _bs4_j, BISYM),
-    _family("BS4_K",
-            "non-abelian plane plus a symmetric block weighted by a",
-            ("x", "a"), {"x": 1, "a": 2},
-            [_nonzero("x"), _nonzero("a")], _bs4_k, BISYM),
-    _family("BS4_L",
-            "rr(3,-1) bracket on e1, e2, e3 plus a square e1*e1 = x e4",
-            ("x",), {"x": 1}, [_nonzero("x")], _bs4_l, BISYM),
+    _family("BS4_A", "totally symmetric products into the span of e3, e4",
+            {"x": 1, "y": 2, "z": 3, "t": 4}, [],
+            _table(4, W_13_24, lambda x, y, z, t: {
+                (1, 1): {3: x, 4: y},
+                (1, 2): {3: y, 4: z}, (2, 1): {3: y, 4: z},
+                (2, 2): {3: z, 4: t}}), BISYM),
+    _family("BS4_B", "one square e1*e1 = x e4", _X, _X_NONZERO,
+            _table(4, W_14_23, lambda x: {(1, 1): {4: x}}), BISYM),
+    _family("BS4_C", "skew part e3 between e1 and e2 over a symmetric layer",
+            {"x": 1, "y": 2, "z": 3, "t": 4}, [],
+            _table(4, W_14_23, lambda x, y, z, t: {
+                (1, 2): {3: 1 + z, 4: y}, (2, 1): {3: z - 1, 4: y},
+                (1, 1): {3: y, 4: x},
+                (2, 2): {3: t, 4: z}}), BISYM),
+    _family("BS4_D", "commutator e3 with a single square e2*e2 = x e3", _X, _X_NONZERO,
+            _table(4, W_14_23, lambda x: {(1, 2): {3: 1}, (2, 1): {3: -1}, (2, 2): {3: x}}),
+            BISYM),
+    _family("BS4_E", "commutator e3 with squares scaled by x and a", _XA, _XA_NONZERO,
+            _table(4, W_14_23, lambda x, a: {
+                (1, 2): {3: 1 + x / a, 4: x}, (2, 1): {3: x / a - 1, 4: x},
+                (1, 1): {3: x, 4: a * x},
+                (2, 2): {3: x / (a * a), 4: x / a}}), BISYM),
+    _family("BS4_F", "commutator e3 with a single square e1*e1 = x e4", _X, _X_NONZERO,
+            _table(4, W_14_23, lambda x: {(1, 2): {3: 1}, (2, 1): {3: -1}, (1, 1): {4: x}}),
+            BISYM),
+    _family("BS4_G", "commutator e3 with squares scaled by x and a, dual weights",
+            _XA, _XA_NONZERO,
+            _table(4, W_14_23, lambda x, a: {
+                (1, 2): {3: 1 + x, 4: x / a}, (2, 1): {3: x - 1, 4: x / a},
+                (1, 1): {3: x / a, 4: x / (a * a)},
+                (2, 2): {3: a * x, 4: x}}), BISYM),
+    _family("BS4_H", "non-abelian plane plus a square e4*e4 = x e3", _X, _X_NONZERO,
+            _table(4, W_12_34, lambda x: {(1, 2): {2: 1}, (2, 1): {2: -1}, (4, 4): {3: x}}),
+            BISYM),
+    _family("BS4_I", "non-abelian plane plus a rank-one symmetric block on e3, e4",
+            _XA, _XA_NONZERO,
+            _table(4, W_12_34, lambda x, a: {
+                (1, 2): {2: 1}, (2, 1): {2: -1},
+                (3, 3): {3: x, 4: -a * x},
+                (3, 4): {3: x / a, 4: -x}, (4, 3): {3: x / a, 4: -x},
+                (4, 4): {3: x / (a * a), 4: -x / a}}), BISYM),
+    _family("BS4_J", "non-abelian plane plus a square e3*e3 = x e4", _X, _X_NONZERO,
+            _table(4, W_12_34, lambda x: {(1, 2): {2: 1}, (2, 1): {2: -1}, (3, 3): {4: x}}),
+            BISYM),
+    _family("BS4_K", "non-abelian plane plus a symmetric block weighted by a",
+            _XA, _XA_NONZERO,
+            _table(4, W_12_34, lambda x, a: {
+                (1, 2): {2: 1}, (2, 1): {2: -1},
+                (3, 3): {3: x, 4: -x / a},
+                (3, 4): {3: a * x, 4: -x}, (4, 3): {3: a * x, 4: -x},
+                (4, 4): {3: a * a * x, 4: -a * x}}), BISYM),
+    _family("BS4_L", "rr(3,-1) bracket on e1, e2, e3 plus a square e1*e1 = x e4",
+            _X, _X_NONZERO,
+            _table(4, W_14_23, lambda x: {
+                (1, 2): {2: 1}, (2, 1): {2: -1},
+                (1, 3): {3: -1}, (3, 1): {3: 1},
+                (1, 1): {4: x}}), BISYM),
     _family("BS4_M",
             "weighted action of e4 with a square e3*e3 = x e2; the form "
             "carries a sign s",
-            ("x", "s"), {"x": 1, "s": 1},
+            {"x": 1, "s": 1},
             [_nonzero("x"),
-             Constraint("sign-square-one", "zero",
-                        lambda p: p["s"] * p["s"] - 1)],
-            _bs4_m, BISYM, sampler=_bs4_m_sampler),
-    _family("BS4_N",
-            "nilpotent action of e4 with a square e4*e4 = x e3",
-            ("x",), {"x": 1}, [_nonzero("x")], _bs4_n, BISYM),
-    _family("LIE_RR3M1",
-            "the solvable Lie algebra rr(3,-1) with its flat form",
-            (), {}, [], _lie_rr3m1,
+             Constraint("sign-square-one", "zero", lambda p: p["s"] * p["s"] - 1)],
+            _table(4, lambda x, s: {(1, 4): 1, (2, 3): s}, lambda x, s: {
+                (4, 1): {1: 1}, (1, 4): {1: -1},
+                (4, 3): {2: 1}, (3, 4): {2: -1},
+                (3, 3): {2: x}}), BISYM, sampler=_bs4_m_sampler),
+    _family("BS4_N", "nilpotent action of e4 with a square e4*e4 = x e3", _X, _X_NONZERO,
+            _table(4, W_12_34, lambda x: {
+                (4, 1): {2: 1}, (1, 4): {2: -1},
+                (4, 2): {3: 1}, (2, 4): {3: -1},
+                (4, 4): {3: x}}), BISYM),
+    _family("LIE_RR3M1", "the solvable Lie algebra rr(3,-1) with its flat form", {}, [],
+            lambda p: (_rr3_base().g, _rr3_base().form),
             ("lie", "left-symplectic", "right-symplectic", "bi-symplectic")),
-    _family("CORE2_NONABELIAN",
-            "one-dimensional extension over the non-abelian plane",
-            ("alpha", "beta", "lam", "mu", "om"),
+    _family("CORE2_NONABELIAN", "one-dimensional extension over the non-abelian plane",
             {"alpha": 1, "beta": 2, "lam": 3, "mu": -1, "om": 2},
-            [_nonzero("lam"), _nonzero("om")], _core2_nonabelian,
-            ("left-leibniz", "left-symplectic", "non-lie")),
-    _family("ABEL2_CASE1",
-            "extension data over the abelian plane with a nonzero "
-            "symmetrized action",
-            ("alpha", "beta", "psi1", "xi1", "om"),
-            {"alpha": 2, "beta": -1, "psi1": 3, "xi1": 5, "om": 7},
-            [_nonzero("alpha")], _abel2_case1,
-            ("left-leibniz", "left-symplectic", "non-lie"),
-            extra=_abel2_checks(_abel2_case1_data)),
-    _family("ABEL2_CASE2",
-            "extension data over the abelian plane driven by a traceless "
-            "invertible operator",
-            ("alpha", "a11", "a12", "a21", "c1", "c2", "om"),
-            {"alpha": 3, "a11": 1, "a12": 2, "a21": 1,
-             "c1": 4, "c2": -5, "om": 2},
-            [_nonzero("alpha"),
-             Constraint("det-A-nonzero", "nonzero",
-                        lambda p: p["a11"] * p["a11"] + p["a12"] * p["a21"])],
-            _abel2_case2,
-            ("left-leibniz", "left-symplectic"),
-            extra=_abel2_checks(_abel2_case2_data)),
-    _family("RR3_SIXDIM_RAW",
-            "six-dimensional extension of rr(3,-1), as first derived",
-            ("b1", "b2", "b3", "b", "s", "x", "y", "z", "lam"),
-            {"b1": 2, "b2": -1, "b3": 3, "b": 4, "s": 5, "x": -2,
-             "y": 6, "z": 0, "lam": 7},
-            [Constraint("zx-zero", "zero", lambda p: p["z"] * p["x"]),
-             Constraint("zs-zero", "zero", lambda p: p["z"] * p["s"])],
-            _rr3_sixdim_raw,
-            ("left-leibniz", "left-symplectic"),
-            sampler=_rr3_sampler(("b1", "b2", "b3", "b", "s", "x", "y",
-                                  "z", "lam")),
-            extra=_rr3_raw_checks),
+            [_nonzero("lam"), _nonzero("om")],
+            _table(4, {(1, 4): -1, (2, 3): 1}, lambda alpha, beta, lam, mu, om: {
+                (1, 1): {4: om},
+                (1, 2): {2: alpha, 4: -alpha * alpha / lam},
+                (2, 1): {2: -alpha, 4: alpha * alpha / lam},
+                (1, 3): {2: beta, 4: mu}, (3, 1): {2: -beta, 4: -mu},
+                (2, 3): {2: lam, 4: -alpha}, (3, 2): {2: -lam, 4: alpha},
+            }, labels=("H", "e", "f", "estar")),
+            _LEFT + ("non-lie",)),
+    _extension_family("ABEL2_CASE1",
+                      "extension data over the abelian plane with a nonzero "
+                      "symmetrized action",
+                      {"alpha": 2, "beta": -1, "psi1": 3, "xi1": 5, "om": 7},
+                      [_nonzero("alpha")], _LEFT + ("non-lie",)),
+    _extension_family("ABEL2_CASE2",
+                      "extension data over the abelian plane driven by a traceless "
+                      "invertible operator",
+                      {"alpha": 3, "a11": 1, "a12": 2, "a21": 1, "c1": 4, "c2": -5, "om": 2},
+                      [_nonzero("alpha"),
+                       Constraint("det-A-nonzero", "nonzero",
+                                  lambda p: p["a11"] * p["a11"] + p["a12"] * p["a21"])],
+                      _LEFT),
+    _family("RR3_SIXDIM_RAW", "six-dimensional extension of rr(3,-1), as first derived",
+            _RR3_RAW_DEFAULTS, _RR3_CONSTRAINTS, _RR3_RAW, _LEFT,
+            sampler=_rr3_sampler(_RR3_RAW_DEFAULTS), extra=_rr3_raw_checks),
     _family("RR3_SIXDIM_B0",
-            "six-dimensional extension of rr(3,-1), vanishing diagonal "
-            "action",
-            ("b1", "b2", "b3", "s", "x", "y", "z", "lam"),
-            {"b1": 2, "b2": -1, "b3": 3, "s": 5, "x": -2, "y": 6,
-             "z": 0, "lam": 7},
-            [Constraint("zx-zero", "zero", lambda p: p["z"] * p["x"]),
-             Constraint("zs-zero", "zero", lambda p: p["z"] * p["s"])],
-            _rr3_sixdim_b0,
-            ("left-leibniz", "left-symplectic"),
-            sampler=_rr3_sampler(("b1", "b2", "b3", "s", "x", "y", "z",
-                                  "lam"))),
+            "six-dimensional extension of rr(3,-1), vanishing diagonal action",
+            _RR3_DEFAULTS, _RR3_CONSTRAINTS, _table(6, _RR3_FORM, _rr3_b0_products), _LEFT,
+            sampler=_rr3_sampler(_RR3_DEFAULTS)),
     _family("RR3_SIXDIM_BNE0",
-            "six-dimensional extension of rr(3,-1), diagonal action "
-            "normalized to one",
-            ("b1", "b2", "b3", "s", "x", "y", "z", "lam"),
-            {"b1": 2, "b2": -1, "b3": 3, "s": 5, "x": -2, "y": 6,
-             "z": 0, "lam": 7},
-            [Constraint("zx-zero", "zero", lambda p: p["z"] * p["x"]),
-             Constraint("zs-zero", "zero", lambda p: p["z"] * p["s"])],
-            _rr3_sixdim_bne0,
-            ("left-leibniz", "left-symplectic"),
-            sampler=_rr3_sampler(("b1", "b2", "b3", "s", "x", "y", "z",
-                                  "lam"))),
+            "six-dimensional extension of rr(3,-1), diagonal action normalized to one",
+            _RR3_DEFAULTS, _RR3_CONSTRAINTS,
+            _table(6, lambda b1, b2, **_: {
+                (1, 2): b2, (1, 3): b1, (1, 4): 1, (2, 3): 1,
+                (5, 6): -1, (2, 5): b2, (3, 5): b1,
+            }, lambda **p: {**_rr3_b0_products(**p),
+                            (5, 2): {2: -1}, (2, 5): {2: 1}, (5, 3): {3: 1}, (3, 5): {3: -1}}),
+            _LEFT, sampler=_rr3_sampler(_RR3_DEFAULTS)),
 )
 
 _BY_ID = {spec.id: spec for spec in _FAMILIES}
@@ -649,11 +495,9 @@ def sample_verify(family_id: str, seed: int = 0, count: int = 20
 def extension_data(family_id: str, params: Mapping[str, object] | None = None
                    ) -> tuple[SymplecticLie, ExtensionData]:
     """The (core, data) pair behind the extension-generator families."""
-    makers = {"ABEL2_CASE1": _abel2_case1_data, "ABEL2_CASE2": _abel2_case2_data}
-    if family_id not in makers:
+    if family_id not in _EXTENSION_DATA:
         raise ValueError(f"{family_id} does not carry extension data")
-    resolved = resolve_params(family_id, params)
-    return _abelian2_base(), makers[family_id](resolved)
+    return _abelian2_base(), _EXTENSION_DATA[family_id](resolve_params(family_id, params))
 
 
 def rank_one_data(params: Mapping[str, object] | None = None

@@ -588,24 +588,10 @@ def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
     return prod, star
 
 
-def _assemble(gs: SymplecticLie, d: ExtensionData, layout: _Layout
-              ) -> tuple[Algebra, SkewForm]:
-    product, _ = _tables(gs, d)
-    return _fill(layout, *product), _form(layout, gs.form.w.entries)
-
-
-def _assemble_star(gs: SymplecticLie, d: ExtensionData, layout: _Layout) -> Algebra:
-    _, star = _tables(gs, d)
-    return _fill(layout, *star)
-
-
-def _extension_layout(gs: SymplecticLie, d: ExtensionData) -> _Layout:
-    return _layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)])
-
-
 def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
     """The product and form on h + g + h*, no checks."""
-    return _assemble(gs, d, _extension_layout(gs, d))
+    layout = _layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)])
+    return _fill(layout, *_tables(gs, d)[0]), _form(layout, gs.form.w.entries)
 
 
 def _require_criterion(gs: SymplecticLie, d: ExtensionData, gate: SystemReport | None,
@@ -640,7 +626,8 @@ def build_left_symmetric(gs: SymplecticLie, d: ExtensionData) -> Algebra:
     Independent of star_left on purpose: a test oracle, and tests compare
     the two routes.
     """
-    star = _assemble_star(gs, d, _extension_layout(gs, d))
+    star = _fill(_layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)]),
+                 *_tables(gs, d)[1])
     _verify(("assembled star is not left symmetric", lambda: is_left_symmetric(star)))
     return star
 
@@ -791,7 +778,7 @@ def rank_one_star(gs: SymplecticLie, F: Matrix, S: Matrix,
     Independent of star_left on purpose: a test oracle, and build_rank_one
     compares the same table with star_left.
     """
-    return _assemble_star(gs, _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g))
+    return _fill(_rank_one_layout(gs.g), *_tables(gs, _rank_one_data(F, S, a0, b0, lam))[1])
 
 
 def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix, a0, b0, lam,
@@ -801,11 +788,11 @@ def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix, a0, b0, lam,
     build_double_extension."""
     d, layout = _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g)
     _require_criterion(gs, d, gate, "rank-one data")
-    algebra, form = _assemble(gs, d, layout)
+    product, star = _tables(gs, d)
+    algebra, form = _fill(layout, *product), _form(layout, gs.form.w.entries)
     _verify(*_left_symplectic_checks(algebra, form),
             ("closed-form star disagrees with the solved star",
-             lambda: _same_product("star", star_left(algebra, form),
-                                   _assemble_star(gs, d, layout))))
+             lambda: _same_product("star", star_left(algebra, form), _fill(layout, *star))))
     return algebra, form
 
 

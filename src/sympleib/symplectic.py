@@ -33,6 +33,7 @@ from sympleib.exactlin import (
     ZERO,
     Matrix,
     Subspace,
+    _annihilator_rows,
     basis_vector,
     int_det,
     int_scaled,
@@ -40,6 +41,7 @@ from sympleib.exactlin import (
     kernel,
     rat,
     reduce_rows,
+    row_space,
 )
 from sympleib.reporting import Check, Witness
 
@@ -70,10 +72,16 @@ class SkewForm:
         return form
 
     @cached_property
+    def _pivots(self) -> dict[int, dict[int, int]]:
+        """The pivot rows of W's sparse int rows (``int_w``), by
+        ``reduce_rows``; computed once per form."""
+        return reduce_rows(map(dict, self.int_w[1]))
+
+    @cached_property
     def nondegenerate(self) -> bool:
-        """Whether W is invertible: the rank of its sparse int rows
-        (``int_w``), by ``reduce_rows``, is dim.  Decided on first read."""
-        return len(reduce_rows(map(dict, self.int_w[1]))) == self.dim
+        """Whether W is invertible: its rank, the count of ``_pivots``, is
+        dim.  Decided on first read."""
+        return len(self._pivots) == self.dim
 
     @property
     def dim(self) -> int:
@@ -108,11 +116,11 @@ class SkewForm:
         return self.w.inverse()
 
     def radical_vector(self) -> tuple[Fraction, ...]:
-        """A nonzero kernel vector of a degenerate form."""
-        ker = kernel(self.w)
-        if ker.dim == 0:
+        """A nonzero kernel vector of a degenerate form: the first row of the
+        canonical kernel basis, read off ``_pivots`` as ``kernel`` does."""
+        if self.nondegenerate:
             raise ValueError("form is nondegenerate")
-        return ker.basis.entries[0]
+        return row_space(self.dim, _annihilator_rows(self._pivots, self.dim)).basis.entries[0]
 
 
 def form_from_pairs(dim: int, pairs: Mapping[tuple[int, int], object],

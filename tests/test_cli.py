@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympleib import catalog, cli, extension
+from sympleib import catalog, cli, exactlin, extension, symplectic
 from sympleib.algebra import Algebra, change_basis
 from sympleib.catalog import instantiate, list_families
 from sympleib.cli import _build_parser, main
@@ -694,6 +694,28 @@ VERIFY_GOLDEN = {
         "1 75f0e79bb34781ee", "1 f9d6b6616f49f1c7", "1 69956ea9491ebf3c",
         "1 505fcf8708fb954e", "1 c10e7d06bf5b096f", "1 f64f14e09619480a"),
 }
+
+
+def test_degenerate_omega_verify_reduces_the_gram_rows_once(capsys, tmp_path, monkeypatch):
+    """The rank that finds the form degenerate and the radical vector that
+    the witness prints are read off one reduction of the form's dim Gram rows."""
+    a, form = _verify_cases()["B0+DIM2 sheared, degenerate"]
+    path = tmp_path / "degenerate.json"
+    path.write_text(serialize_algebra(a, form), encoding="utf-8")
+    sizes = []
+    reduce_rows = exactlin.reduce_rows
+
+    def counted(rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return reduce_rows(rows)
+    monkeypatch.setattr(exactlin, "reduce_rows", counted)
+    monkeypatch.setattr(symplectic, "reduce_rows", counted)
+    for side in ("left", "right", "bi"):
+        sizes.clear()
+        code, out, _ = run(capsys, "omega", str(path), "verify", "--side", side)
+        assert code == 1 and "degenerate-form: radical vector (" in out
+        assert sizes.count(a.dim) == 1, (side, sizes)
 
 
 @pytest.mark.parametrize("name", list(_verify_cases()))

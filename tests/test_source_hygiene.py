@@ -4,7 +4,9 @@ No module of ``src/sympleib`` imports a name it never uses, and no private
 top-level function goes unreferenced across the package.  ``from __future__``
 imports and the re-exports of ``__init__.py`` are exempt.  Only ``exactlin``
 scales a Fraction table to ints (``int_scaled``): no other module divides by
-a ``.denominator``.
+a ``.denominator``.  In ``catalog``, every family written down as a table
+goes through the one builder ``_table``: no other code there builds an
+algebra or a form from a table, except the two shared bases.
 """
 
 import ast
@@ -67,3 +69,24 @@ def test_only_exactlin_scales_fractions_to_ints():
              for path in sorted(SRC.glob("*.py")) if path.name != "exactlin.py"
              for line in _denominator_divisions(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _callers(tree: ast.Module, names: set[str]) -> set[str | None]:
+    """The top-level definitions that call one of ``names``, as a bare name
+    or an attribute; None stands for module-level code."""
+    found = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.add(owner)
+    return found
+
+
+def test_catalog_builds_its_tables_through_one_builder():
+    tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
+    assert _callers(tree, {"from_table", "form_from_pairs"}) == \
+        {"_table", "_abelian2_base", "_rr3_base"}

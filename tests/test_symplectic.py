@@ -944,7 +944,8 @@ def _skew_pairs(draw):
 def test_nondegenerate_is_the_determinant_test(case):
     """SkewForm.nondegenerate, a rank decided on first read, against the
     Bareiss determinant, its oracle: 300 examples, on the form built from
-    pairs and on the checked constructor's form of the same matrix."""
+    pairs and on the checked constructor's form of the same matrix; on a
+    degenerate draw, the radical vector is the first kernel basis row."""
     dim, pairs, forced = case
     form = form_from_pairs(dim, pairs, one_based=False)
     assert "nondegenerate" not in vars(form)
@@ -952,6 +953,11 @@ def test_nondegenerate_is_the_determinant_test(case):
     assert form.nondegenerate == (det != 0)
     assert SkewForm(form.w).nondegenerate == (det != 0)
     assert not (forced and det)
+    if det:
+        with pytest.raises(ValueError, match="nondegenerate"):
+            form.radical_vector()
+    else:  # read off the rank's own pivot rows, against the dense kernel
+        assert form.radical_vector() == kernel(form.w).basis.entries[0]
 
 
 def test_parsed_and_reduced_forms_skip_the_skew_scan_and_the_determinant(monkeypatch):
