@@ -15,7 +15,8 @@ product table of ``Algebra.from_table``, and ``form`` is the
 upper-triangle pairs of the form, or a function of the parameters giving
 them.  The extension families over the abelian plane are declared by
 their data maker in ``_EXTENSION_DATA``, and the rank-one family over
-rr(3,-1) is a table checked against its solved data.
+rr(3,-1) is a table checked against its solved data.  Extra checks build
+the table ``verify`` reads the claims off: one table per sample.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class FamilySpec:
     builder: Callable[[Params], tuple[Algebra, SkewForm]]
     claims: tuple[str, ...]
     sampler: Callable[[random.Random], Params] | None = None
-    extra_checks: Callable[[Params], list[Check]] | None = None
+    # params -> (checks, (algebra, form)): the family's own checks and its table
+    extra_checks: Callable[[Params], tuple[list[Check], tuple[Algebra, SkewForm]]] | None = None
 
     def default_params(self) -> Params:
         return dict(self.defaults)
@@ -245,19 +247,18 @@ def _system_check(name: str, rep: SystemReport) -> Check:
                  "failed: " + ", ".join(c.name for c in rep.failed()))
 
 
-def _rr3_raw_checks(params: Params) -> list[Check]:
-    gs = _rr3_base()
+def _rr3_raw_checks(params: Params) -> tuple[list[Check], tuple[Algebra, SkewForm]]:
+    """The rank-one criterion on the solved data and, when it holds, the
+    build compared with the display table, returned with the checks."""
+    gs, table = _rr3_base(), _RR3_RAW(params)
     F, S, a0, b0, lam = _rr3_solution(params)
     rep = check_rank_one(gs, F, S, a0, b0, lam)
     checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
         built, built_form = build_rank_one(gs, F, S, a0, b0, lam, gate=rep)
-        table, table_form = _RR3_RAW(params)
-        checks.append(Check("construction-matches-display",
-                            built.c == table.c))
-        checks.append(Check("form-matches-display",
-                            built_form.w == table_form.w))
-    return checks
+        checks.append(Check("construction-matches-display", built.c == table[0].c))
+        checks.append(Check("form-matches-display", built_form.w == table[1].w))
+    return checks, table
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +279,16 @@ def _family(fid, description, defaults, constraints, builder, claims,
 
 
 def _extension_family(fid, description, defaults, constraints, claims) -> FamilySpec:
-    """A family over the abelian plane built from its ``_EXTENSION_DATA``, with
-    the reduced system on the same data as its extra check."""
+    """A family over the abelian plane built from its ``_EXTENSION_DATA``; its
+    extra check is the reduced system, the gate of the build of the same data."""
     data = _EXTENSION_DATA[fid]
-    return _family(
-        fid, description, defaults, constraints,
-        lambda p: build_double_extension(_abelian2_base(), data(p)), claims,
-        extra=lambda p: [_system_check("reduced-system",
-                                       check_reduced_system(_abelian2_base(), data(p)))])
+
+    def checked(p: Params) -> tuple[list[Check], tuple[Algebra, SkewForm]]:
+        gs, d = _abelian2_base(), data(p)
+        rep = check_reduced_system(gs, d)
+        return [_system_check("reduced-system", rep)], build_double_extension(gs, d, rep)
+    return _family(fid, description, defaults, constraints, lambda p: checked(p)[1], claims,
+                   extra=checked)
 
 
 _FAMILIES: tuple[FamilySpec, ...] = (
@@ -474,10 +477,10 @@ def verify(family_id: str, params: Mapping[str, object] | None = None
            ) -> SystemReport:
     spec = get(family_id)
     resolved = resolve_params(family_id, params)
-    checks: list[Check] = []
-    if spec.extra_checks is not None:
-        checks.extend(spec.extra_checks(resolved))
-    algebra, form = spec.builder(resolved)
+    if spec.extra_checks is None:
+        checks, (algebra, form) = [], spec.builder(resolved)
+    else:  # the extra checks build the table they check, once
+        checks, (algebra, form) = spec.extra_checks(resolved)
     checks.extend(_PREDICATES[c](algebra, form) for c in spec.claims)
     return SystemReport(family_id, tuple(checks))
 

@@ -9,9 +9,10 @@ the shorter reduced one, and the skew case G = -F, xi = -psi has a third.
 One table writes each equation once: its name, its index ranges and its
 defect over the derived operators (F*, G*, S, S*, K, K*), built once per
 request, over ints at one scale (``exactlin.int_scaled``).  A criterion is a
-title and an ordered tuple of equation names; the dense copies in
-tests/test_extension.py are their oracles.  The rank-one criterion (p = 1) is
-the reduced list read on the embedded data (F, S - F, c0, a0, b0, lambda).
+title and an ordered tuple of equation names, each scanned once per data
+object; the dense copies in tests/test_extension.py are their oracles.  The
+rank-one criterion (p = 1) is the reduced list read on the embedded data
+(F, S - F, c0, a0, b0, lambda).
 Specialized builders cover the Lagrangian case (g absent), the isotropic
 image with inner derivations, rank one, and the commutative bi-symplectic
 construction from a symmetric cubic form.
@@ -25,17 +26,18 @@ h*-part, through ``Algebra.from_table``; one form helper writes the
 middle Gram matrix plus the pairing W[h_i][h*_i] = -1; and one verifier runs
 a builder's post-build checks and raises with the witness of the first that
 fails.  The double extension and its star are two block tables over the
-same derived operators, which the rank-one builders read on the embedded
-data.  build_left_symmetric and rank_one_star write the star from the data
-instead of solving for it, and stay as independent test oracles for
-star_left.
+same int atoms as the criteria, which the rank-one builders read on the
+embedded data, with a Fraction oracle in tests/oracles.py; the forms are
+skew by construction and skip the skew scan.  build_left_symmetric and
+rank_one_star write the star from the data instead of solving for it, and
+stay as independent test oracles for star_left.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
 from fractions import Fraction
 from math import lcm
@@ -268,6 +270,8 @@ def _mult(c, u) -> _Ints:
 class _Derived:
     """What the criteria and the block tables read off (gs, d), over ints.
 
+    The criteria keep each equation's report in ``reports`` by name, so a
+    second criterion reads back the equations the first scanned.
     Every atom is held times one scale s: the data F, G, th, ps, xi, Om, the
     constants c of g and cs of its star, the Gram matrix w, and per h
     direction F*, G*, S = F + G, S*, K = S/2 - F - F* and K* = S*/2 - F* - F
@@ -282,6 +286,7 @@ class _Derived:
         if d.gdim != gs.dim:
             raise ValueError("extension data does not match the algebra dimension")
         self.g, self.p, self.m = gs.g, d.p, d.gdim
+        self.reports: dict[str, Check] = {}
         grids = (d.theta, d.psi, d.xi, d.omega_cube)
         D = lcm(denominator(x for op in (*d.F, *d.G, gs.form.w) for r in op.entries for x in r),
                 denominator(x for grid in grids for row in grid for v in row for x in v),
@@ -305,14 +310,6 @@ class _Derived:
         self.S, self.Ss = tuple(map(add, self.F, self.G)), tuple(map(add, self.Fs, self.Gs))
         self.K = tuple(S // 2 - f - fs for S, f, fs in zip(self.S, self.F, self.Fs))
         self.Ks = tuple(Ss // 2 - fs - f for Ss, f, fs in zip(self.Ss, self.F, self.Fs))
-
-    @cached_property
-    def views(self) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-        """F* and K as Fraction matrices, each entry divided by the scale."""
-        s, m = self.scale, self.m
-        return tuple(tuple(Matrix(m, m, tuple(tuple(Fraction(x, s) if x else ZERO for x in r)
-                                              for r in op.rows)) for op in ops)
-                     for ops in (self.Fs, self.K))
 
     def om(self, u, v) -> int:
         return sum(map(mul, u, self.w.matvec(v)))
@@ -409,8 +406,12 @@ _EQUATIONS["theta-psi-antisym"] = _EQUATIONS["theta-from-xi-psi"]
 
 
 def _criterion(gs: SymplecticLie, d: ExtensionData, title: str, names) -> SystemReport:
+    """Each named equation's report on the derived set of (gs, d), scanned once there."""
     e = _derived(gs, d)
-    return SystemReport(title, tuple(_EQUATIONS[name](e, name) for name in names))
+    for name in names:
+        if name not in e.reports:
+            e.reports[name] = _EQUATIONS[name](e, name)
+    return SystemReport(title, tuple(e.reports[name] for name in names))
 
 
 _REDUCED_TITLE = "double extension criterion (reduced form)"
@@ -503,7 +504,8 @@ def _fill(layout: _Layout, hh=None, hg=None, gh=None, gg=None) -> Algebra:
 
 def _form(layout: _Layout, middle, extra=()) -> SkewForm:
     """The middle Gram matrix on the g block, the hyperbolic pairing
-    W[h_i][h*_i] = -1, W[h*_i][h_i] = 1, and any extra (row, col, value)."""
+    W[h_i][h*_i] = -1, W[h*_i][h_i] = 1, and any extra (row, col, value),
+    given in mirrored pairs: W is skew by construction, with no skew scan."""
     n = layout.dim
     w = [[ZERO] * n for _ in range(n)]
     for a, r in enumerate(layout.g):
@@ -513,7 +515,7 @@ def _form(layout: _Layout, middle, extra=()) -> SkewForm:
         w[i][k], w[k][i] = -ONE, ONE
     for r, s, v in extra:
         w[r][s] = v
-    return SkewForm(Matrix.from_rows(w))
+    return SkewForm._skew(Matrix(n, n, tuple(map(tuple, w))))
 
 
 def _verify(*checks) -> None:
@@ -561,37 +563,44 @@ def _star_commutator(star: Algebra, g: Algebra) -> Check:
     return Check("star-commutator", True)
 
 
-def _pairings(form: SkewForm, vectors, u) -> list:
-    """omega(v, u) for each v: an h*-part whose coordinates are pairings."""
-    return [omega(form, v, u) for v in vectors]
+def _blocks(gs: SymplecticLie, d: ExtensionData, star: bool = False) -> tuple:
+    """The block tables (hh, hg, gh, gg) of the product, or of its star.
 
+    The g-parts are the data, the constants of g and of its star, and the
+    derived F* and K = S/2 - F - F*.  An h*-part lists omega(v, e_a) over p
+    vectors v: read off the int covectors v (sW) of the derived set, at scale
+    s^2, one int matrix product per h direction.  Each computed entry becomes
+    a Fraction once, as ``_fill`` reads the table.
+    """
+    e, p, Om = _derived(gs, d), d.p, d.omega_cube
+    s = e.scale
 
-def _tables(gs: SymplecticLie, d: ExtensionData) -> tuple[tuple, tuple]:
-    """The block tables (hh, hg, gh, gg) of the product and of its star,
-    read off the data and the derived operators F* and K = S/2 - F - F*."""
-    g, wg, p, m = gs.g, gs.form, d.p, d.gdim
-    Fs, K = _derived(gs, d).views
-    F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
-    e = [basis_vector(m, a) for a in range(m)]
-    prod = (
-        lambda x, y: (th[x][y], Om[x][y]),
-        lambda x, a: (F[x].col(a), _pairings(wg, ps[x], e[a])),
-        lambda a, x: (G[x].col(a), _pairings(wg, xi[x], e[a])),
-        lambda a, b: (g.c[a][b], _pairings(wg, [K[k].col(a) for k in range(p)], e[b])),
-    )
-    star = (
-        lambda x, y: (ps[x][y], [Om[x][k][y] for k in range(p)]),
-        lambda x, a: (vscale(-ONE, Fs[x].col(a)), _pairings(wg, th[x], e[a])),
-        lambda a, x: (K[x].col(a), _pairings(wg, [xi[k][x] for k in range(p)], e[a])),
-        lambda a, b: (gs.star.c[a][b], _pairings(wg, [G[k].col(a) for k in range(p)], e[b])),
-    )
-    return prod, star
+    def q(values, scale=s * s) -> list:
+        return [Fraction(x, scale) if x else ZERO for x in values]
+
+    def pair(rows) -> _Ints:  # row k: the covector of rows[k]
+        return _Ints(tuple(rows)) @ e.w
+
+    def pair_cols(ops) -> list:  # row a of entry k: the covector of column a of ops[k]
+        return [pair(zip(*op.rows)) for op in ops]
+    if not star:
+        P, X, KW = [pair(row) for row in e.ps], [pair(row) for row in e.xi], pair_cols(e.K)
+        return (lambda x, y: (d.theta[x][y], Om[x][y]),
+                lambda x, a: (d.F[x].col(a), q(P[x].col(a))),
+                lambda a, x: (d.G[x].col(a), q(X[x].col(a))),
+                lambda a, b: (gs.g.c[a][b], q(KW[k].rows[a][b] for k in range(p))))
+    T, GW = [pair(row) for row in e.th], pair_cols(e.G)
+    Xt = [pair(row[x] for row in e.xi) for x in range(p)]
+    return (lambda x, y: (d.psi[x][y], [Om[x][k][y] for k in range(p)]),
+            lambda x, a: (q(e.Fs[x].col(a), -s), q(T[x].col(a))),  # -F*
+            lambda a, x: (q(e.K[x].col(a), s), q(Xt[x].col(a))),
+            lambda a, b: (gs.star.c[a][b], q(GW[k].rows[a][b] for k in range(p))))
 
 
 def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
     """The product and form on h + g + h*, no checks."""
     layout = _layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)])
-    return _fill(layout, *_tables(gs, d)[0]), _form(layout, gs.form.w.entries)
+    return _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
 
 
 def _require_criterion(gs: SymplecticLie, d: ExtensionData, gate: SystemReport | None,
@@ -627,7 +636,7 @@ def build_left_symmetric(gs: SymplecticLie, d: ExtensionData) -> Algebra:
     the two routes.
     """
     star = _fill(_layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)]),
-                 *_tables(gs, d)[1])
+                 *_blocks(gs, d, star=True))
     _verify(("assembled star is not left symmetric", lambda: is_left_symmetric(star)))
     return star
 
@@ -726,8 +735,8 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
     hc = [H.col(k) for k in range(p)]
     algebra = _fill(layout,
                     lambda x, y: ((), Om[x][y]),
-                    lambda x, a: ((), _pairings(wg, ps[x], e[a])),
-                    lambda a, x: ((), [-v for v in _pairings(wg, ps[x], e[a])]),
+                    lambda x, a: ((), [omega(wg, v, e[a]) for v in ps[x]]),
+                    lambda a, x: ((), [-omega(wg, v, e[a]) for v in ps[x]]),
                     lambda a, b: (g.c[a][b], [omega(wg, g.c[a][b], u) for u in hc]))
     extra = [(layout.h[i], layout.h[j], omega(wg, hc[i], hc[j]))
              for i in range(p) for j in range(p)]
@@ -778,7 +787,8 @@ def rank_one_star(gs: SymplecticLie, F: Matrix, S: Matrix,
     Independent of star_left on purpose: a test oracle, and build_rank_one
     compares the same table with star_left.
     """
-    return _fill(_rank_one_layout(gs.g), *_tables(gs, _rank_one_data(F, S, a0, b0, lam))[1])
+    d = _rank_one_data(F, S, a0, b0, lam)
+    return _fill(_rank_one_layout(gs.g), *_blocks(gs, d, star=True))
 
 
 def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix, a0, b0, lam,
@@ -788,11 +798,10 @@ def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix, a0, b0, lam,
     build_double_extension."""
     d, layout = _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g)
     _require_criterion(gs, d, gate, "rank-one data")
-    product, star = _tables(gs, d)
-    algebra, form = _fill(layout, *product), _form(layout, gs.form.w.entries)
+    algebra, form = _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
     _verify(*_left_symplectic_checks(algebra, form),
-            ("closed-form star disagrees with the solved star",
-             lambda: _same_product("star", star_left(algebra, form), _fill(layout, *star))))
+            ("closed-form star disagrees with the solved star", lambda: _same_product(
+                "star", star_left(algebra, form), _fill(layout, *_blocks(gs, d, star=True)))))
     return algebra, form
 
 

@@ -9,6 +9,8 @@ from typing import Sequence
 
 from sympleib.algebra import Algebra
 from sympleib.exactlin import (
+    HALF,
+    ONE,
     ZERO,
     Matrix,
     Subspace,
@@ -17,8 +19,9 @@ from sympleib.exactlin import (
     kernel,
     span,
     vadd,
+    vscale,
 )
-from sympleib.symplectic import SkewForm, form_from_coords
+from sympleib.symplectic import SkewForm, form_from_coords, omega
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -123,3 +126,31 @@ def dense_intersect(a: Subspace, b: Subspace) -> Subspace:
     if not constraints:
         return full_subspace(a.ambient_dim)
     return kernel(Matrix.from_rows(constraints))
+
+
+def dense_tables(gs, d) -> tuple[tuple, tuple]:
+    """Oracle for ``extension._blocks``: the block tables (hh, hg, gh, gg) of
+    the double extension's product and of its star by Fraction arithmetic.
+    F* comes from ``omega_adjoint``, K = S/2 - F - F*, and every h*-part is a
+    list of ``omega`` pairings omega(v, e_a)."""
+    g, wg, p, m = gs.g, gs.form, d.p, d.gdim
+    Fs = [omega_adjoint(wg, f) for f in d.F]
+    K = [(f + gop).scale(HALF) - f - fs for f, gop, fs in zip(d.F, d.G, Fs)]
+    F, G, th, ps, xi, Om = d.F, d.G, d.theta, d.psi, d.xi, d.omega_cube
+    e = [basis_vector(m, a) for a in range(m)]
+
+    def pairings(vectors, u) -> list:
+        return [omega(wg, v, u) for v in vectors]
+    prod = (
+        lambda x, y: (th[x][y], Om[x][y]),
+        lambda x, a: (F[x].col(a), pairings(ps[x], e[a])),
+        lambda a, x: (G[x].col(a), pairings(xi[x], e[a])),
+        lambda a, b: (g.c[a][b], pairings([K[k].col(a) for k in range(p)], e[b])),
+    )
+    star = (
+        lambda x, y: (ps[x][y], [Om[x][k][y] for k in range(p)]),
+        lambda x, a: (vscale(-ONE, Fs[x].col(a)), pairings(th[x], e[a])),
+        lambda a, x: (K[x].col(a), pairings([xi[k][x] for k in range(p)], e[a])),
+        lambda a, b: (gs.star.c[a][b], pairings([G[k].col(a) for k in range(p)], e[b])),
+    )
+    return prod, star

@@ -1,5 +1,6 @@
 """Family registry: exact tables, constraints, claims, seeded verification."""
 
+import collections
 import hashlib
 import random
 from fractions import Fraction
@@ -147,12 +148,15 @@ def test_rank_one_data_passes_the_criterion():
 
 def test_extension_families_report_their_criterion_as_one_check():
     rr3, abel = get("RR3_SIXDIM_RAW"), get("ABEL2_CASE1")
-    assert [(c.holds, c.detail) for c in rr3.extra_checks(rr3.default_params())] == \
-        [(True, "")] * 3
+    checks, table = rr3.extra_checks(rr3.default_params())
+    assert [(c.holds, c.detail) for c in checks] == [(True, "")] * 3
+    assert table == instantiate("RR3_SIXDIM_RAW")
     bad = {**rr3.default_params(), "z": Fraction(1)}  # z * x != 0
-    assert rr3.extra_checks(bad) == [
-        Check("rank-one-system", False, "failed: theta-xi-psi-pairing, Fstar-psi-xi-S, S-xi")]
-    assert abel.extra_checks(abel.default_params()) == [Check("reduced-system", True)]
+    assert rr3.extra_checks(bad) == ([
+        Check("rank-one-system", False, "failed: theta-xi-psi-pairing, Fstar-psi-xi-S, S-xi")],
+        rr3.builder(bad))
+    assert abel.extra_checks(abel.default_params()) == (
+        [Check("reduced-system", True)], instantiate("ABEL2_CASE1"))
     # the two bases are built and verified once, then shared
     assert rank_one_data()[0] is rank_one_data()[0]
     assert extension_data("ABEL2_CASE1")[0] is extension_data("ABEL2_CASE2")[0]
@@ -163,7 +167,7 @@ def test_rank_one_family_runs_its_criterion_once_per_sample(monkeypatch):
     monkeypatch.setattr(extension, "check_reduced_system",
                         lambda *args: calls.append(args) or check_reduced_system(*args))
     rr3 = get("RR3_SIXDIM_RAW")
-    assert [c.holds for c in rr3.extra_checks(rr3.default_params())] == [True] * 3
+    assert [c.holds for c in rr3.extra_checks(rr3.default_params())[0]] == [True] * 3
     assert len(calls) == 1
 
 
@@ -189,6 +193,35 @@ def test_rank_one_family_builds_one_derived_set_per_sample(monkeypatch):
     assert extension._rank_one_data(F, S, list(a0), b0, lam) is d
     moved = extension._rank_one_data(F, S, a0, b0, lam + 1)
     assert moved is not d and moved.omega_cube[0][0][0] == lam + 1
+
+
+@pytest.mark.parametrize("fid", ["ABEL2_CASE1", "ABEL2_CASE2"])
+def test_extension_family_builds_one_derived_set_and_scans_once_per_sample(monkeypatch, fid):
+    """The reduced-system check and the build of one sample share one data
+    object: one derived set, and each equation of the reduced system scanned
+    once (counted by wrapping the entries of _EQUATIONS)."""
+    builds, scans = [], collections.Counter()
+    init = extension._Derived.__init__
+
+    def counted_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+    monkeypatch.setattr(extension._Derived, "__init__", counted_init)
+    for name, run in list(extension._EQUATIONS.items()):
+        def counted(e, eq_name, _run=run):
+            scans[eq_name] += 1
+            return _run(e, eq_name)
+        monkeypatch.setitem(extension._EQUATIONS, name, counted)
+    gs, d = extension_data(fid)
+    names = [c.name for c in check_reduced_system(gs, d).checks]
+    rng = random.Random(5)
+    spec = get(fid)
+    for params in [spec.default_params()] + [spec.sample(rng) for _ in range(4)]:
+        builds.clear()
+        scans.clear()
+        assert verify(fid, params).ok
+        assert len(builds) == 1
+        assert scans == collections.Counter(names)
 
 
 def test_rr3_displayed_forms_carry_their_cross_terms():

@@ -19,7 +19,8 @@ from sympleib.catalog import instantiate, list_families
 from sympleib.cli import _build_parser, main
 from sympleib.exactlin import HALF, Matrix, vadd, vscale
 from sympleib.extension import ExtensionData, zero_cube, zero_grid
-from sympleib.fileformat import algebra_to_dict, parse_algebra, rational_to_json, serialize_algebra
+from sympleib.fileformat import (algebra_to_dict, load_extension, parse_algebra, rational_to_json,
+                                 serialize_algebra)
 from sympleib.symplectic import SkewForm, form_from_pairs, star_left, star_right
 
 RR3_BASE = """\
@@ -951,6 +952,28 @@ def test_extend_builds_the_derived_operators_once(capsys, tmp_path, monkeypatch,
     assert len(builds) == 1
 
 
+def test_extend_full_build_star_scans_each_equation_once(capsys, tmp_path, monkeypatch):
+    """The builder's reduced gate reads back the equations the direct report
+    scanned on the same derived set: each equation of the two lists, the 8
+    they share included, is scanned once, counted by wrapping the entries of
+    _EQUATIONS."""
+    path = extension_dir(tmp_path, RR3_EXTENSION)
+    gs, d = load_extension(path)
+    full, reduced = ({c.name for c in check(gs, d).checks}
+                     for check in (extension.check_full_system, extension.check_reduced_system))
+    assert len(full & reduced) == 8
+    scans = collections.Counter()
+    for name, run_eq in list(extension._EQUATIONS.items()):
+        def counted(e, eq_name, _run=run_eq):
+            scans[eq_name] += 1
+            return _run(e, eq_name)
+        monkeypatch.setitem(extension._EQUATIONS, name, counted)
+    code, out, _ = run(capsys, "--json-out", "extend", path, "--system", "full", "--build",
+                       "--star")
+    assert code == 0 and set(json.loads(out)) >= {"product", "star"}
+    assert scans == collections.Counter(full | reduced)
+
+
 def test_build_double_extension_rejects_a_full_report_as_its_gate():
     gs, d = catalog.extension_data("ABEL2_CASE1")
     with pytest.raises(ValueError, match="reduced-system report"):
@@ -1019,13 +1042,19 @@ def test_catalog_verify_output_is_pinned(capsys, fid):
 
 
 def _moved_family(monkeypatch, fid):
-    """Rebuild fid with e_1 * e_n moved by one along e_2 (see _moved)."""
+    """Rebuild fid with e_1 * e_n moved by one along e_2 (see _moved), in its
+    builder and in the table its extra checks return, which verify reads."""
     spec = catalog.get(fid)
 
     def builder(params):
         a, form = spec.builder(params)
         return _moved(a), form
-    monkeypatch.setitem(catalog._BY_ID, fid, dataclasses.replace(spec, builder=builder))
+
+    def extra(params):
+        checks, (a, form) = spec.extra_checks(params)
+        return checks, (_moved(a), form)
+    monkeypatch.setitem(catalog._BY_ID, fid, dataclasses.replace(
+        spec, builder=builder, extra_checks=spec.extra_checks and extra))
 
 
 # the same on families whose builder moves one product entry, so that the

@@ -1,8 +1,10 @@
 """Double extension data, the two criterion routes, and all builders."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from sympleib.extension import (
 from sympleib.extension import (_assemble_double_extension, _derivation_check, _same_product,
                                 _verify)
 from sympleib.symplectic import (
+    SkewForm,
     form_from_pairs,
     is_bi_symplectic,
     is_symplectic_left,
@@ -49,7 +52,7 @@ from sympleib.symplectic import (
 )
 from sympleib.reporting import Check, SystemReport
 
-from oracles import omega_adjoint
+from oracles import dense_tables, omega_adjoint
 
 W12 = form_from_pairs(2, {(1, 2): 1})
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})
@@ -890,7 +893,7 @@ def test_criteria_equal_the_dense_oracles_on_random_data(data):
 def _assert_int_atoms_are_the_fraction_operators(gs, d):
     """Every int atom of the derived set, divided by its scale, is the
     Fraction operator it stands for: F*, G*, S*, K* through omega_adjoint,
-    S = F + G and K = S/2 - F - F*; the Fraction views are F* and K."""
+    S = F + G and K = S/2 - F - F*."""
     e = extension._Derived(gs, d)
 
     def frac(rows):
@@ -907,7 +910,6 @@ def _assert_int_atoms_are_the_fraction_operators(gs, d):
                 "Ss": omega_adjoint(gs.form, S), "K": K, "Ks": omega_adjoint(gs.form, K)}
         for name, op in want.items():
             assert frac(getattr(e, name)[x].rows) == op.entries, name
-        assert (e.views[0][x], e.views[1][x]) == (Fs, K)
 
 
 @pytest.mark.parametrize("case", list(_catalog_extension_cases()), ids=lambda c: c[0])
@@ -1070,3 +1072,169 @@ def test_symplectic_lie_reports_a_broken_star_with_its_witness(monkeypatch):
         SymplecticLie(_aff1().g, W12)
     assert str(exc.value) == ("internal error: star commutator differs from bracket: "
                               "star-commutator fails at (1, 2) with defect (-1, 0)")
+
+
+# ---------------------------------------------------------------------------
+# the block tables over the int atoms, the kept reports and the built forms
+
+
+def _assert_tables_equal_the_dense_oracle(gs, d):
+    """The product and the star filled from the tables read off the int atoms
+    equal those filled from the Fraction tables of the oracle, in the layout
+    (h, g, h*) and, at p = 1, in the rank-one layout (g, e, e*)."""
+    layouts = [extension._layout(d.p, gs.dim)]
+    if d.p == 1:
+        layouts.append(extension._rank_one_layout(gs.g))
+    for layout in layouts:
+        got = extension._blocks(gs, d), extension._blocks(gs, d, star=True)
+        for got, want in zip(got, dense_tables(gs, d)):
+            assert extension._fill(layout, *got) == extension._fill(layout, *want)
+
+
+@pytest.mark.parametrize("case", list(_catalog_extension_cases()), ids=lambda c: c[0])
+def test_tables_equal_the_dense_oracle_on_the_catalog(case):
+    _assert_tables_equal_the_dense_oracle(*case[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tables_equal_the_dense_oracle_on_random_and_rank_one_data(data):
+    """Any data, since assembly needs no criterion, and the rank-one samples
+    of RR3_SIXDIM_RAW embedded at p = 1."""
+    if data.draw(st.booleans()):
+        gs = data.draw(st.sampled_from([_abelian2(), _aff1(), _rr3(), _rr3_scaled()]))
+        d = data.draw(_extension_data_over(gs))
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        gs, d = _embedded_rank_one(catalog.get("RR3_SIXDIM_RAW").sample(rng))
+    _assert_tables_equal_the_dense_oracle(gs, d)
+
+
+def _count_scans(monkeypatch):
+    """Count each equation's scans by wrapping the entries of _EQUATIONS."""
+    scans = collections.Counter()
+    for name, run in list(extension._EQUATIONS.items()):
+        def counted(e, eq_name, _run=run):
+            scans[eq_name] += 1
+            return _run(e, eq_name)
+        monkeypatch.setitem(extension._EQUATIONS, name, counted)
+    return scans
+
+
+def test_a_second_criterion_reads_the_shared_equations_back(monkeypatch):
+    """On one data object the reduced system rescans none of the 8 equations
+    it shares with the direct one; a fresh data object equal in value scans
+    on its own."""
+    gs, d = catalog.extension_data("ABEL2_CASE1")
+    scans = _count_scans(monkeypatch)
+    full, reduced = check_full_system(gs, d), check_reduced_system(gs, d)
+    full_names, reduced_names = ({c.name for c in r.checks} for r in (full, reduced))
+    assert full_names & reduced_names == {
+        "F-derivations", "G-derivations", "omega-cube", "theta-from-xi-psi",
+        "theta-xi-psi-pairing", "Fstar-psi-K-theta", "S-xi", "ad-theta-FF"}
+    assert scans == collections.Counter(full_names | reduced_names)
+    assert check_reduced_system(gs, d) == reduced and sum(scans.values()) == 19 + 16 - 8
+    twin = catalog.extension_data("ABEL2_CASE1")[1]
+    assert twin == d and twin is not d
+    assert check_reduced_system(gs, twin) == reduced
+    assert scans == collections.Counter(full_names | reduced_names) + \
+        collections.Counter(reduced_names)
+
+
+def test_a_failing_shared_equation_prints_one_line_in_both_reports():
+    """The rank-one data with b0 moved along e1 fails four shared equations;
+    the direct and the reduced report on one data object print the same
+    [FAIL] lines for them as a reduced report scanned on its own."""
+    gs, F, S, a0, b0, lam = catalog.rank_one_data()
+    bad = (F, S, a0, vadd(b0, [1, 0, 0, 0]), lam)
+    d, alone = _embed_rank_one(*bad), _embed_rank_one(*bad)
+    full, reduced = check_full_system(gs, d), check_reduced_system(gs, d)
+
+    def fail_lines(report):
+        return {c.name: c.line() for c in report.failed()}
+    shared = fail_lines(full).keys() & fail_lines(reduced).keys()
+    assert shared == {"theta-xi-psi-pairing", "Fstar-psi-K-theta", "S-xi", "ad-theta-FF"}
+    for name in shared:
+        line = fail_lines(full)[name]
+        assert line.startswith(f"[FAIL] {name}  (fails at indices ")
+        assert line in full.lines() and line in reduced.lines()
+        assert line == fail_lines(reduced)[name] == \
+            fail_lines(check_reduced_system(gs, alone))[name]
+    assert reduced == check_reduced_system(gs, alone)
+
+
+def _every_build():
+    """(what, build) for each builder of the module, with its inputs made
+    before any build runs; all but the two star builders and the deformation
+    by a cube return a form."""
+    cases = []
+    for name, gs, d in _catalog_extension_cases():
+        cases.append((name, partial(build_double_extension, gs, d)))
+        cases.append((name + "-star", partial(build_left_symmetric, gs, d)))
+    for params in (None, catalog.get("RR3_SIXDIM_RAW").sample(random.Random(4))):
+        gs, F, S, a0, b0, lam = catalog.rank_one_data(params)
+        cases.append(("rank-one", partial(build_rank_one, gs, F, S, a0, b0, lam)))
+        cases.append(("rank-one-star", partial(rank_one_star, gs, F, S, a0, b0, lam)))
+    m = 4
+    zero = ExtensionData(2, [Matrix.zero(m, m)] * 2, [Matrix.zero(m, m)] * 2,
+                         zero_grid(2, m), zero_grid(2, m), zero_grid(2, m), zero_cube(2))
+    cases.append(("zero-p2", partial(build_double_extension, _rr3(), zero)))
+    cube = [[[2, 1], [1, 0]], [[1, 0], [0, 0]]]
+    cases.append(("lagrangian", partial(build_lagrangian, 2, cube)))
+    cases.append(("inner", partial(build_inner_extension, _aff1(), Matrix.from_rows([[2], [1]]),
+                                   [[[3, 0]]], [[[4]]])))
+    cases.append(("inner-p2", partial(build_inner_extension, _aff1_squared(),
+                                      Matrix.from_rows([[1, 0], [2, 1], [0, 3], [-1, 1]]),
+                                      [[[1, 0, 0, 0], [0, 0, 2, 0]], [[0, 0, 2, 0], [3, 0, 0, 0]]],
+                                      zero_cube(2))))
+    cases.append(("from-T", partial(build_bisymplectic_from_T, _abelian2(),
+                                    span(2, [basis_vector(2, 0)]),
+                                    [[[0, 0], [0, 0]], [[0, 0], [0, 5]]])))
+    cases.append(("commutative", partial(build_commutative_bisymplectic, 1, W12, [[[4]]])))
+    return cases
+
+
+def _assert_skew(form):
+    w = form.w.entries
+    assert all(w[i][j] == -w[j][i] for i in range(form.dim) for j in range(form.dim))
+    assert SkewForm(form.w) == form
+
+
+def test_no_builder_runs_the_checked_form_constructor(monkeypatch):
+    """The forms the builders assemble are skew by construction: none goes
+    through SkewForm.__init__, and each passes its skew scan afterwards."""
+    cases = _every_build()
+    calls = []
+    init = SkewForm.__init__
+    monkeypatch.setattr(SkewForm, "__init__", lambda self, w: calls.append(w) or init(self, w))
+    built = [build() for _, build in cases]
+    assert calls == []
+    monkeypatch.undo()
+    forms = [out[1] if isinstance(out, tuple) else out.form for out in built
+             if isinstance(out, (tuple, extension.LagrangianExtension))]
+    assert len(forms) == len(list(_catalog_extension_cases())) + 7
+    for form in forms:
+        _assert_skew(form)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_inner_extension_forms_are_skew_with_their_extra_pairs(data):
+    """build_inner_extension writes omega(H e_i, H e_j) on (h, h) and the
+    mirrored pairs omega(H e_i, e_b) on (h, g), (g, h): over drawn H, a
+    symmetric psi along the directions the star's right product kills and a
+    symmetric cube, every precondition holds, the form it returns is skew,
+    and the product is left symplectic for it."""
+    gs, free = data.draw(st.sampled_from([(_aff1(), (0,)), (_aff1_squared(), (0, 2))]))
+    m, p = gs.dim, data.draw(st.integers(1, 2))
+    H = Matrix.from_rows([[data.draw(_SMALL) for _ in range(p)] for _ in range(m)])
+    sym = {(x, y): [data.draw(_SMALL) if k in free else 0 for k in range(m)]
+           for x in range(p) for y in range(x, p)}
+    psi = [[sym[min(x, y), max(x, y)] for y in range(p)] for x in range(p)]
+    values = {tuple(sorted(idx)): data.draw(_SMALL)
+              for idx in itertools.product(range(p), repeat=3)}
+    cube = [[[values[tuple(sorted((x, y, z)))] for z in range(p)] for y in range(p)]
+            for x in range(p)]
+    algebra, form = build_inner_extension(gs, H, psi, cube)
+    _assert_skew(form)
+    assert is_symplectic_left(algebra, form).holds
