@@ -17,7 +17,7 @@ from sympleib import (
     solve_symplectic_forms,
 )
 from sympleib.catalog import instantiate
-from sympleib.symplectic import form_coords, form_from_coords
+from sympleib.symplectic import form_coords, form_from_pairs
 
 a, published_form = instantiate("BS4_A")
 
@@ -39,6 +39,9 @@ print("nondegenerate:", form.nondegenerate)
 report = is_symplectic_left(a, form)
 print(f"{report.name}: holds={report.holds}")
 
-# Round trip between a form and its strict-upper coordinate vector.
-again = form_from_coords(a.dim, form_coords(form))
+# Round trip between a form and its strict-upper coordinate vector: the
+# coordinates, put back at the positions (i, j), i < j, rebuild the
+# representative's own Gram matrix.
+upper = [(i + 1, j + 1) for i in range(a.dim) for j in range(i + 1, a.dim)]
+again = form_from_pairs(a.dim, dict(zip(upper, form_coords(form))))
 print("coordinate round trip exact:", again.w == form.w)

@@ -13,24 +13,29 @@ title and an ordered tuple of equation names, each scanned once per data
 object; the dense copies in tests/test_extension.py are their oracles.  The
 rank-one criterion (p = 1) is the reduced list read on the embedded data
 (F, S - F, c0, a0, b0, lambda).
-Specialized builders cover the Lagrangian case (g absent), the isotropic
-image with inner derivations, rank one, and the commutative bi-symplectic
-construction from a symmetric cubic form.
 
-Every construction on h + g + h* is assembled the same way.  A layout names
-the basis positions of h, g and h* and the basis labels: the rank-one
-builders use the order (g, e, e*), the others (h, g, h*), with g absent in
-the Lagrangian case.  One filler writes a product from one table per
-block (h,h), (h,g), (g,h), (g,g), each giving an entry's g-part and
-h*-part, through ``Algebra.from_table``; one form helper writes the
-middle Gram matrix plus the pairing W[h_i][h*_i] = -1; and one verifier runs
-a builder's post-build checks and raises with the witness of the first that
-fails.  The double extension and its star are two block tables over the
-same int atoms as the criteria, which the rank-one builders read on the
-embedded data, with a Fraction oracle in tests/oracles.py; the forms are
-skew by construction and skip the skew scan.  build_left_symmetric and
-rank_one_star write the star from the data instead of solving for it, and
-stay as independent test oracles for star_left.
+Every construction on h + g + h* is build_double_extension on its own data:
+the Lagrangian case is the cube over the 0-dim symplectic Lie algebra, the
+commutative bi-symplectic one a symmetric cube over an abelian base, both
+with F = G = 0 and theta = psi = xi = 0, and the inner case the data read
+off the adapted basis h_i + H e_i, where h is isotropic and orthogonal to g;
+the shear h_i -> h_i + H e_i is its certificate (tests/oracles.py holds the
+product in the basis before it).  Each special builder checks its own inputs
+and hands its data to the one reduced-criterion gate, the one assembly and
+the one post-build check.
+
+A layout names the basis positions of h, g and h* and the basis labels: the
+rank-one builders use the order (g, e, e*), the others (h, g, h*).  One
+filler writes a product from one table per block (h,h), (h,g), (g,h), (g,g),
+each giving an entry's g-part and h*-part, through ``Algebra.from_table``;
+one form helper writes the middle Gram matrix plus the pairing
+W[h_i][h*_i] = -1; and one verifier runs a builder's post-build checks and
+raises with the witness of the first that fails.  The double extension and
+its star are two block tables over the same int atoms as the criteria, which
+the rank-one builders read on the embedded data, with a Fraction oracle in
+tests/oracles.py; the forms are skew by construction and skip the skew scan.
+build_left_symmetric and rank_one_star write the star from the data instead
+of solving for it, and stay as independent test oracles for star_left.
 """
 
 from __future__ import annotations
@@ -51,8 +56,7 @@ from sympleib.algebra import (
     is_left_symmetric,
     is_lie,
     is_symmetric_leibniz,
-    leibniz_ideal,
-    opposite,
+    multiply,
     right_mult,
 )
 from sympleib.exactlin import (
@@ -61,7 +65,6 @@ from sympleib.exactlin import (
     ZERO,
     Matrix,
     Subspace,
-    basis_vector,
     denominator,
     int_scaled,
     rat,
@@ -77,12 +80,10 @@ from sympleib.symplectic import (
     SkewForm,
     is_bi_symplectic,
     is_isotropic,
-    is_lagrangian,
     is_symplectic_left,
     omega,
     orthogonal,
     star_left,
-    star_right,
 )
 
 
@@ -464,12 +465,12 @@ class _Layout:
         return len(self.h) + len(self.g) + len(self.hs)
 
 
-def _layout(p: int, m: int, glabels=None) -> _Layout:
-    """The basis order h, g, h*, labelled H1.., glabels, A1.. when glabels is given."""
-    labels = () if glabels is None else (tuple(f"H{i + 1}" for i in range(p)) + tuple(glabels)
-                                         + tuple(f"A{i + 1}" for i in range(p)))
-    return _Layout(tuple(range(p)), tuple(range(p, p + m)),
-                   tuple(range(p + m, 2 * p + m)), labels)
+def _layout(p: int, glabels: Sequence[str]) -> _Layout:
+    """The basis order h, g, h*, labelled H1.., glabels, A1.."""
+    m = len(glabels)
+    return _Layout(tuple(range(p)), tuple(range(p, p + m)), tuple(range(p + m, 2 * p + m)),
+                   tuple(f"H{i + 1}" for i in range(p)) + tuple(glabels)
+                   + tuple(f"A{i + 1}" for i in range(p)))
 
 
 def _rank_one_layout(g: Algebra) -> _Layout:
@@ -479,20 +480,17 @@ def _rank_one_layout(g: Algebra) -> _Layout:
                    tuple(g.basis_label(a) for a in range(m)) + ("e", "estar"))
 
 
-def _fill(layout: _Layout, hh=None, hg=None, gh=None, gg=None) -> Algebra:
+def _fill(layout: _Layout, hh, hg, gh, gg) -> Algebra:
     """Structure constants on h + g + h* from one table per block.
 
     A table maps the local indices (x, y) of e_x * e_y, each counted inside
-    its own block, to the product's (g-part, h*-part).  A block left out is
-    zero, a part given as () is zero, and only nonzero coordinates are
-    written, as a product table for ``Algebra.from_table``, which seeds the
-    sparse and int views.
+    its own block, to the product's (g-part, h*-part).  Only nonzero
+    coordinates are written, as a product table for ``Algebra.from_table``,
+    which seeds the sparse and int views.
     """
     products = {}
     h, g, hs = layout.h, layout.g, layout.hs
     for rows, cols, table in ((h, h, hh), (h, g, hg), (g, h, gh), (g, g, gg)):
-        if table is None:
-            continue
         for x, r in enumerate(rows):
             for y, s in enumerate(cols):
                 gpart, hspart = table(x, y)
@@ -502,10 +500,10 @@ def _fill(layout: _Layout, hh=None, hg=None, gh=None, gg=None) -> Algebra:
     return Algebra.from_table(layout.dim, products, layout.labels, one_based=False)
 
 
-def _form(layout: _Layout, middle, extra=()) -> SkewForm:
-    """The middle Gram matrix on the g block, the hyperbolic pairing
-    W[h_i][h*_i] = -1, W[h*_i][h_i] = 1, and any extra (row, col, value),
-    given in mirrored pairs: W is skew by construction, with no skew scan."""
+def _form(layout: _Layout, middle) -> SkewForm:
+    """The middle Gram matrix on the g block and the hyperbolic pairing
+    W[h_i][h*_i] = -1, W[h*_i][h_i] = 1: W is skew by construction, with no
+    skew scan."""
     n = layout.dim
     w = [[ZERO] * n for _ in range(n)]
     for a, r in enumerate(layout.g):
@@ -513,8 +511,6 @@ def _form(layout: _Layout, middle, extra=()) -> SkewForm:
             w[r][s] = middle[a][b]
     for i, k in zip(layout.h, layout.hs):
         w[i][k], w[k][i] = -ONE, ONE
-    for r, s, v in extra:
-        w[r][s] = v
     return SkewForm._skew(Matrix(n, n, tuple(map(tuple, w))))
 
 
@@ -599,7 +595,7 @@ def _blocks(gs: SymplecticLie, d: ExtensionData, star: bool = False) -> tuple:
 
 def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
     """The product and form on h + g + h*, no checks."""
-    layout = _layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)])
+    layout = _layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)])
     return _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
 
 
@@ -635,47 +631,36 @@ def build_left_symmetric(gs: SymplecticLie, d: ExtensionData) -> Algebra:
     Independent of star_left on purpose: a test oracle, and tests compare
     the two routes.
     """
-    star = _fill(_layout(d.p, gs.dim, [gs.g.basis_label(a) for a in range(gs.dim)]),
+    star = _fill(_layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)]),
                  *_blocks(gs, d, star=True))
     _verify(("assembled star is not left symmetric", lambda: is_left_symmetric(star)))
     return star
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian case: no g at all
+# special data for the one builder
 
 
-@dataclass(frozen=True)
-class LagrangianExtension:
-    algebra: Algebra
-    form: SkewForm
-    star: Algebra
-    leib_is_lagrangian: bool
-    note: str = ""
+def _plain_data(p: int, m: int, cube) -> ExtensionData:
+    """F = G = 0 and theta = psi = xi = 0 over an m-dim base: the product is
+    the cube on (h, h) alone."""
+    zero = [Matrix.zero(m, m)] * p
+    return ExtensionData(p, zero, zero, zero_grid(p, m), zero_grid(p, m), zero_grid(p, m), cube)
 
 
-def build_lagrangian(p: int, omega_cube) -> LagrangianExtension:
-    """Product on h + h* determined by a cube alone.
+def build_lagrangian(p: int, omega_cube) -> tuple[Algebra, SkewForm]:
+    """Product on h + h* determined by a cube alone: the double extension of
+    the 0-dim symplectic Lie algebra by ``_plain_data``.
 
-    The only nonzero products are (h, h) pairs landing in h*; the compatibility
+    The only nonzero products are (h, h) pairs landing in h*; the criterion
     reduces to the single linear cube condition, checked up front.
     """
-    Om = _vector_grid(p, p, omega_cube)
-    cube = _omega_cube(p, Om)
+    d = _plain_data(p, 0, omega_cube)
+    cube = _omega_cube(p, d.omega_cube)
     if not cube.holds:
         raise ValueError(f"cube condition {cube.detail}")
-    layout = _layout(p, 0, ())
-    algebra = _fill(layout, lambda x, y: ((), Om[x][y]))
-    star = _fill(layout, lambda x, y: ((), [Om[x][k][y] for k in range(p)]))
-    form = _form(layout, ())
-    _verify(*_left_symplectic_checks(algebra, form),
-            ("assembled star is not left symmetric", lambda: is_left_symmetric(star)))
-
-    leib = leibniz_ideal(algebra)
-    vacuous = all(Om[i][j][k] == 0 for i in range(p) for j in range(p) for k in range(p))
-    note = "Lagrangian condition vacuous" if vacuous else ""
-    return LagrangianExtension(algebra, form, star,
-                               is_lagrangian(form, leib), note)
+    point = SymplecticLie(Algebra(0, ()), SkewForm._skew(Matrix(0, 0, ())))
+    return build_double_extension(point, d)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +689,15 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
                           ) -> tuple[Algebra, SkewForm]:
     """Extension with every h-derivation inner, written through H: h -> g.
 
-    Column i of H is the element of g implementing the action of the i-th
-    h direction.  Preconditions are collected and reported together.
+    Column i of H is the element u_i of g implementing the action of the i-th
+    h direction.  Preconditions are collected and reported together.  The
+    algebra comes in the adapted basis h_i + u_i, g, h*, where h is isotropic
+    and orthogonal to g: the double extension with F_i = ad u_i, G_i = -F_i,
+    theta(x, y) = [u_x, u_y], psi'(x, k) = psi(x, k) + u_x * u_k in the star
+    of g, xi' = -psi' and Omega'(x, y, k) = Omega(x, y, k)
+    + omega(psi(x, k), u_y) - omega(psi(y, k), u_x) + omega([u_x, u_y], u_k).
+    The shear h_i -> h_i + u_i is its certificate: tests/oracles.py writes the
+    same algebra in the basis h, g, h*.
     """
     g, wg = gs.g, gs.form
     m = g.dim
@@ -730,23 +722,16 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
     if failures:
         raise ValueError("preconditions violated: " + ", ".join(failures))
 
-    layout = _layout(p, m)
-    e = [basis_vector(m, a) for a in range(m)]
-    hc = [H.col(k) for k in range(p)]
-    algebra = _fill(layout,
-                    lambda x, y: ((), Om[x][y]),
-                    lambda x, a: ((), [omega(wg, v, e[a]) for v in ps[x]]),
-                    lambda a, x: ((), [-omega(wg, v, e[a]) for v in ps[x]]),
-                    lambda a, b: (g.c[a][b], [omega(wg, g.c[a][b], u) for u in hc]))
-    extra = [(layout.h[i], layout.h[j], omega(wg, hc[i], hc[j]))
-             for i in range(p) for j in range(p)]
-    for i in range(p):
-        for b in range(m):
-            x = omega(wg, hc[i], e[b])
-            extra += [(layout.h[i], layout.g[b], -x), (layout.g[b], layout.h[i], x)]
-    form = _form(layout, wg.w.entries, extra)
-    _verify(*_left_symplectic_checks(algebra, form))
-    return algebra, form
+    u = [H.col(k) for k in range(p)]
+    theta = [[multiply(g, ux, uy) for uy in u] for ux in u]
+    shifted = [[vadd(ps[x][k], multiply(gs.star, u[x], u[k])) for k in range(p)] for x in range(p)]
+    cube = [[[Om[x][y][k] + omega(wg, ps[x][k], u[y]) - omega(wg, ps[y][k], u[x])
+              + omega(wg, theta[x][y], u[k]) for k in range(p)] for y in range(p)]
+            for x in range(p)]
+    ad = [-right_mult(g, v) for v in u]  # [u, .] = -(. u)
+    return build_double_extension(gs, ExtensionData(
+        p, ad, [-f for f in ad], theta, shifted,
+        [[vscale(-ONE, v) for v in row] for row in shifted], cube))
 
 
 # ---------------------------------------------------------------------------
@@ -853,24 +838,15 @@ def build_bisymplectic_from_T(gs: SymplecticLie, iso: Subspace, T) -> Algebra:
 
 def build_commutative_bisymplectic(h_dim: int, b_form: SkewForm, T
                                    ) -> tuple[Algebra, SkewForm]:
-    """Commutative bi-symplectic algebra on h + B + h* from a symmetric cube."""
+    """Commutative bi-symplectic algebra on h + B + h* from a symmetric cube:
+    the double extension of the abelian (B, b_form) by ``_plain_data``."""
     p = h_dim
-    cube = _vector_grid(p, p, T)
+    d = _plain_data(p, b_form.dim, T)
     if not b_form.nondegenerate:
         raise ValueError("the middle form must be nondegenerate")
+    cube = d.omega_cube
     sym = all(cube[i][j][k] == cube[j][i][k] == cube[i][k][j]
               for i in range(p) for j in range(p) for k in range(p))
     if not sym:
         raise ValueError("T must be fully symmetric")
-    layout = _layout(p, b_form.dim)
-    algebra = _fill(layout, lambda x, y: ((), cube[x][y]))
-    form = _form(layout, b_form.w.entries)
-    _verify(("assembled product is not commutative",
-             lambda: _same_product("commutativity", algebra, opposite(algebra))),
-            ("assembled product is not symmetric Leibniz", lambda: is_symmetric_leibniz(algebra)),
-            ("assembled product is not bi-symplectic", lambda: is_bi_symplectic(algebra, form)),
-            ("left star disagrees with the product",
-             lambda: _same_product("left-star", star_left(algebra, form), algebra)),
-            ("right star disagrees with the product",
-             lambda: _same_product("right-star", star_right(algebra, form), algebra)))
-    return algebra, form
+    return build_double_extension(SymplecticLie(Algebra.from_table(b_form.dim, {}), b_form), d)

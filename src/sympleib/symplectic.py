@@ -346,21 +346,6 @@ def upper_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def form_from_coords(n: int, coords: Sequence[Fraction]) -> SkewForm:
-    """Inverse of the strict upper-triangle coordinate encoding, through the
-    public, checked SkewForm constructor.  No library path calls it; the tests
-    keep it as the oracle for the form find_nondegenerate builds directly."""
-    if len(coords) != n * (n - 1) // 2:
-        raise ValueError("coordinate vector has wrong length")
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = rat(coords[upper_index(n, i, j)])
-            rows[i][j] = x
-            rows[j][i] = -x
-    return SkewForm(Matrix.from_rows(rows))
-
-
 def form_coords(form: SkewForm) -> tuple[Fraction, ...]:
     n = form.dim
     return tuple(form.w.entries[i][j] for i in range(n) for j in range(i + 1, n))

@@ -17,11 +17,13 @@ from sympleib.exactlin import (
     basis_vector,
     full_subspace,
     kernel,
+    rat,
     span,
     vadd,
+    vector,
     vscale,
 )
-from sympleib.symplectic import SkewForm, form_from_coords, omega
+from sympleib.symplectic import SkewForm, omega, upper_index
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -61,6 +63,21 @@ def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError("operator shape does not match the form")
     return form.w_inv @ m.transpose() @ form.w
+
+
+def form_from_coords(n: int, coords: Sequence[Fraction]) -> SkewForm:
+    """Inverse of the strict upper-triangle coordinate encoding, through the
+    public, checked SkewForm constructor: the oracle for the form
+    find_nondegenerate builds directly."""
+    if len(coords) != n * (n - 1) // 2:
+        raise ValueError("coordinate vector has wrong length")
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rat(coords[upper_index(n, i, j)])
+            rows[i][j] = x
+            rows[j][i] = -x
+    return SkewForm(Matrix.from_rows(rows))
 
 
 def common_radical(space: Subspace, dim: int) -> Subspace:
@@ -154,3 +171,59 @@ def dense_tables(gs, d) -> tuple[tuple, tuple]:
         lambda a, b: (gs.star.c[a][b], pairings([G[k].col(a) for k in range(p)], e[b])),
     )
     return prod, star
+
+
+def inner_extension(gs, H: Matrix, psi, cube) -> tuple[Algebra, SkewForm]:
+    """Oracle for ``extension.build_inner_extension``: the inner extension in
+    the basis (h, g, h*) before the shear, by Fraction arithmetic.
+
+    With u_i = H e_i, the products are h_x h_y = Omega(x, y),
+    h_x e_a = sum_k omega(psi(x, k), e_a) h*_k, e_a h_x its negative and
+    e_a e_b = [e_a, e_b] + sum_k omega([e_a, e_b], u_k) h*_k; the form is
+    omega on g, W[h_i][h*_i] = -1, plus W[h_i][h_j] = omega(u_i, u_j) and
+    W[h_i][e_b] = -omega(u_i, e_b), mirrored.  The shear P with columns
+    h_i + u_i, e_a, h*_i carries it to the builder's output: the product
+    ``change_basis(a, P)`` and the Gram matrix P^T W P.  The inputs are taken
+    as the builder's preconditions already checked them.
+    """
+    g, wg, m, p = gs.g, gs.form, gs.dim, H.cols
+    n = 2 * p + m
+    u = [H.col(i) for i in range(p)]
+    e = [basis_vector(m, a) for a in range(m)]
+    products = {}
+
+    def put(r, s, gpart, hspart):
+        products[r, s] = {**{p + a: x for a, x in enumerate(gpart)},
+                          **{p + m + k: x for k, x in enumerate(hspart)}}
+    for x in range(p):
+        for y in range(p):
+            put(x, y, (), cube[x][y])
+        for a in range(m):
+            pairs = [omega(wg, vector(v), e[a]) for v in psi[x]]
+            put(x, p + a, (), pairs)
+            put(p + a, x, (), [-v for v in pairs])
+    for a in range(m):
+        for b in range(m):
+            put(p + a, p + b, g.c[a][b], [omega(wg, g.c[a][b], v) for v in u])
+    w = [[ZERO] * n for _ in range(n)]
+    for a in range(m):
+        w[p + a][p:p + m] = wg.w.entries[a]
+    for i in range(p):
+        w[i][p + m + i], w[p + m + i][i] = -ONE, ONE
+        for j in range(p):
+            w[i][j] = omega(wg, u[i], u[j])
+        for b in range(m):
+            w[i][p + b], w[p + b][i] = -omega(wg, u[i], e[b]), omega(wg, u[i], e[b])
+    return Algebra.from_table(n, products, one_based=False), SkewForm(Matrix.from_rows(w))
+
+
+def inner_shear(gs, H: Matrix) -> Matrix:
+    """The change of basis P of ``inner_extension``: column i is h_i + H e_i,
+    and the g and h* columns are those of the identity."""
+    m, p = gs.dim, H.cols
+    n = 2 * p + m
+    rows = [list(basis_vector(n, r)) for r in range(n)]
+    for i in range(p):
+        for a in range(m):
+            rows[p + a][i] = H.entries[a][i]
+    return Matrix.from_rows(rows)

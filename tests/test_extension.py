@@ -15,9 +15,11 @@ from sympleib import catalog, extension
 from sympleib.algebra import (
     Algebra,
     center,
+    change_basis,
     derivations,
     is_left_leibniz,
     is_left_symmetric,
+    is_symmetric_leibniz,
     leibniz_ideal,
     multiply,
 )
@@ -46,13 +48,15 @@ from sympleib.symplectic import (
     SkewForm,
     form_from_pairs,
     is_bi_symplectic,
+    is_lagrangian,
     is_symplectic_left,
     omega,
     star_left,
+    star_right,
 )
 from sympleib.reporting import Check, SystemReport
 
-from oracles import dense_tables, omega_adjoint
+from oracles import dense_tables, inner_extension, inner_shear, omega_adjoint
 
 W12 = form_from_pairs(2, {(1, 2): 1})
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})
@@ -208,27 +212,36 @@ def test_two_criterion_routes_agree_with_the_built_identities():
     assert agree_failures > 0  # the perturbations really did break something
 
 
-def test_lagrangian_extension():
-    res = build_lagrangian(1, [[[3]]])
-    assert res.algebra.dim == 2
-    assert res.leib_is_lagrangian
-    assert res.note == ""
-    assert res.algebra.c[0][0] == vector([0, 3])
-    assert star_left(res.algebra, res.form).c == res.star.c
+def _point_data(p, cube):
+    """The 0-dim symplectic Lie algebra and the data build_lagrangian hands
+    the one builder: F = G = 0 and theta = psi = xi = 0."""
+    point = SymplecticLie(Algebra(0, ()), SkewForm._skew(Matrix(0, 0, ())))
+    zero = [Matrix.zero(0, 0)] * p
+    return point, ExtensionData(p, zero, zero, zero_grid(p, 0), zero_grid(p, 0),
+                                zero_grid(p, 0), cube)
 
-    vac = build_lagrangian(2, zero_cube(2))
-    assert vac.note == "Lagrangian condition vacuous"
-    assert not vac.leib_is_lagrangian
-    assert leibniz_ideal(vac.algebra).dim == 0
+
+def test_lagrangian_extension():
+    alg, form = build_lagrangian(1, [[[3]]])
+    assert alg.dim == 2
+    assert is_lagrangian(form, leibniz_ideal(alg))
+    assert alg.c[0][0] == vector([0, 3])
+    assert star_left(alg, form).c == build_left_symmetric(*_point_data(1, [[[3]]])).c
+
+    # the zero cube: the Lagrangian condition is vacuous, the product zero
+    valg, vform = build_lagrangian(2, zero_cube(2))
+    assert leibniz_ideal(valg).dim == 0
+    assert not is_lagrangian(vform, leibniz_ideal(valg))
 
     cube = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     cube[0][0][0] = 2
     cube[0][0][1] = 1
     cube[0][1][0] = 1
     cube[1][0][0] = 1
-    res2 = build_lagrangian(2, cube)
-    assert is_left_leibniz(res2.algebra).holds
-    assert star_left(res2.algebra, res2.form).c == res2.star.c
+    alg2, form2 = build_lagrangian(2, cube)
+    assert is_left_leibniz(alg2).holds
+    assert is_lagrangian(form2, leibniz_ideal(alg2))
+    assert star_left(alg2, form2).c == build_left_symmetric(*_point_data(2, cube)).c
 
 
 def test_lagrangian_rejects_bad_cube():
@@ -1082,7 +1095,7 @@ def _assert_tables_equal_the_dense_oracle(gs, d):
     """The product and the star filled from the tables read off the int atoms
     equal those filled from the Fraction tables of the oracle, in the layout
     (h, g, h*) and, at p = 1, in the rank-one layout (g, e, e*)."""
-    layouts = [extension._layout(d.p, gs.dim)]
+    layouts = [extension._layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)])]
     if d.p == 1:
         layouts.append(extension._rank_one_layout(gs.g))
     for layout in layouts:
@@ -1210,31 +1223,79 @@ def test_no_builder_runs_the_checked_form_constructor(monkeypatch):
     built = [build() for _, build in cases]
     assert calls == []
     monkeypatch.undo()
-    forms = [out[1] if isinstance(out, tuple) else out.form for out in built
-             if isinstance(out, (tuple, extension.LagrangianExtension))]
+    forms = [out[1] for out in built if isinstance(out, tuple)]
     assert len(forms) == len(list(_catalog_extension_cases())) + 7
     for form in forms:
         _assert_skew(form)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_inner_extension_forms_are_skew_with_their_extra_pairs(data):
-    """build_inner_extension writes omega(H e_i, H e_j) on (h, h) and the
-    mirrored pairs omega(H e_i, e_b) on (h, g), (g, h): over drawn H, a
+@st.composite
+def _symmetric_cubes(draw, p, entries):
+    """A fully symmetric p x p x p cube, one drawn entry per sorted index triple."""
+    values = {tuple(sorted(idx)): draw(entries) for idx in itertools.product(range(p), repeat=3)}
+    return [[[values[tuple(sorted((x, y, z)))] for z in range(p)] for y in range(p)]
+            for x in range(p)]
+
+
+@st.composite
+def _inner_inputs(draw):
+    """(gs, H, psi, cube) over aff(1) or aff(1)^2, p <= 2: a drawn H, a
     symmetric psi along the directions the star's right product kills and a
-    symmetric cube, every precondition holds, the form it returns is skew,
-    and the product is left symplectic for it."""
-    gs, free = data.draw(st.sampled_from([(_aff1(), (0,)), (_aff1_squared(), (0, 2))]))
-    m, p = gs.dim, data.draw(st.integers(1, 2))
-    H = Matrix.from_rows([[data.draw(_SMALL) for _ in range(p)] for _ in range(m)])
-    sym = {(x, y): [data.draw(_SMALL) if k in free else 0 for k in range(m)]
+    symmetric cube, so every precondition of build_inner_extension holds."""
+    gs, free = draw(st.sampled_from([(_aff1(), (0,)), (_aff1_squared(), (0, 2))]))
+    m, p = gs.dim, draw(st.integers(1, 2))
+    H = Matrix.from_rows([[draw(_SMALL) for _ in range(p)] for _ in range(m)])
+    sym = {(x, y): [draw(_SMALL) if k in free else 0 for k in range(m)]
            for x in range(p) for y in range(x, p)}
     psi = [[sym[min(x, y), max(x, y)] for y in range(p)] for x in range(p)]
-    values = {tuple(sorted(idx)): data.draw(_SMALL)
-              for idx in itertools.product(range(p), repeat=3)}
-    cube = [[[values[tuple(sorted((x, y, z)))] for z in range(p)] for y in range(p)]
-            for x in range(p)]
-    algebra, form = build_inner_extension(gs, H, psi, cube)
+    return gs, H, psi, draw(_symmetric_cubes(p, _SMALL))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_inner_inputs())
+def test_inner_extension_forms_are_skew_with_their_extra_pairs(inputs):
+    """Over drawn inputs meeting every precondition, the form
+    build_inner_extension returns is skew and the product is left
+    symplectic for it."""
+    algebra, form = build_inner_extension(*inputs)
     _assert_skew(form)
     assert is_symplectic_left(algebra, form).holds
+
+
+def _assert_inner_is_the_sheared_oracle(gs, H, psi, cube):
+    algebra, form = build_inner_extension(gs, H, psi, cube)
+    a, w = inner_extension(gs, H, psi, cube)
+    P = inner_shear(gs, H)
+    assert change_basis(a, P).c == algebra.c
+    assert P.transpose() @ w.w @ P == form.w
+
+
+@settings(max_examples=30, deadline=None)
+@given(_inner_inputs())
+def test_inner_extension_is_the_oracle_in_the_adapted_basis(inputs):
+    """build_inner_extension returns the product and form of the basis
+    (h, g, h*) with the (h, g) pairing omega(H e_i, e_b), carried by the
+    shear h_i -> h_i + H e_i into the adapted basis of the one builder."""
+    _assert_inner_is_the_sheared_oracle(*inputs)
+
+
+@pytest.mark.parametrize("name", ["inner", "inner-p2"])
+def test_inner_builds_are_the_oracle_in_the_adapted_basis(name):
+    build = dict(_every_build())[name]
+    _assert_inner_is_the_sheared_oracle(*build.args)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_commutative_bisymplectic_builds_are_commutative_and_their_own_stars(data):
+    """Over p <= 3, B in {W12, W14_23} and an integer symmetric T, the build
+    is commutative, symmetric Leibniz and bi-symplectic, and both stars are
+    the product itself."""
+    p, b_form = data.draw(st.integers(1, 3)), data.draw(st.sampled_from([W12, W14_23]))
+    alg, form = build_commutative_bisymplectic(
+        p, b_form, data.draw(_symmetric_cubes(p, st.integers(-3, 3))))
+    n = alg.dim
+    assert all(alg.c[i][j] == alg.c[j][i] for i in range(n) for j in range(n))
+    assert is_symmetric_leibniz(alg).holds
+    assert is_bi_symplectic(alg, form).holds
+    assert star_left(alg, form).c == star_right(alg, form).c == alg.c

@@ -6,7 +6,9 @@ imports and the re-exports of ``__init__.py`` are exempt.  Only ``exactlin``
 scales a Fraction table to ints (``int_scaled``): no other module divides by
 a ``.denominator``.  In ``catalog``, every family written down as a table
 goes through the one builder ``_table``: no other code there builds an
-algebra or a form from a table, except the two shared bases.
+algebra or a form from a table, except the two shared bases.  In
+``extension``, every h + g + h* construction goes through one block filler
+and one form helper.
 """
 
 import ast
@@ -90,3 +92,14 @@ def test_catalog_builds_its_tables_through_one_builder():
     tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
     assert _callers(tree, {"from_table", "form_from_pairs"}) == \
         {"_table", "_abelian2_base", "_rr3_base"}
+
+
+def test_every_h_g_hstar_build_fills_through_the_one_assembly():
+    """In ``extension``, the block filler serves the double extension, its
+    star and the rank-one layout only, and the form helper the double
+    extension and the rank-one build only: the special builders hand their
+    data to ``build_double_extension``."""
+    tree = ast.parse((SRC / "extension.py").read_text(encoding="utf-8"))
+    assert _callers(tree, {"_fill"}) == \
+        {"_assemble_double_extension", "build_left_symmetric", "rank_one_star", "build_rank_one"}
+    assert _callers(tree, {"_form"}) == {"_assemble_double_extension", "build_rank_one"}

@@ -41,7 +41,6 @@ from sympleib.symplectic import (
     SymplecticAlgebra,
     find_nondegenerate,
     form_coords,
-    form_from_coords,
     form_from_pairs,
     is_bi_symplectic,
     is_isotropic,
@@ -58,7 +57,7 @@ from sympleib.symplectic import (
     upper_index,
 )
 
-from oracles import common_radical, omega_adjoint, vstack
+from oracles import common_radical, form_from_coords, omega_adjoint, vstack
 
 
 def _dim2(x=3):
