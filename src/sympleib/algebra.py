@@ -14,7 +14,8 @@ table's terms over ints, one slice (i, j) at a time with every k at once,
 walking each term's paths through two nonzero products once off the int
 view ``Algebra.int_nz`` and the support lists ``Algebra.int_support``, and
 reports the first failing triple in lexicographic order together with the
-exact defect.
+exact defect.  Each identity's report is kept on the algebra by name
+(``reporting.kept``), so a rerun on the same object reads it back.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from sympleib.exactlin import (
     vscale,
     vsub,
 )
-from sympleib.reporting import Check, Witness
+from sympleib.reporting import Check, Witness, kept
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,6 @@ class Algebra:
         cols = list(zip(*t))
         return ([[(q, pairs) for q, pairs in enumerate(row) if pairs] for row in t],
                 [[(p, pairs) for p, pairs in enumerate(col) if pairs] for col in cols], cols)
-
-    @cached_property
-    def identity_reports(self) -> dict[str, Check]:
-        """name -> the report of each identity ``_scan_identity`` ran on this object."""
-        return {}
 
 
 def multiply(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -240,12 +236,9 @@ def _scan_identity(a: Algebra, name: str, kind: str, terms) -> Check:
     at once.  The first slice with a nonzero defect holds the first failing
     triple, at its least such k; the scan stops there and builds the dense
     defect of that triple only, the witness, as the int sum over s^2.  The
-    report is kept on the object (``Algebra.identity_reports``) for a rerun.
+    report is kept on the object by name (``reporting.kept``) for a rerun.
     """
-    reports = a.identity_reports
-    if name not in reports:
-        reports[name] = _first_failure(a, name, kind, terms)
-    return reports[name]
+    return kept(a, name, lambda: _first_failure(a, name, kind, terms))
 
 
 def _first_failure(a: Algebra, name: str, kind: str, terms) -> Check:

@@ -16,7 +16,7 @@ upper-triangle pairs of the form, or a function of the parameters giving
 them.  The extension families over the abelian plane are declared by
 their data maker in ``_EXTENSION_DATA``, and the rank-one family over
 rr(3,-1) is a table checked against its solved data.  Extra checks build
-the table ``verify`` reads the claims off: one table per sample.
+what ``verify`` reads the claims off: the table, or an equal kept build.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .extension import (
     build_rank_one,
     check_rank_one,
     check_reduced_system,
+    rank_one_extension,
 )
 from .reporting import Check, SystemReport
 from .symplectic import (
@@ -78,7 +79,7 @@ class FamilySpec:
     builder: Callable[[Params], tuple[Algebra, SkewForm]]
     claims: tuple[str, ...]
     sampler: Callable[[random.Random], Params] | None = None
-    # params -> (checks, (algebra, form)): the family's own checks and its table
+    # params -> (checks, (algebra, form)): its own checks and the pair verify reads claims off
     extra_checks: Callable[[Params], tuple[list[Check], tuple[Algebra, SkewForm]]] | None = None
 
     def default_params(self) -> Params:
@@ -249,15 +250,17 @@ def _system_check(name: str, rep: SystemReport) -> Check:
 
 def _rr3_raw_checks(params: Params) -> tuple[list[Check], tuple[Algebra, SkewForm]]:
     """The rank-one criterion on the solved data and, when it holds, the
-    build compared with the display table, returned with the checks."""
+    build compared with the display table; returned with the checks is the
+    build when it equals the table (its reports are kept), else the table."""
     gs, table = _rr3_base(), _RR3_RAW(params)
-    F, S, a0, b0, lam = _rr3_solution(params)
-    rep = check_rank_one(gs, F, S, a0, b0, lam)
+    d = rank_one_extension(*_rr3_solution(params))
+    rep = check_rank_one(gs, d)
     checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
-        built, built_form = build_rank_one(gs, F, S, a0, b0, lam, gate=rep)
-        checks.append(Check("construction-matches-display", built.c == table[0].c))
-        checks.append(Check("form-matches-display", built_form.w == table[1].w))
+        built = build_rank_one(gs, d, gate=rep)
+        checks += [Check("construction-matches-display", built[0].c == table[0].c),
+                   Check("form-matches-display", built[1].w == table[1].w)]
+        table = built if all(c.holds for c in checks) else table
     return checks, table
 
 
@@ -479,7 +482,7 @@ def verify(family_id: str, params: Mapping[str, object] | None = None
     resolved = resolve_params(family_id, params)
     if spec.extra_checks is None:
         checks, (algebra, form) = [], spec.builder(resolved)
-    else:  # the extra checks build the table they check, once
+    else:  # the extra checks build what the claims read, once
         checks, (algebra, form) = spec.extra_checks(resolved)
     checks.extend(_PREDICATES[c](algebra, form) for c in spec.claims)
     return SystemReport(family_id, tuple(checks))

@@ -11,8 +11,9 @@ defect over the derived operators (F*, G*, S, S*, K, K*), built once per
 request, over ints at one scale (``exactlin.int_scaled``).  A criterion is a
 title and an ordered tuple of equation names, each scanned once per data
 object; the dense copies in tests/test_extension.py are their oracles.  The
-rank-one criterion (p = 1) is the reduced list read on the embedded data
-(F, S - F, c0, a0, b0, lambda).
+rank-one criterion is the reduced list read on the data of
+``rank_one_extension``, (F, S - F, c0, a0, b0, lambda) at p = 1, which the
+rank-one check and builders share.
 
 Every construction on h + g + h* is build_double_extension on its own data:
 the Lagrangian case is the cube over the 0-dim symplectic Lie algebra, the
@@ -75,7 +76,7 @@ from sympleib.exactlin import (
     vsub,
     vzero,
 )
-from sympleib.reporting import Check, SystemReport, Witness
+from sympleib.reporting import Check, SystemReport, Witness, kept
 from sympleib.symplectic import (
     SkewForm,
     is_bi_symplectic,
@@ -271,7 +272,8 @@ def _mult(c, u) -> _Ints:
 class _Derived:
     """What the criteria and the block tables read off (gs, d), over ints.
 
-    The criteria keep each equation's report in ``reports`` by name, so a
+    It is kept on d for the last gs (``kept``, gs held), so a request builds
+    it once, and the criteria keep each equation's report on it by name, so a
     second criterion reads back the equations the first scanned.
     Every atom is held times one scale s: the data F, G, th, ps, xi, Om, the
     constants c of g and cs of its star, the Gram matrix w, and per h
@@ -287,7 +289,6 @@ class _Derived:
         if d.gdim != gs.dim:
             raise ValueError("extension data does not match the algebra dimension")
         self.g, self.p, self.m = gs.g, d.p, d.gdim
-        self.reports: dict[str, Check] = {}
         grids = (d.theta, d.psi, d.xi, d.omega_cube)
         D = lcm(denominator(x for op in (*d.F, *d.G, gs.form.w) for r in op.entries for x in r),
                 denominator(x for grid in grids for row in grid for v in row for x in v),
@@ -314,16 +315,6 @@ class _Derived:
 
     def om(self, u, v) -> int:
         return sum(map(mul, u, self.w.matvec(v)))
-
-
-def _derived(gs: SymplecticLie, d: ExtensionData) -> _Derived:
-    """The derived set of (gs, d), kept on d for the last gs (held, so compared
-    by identity): a request's criteria and block tables build it once."""
-    kept = d.__dict__.get("_derived")
-    if kept is None or kept[0] is not gs:
-        kept = (gs, _Derived(gs, d))
-        object.__setattr__(d, "_derived", kept)
-    return kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +399,9 @@ _EQUATIONS["theta-psi-antisym"] = _EQUATIONS["theta-from-xi-psi"]
 
 def _criterion(gs: SymplecticLie, d: ExtensionData, title: str, names) -> SystemReport:
     """Each named equation's report on the derived set of (gs, d), scanned once there."""
-    e = _derived(gs, d)
-    for name in names:
-        if name not in e.reports:
-            e.reports[name] = _EQUATIONS[name](e, name)
-    return SystemReport(title, tuple(e.reports[name] for name in names))
+    e = kept(d, "derived", partial(_Derived, gs, d), gs)
+    return SystemReport(title, tuple(kept(e, name, partial(_EQUATIONS[name], e, name))
+                                     for name in names))
 
 
 _REDUCED_TITLE = "double extension criterion (reduced form)"
@@ -568,7 +557,7 @@ def _blocks(gs: SymplecticLie, d: ExtensionData, star: bool = False) -> tuple:
     s^2, one int matrix product per h direction.  Each computed entry becomes
     a Fraction once, as ``_fill`` reads the table.
     """
-    e, p, Om = _derived(gs, d), d.p, d.omega_cube
+    e, p, Om = kept(d, "derived", partial(_Derived, gs, d), gs), d.p, d.omega_cube
     s = e.scale
 
     def q(values, scale=s * s) -> list:
@@ -738,51 +727,45 @@ def build_inner_extension(gs: SymplecticLie, H: Matrix, psi, omega_cube
 # rank one (one-dimensional h)
 
 
-def _rank_one_data(F: Matrix, S: Matrix, a0, b0, lam) -> ExtensionData:
+def rank_one_extension(F: Matrix, S: Matrix, a0, b0, lam) -> ExtensionData:
     """(F, S, a0, b0, lambda) as general data with p = 1: G = S - F,
-    theta = c0 = (a0 + b0)/2, psi = a0, xi = b0 and Omega = lambda.
-
-    The data is kept on F for the last (S, a0, b0, lambda), compared by
-    value, as the derived set is kept on the data: a check and a build on the
-    same arguments share one data object, and so one derived set.
-    """
-    key = (S, vector(a0), vector(b0), rat(lam))
-    kept = F.__dict__.get("_rank_one")
-    if kept is None or kept[0] != key:
-        _, a0, b0, lam = key
-        c0 = vscale(HALF, vadd(a0, b0))
-        kept = (key, ExtensionData(1, [F], [S - F], [[c0]], [[a0]], [[b0]], [[[lam]]]))
-        object.__setattr__(F, "_rank_one", kept)
-    return kept[1]
+    theta = c0 = (a0 + b0)/2, psi = a0, xi = b0 and Omega = lambda.  The
+    rank-one check and builders take this one object, so a check and a build
+    of it share one derived set."""
+    a0, b0 = vector(a0), vector(b0)
+    return ExtensionData(1, [F], [S - F], [[vscale(HALF, vadd(a0, b0))]], [[a0]], [[b0]], [[[lam]]])
 
 
-def check_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix,
-                   a0: Sequence[Fraction], b0: Sequence[Fraction],
-                   lam: Fraction) -> SystemReport:
-    """The reduced criterion on (F, S, a0, b0, lambda) embedded at p = 1; the
+def _rank_one(d: ExtensionData) -> ExtensionData:
+    """d itself, refused unless p = 1: the layout (g, e, e*) has one e."""
+    if d.p != 1:
+        raise ValueError(f"rank-one data needs p = 1, got p = {d.p}")
+    return d
+
+
+def check_rank_one(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
+    """The reduced criterion on rank-one data (``rank_one_extension``); the
     dense hand-written rank-one list in tests/test_extension.py is its oracle."""
-    return check_reduced_system(gs, _rank_one_data(F, S, a0, b0, lam))
+    return check_reduced_system(gs, _rank_one(d))
 
 
-def rank_one_star(gs: SymplecticLie, F: Matrix, S: Matrix,
-                  a0, b0, lam) -> Algebra:
+def rank_one_star(gs: SymplecticLie, d: ExtensionData) -> Algebra:
     """Star product of the rank-one extension: the general star table on the
-    embedded data, in the basis order (g, e, e*).
+    data, in the basis order (g, e, e*).
 
     Independent of star_left on purpose: a test oracle, and build_rank_one
     compares the same table with star_left.
     """
-    d = _rank_one_data(F, S, a0, b0, lam)
-    return _fill(_rank_one_layout(gs.g), *_blocks(gs, d, star=True))
+    return _fill(_rank_one_layout(gs.g), *_blocks(gs, _rank_one(d), star=True))
 
 
-def build_rank_one(gs: SymplecticLie, F: Matrix, S: Matrix, a0, b0, lam,
+def build_rank_one(gs: SymplecticLie, d: ExtensionData,
                    gate: SystemReport | None = None) -> tuple[Algebra, SkewForm]:
     """One-dimensional double extension on g + Ke + Ke*.  A caller that has
     already run check_rank_one passes its report as ``gate``, as for
     build_double_extension."""
-    d, layout = _rank_one_data(F, S, a0, b0, lam), _rank_one_layout(gs.g)
-    _require_criterion(gs, d, gate, "rank-one data")
+    layout = _rank_one_layout(gs.g)
+    _require_criterion(gs, _rank_one(d), gate, "rank-one data")
     algebra, form = _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
     _verify(*_left_symplectic_checks(algebra, form),
             ("closed-form star disagrees with the solved star", lambda: _same_product(

@@ -4,14 +4,28 @@ A ``Check`` names what was checked and whether it holds.  A failed identity
 carries a ``Witness`` (the basis indices and the exact defect), which fills
 in its detail; other failures give their detail as text.  A
 ``SystemReport`` is a titled list of checks: a criterion system, the core
-properties, or one catalog sample.
+properties, or one catalog sample.  ``kept`` keeps every keyed fact, a
+report or a derived set, on its owner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Optional
+
+
+def kept(owner, key: str, make, *held):
+    """``make()`` the first time, then the value kept under ``key`` in the one
+    dict of facts on ``owner``.  Each object in ``held`` is kept with the
+    value and matched by identity, so no key hashes a tensor or a form by
+    value; another object in its place makes the value anew."""
+    facts = owner.__dict__.get("_kept") or owner.__dict__.setdefault("_kept", {})
+    hit = facts.get(key)
+    if hit is None or held and not all(map(is_, hit[1:], held)):
+        facts[key] = hit = (make(), *held)
+    return hit[0]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ g through it and divide once, for the witness, and solve_symplectic_forms
 scatters the nonzero structure constants.  The star products solve against
 (W^-1)^T scaled to ints, with one Fraction per nonzero output entry.  The
 ``*_split`` checks evaluate every scalar with omega instead and serve as
-independent test oracles.
+independent test oracles.  A compatibility report is kept on the algebra by
+name, for the last form checked (``reporting.kept``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from sympleib.exactlin import (
     reduce_rows,
     row_space,
 )
-from sympleib.reporting import Check, Witness
+from sympleib.reporting import Check, Witness, kept
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,11 @@ def _scatter(kind: str, products, n: int) -> dict:
 
 
 def _compat_report(a: Algebra, form: SkewForm, name: str, kinds) -> Check:
+    """``_compat_scan``'s report, kept on the algebra by name for the last form (held)."""
+    return kept(a, name, lambda: _compat_scan(a, form, name, kinds), form)
+
+
+def _compat_scan(a: Algebra, form: SkewForm, name: str, kinds) -> Check:
     """The first failing triple of the full scan of each kind in turn."""
     if a.dim != form.dim:
         raise ValueError("dimension mismatch")
@@ -338,13 +344,6 @@ def is_bi_symplectic(a: Algebra, form: SkewForm) -> Check:
 
 # ---------------------------------------------------------------------------
 # solving for compatible forms
-
-def upper_index(n: int, i: int, j: int) -> int:
-    """Position of (i, j), i < j, in the lexicographic strict upper triangle."""
-    if not (0 <= i < j < n):
-        raise ValueError("need i < j inside range")
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
 
 def form_coords(form: SkewForm) -> tuple[Fraction, ...]:
     n = form.dim

@@ -23,7 +23,7 @@ from sympleib.exactlin import (
     vector,
     vscale,
 )
-from sympleib.symplectic import SkewForm, omega, upper_index
+from sympleib.symplectic import SkewForm, omega
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -63,6 +63,15 @@ def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError("operator shape does not match the form")
     return form.w_inv @ m.transpose() @ form.w
+
+
+def upper_index(n: int, i: int, j: int) -> int:
+    """Position of (i, j), i < j, in the lexicographic strict upper triangle:
+    the coordinate order of ``symplectic.solve_symplectic_forms``, written as
+    a closed formula for the tests."""
+    if not (0 <= i < j < n):
+        raise ValueError("need i < j inside range")
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 def form_from_coords(n: int, coords: Sequence[Fraction]) -> SkewForm:

@@ -41,6 +41,7 @@ from sympleib.extension import (
     check_full_system,
     check_rank_one,
     check_reduced_system,
+    rank_one_extension,
     zero_grid,
 )
 from sympleib.fileformat import parse_algebra, serialize_algebra
@@ -146,10 +147,11 @@ def test_criterion_4_rank_one_pipeline():
         params = raws.sample(rng)
         assert params["z"] * params["x"] == 0 and params["z"] * params["s"] == 0
         gs, F, S, a0, b0, lam = rank_one_data(params)
-        assert check_rank_one(gs, F, S, a0, b0, lam).ok
+        d = rank_one_extension(F, S, a0, b0, lam)
+        assert check_rank_one(gs, d).ok
         assert check_reduced_system(gs, embed_rank_one(F, S, a0, b0, lam)).ok
 
-        built, built_form = build_rank_one(gs, F, S, a0, b0, lam)
+        built, built_form = build_rank_one(gs, d)
         table, table_form = instantiate("RR3_SIXDIM_RAW", params)
         assert built.c == table.c          # entry for entry
         assert built_form.w == table_form.w == target.w
@@ -180,7 +182,7 @@ def test_criterion_5_core_round_trip():
         if params["lam"] == 0:
             params["lam"] = Fraction(3)
         gs, F, S, a0, b0, lam = rank_one_data(params)
-        built, built_form = build_rank_one(gs, F, S, a0, b0, lam)
+        built, built_form = build_rank_one(gs, rank_one_extension(F, S, a0, b0, lam))
         bdec = core(built, built_form)
         assert bdec.ideal.dim == 1
         assert bdec.reduced.algebra.dim == 4

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympleib import algebra
+from sympleib import algebra, symplectic
 from sympleib.algebra import (
     Algebra,
     center,
@@ -33,7 +33,7 @@ from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kerne
                                vadd, vector, vscale, vsub, vzero, zero_subspace)
 from sympleib.extension import ExtensionData
 from sympleib.reporting import Check, Witness
-from sympleib.symplectic import form_from_pairs
+from sympleib.symplectic import form_from_pairs, is_symplectic_left
 
 from oracles import left_mult
 
@@ -715,7 +715,23 @@ def test_the_kept_reports_never_cross_objects(monkeypatch):
         assert is_left_leibniz(b) == _dense_left_leibniz(b)
         assert walks == [algebra._LEFT_LEIBNIZ]
     assert is_left_leibniz(a) is rep
-    assert twin.identity_reports is not a.identity_reports
+    # a compatibility report is kept per algebra and name for the last form,
+    # held and compared by identity: a moved form, an equal form built
+    # separately and an equal algebra built separately each run their own scan
+    scans = []
+    scan = symplectic._compat_scan
+    monkeypatch.setattr(symplectic, "_compat_scan",
+                        lambda *args: scans.append(args[:2]) or scan(*args))
+    good, moved, equal = (form_from_pairs(4, pairs) for pairs in
+                          ({(1, 4): 1, (2, 3): 1}, {(1, 3): 1, (2, 4): 1}, {(1, 4): 1, (2, 3): 1}))
+    first = is_symplectic_left(a, good)
+    assert is_symplectic_left(a, good) is first and first.holds
+    other = is_symplectic_left(a, moved)
+    assert other.witness.kind == "left-symplectic" and is_symplectic_left(a, moved) is other
+    assert is_symplectic_left(a, equal) == first
+    assert is_symplectic_left(twin, good) == first and is_symplectic_left(twin, good).holds
+    want = [(a, good), (a, moved), (a, equal), (twin, good)]
+    assert [tuple(map(id, pair)) for pair in scans] == [tuple(map(id, pair)) for pair in want]
 
 
 def test_a_kept_failing_report_names_the_witness_a_fresh_scan_names():

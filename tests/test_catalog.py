@@ -18,11 +18,11 @@ from sympleib.catalog import (
     sample_verify,
     verify,
 )
-from sympleib import extension
+from sympleib import algebra, extension, symplectic
 from sympleib.core import core
 from sympleib.exactlin import vector
 from sympleib.fileformat import serialize_algebra
-from sympleib.extension import check_rank_one, check_reduced_system
+from sympleib.extension import check_rank_one, check_reduced_system, rank_one_extension
 from sympleib.reporting import Check
 from sympleib.symplectic import form_from_pairs, is_symplectic_left
 
@@ -140,17 +140,20 @@ def test_extension_data_families_pass_the_reduced_system():
 
 
 def test_rank_one_data_passes_the_criterion():
-    gs, F, S, a0, b0, lam = rank_one_data()
-    assert check_rank_one(gs, F, S, a0, b0, lam).ok
-    gs2, F2, S2, a02, b02, lam2 = rank_one_data({"z": 5, "x": 0, "s": 0})
-    assert check_rank_one(gs2, F2, S2, a02, b02, lam2).ok
+    gs, *data = rank_one_data()
+    assert check_rank_one(gs, rank_one_extension(*data)).ok
+    gs2, *data2 = rank_one_data({"z": 5, "x": 0, "s": 0})
+    assert check_rank_one(gs2, rank_one_extension(*data2)).ok
 
 
 def test_extension_families_report_their_criterion_as_one_check():
     rr3, abel = get("RR3_SIXDIM_RAW"), get("ABEL2_CASE1")
-    checks, table = rr3.extra_checks(rr3.default_params())
+    checks, (built, built_form) = rr3.extra_checks(rr3.default_params())
     assert [(c.holds, c.detail) for c in checks] == [(True, "")] * 3
-    assert table == instantiate("RR3_SIXDIM_RAW")
+    # the build equals the display table, so verify reads the claims off the build
+    table, table_form = instantiate("RR3_SIXDIM_RAW")
+    assert built.c == table.c and built_form.w == table_form.w
+    assert built.labels == ("e1", "e2", "e3", "e4", "e", "estar")
     bad = {**rr3.default_params(), "z": Fraction(1)}  # z * x != 0
     assert rr3.extra_checks(bad) == ([
         Check("rank-one-system", False, "failed: theta-xi-psi-pairing, Fstar-psi-xi-S, S-xi")],
@@ -172,7 +175,7 @@ def test_rank_one_family_runs_its_criterion_once_per_sample(monkeypatch):
 
 
 def test_rank_one_family_builds_one_derived_set_per_sample(monkeypatch):
-    """check_rank_one and build_rank_one on one sample share one data object,
+    """check_rank_one and build_rank_one on one sample take one data object,
     so the criterion and the block tables read one derived set."""
     builds = []
     init = extension._Derived.__init__
@@ -187,12 +190,12 @@ def test_rank_one_family_builds_one_derived_set_per_sample(monkeypatch):
         before = len(builds)
         assert verify("RR3_SIXDIM_RAW", params).ok
         assert len(builds) - before == 1
-    # the data is kept on F and compared by value
-    _, F, S, a0, b0, lam = rank_one_data()
-    d = extension._rank_one_data(F, S, a0, b0, lam)
-    assert extension._rank_one_data(F, S, list(a0), b0, lam) is d
-    moved = extension._rank_one_data(F, S, a0, b0, lam + 1)
-    assert moved is not d and moved.omega_cube[0][0][0] == lam + 1
+    # the one data object is the caller's: rank_one_extension keeps nothing
+    gs, *data = rank_one_data()
+    d = rank_one_extension(*data)
+    assert rank_one_extension(*data) == d and rank_one_extension(*data) is not d
+    check_rank_one(gs, d)
+    assert "_kept" in vars(d) and "_kept" not in vars(data[0])
 
 
 @pytest.mark.parametrize("fid", ["ABEL2_CASE1", "ABEL2_CASE2"])
@@ -222,6 +225,57 @@ def test_extension_family_builds_one_derived_set_and_scans_once_per_sample(monke
         assert verify(fid, params).ok
         assert len(builds) == 1
         assert scans == collections.Counter(names)
+
+
+def _count_scans(monkeypatch):
+    """Count the identity scans per (algebra, name) and the compatibility
+    scans per (algebra, form, name), by wrapping ``algebra._first_failure``
+    and ``symplectic._compat_scan``.  The scanned objects are held, so no id
+    is reused while the counts live."""
+    held, identity, compat = [], collections.Counter(), collections.Counter()
+    first_failure, compat_scan = algebra._first_failure, symplectic._compat_scan
+
+    def identity_scan(a, name, *rest):
+        held.append(a)
+        identity[id(a), name] += 1
+        return first_failure(a, name, *rest)
+
+    def form_scan(a, form, name, kinds):
+        held.extend((a, form))
+        compat[id(a), id(form), name] += 1
+        return compat_scan(a, form, name, kinds)
+    monkeypatch.setattr(algebra, "_first_failure", identity_scan)
+    monkeypatch.setattr(symplectic, "_compat_scan", form_scan)
+    return identity, compat
+
+
+def test_catalog_verify_scans_each_fact_once_per_object(monkeypatch):
+    """Over every family, at its defaults and at two seeded samples in one
+    process, no algebra object runs one identity scan twice and no (algebra,
+    form) pair one compatibility scan twice."""
+    identity, compat = _count_scans(monkeypatch)
+    for fid in list_families():
+        assert verify(fid).ok
+        assert all(report.ok for _, report in sample_verify(fid, seed=1, count=2))
+    assert identity and compat
+    assert [key for key, n in identity.items() if n > 1] == []
+    assert [key for key, n in compat.items() if n > 1] == []
+
+
+@pytest.mark.parametrize("fid", ["RR3_SIXDIM_RAW", "ABEL2_CASE1", "ABEL2_CASE2"])
+def test_an_extension_sample_scans_left_leibniz_and_compatibility_once(monkeypatch, fid):
+    """The build's post-checks and the claims read one kept report: one
+    left-Leibniz scan and one compatibility scan per warm sample, all on the
+    build (for RR3_SIXDIM_RAW, not on the equal display table)."""
+    verify(fid)  # the shared base is built and checked once
+    identity, compat = _count_scans(monkeypatch)
+    spec, rng = get(fid), random.Random(2)
+    for params in [spec.default_params()] + [spec.sample(rng) for _ in range(2)]:
+        identity.clear()
+        compat.clear()
+        assert verify(fid, params).ok
+        assert sum(n for (_, name), n in identity.items() if name == "left-leibniz") == 1
+        assert list(compat.values()) == [1] and list(compat)[0][2] == "left-symplectic"
 
 
 def test_rr3_displayed_forms_carry_their_cross_terms():

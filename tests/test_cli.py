@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +132,7 @@ def test_rationals_outside_the_grammar_exit_2(capsys, tmp_path, value):
 
 def test_fraction_strings_are_still_accepted(capsys, tmp_path):
     path = _file_with_value(tmp_path, "5/3")
-    assert parse_algebra(open(path, encoding="utf-8").read())[0].c[1][1][0] == \
+    assert parse_algebra(Path(path).read_text(encoding="utf-8"))[0].c[1][1][0] == \
         Fraction(5, 3)
     code, out, _ = run(capsys, "omega", path, "verify", "--side", "left")
     assert code == 0

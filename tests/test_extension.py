@@ -38,6 +38,7 @@ from sympleib.extension import (
     check_isotropic_system,
     check_rank_one,
     check_reduced_system,
+    rank_one_extension,
     rank_one_star,
     zero_cube,
     zero_grid,
@@ -295,10 +296,10 @@ def test_inner_extension_reports_all_violated_preconditions():
 
 def test_rank_one_criterion_and_build_on_rr3():
     gs = _rr3()
-    F, S, a0, b0, lam = _rr3_rank_one(2, -1, 3, 4, 5, -2, 6, 0, 7)
-    rep = check_rank_one(gs, F, S, a0, b0, lam)
+    d = rank_one_extension(*_rr3_rank_one(2, -1, 3, 4, 5, -2, 6, 0, 7))
+    rep = check_rank_one(gs, d)
     assert rep.ok, str(rep)
-    alg, form = build_rank_one(gs, F, S, a0, b0, lam)
+    alg, form = build_rank_one(gs, d)
     assert alg.dim == 6
     assert is_left_leibniz(alg).holds
     assert is_symplectic_left(alg, form).holds
@@ -317,7 +318,7 @@ def test_rank_one_displayed_operator_without_correction_fails():
     S = Matrix.zero(4, 4)
     a0 = (0, b1 * b, b2 * b, 6)
     b0 = tuple(-x for x in a0)
-    rep = check_rank_one(gs, F_bad, S, a0, b0, Fraction(7))
+    rep = check_rank_one(gs, rank_one_extension(F_bad, S, a0, b0, Fraction(7)))
     assert [c.name for c in rep.failed()] == ["Rstar-psi-FF"]
     assert rep.failed()[0].detail == "fails at indices (0, 0)"
     assert [c.name for c in _oracle_rank_one(gs, F_bad, S, a0, b0, 7).failed()] == \
@@ -332,11 +333,12 @@ def test_rank_one_embeds_as_general_extension_data():
         _rr3_rank_one(0, 0, 1, 2, -2, 3, 0, 0, 1),
     ]
     for F, S, a0, b0, lam in cases:
-        d = _embed_rank_one(F, S, a0, b0, lam)
-        assert check_rank_one(gs, F, S, a0, b0, lam).ok
+        d, one = _embed_rank_one(F, S, a0, b0, lam), rank_one_extension(F, S, a0, b0, lam)
+        assert one == d
+        assert check_rank_one(gs, one).ok
         assert check_full_system(gs, d).ok
         assert check_reduced_system(gs, d).ok
-        small, small_form = build_rank_one(gs, F, S, a0, b0, lam)
+        small, small_form = build_rank_one(gs, one)
         big, big_form = build_double_extension(gs, d)
         # reorder: general layout is (e, g, e*), rank-one layout is (g, e, e*)
         m = gs.dim
@@ -346,7 +348,7 @@ def test_rank_one_embeds_as_general_extension_data():
                 assert [big.c[to_big[i]][to_big[j]][to_big[k]]
                         for k in range(m + 2)] == list(small.c[i][j])
                 assert small_form.w.entries[i][j] == big_form.w.entries[to_big[i]][to_big[j]]
-        small_star = rank_one_star(gs, F, S, a0, b0, lam)
+        small_star = rank_one_star(gs, one)
         big_star = build_left_symmetric(gs, d)
         for i in range(m + 2):
             for j in range(m + 2):
@@ -376,36 +378,48 @@ def test_post_build_verifier_raises_with_the_failing_witness():
 
 def test_rank_one_star_closed_form():
     gs = _rr3()
-    F, S, a0, b0, lam = _rr3_rank_one(1, 1, 0, 2, 0, 0, 3, 0, -2)
-    alg, form = build_rank_one(gs, F, S, a0, b0, lam)
-    star = rank_one_star(gs, F, S, a0, b0, lam)
+    d = rank_one_extension(*_rr3_rank_one(1, 1, 0, 2, 0, 0, 3, 0, -2))
+    alg, form = build_rank_one(gs, d)
+    star = rank_one_star(gs, d)
     assert star.c == star_left(alg, form).c
     assert is_left_symmetric(star).holds
 
 
 def test_rank_one_rejects_bad_data():
     gs = _rr3()
-    F, S, a0, b0, lam = _rr3_rank_one(2, -1, 3, 4, 5, -2, 6, 1, 7)  # z*x != 0
+    d = rank_one_extension(*_rr3_rank_one(2, -1, 3, 4, 5, -2, 6, 1, 7))  # z*x != 0
     with pytest.raises(ValueError, match="rank-one data fails the criterion: "
                                          "theta-xi-psi-pairing"):
-        build_rank_one(gs, F, S, a0, b0, lam)
+        build_rank_one(gs, d)
     # a failing report handed in as the gate is refused the same way
     with pytest.raises(ValueError, match="rank-one data fails the criterion"):
-        build_rank_one(gs, F, S, a0, b0, lam, gate=check_rank_one(gs, F, S, a0, b0, lam))
+        build_rank_one(gs, d, gate=check_rank_one(gs, d))
+
+
+def test_rank_one_refuses_data_with_more_than_one_e():
+    """The layout (g, e, e*) has one e: the check and both builders refuse
+    data with p = 2 before they read it."""
+    gs, m = _rr3(), 4
+    two = ExtensionData(2, [Matrix.zero(m, m)] * 2, [Matrix.zero(m, m)] * 2,
+                        zero_grid(2, m), zero_grid(2, m), zero_grid(2, m), zero_cube(2))
+    assert check_reduced_system(gs, two).ok
+    for run in (check_rank_one, build_rank_one, rank_one_star):
+        with pytest.raises(ValueError, match="^rank-one data needs p = 1, got p = 2$"):
+            run(gs, two)
 
 
 def test_build_rank_one_takes_the_reduced_report_as_its_gate(monkeypatch):
     gs = _rr3()
-    F, S, a0, b0, lam = _rr3_rank_one(1, 1, 0, 2, 0, 0, 3, 0, -2)
-    report = check_rank_one(gs, F, S, a0, b0, lam)
-    want = build_rank_one(gs, F, S, a0, b0, lam)
-    full = check_full_system(gs, extension._rank_one_data(F, S, a0, b0, lam))
+    d = rank_one_extension(*_rr3_rank_one(1, 1, 0, 2, 0, 0, 3, 0, -2))
+    report = check_rank_one(gs, d)
+    want = build_rank_one(gs, d)
+    full = check_full_system(gs, d)
     with pytest.raises(ValueError, match="reduced-system report"):
-        build_rank_one(gs, F, S, a0, b0, lam, gate=full)
+        build_rank_one(gs, d, gate=full)
     calls = []
     monkeypatch.setattr(extension, "check_reduced_system",
                         lambda *args: calls.append(args) or check_reduced_system(*args))
-    assert build_rank_one(gs, F, S, a0, b0, lam, gate=report) == want
+    assert build_rank_one(gs, d, gate=report) == want
     assert calls == []
 
 
@@ -1047,7 +1061,7 @@ def test_rank_one_criterion_equals_the_dense_oracle():
     assert len(cases) == 6 + 2 * (2 * 16 + 2 * 4 + 1)
     outcomes = set()
     for case in cases:
-        rep = check_rank_one(gs, *case)
+        rep = check_rank_one(gs, rank_one_extension(*case))
         assert rep == check_reduced_system(gs, _embed_rank_one(*case))
         assert rep.ok == _oracle_rank_one(gs, *case).ok, case
         outcomes.add(rep.ok)
@@ -1185,9 +1199,9 @@ def _every_build():
         cases.append((name, partial(build_double_extension, gs, d)))
         cases.append((name + "-star", partial(build_left_symmetric, gs, d)))
     for params in (None, catalog.get("RR3_SIXDIM_RAW").sample(random.Random(4))):
-        gs, F, S, a0, b0, lam = catalog.rank_one_data(params)
-        cases.append(("rank-one", partial(build_rank_one, gs, F, S, a0, b0, lam)))
-        cases.append(("rank-one-star", partial(rank_one_star, gs, F, S, a0, b0, lam)))
+        gs, *data = catalog.rank_one_data(params)
+        cases.append(("rank-one", partial(build_rank_one, gs, rank_one_extension(*data))))
+        cases.append(("rank-one-star", partial(rank_one_star, gs, rank_one_extension(*data))))
     m = 4
     zero = ExtensionData(2, [Matrix.zero(m, m)] * 2, [Matrix.zero(m, m)] * 2,
                          zero_grid(2, m), zero_grid(2, m), zero_grid(2, m), zero_cube(2))

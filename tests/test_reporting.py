@@ -9,7 +9,8 @@ from sympleib.algebra import Algebra
 from sympleib.core import core, verify_core_properties
 from sympleib.exactlin import Matrix
 from sympleib.extension import (ExtensionData, SymplecticLie, check_full_system,
-                                check_isotropic_system, check_rank_one, check_reduced_system)
+                                check_isotropic_system, check_rank_one, check_reduced_system,
+                                rank_one_extension)
 from sympleib.reporting import Check, SystemReport, Witness
 from sympleib.symplectic import form_from_pairs
 
@@ -89,8 +90,8 @@ def _criterion_reports():
             yield check_full_system(gs, data)
             yield check_reduced_system(gs, data)
     gs, F, S, a0, b0, lam = catalog.rank_one_data()
-    yield check_rank_one(gs, F, S, a0, b0, lam)
-    yield check_rank_one(gs, F + Matrix.identity(4), S, a0, b0, lam)
+    yield check_rank_one(gs, rank_one_extension(F, S, a0, b0, lam))
+    yield check_rank_one(gs, rank_one_extension(F + Matrix.identity(4), S, a0, b0, lam))
     aff1 = SymplecticLie(Algebra.from_table(2, {(1, 2): {1: 1}, (2, 1): {1: -1}}),
                          form_from_pairs(2, {(1, 2): 1}))
     for theta in ((0, 0), (1, 0)):

@@ -8,7 +8,9 @@ a ``.denominator``.  In ``catalog``, every family written down as a table
 goes through the one builder ``_table``: no other code there builds an
 algebra or a form from a table, except the two shared bases.  In
 ``extension``, every h + g + h* construction goes through one block filler
-and one form helper.
+and one form helper.  Every keyed fact is kept by ``reporting.kept``: no
+other code writes an instance's attributes past its class, except the
+constructors of the frozen classes and three seeds of cached views.
 """
 
 import ast
@@ -73,19 +75,31 @@ def test_only_exactlin_scales_fractions_to_ints():
     assert found == []
 
 
-def _callers(tree: ast.Module, names: set[str]) -> set[str | None]:
-    """The top-level definitions that call one of ``names``, as a bare name
-    or an attribute; None stands for module-level code."""
+def _owners(tree: ast.Module, hit, methods: bool = False) -> set[str | None]:
+    """The top-level definitions holding a node for which ``hit`` holds; with
+    ``methods``, a method of a class is named ``Class.method``.  None stands
+    for module-level code."""
     found = set()
     for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in names:
-                    found.add(owner)
+        if methods and isinstance(top, ast.ClassDef):
+            parts = [(f"{top.name}.{part.name}" if isinstance(part, ast.FunctionDef)
+                      else top.name, part) for part in top.body]
+        else:
+            parts = [(top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None,
+                      top)]
+        found.update(owner for owner, part in parts if any(map(hit, ast.walk(part))))
     return found
+
+
+def _callers(tree: ast.Module, names: set[str]) -> set[str | None]:
+    """The top-level definitions (``_owners``) that call one of ``names``, as
+    a bare name or an attribute."""
+    def calls(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names
+    return _owners(tree, calls)
 
 
 def test_catalog_builds_its_tables_through_one_builder():
@@ -103,3 +117,48 @@ def test_every_h_g_hstar_build_fills_through_the_one_assembly():
     assert _callers(tree, {"_fill"}) == \
         {"_assemble_double_extension", "build_left_symmetric", "rank_one_star", "build_rank_one"}
     assert _callers(tree, {"_form"}) == {"_assemble_double_extension", "build_rank_one"}
+
+
+def _instance_dict(node) -> bool:
+    """Whether node is ``x.__dict__`` or ``vars(x)``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or \
+        (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars")
+
+
+def _sets_attributes(node) -> bool:
+    """A store into ``x.__dict__`` or ``vars(x)``, a write through one of their
+    methods, or a call of ``object.__setattr__``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return _instance_dict(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        if func.attr == "__setattr__":
+            return getattr(func.value, "id", None) == "object"
+        return func.attr in {"update", "setdefault", "pop", "popitem", "clear", "__setitem__"} \
+            and _instance_dict(func.value)
+    return False
+
+
+def _frozen_classes(tree: ast.Module) -> set[str]:
+    return {top.name for top in tree.body if isinstance(top, ast.ClassDef)
+            and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                    and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                            for k in d.keywords) for d in top.decorator_list)}
+
+
+def test_every_keyed_fact_is_kept_by_the_one_helper():
+    """Writes to an instance's ``__dict__`` or ``vars(...)``, and calls of
+    ``object.__setattr__``, appear in ``src`` only in ``reporting.kept``, the
+    ``__init__`` of a frozen class, ``Check.__init__`` and the three seeds of
+    cached views: ``Algebra.from_table`` (``nz``), ``exactlin.row_space``
+    (``int_pivots``) and ``SkewForm._skew`` (``w`` and ``nondegenerate``):
+    no hand-written memo is left beside ``kept``."""
+    seeds = {"algebra.Algebra.from_table", "exactlin.row_space", "symplectic.SkewForm._skew"}
+    allowed = seeds | {"reporting.kept", "reporting.Check.__init__"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree, module = ast.parse(path.read_text(encoding="utf-8")), path.stem
+        allowed |= {f"{module}.{name}.__init__" for name in _frozen_classes(tree)}
+        found |= {f"{module}.{owner}" for owner in _owners(tree, _sets_attributes, methods=True)}
+    assert found - allowed == set()
+    assert seeds | {"reporting.kept", "extension.ExtensionData.__init__"} <= found

@@ -54,10 +54,9 @@ from sympleib.symplectic import (
     solve_symplectic_forms,
     star_left,
     star_right,
-    upper_index,
 )
 
-from oracles import common_radical, form_from_coords, omega_adjoint, vstack
+from oracles import common_radical, form_from_coords, omega_adjoint, upper_index, vstack
 
 
 def _dim2(x=3):
