@@ -51,12 +51,9 @@ class Algebra:
 
     def __post_init__(self):
         n = self.dim
-        if len(self.c) != n or any(len(row) != n for row in self.c):
+        if len(self.c) != n or any(len(row) != n or any(len(v) != n for v in row)
+                                   for row in self.c):
             raise ValueError("structure constant tensor has wrong shape")
-        for row in self.c:
-            for v in row:
-                if len(v) != n:
-                    raise ValueError("structure constant tensor has wrong shape")
         if self.labels and len(self.labels) != n:
             raise ValueError("label count does not match dimension")
 
@@ -73,28 +70,45 @@ class Algebra:
         The int view ``int_nz`` is left to its first read.
         """
         off = 1 if one_based else 0
-        zero = (ZERO,) * dim
-        c = [[zero] * dim for _ in range(dim)]
-        nz = [[()] * dim for _ in range(dim)]
+        table = {}
         for (i, j), val in products.items():
             i -= off
             j -= off
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"product index ({i + off}, {j + off}) out of range")
             if isinstance(val, Mapping):
-                v = list(zero)
+                pairs = []
                 for k, x in val.items():
                     if not 0 <= k - off < dim:
                         raise ValueError(f"product coordinate {k} out of range")
-                    v[k - off] = x if type(x) is Fraction else rat(x)
+                    pairs.append((k - off, x if type(x) is Fraction else rat(x)))
+                pairs.sort(key=lambda pair: pair[0])
             else:
                 if len(val) != dim:
                     raise ValueError("product vector has wrong length")
-                v = [x if type(x) is Fraction else rat(x) for x in val]
-            c[i][j] = tuple(v)
-            nz[i][j] = tuple((k, x) for k, x in enumerate(v) if x is not ZERO and x)
-        a = Algebra(dim, tuple(map(tuple, c)), tuple(labels))
-        vars(a)["nz"] = tuple(map(tuple, nz))
+                pairs = enumerate(x if type(x) is Fraction else rat(x) for x in val)
+            table[(i, j)] = [(k, x) for k, x in pairs if x is not ZERO and x]
+        return Algebra._sparse(dim, table, labels)
+
+    @staticmethod
+    def _sparse(dim: int, table: Mapping, labels: Sequence[str] = ()) -> "Algebra":
+        """The algebra whose e_i * e_j, 0-based, has the nonzero pairs ``table[(i, j)]``
+        in k order, taken as they are: the tensor is built in shape, unscanned."""
+        if dim < 0:
+            raise ValueError("structure constant tensor has wrong shape")
+        if labels and len(labels) != dim:
+            raise ValueError("label count does not match dimension")
+        zero = (ZERO,) * dim
+        c = [[zero] * dim for _ in range(dim)]
+        nz = [[()] * dim for _ in range(dim)]
+        for (i, j), pairs in table.items():
+            v = list(zero)
+            for k, x in pairs:
+                v[k] = x
+            c[i][j], nz[i][j] = tuple(v), tuple(pairs)
+        a = object.__new__(Algebra)
+        vars(a).update(dim=dim, c=tuple(map(tuple, c)), labels=tuple(labels),
+                       nz=tuple(map(tuple, nz)))
         return a
 
     def basis_label(self, i: int) -> str:

@@ -27,9 +27,9 @@ from .algebra import (is_left_leibniz, is_left_symmetric, is_lie,
 from .core import core
 from .extension import (build_double_extension, build_left_symmetric,
                         check_full_system, check_reduced_system)
-from .fileformat import (FileFormatError, algebra_to_dict, coords_to_entries, dumps,
+from .fileformat import (FileFormatError, algebra_to_dict, coords_to_entries,
                          form_to_entries, load_algebra, load_extension,
-                         rational_from_json, rational_to_json)
+                         rational_from_json, rational_to_json, serialize_algebra)
 from .reporting import Check, SystemReport
 from .symplectic import (find_nondegenerate, is_bi_symplectic,
                          is_symplectic_left, is_symplectic_right,
@@ -140,7 +140,7 @@ def cmd_star(args) -> int:
         raise UsageError("star needs a form in the file")
     star = star_left(algebra, form) if args.side == "left" \
         else star_right(algebra, form)
-    print(dumps(algebra_to_dict(star, form)), end="")
+    print(serialize_algebra(star, form), end="")
     return 0
 
 
@@ -180,29 +180,29 @@ def cmd_extend(args) -> int:
     if not report.ok:
         return _finish(args, 1, report.lines(), doc)
 
-    emitted: dict[str, Any] = {}
+    emitted = {}  # the algebras to print, each with the extension's form
     if args.build or args.star:
         # the reduced report just printed is the builder's gate; a full
         # report is a different check, so the builder runs the reduced one
         gate = report if args.system == "reduced" else None
         algebra, form = build_double_extension(gs, data, gate)
         if args.build:
-            emitted["product"] = algebra_to_dict(algebra, form)
+            emitted["product"] = algebra
         if args.star:
-            star = build_left_symmetric(gs, data)
-            emitted["star"] = algebra_to_dict(star, form)
+            emitted["star"] = build_left_symmetric(gs, data)
 
     if args.json_out:
-        doc.update(emitted)
+        doc.update((key, algebra_to_dict(a, form)) for key, a in emitted.items())
         return _finish(args, 0, [], doc)
     if emitted:
         # keep stdout clean for the emitted file so it can be piped back in
         for line in report.lines():
             print(line, file=sys.stderr)
         if len(emitted) == 1:
-            print(dumps(next(iter(emitted.values()))), end="")
-        else:
-            print(json.dumps(emitted, indent=2))
+            print(serialize_algebra(next(iter(emitted.values())), form), end="")
+        else:  # json.dumps(docs, indent=2): each file nested one level in
+            print("{\n" + ",\n".join(f'  "{key}": {serialize_algebra(a, form, "  ")[:-1]}'
+                                     for key, a in emitted.items()) + "\n}")
         return 0
     return _finish(args, 0, report.lines(), doc)
 
@@ -254,7 +254,7 @@ def cmd_catalog_build(args) -> int:
         algebra, form = catalog.instantiate(args.id, _parse_params(args.params))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(dumps(algebra_to_dict(algebra, form)), end="")
+    print(serialize_algebra(algebra, form), end="")
     return 0
 
 

@@ -7,6 +7,12 @@ parse/serialize round trips are bit-exact.  Dimensions above ``MAX_DIM`` are
 refused before any structure tensor is allocated: every check and solve is
 at least cubic in the dimension, so a hostile size would otherwise run for
 minutes before failing.
+
+A file is decoded once from its bytes, parsed by ``json.loads`` and read in
+one pass, each entry checked once and the sparse view and Gram rows filled
+directly.  ``serialize_algebra`` writes the canonical text straight from
+``Algebra.nz``; the dict route ``dumps(algebra_to_dict(...))`` stays for
+``--json-out`` and is the writer's test oracle.
 """
 
 from __future__ import annotations
@@ -14,14 +20,16 @@ from __future__ import annotations
 import functools
 import json
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .algebra import Algebra
 from .exactlin import ZERO, Matrix, Rational, rat
 from .extension import ExtensionData, SymplecticLie
-from .symplectic import SkewForm, form_from_pairs
+from .symplectic import SkewForm
 
 
 MAX_DIM = 48
@@ -44,32 +52,16 @@ _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 _SMALL_INTS = {x: Fraction(x) if x else ZERO for x in range(-64, 65)}
 
 
-def _rational(value: object) -> Fraction:
-    if type(value) is int and value in _SMALL_INTS:
-        return _SMALL_INTS[value]
-    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-        raise ValueError(f"{value!r} is not an integer or a fraction p/q "
-                         f"with a nonzero denominator")
-    return rat(value)
-
-
 def rational_from_json(value: object, where: str, *index: int) -> Fraction:
-    """A JSON integer or a string "p" or "p/q" with q != 0; nothing else.
-
-    ``where`` names the entry in the message of a rejected value; given an
-    ``index``, it is a format string for it, formatted only on rejection.
-    """
+    """A JSON integer or a string "p" or "p/q" with q != 0; nothing else.  ``where``
+    names the entry on rejection, formatted then with ``index`` if one is given."""
     try:
-        return _rational(value)
+        if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+            raise ValueError(f"{value!r} is not an integer or a fraction p/q "
+                             f"with a nonzero denominator")
+        return rat(value)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{where.format(*index) if index else where}: {exc}") from None
-
-
-def _expect(condition: bool, message: str, *args) -> None:
-    """Refuse the input unless ``condition``; given ``args``, ``message`` is a
-    format string for them, formatted only on refusal."""
-    if not condition:
-        raise FileFormatError(message.format(*args) if args else message)
 
 
 @functools.cache
@@ -116,8 +108,37 @@ def dumps(doc: Mapping[str, Any]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def serialize_algebra(algebra: Algebra, form: SkewForm | None = None) -> str:
-    return dumps(algebra_to_dict(algebra, form))
+def _json_rational(x: Rational) -> str:
+    """The JSON text of ``rational_to_json(x)``."""
+    return str(x.numerator) if x.denominator == 1 else f'"{x.numerator}/{x.denominator}"'
+
+
+def serialize_algebra(algebra: Algebra, form: SkewForm | None = None, pad: str = "") -> str:
+    """``dumps(algebra_to_dict(algebra, form))``, written straight from ``Algebra.nz`` and
+    the form's upper triangle; each line after the first starts with ``pad``."""
+    i1, i2, i3, i4 = ("\n" + pad + " " * k for k in (2, 4, 6, 8))
+
+    def array(items, inner, outer):  # json.dumps's indented layout
+        return f"[{inner}{(',' + inner).join(items)}{outer}]" if items else "[]"
+    text = f'{{{i1}"dim": {algebra.dim}'
+    if algebra.labels:
+        text += f',{i1}"labels": {array([*map(encode_basestring_ascii, algebra.labels)], i2, i1)}'
+    products = []
+    for i, row in enumerate(algebra.nz):
+        for j, pairs in enumerate(row):
+            if pairs:
+                value = ["0"] * algebra.dim
+                for k, x in pairs:
+                    value[k] = _json_rational(x)
+                products.append(f'{{{i3}"left": {i + 1},{i3}"right": {j + 1},'
+                                f'{i3}"value": {array(value, i4, i3)}{i2}}}')
+    text += f',{i1}"products": {array(products, i2, i1)}'
+    if form is not None:
+        entries = [f"[{i3}{i + 1},{i3}{j + 1},{i3}{_json_rational(x)}{i2}]"
+                   for i, row in enumerate(form.w.entries)
+                   for j, x in enumerate(row[i + 1:], i + 1) if x is not ZERO and x]
+        text += f',{i1}"form": {array(entries, i2, i1)}'
+    return f"{text}\n{pad}}}\n"
 
 
 def loads(text: str) -> dict[str, Any]:
@@ -131,63 +152,82 @@ def loads(text: str) -> dict[str, Any]:
         raise FileFormatError("invalid JSON: nested too deeply") from None
     except ValueError:  # an integer literal above Python's int conversion limit
         raise FileFormatError("invalid JSON: an integer literal has too many digits") from None
-    _expect(isinstance(doc, dict), "top level must be an object")
+    if not isinstance(doc, dict):
+        raise FileFormatError("top level must be an object")
     return doc
 
 
 def algebra_from_dict(doc: Mapping[str, Any]
                       ) -> tuple[Algebra, SkewForm | None]:
-    _expect("dim" in doc, "missing field: dim")
+    """The algebra and form of a parsed file, in one pass that checks each entry once."""
+    if "dim" not in doc:
+        raise FileFormatError("missing field: dim")
     dim = doc["dim"]
-    _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
-            "dim must be a non-negative integer")
-    _expect(dim <= MAX_DIM, f"dim {dim} exceeds the limit of {MAX_DIM}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        raise FileFormatError("dim must be a non-negative integer")
+    if dim > MAX_DIM:
+        raise FileFormatError(f"dim {dim} exceeds the limit of {MAX_DIM}")
     labels = doc.get("labels", [])
-    _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
-            "labels must be a list of strings")
-    _expect(not labels or len(labels) == dim,
-            "labels must have one entry per basis vector")
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise FileFormatError("labels must be a list of strings")
+    if labels and len(labels) != dim:
+        raise FileFormatError("labels must have one entry per basis vector")
 
-    # each product's nonzero pairs, 0-based: from_table fills in the sparse view from them
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for k, item in enumerate(doc.get("products", [])):
-        _expect(isinstance(item, dict), "products[{}]: must be an object", k)
-        for key in ("left", "right", "value"):
-            _expect(key in item, "products[{}]: missing field: {}", k, key)
-        i, j = item["left"], item["right"]
-        for name, idx in (("left", i), ("right", j)):
-            _expect(isinstance(idx, int) and not isinstance(idx, bool)
-                    and 1 <= idx <= dim,
-                    "products[{}]: {} index out of range 1..{}", k, name, dim)
-        _expect((i - 1, j - 1) not in table, "products[{}]: duplicate product ({}, {})", k, i, j)
-        value = item["value"]
-        _expect(isinstance(value, list) and len(value) == dim,
-                "products[{}]: value must be a vector of length {}", k, dim)
-        nonzero = table[(i - 1, j - 1)] = {}
+    products = doc.get("products", [])
+    if not isinstance(products, Iterable):  # any iterable is read as the list it must be
+        raise FileFormatError("products must be a list")
+    # each product's nonzero pairs (k, x), 0-based and in k order: the algebra's sparse view
+    small = _SMALL_INTS
+    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for k, item in enumerate(products):
+        if not isinstance(item, dict):
+            raise FileFormatError(f"products[{k}]: must be an object")
+        if "left" not in item or "right" not in item or "value" not in item:
+            key = next(key for key in ("left", "right", "value") if key not in item)
+            raise FileFormatError(f"products[{k}]: missing field: {key}")
+        i, j, value = item["left"], item["right"], item["value"]
+        if not (isinstance(i, int) and not isinstance(i, bool) and 0 < i <= dim):
+            raise FileFormatError(f"products[{k}]: left index out of range 1..{dim}")
+        if not (isinstance(j, int) and not isinstance(j, bool) and 0 < j <= dim):
+            raise FileFormatError(f"products[{k}]: right index out of range 1..{dim}")
+        if (i - 1, j - 1) in table:
+            raise FileFormatError(f"products[{k}]: duplicate product ({i}, {j})")
+        if not isinstance(value, list) or len(value) != dim:
+            raise FileFormatError(f"products[{k}]: value must be a vector of length {dim}")
+        pairs = table[(i - 1, j - 1)] = []
         for n, x in enumerate(value):
-            if type(x) is int and not x:  # a JSON 0, most entries; false and 0.0 are refused
-                continue
-            x = rational_from_json(x, "products[{}].value[{}]", k, n)
-            if x is not ZERO and x:
-                nonzero[n] = x
+            if type(x) is not int:  # false and 0.0 are refused here
+                x = rational_from_json(x, "products[{}].value[{}]", k, n)
+                if x:
+                    pairs.append((n, x))
+            elif x:  # a JSON 0, most entries, is passed over at once
+                pairs.append((n, small[x] if x in small else Fraction(x)))
 
-    algebra = Algebra.from_table(dim, table, labels=tuple(labels), one_based=False)
+    algebra = Algebra._sparse(dim, table, labels)
+    if "form" not in doc:
+        return algebra, None
 
-    form = None
-    if "form" in doc:
-        pairs: dict[tuple[int, int], Fraction] = {}
-        for k, item in enumerate(doc["form"]):
-            _expect(isinstance(item, list) and len(item) == 3, "form[{}]: must be [i, j, value]", k)
-            i, j, value = item
-            for idx in (i, j):
-                _expect(isinstance(idx, int) and not isinstance(idx, bool)
-                        and 1 <= idx <= dim,
-                        "form[{}]: index out of range 1..{}", k, dim)
-            _expect(i < j, "form[{}]: only strict upper-triangle entries", k)
-            _expect((i, j) not in pairs, "form[{}]: duplicate entry ({}, {})", k, i, j)
-            pairs[(i, j)] = rational_from_json(value, "form[{}][2]", k)
-        form = form_from_pairs(dim, pairs)
-    return algebra, form
+    if not isinstance(doc["form"], Iterable):
+        raise FileFormatError("form must be a list")
+    rows = [[ZERO] * dim for _ in range(dim)]  # the Gram rows, filled in as the entries are read
+    seen = set()
+    for k, item in enumerate(doc["form"]):
+        if not isinstance(item, list) or len(item) != 3:
+            raise FileFormatError(f"form[{k}]: must be [i, j, value]")
+        i, j, value = item
+        if not (isinstance(i, int) and not isinstance(i, bool) and 0 < i <= dim
+                and isinstance(j, int) and not isinstance(j, bool) and 0 < j <= dim):
+            raise FileFormatError(f"form[{k}]: index out of range 1..{dim}")
+        if i >= j:
+            raise FileFormatError(f"form[{k}]: only strict upper-triangle entries")
+        if (i, j) in seen:
+            raise FileFormatError(f"form[{k}]: duplicate entry ({i}, {j})")
+        seen.add((i, j))
+        x = small[value] if type(value) is int and value in small \
+            else rational_from_json(value, "form[{}][2]", k)
+        if x:
+            rows[i - 1][j - 1], rows[j - 1][i - 1] = x, -x
+    return algebra, SkewForm._skew(Matrix(dim, dim, tuple(map(tuple, rows))))
 
 
 def parse_algebra(text: str) -> tuple[Algebra, SkewForm | None]:
@@ -195,50 +235,41 @@ def parse_algebra(text: str) -> tuple[Algebra, SkewForm | None]:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text; bytes that are not UTF-8 make it unusable input."""
+    """The file's text, decoded once from its bytes, with text mode's line ends so
+    JSON error positions do not move; bytes that are not UTF-8 are unusable input."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path} is not UTF-8 text: {exc.reason} "
                               f"at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_algebra(path: str | Path) -> tuple[Algebra, SkewForm | None]:
     return parse_algebra(_read_text(Path(path)))
 
 
-def _matrix_from_json(rows: object, m: int, where: str) -> Matrix:
-    _expect(isinstance(rows, list) and len(rows) == m,
-            f"{where}: expected {m} rows")
-    parsed = []
-    for r, row in enumerate(rows):
-        _expect(isinstance(row, list) and len(row) == m, "{}[{}]: expected {} entries", where, r, m)
-        parsed.append(tuple(rational_from_json(x, where + "[{}][{}]", r, c)
-                            for c, x in enumerate(row)))
-    return Matrix(m, m, tuple(parsed))
+_MATRICES = ("expected {} matrices", "expected {} rows", "expected {} entries")
+_VECTORS = ("expected {} rows", "expected {} entries", "expected a vector of length {}")
 
 
-def _vector_table_from_json(data: object, p: int, m: int, where: str) -> list:
-    _expect(isinstance(data, list) and len(data) == p,
-            f"{where}: expected {p} rows")
-    out = []
-    for i, row in enumerate(data):
-        _expect(isinstance(row, list) and len(row) == p, "{}[{}]: expected {} entries", where, i, p)
-        vecs = []
-        for j, vec in enumerate(row):
-            _expect(isinstance(vec, list) and len(vec) == m,
-                    "{}[{}][{}]: expected a vector of length {}", where, i, j, m)
-            vecs.append([rational_from_json(x, where + "[{}][{}][{}]", i, j, n)
-                         for n, x in enumerate(vec)])
-        out.append(vecs)
-    return out
+def _grid(data: object, shape: tuple[int, ...], where: str, expected: tuple[str, ...]) -> list:
+    """Nested lists of the given shape; ``expected`` says what each level, outermost first,
+    must be.  A small int entry is read off ``_SMALL_INTS`` inline, the rest as rationals."""
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise FileFormatError(f"{where}: " + expected[0].format(shape[0]))
+    if len(shape) > 1:
+        return [_grid(x, shape[1:], f"{where}[{i}]", expected[1:]) for i, x in enumerate(data)]
+    return [_SMALL_INTS[x] if type(x) is int and x in _SMALL_INTS
+            else rational_from_json(x, where + "[{}]", n) for n, x in enumerate(data)]
 
 
 def parse_extension(text: str, base_dir: str | Path = "."
                     ) -> tuple[SymplecticLie, ExtensionData]:
     doc = loads(text)
     for key in ("g", "p", "F", "G", "theta", "psi", "xi", "omega"):
-        _expect(key in doc, f"missing field: {key}")
+        if key not in doc:
+            raise FileFormatError(f"missing field: {key}")
 
     g_entry = doc["g"]
     if isinstance(g_entry, str):
@@ -252,32 +283,26 @@ def parse_extension(text: str, base_dir: str | Path = "."
         algebra, form = algebra_from_dict(g_entry)
     else:
         raise FileFormatError("g must be an inline algebra object or a path")
-    _expect(form is not None, "the g algebra needs a form")
+    if form is None:
+        raise FileFormatError("the g algebra needs a form")
 
     p = doc["p"]
-    _expect(isinstance(p, int) and not isinstance(p, bool) and p >= 1,
-            "p must be a positive integer")
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise FileFormatError("p must be a positive integer")
     m = algebra.dim
-    _expect(2 * p + m <= MAX_DIM,
-            f"the extension has dimension 2p + dim = {2 * p + m}, "
-            f"above the limit of {MAX_DIM}")
+    if 2 * p + m > MAX_DIM:
+        raise FileFormatError(f"the extension has dimension 2p + dim = {2 * p + m}, "
+                              f"above the limit of {MAX_DIM}")
 
     def matrices(key: str) -> list[Matrix]:
-        data = doc[key]
-        _expect(isinstance(data, list) and len(data) == p,
-                f"{key}: expected {p} matrices")
-        return [_matrix_from_json(rows, m, f"{key}[{i}]")
-                for i, rows in enumerate(data)]
+        return [Matrix(m, m, tuple(map(tuple, rows)))
+                for rows in _grid(doc[key], (p, m, m), key, _MATRICES)]
 
     gs = SymplecticLie(algebra, form)
     try:
-        data = ExtensionData(
-            p, matrices("F"), matrices("G"),
-            _vector_table_from_json(doc["theta"], p, m, "theta"),
-            _vector_table_from_json(doc["psi"], p, m, "psi"),
-            _vector_table_from_json(doc["xi"], p, m, "xi"),
-            _vector_table_from_json(doc["omega"], p, p, "omega"),
-        )
+        data = ExtensionData(p, matrices("F"), matrices("G"), *(
+            _grid(doc[key], (p, p, p if key == "omega" else m), key, _VECTORS)
+            for key in ("theta", "psi", "xi", "omega")))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
     return gs, data

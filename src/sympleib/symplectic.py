@@ -494,8 +494,8 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     Both factors are ints: the rhs are read off the int Gram table and
     (W^-1)^T is scaled once to ints by ``int_scaled``, so each nonzero
     output entry is one Fraction of an int sum over the product of the scales.
-    The nonzero products go to ``Algebra.from_table``, which seeds the
-    star's sparse view.
+    The nonzero products, built in k order, are the star's sparse view
+    (``Algebra._sparse``).
     """
     if not form.nondegenerate:
         raise ValueError("star product requires a nondegenerate form: "
@@ -516,8 +516,8 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
                     for x, v in cols[k]:
                         out[x] -= v * r[j]
             if any(out):
-                products[i, j] = {x: Fraction(t, den) for x, t in enumerate(out) if t}
-    return Algebra.from_table(n, products, a.labels, one_based=False)
+                products[i, j] = [(x, Fraction(t, den)) for x, t in enumerate(out) if t]
+    return Algebra._sparse(n, products, a.labels)
 
 
 def star_left(a: Algebra, form: SkewForm) -> Algebra:

@@ -1,11 +1,14 @@
 """Test oracles: dense Fraction routes that no library path calls.
 
 Each one recomputes by plain matrix arithmetic what the library computes
-another way, so the tests can compare the two.
+another way, so the tests can compare the two.  The file readers at the end
+are the checked, one-call-per-check reader that ``sympleib.fileformat``
+replaced; they accept and refuse the same documents, except that a
+``products`` or ``form`` that cannot be iterated raises a TypeError here.
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from sympleib.algebra import Algebra
 from sympleib.exactlin import (
@@ -23,7 +26,8 @@ from sympleib.exactlin import (
     vector,
     vscale,
 )
-from sympleib.symplectic import SkewForm, omega
+from sympleib.fileformat import MAX_DIM, FileFormatError, rational_from_json
+from sympleib.symplectic import SkewForm, form_from_pairs, omega
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -236,3 +240,102 @@ def inner_shear(gs, H: Matrix) -> Matrix:
         for a in range(m):
             rows[p + a][i] = H.entries[a][i]
     return Matrix.from_rows(rows)
+
+
+# ---------------------------------------------------------------------------
+# the file reader as it was before the one-pass reader in sympleib.fileformat:
+# a check per call through _expect, each entry through rational_from_json, and
+# the form through form_from_pairs
+
+
+def _expect(condition: bool, message: str, *args) -> None:
+    """Refuse the input unless ``condition``; given ``args``, ``message`` is a
+    format string for them, formatted only on refusal."""
+    if not condition:
+        raise FileFormatError(message.format(*args) if args else message)
+
+
+def algebra_from_dict(doc: Mapping[str, Any]
+                      ) -> tuple[Algebra, SkewForm | None]:
+    """Test oracle of ``fileformat.algebra_from_dict``: the same documents
+    accepted as the same algebra and form, and the same refusals."""
+    _expect("dim" in doc, "missing field: dim")
+    dim = doc["dim"]
+    _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0,
+            "dim must be a non-negative integer")
+    _expect(dim <= MAX_DIM, f"dim {dim} exceeds the limit of {MAX_DIM}")
+    labels = doc.get("labels", [])
+    _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
+            "labels must be a list of strings")
+    _expect(not labels or len(labels) == dim,
+            "labels must have one entry per basis vector")
+
+    # each product's nonzero pairs, 0-based: from_table fills in the sparse view from them
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for k, item in enumerate(doc.get("products", [])):
+        _expect(isinstance(item, dict), "products[{}]: must be an object", k)
+        for key in ("left", "right", "value"):
+            _expect(key in item, "products[{}]: missing field: {}", k, key)
+        i, j = item["left"], item["right"]
+        for name, idx in (("left", i), ("right", j)):
+            _expect(isinstance(idx, int) and not isinstance(idx, bool)
+                    and 1 <= idx <= dim,
+                    "products[{}]: {} index out of range 1..{}", k, name, dim)
+        _expect((i - 1, j - 1) not in table, "products[{}]: duplicate product ({}, {})", k, i, j)
+        value = item["value"]
+        _expect(isinstance(value, list) and len(value) == dim,
+                "products[{}]: value must be a vector of length {}", k, dim)
+        nonzero = table[(i - 1, j - 1)] = {}
+        for n, x in enumerate(value):
+            if type(x) is int and not x:  # a JSON 0, most entries; false and 0.0 are refused
+                continue
+            x = rational_from_json(x, "products[{}].value[{}]", k, n)
+            if x is not ZERO and x:
+                nonzero[n] = x
+
+    algebra = Algebra.from_table(dim, table, labels=tuple(labels), one_based=False)
+
+    form = None
+    if "form" in doc:
+        pairs: dict[tuple[int, int], Fraction] = {}
+        for k, item in enumerate(doc["form"]):
+            _expect(isinstance(item, list) and len(item) == 3, "form[{}]: must be [i, j, value]", k)
+            i, j, value = item
+            for idx in (i, j):
+                _expect(isinstance(idx, int) and not isinstance(idx, bool)
+                        and 1 <= idx <= dim,
+                        "form[{}]: index out of range 1..{}", k, dim)
+            _expect(i < j, "form[{}]: only strict upper-triangle entries", k)
+            _expect((i, j) not in pairs, "form[{}]: duplicate entry ({}, {})", k, i, j)
+            pairs[(i, j)] = rational_from_json(value, "form[{}][2]", k)
+        form = form_from_pairs(dim, pairs)
+    return algebra, form
+
+
+def matrix_from_json(rows: object, m: int, where: str) -> Matrix:
+    """Test oracle of ``fileformat._matrix_from_json``."""
+    _expect(isinstance(rows, list) and len(rows) == m,
+            f"{where}: expected {m} rows")
+    parsed = []
+    for r, row in enumerate(rows):
+        _expect(isinstance(row, list) and len(row) == m, "{}[{}]: expected {} entries", where, r, m)
+        parsed.append(tuple(rational_from_json(x, where + "[{}][{}]", r, c)
+                            for c, x in enumerate(row)))
+    return Matrix(m, m, tuple(parsed))
+
+
+def vector_table_from_json(data: object, p: int, m: int, where: str) -> list:
+    """Test oracle of ``fileformat._vector_table_from_json``."""
+    _expect(isinstance(data, list) and len(data) == p,
+            f"{where}: expected {p} rows")
+    out = []
+    for i, row in enumerate(data):
+        _expect(isinstance(row, list) and len(row) == p, "{}[{}]: expected {} entries", where, i, p)
+        vecs = []
+        for j, vec in enumerate(row):
+            _expect(isinstance(vec, list) and len(vec) == m,
+                    "{}[{}][{}]: expected a vector of length {}", where, i, j, m)
+            vecs.append([rational_from_json(x, where + "[{}][{}][{}]", i, j, n)
+                         for n, x in enumerate(vec)])
+        out.append(vecs)
+    return out

@@ -628,6 +628,10 @@ _GRID = [[[0, 0]]]
     (lambda: Algebra.from_table(2, {(0, 1): {1: 5}}), r"product index \(0, 1\) out of range"),
     (lambda: Algebra.from_table(2, {(1, 3): {1: 5}}), r"product index \(1, 3\) out of range"),
     (lambda: Algebra.from_table(2, {(1, 1): [5]}), "product vector has wrong length"),
+    # the table builder makes its algebra without the constructor's scan and
+    # checks what that scan would refuse
+    (lambda: Algebra.from_table(-1, {}), "structure constant tensor has wrong shape"),
+    (lambda: Algebra.from_table(2, {}, labels=("a",)), "label count does not match dimension"),
     (lambda: form_from_pairs(2, {(1, 3): 1}), r"invalid form index pair \(1, 3\)"),
     (lambda: form_from_pairs(2, {(0, 1): 1}), r"invalid form index pair \(0, 1\)"),
     (lambda: form_from_pairs(2, {(2, 2): 1}), r"invalid form index pair \(2, 2\)"),

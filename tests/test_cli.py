@@ -411,6 +411,20 @@ def test_extend_star_emits_a_left_symmetric_table(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("system", ["reduced", "full"])
+def test_extend_build_star_prints_both_files_as_json_dumps_nests_them(capsys, tmp_path, system):
+    path = extension_dir(tmp_path, RR3_EXTENSION)
+    code, out, _ = run(capsys, "extend", path, "--build", "--star", "--system", system)
+    assert code == 0
+    gs, data = load_extension(path)
+    algebra, form = extension.build_double_extension(gs, data)
+    emitted = {"product": algebra_to_dict(algebra, form),
+               "star": algebra_to_dict(extension.build_left_symmetric(gs, data), form)}
+    assert out == json.dumps(emitted, indent=2) + "\n"
+    code, out, _ = run(capsys, "extend", path, "--build", "--star", "--json-out")
+    assert (code, {key: json.loads(out)[key] for key in emitted}) == (0, emitted)
+
+
 def test_extend_names_the_broken_equation(capsys, tmp_path):
     path = extension_dir(tmp_path, RR3_EXTENSION_ZX)
     code, out, _ = run(capsys, "extend", path)

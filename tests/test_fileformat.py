@@ -1,19 +1,28 @@
 """Algebra and extension files: canonical round trips and input validation."""
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from mangled import damaged, python_fraction_documents, valid_algebra_documents, \
+    valid_extension_documents
 from sympleib.algebra import Algebra, change_basis
-from sympleib.catalog import instantiate, list_families
+from sympleib.catalog import get, instantiate, list_families
 from sympleib.fileformat import (
+    _MATRICES,
+    _VECTORS,
     FileFormatError,
+    _grid,
     algebra_from_dict,
     algebra_to_dict,
     dumps,
+    load_algebra,
     parse_algebra,
     parse_extension,
     serialize_algebra,
@@ -256,3 +265,174 @@ def test_every_family_and_its_shear_round_trip_through_the_seeded_parse(fid):
         assert parsed_w == form and parsed_w.nondegenerate == form.nondegenerate
         assert parsed_a.nz == algebra.nz and parsed_a.int_nz == algebra.int_nz
         assert serialize_algebra(parsed_a, parsed_w) == text
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader against the checked reader it replaced (tests/oracles.py)
+
+def _read(reader, doc):
+    """(c, nz, labels, Gram matrix or None) of the algebra read, or the message of a refusal."""
+    try:
+        a, form = reader(doc)
+    except FileFormatError as exc:
+        return str(exc)
+    return a.c, a.nz, a.labels, None if form is None else form.w
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(valid_algebra_documents(), damaged(valid_algebra_documents()),
+                 python_fraction_documents()))
+def test_the_one_pass_reader_reads_and_refuses_as_the_checked_oracle(doc):
+    try:
+        want = _read(oracles.algebra_from_dict, doc)
+    except TypeError:  # the oracle iterates products and form without a check
+        with pytest.raises(FileFormatError, match=r"^(products|form) must be a list$"):
+            algebra_from_dict(doc)
+    else:
+        assert _read(algebra_from_dict, doc) == want
+
+
+@pytest.mark.parametrize("key", ["products", "form"])
+@pytest.mark.parametrize("value", [None, 5, 0.5, True])
+def test_an_entry_list_that_cannot_be_iterated_is_refused(key, value):
+    with pytest.raises(FileFormatError, match=f"^{key} must be a list$"):
+        algebra_from_dict({"dim": 2, key: value})
+
+
+def _table(reader, *args):
+    try:
+        return reader(*args)
+    except FileFormatError as exc:
+        return str(exc)
+
+
+def _oracle_matrices(data, p, m, key):
+    """The F or G list of an extension file as ``parse_extension`` read it before."""
+    if not isinstance(data, list) or len(data) != p:
+        raise FileFormatError(f"{key}: expected {p} matrices")
+    return [oracles.matrix_from_json(rows, m, f"{key}[{i}]") for i, rows in enumerate(data)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(valid_extension_documents(), damaged(valid_extension_documents(), fractions=True)))
+def test_the_extension_grids_read_and_refuse_as_the_checked_oracles(doc):
+    p = doc.get("p") if type(doc.get("p")) is int and 1 <= doc.get("p") <= 2 else 1
+    for key in ("F", "G"):
+        got = _table(_grid, doc.get(key), (p, 2, 2), key, _MATRICES)
+        want = _table(_oracle_matrices, doc.get(key), p, 2, key)
+        assert got == (want if isinstance(want, str) else [list(map(list, f.entries)) for f in want])
+    for key, m in (("theta", 2), ("psi", 2), ("xi", 2), ("omega", p)):
+        assert _table(_grid, doc.get(key), (p, p, m), key, _VECTORS) == \
+            _table(oracles.vector_table_from_json, doc.get(key), p, m, key)
+
+
+# ---------------------------------------------------------------------------
+# the direct writer against the dict route, dumps(algebra_to_dict(...))
+
+def _dict_route(algebra, form=None):
+    return dumps(algebra_to_dict(algebra, form))
+
+
+@pytest.mark.parametrize("fid", list_families())
+def test_the_writer_equals_the_dict_route_on_every_family(fid):
+    spec = get(fid)
+    rng = random.Random(fid)
+    for params in [spec.default_params()] + [spec.sample(rng) for _ in range(6)]:
+        algebra, form = instantiate(fid, params)
+        assert serialize_algebra(algebra, form) == _dict_route(algebra, form), params
+        assert serialize_algebra(algebra) == _dict_route(algebra), params
+
+
+_LABEL = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4) | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "ω", "𝔤", '\\"', "e1"])
+
+
+@st.composite
+def fraction_algebras(draw, max_dim=5):
+    n = draw(st.integers(0, max_dim))
+    index = st.integers(1, max(n, 1))
+    cells = draw(st.lists(st.tuples(index, index), unique=True, max_size=n * n)) if n else []
+    value = st.fractions(max_denominator=7) | st.integers(-2 ** 70, 2 ** 70).map(Fraction)
+    a = Algebra.from_table(n, {cell: {k: draw(value) for k in draw(st.sets(index, max_size=n))}
+                               for cell in cells},
+                           labels=draw(st.lists(_LABEL, min_size=n, max_size=n)) if n and
+                           draw(st.booleans()) else ())
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    form = draw(st.sampled_from([None, "zero", "pairs"]))
+    if form == "zero":
+        form = form_from_pairs(n, {})
+    elif form == "pairs":
+        form = form_from_pairs(n, {cell: draw(value) for cell in
+                                   draw(st.lists(st.sampled_from(upper), unique=True))}
+                               if upper else {})
+    return a, form
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_algebras())
+def test_the_writer_equals_the_dict_route_on_sparse_fraction_algebras(pair):
+    algebra, form = pair
+    text = serialize_algebra(algebra, form)
+    assert text == _dict_route(algebra, form)
+    # nested one level into another document, as extend --build --star prints two
+    assert serialize_algebra(algebra, form, pad="  ") == text[:-1].replace("\n", "\n  ") + "\n"
+    assert json.loads(text) == json.loads(_dict_route(algebra, form))
+
+
+@pytest.mark.parametrize("algebra, form", [
+    (Algebra(0, ()), None),
+    (Algebra(0, ()), form_from_pairs(0, {})),
+    (Algebra.from_table(3, {}), None),
+    (Algebra.from_table(3, {}), form_from_pairs(3, {})),
+    (Algebra.from_table(2, {}, labels=['say "hi"', "back\\slash"]), form_from_pairs(2, {(1, 2): 0})),
+    (Algebra.from_table(2, {(1, 1): [0, 0]}, labels=["\x01", "ünï"]), form_from_pairs(2, {(1, 2): 3})),
+], ids=["dim-0", "dim-0-form", "no-products", "zero-form", "escaped-labels", "zero-product"])
+def test_the_writer_equals_the_dict_route_on_empty_cases(algebra, form):
+    assert serialize_algebra(algebra, form) == _dict_route(algebra, form)
+
+
+# ---------------------------------------------------------------------------
+# the byte read keeps text mode's line ends and the UTF-8 refusal
+
+_LINE3_ERROR = '{\n  "dim": 2,\n  "products": [}\n}\n'
+
+
+def _text_mode_message(path):
+    """The refusal the file got when it was read with ``Path.read_text``."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+    with pytest.raises(FileFormatError) as err:
+        parse_algebra(text)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_an_error_on_line_3_is_placed_as_text_mode_placed_it(tmp_path, end):
+    path = tmp_path / "a.json"
+    path.write_bytes(_LINE3_ERROR.replace("\n", end).encode())
+    with pytest.raises(FileFormatError) as err:
+        load_algebra(path)
+    assert str(err.value) == _text_mode_message(path)
+    assert str(err.value).startswith("invalid JSON at line 3, column 16: ")
+
+
+@pytest.mark.parametrize("data", [
+    b'{"dim": 1, "labels": ["\xe9"]}', b'{"dim": 1}\xc3', b'\xef\xbb\xbf{"dim": 1, "x": "\xed\xa0\x80"}',
+], ids=["latin-1", "truncated-sequence", "surrogate"])
+def test_bytes_that_are_not_utf8_keep_their_message(tmp_path, data):
+    path = tmp_path / "a.json"
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError) as err:
+        load_algebra(path)
+    assert str(err.value) == _text_mode_message(path)
+    assert " is not UTF-8 text: " in str(err.value)
+
+
+def test_a_bom_is_refused_as_text_mode_refused_it(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_bytes(b'\xef\xbb\xbf{"dim": 1}')
+    with pytest.raises(FileFormatError) as err:
+        load_algebra(path)
+    assert str(err.value) == _text_mode_message(path)

@@ -150,10 +150,10 @@ def test_every_keyed_fact_is_kept_by_the_one_helper():
     """Writes to an instance's ``__dict__`` or ``vars(...)``, and calls of
     ``object.__setattr__``, appear in ``src`` only in ``reporting.kept``, the
     ``__init__`` of a frozen class, ``Check.__init__`` and the three seeds of
-    cached views: ``Algebra.from_table`` (``nz``), ``exactlin.row_space``
+    cached views: ``Algebra._sparse`` (``nz``), ``exactlin.row_space``
     (``int_pivots``) and ``SkewForm._skew`` (``w`` and ``nondegenerate``):
     no hand-written memo is left beside ``kept``."""
-    seeds = {"algebra.Algebra.from_table", "exactlin.row_space", "symplectic.SkewForm._skew"}
+    seeds = {"algebra.Algebra._sparse", "exactlin.row_space", "symplectic.SkewForm._skew"}
     allowed = seeds | {"reporting.kept", "reporting.Check.__init__"}
     found = set()
     for path in sorted(SRC.glob("*.py")):
