@@ -35,8 +35,8 @@ BAD_VALUES = st.one_of(
 _ENTRY = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "0", "5", "0/4"]))
 
 # the small catalog instances (dim at most 4), whose products and forms are compatible
-_CATALOG_DOCS = [algebra_to_dict(*instantiate(fid)) for fid in list_families()
-                 if instantiate(fid)[0].dim <= 4]
+_CATALOG_DOCS = [algebra_to_dict(*pair) for pair in map(instantiate, list_families())
+                 if pair[0].dim <= 4]
 
 
 @st.composite

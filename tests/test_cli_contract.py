@@ -11,16 +11,13 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympleib.cli import main
 
 from mangled import (damaged, damaged_bytes, params_arguments, valid_algebra_documents,
                      valid_extension_documents)
-
-_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -39,16 +36,12 @@ def _holds_the_contract(argv):
                    for line in err.splitlines()), (argv, err)
 
 
-def _algebra_file(draw):
-    docs = valid_algebra_documents()
-    return draw(damaged_bytes(draw(st.one_of(docs, damaged(docs)))))
-
-
-@settings(max_examples=250, **_SETTINGS)
+@settings(max_examples=250, deadline=None)
 @given(data=st.data())
 def test_every_algebra_subcommand_keeps_the_contract_on_broken_files(workdir, data):
+    docs = valid_algebra_documents()
     path = workdir / "a.json"
-    path.write_bytes(_algebra_file(data.draw))
+    path.write_bytes(data.draw(damaged_bytes(data.draw(st.one_of(docs, damaged(docs))))))
     side = data.draw(st.sampled_from(["left", "right", "bi"]))
     json_out = data.draw(st.sampled_from([[], ["--json-out"]]))
     for argv in (["check", "--left", "--right", "--symmetric", "--lsym", "--lie"],
@@ -57,7 +50,7 @@ def test_every_algebra_subcommand_keeps_the_contract_on_broken_files(workdir, da
         _holds_the_contract([argv[0], str(path), *argv[1:], *json_out])
 
 
-@settings(max_examples=150, **_SETTINGS)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_extend_keeps_the_contract_on_broken_extension_files(workdir, data):
     docs = valid_extension_documents()
@@ -74,7 +67,7 @@ def test_extend_keeps_the_contract_on_broken_extension_files(workdir, data):
     _holds_the_contract(["extend", str(path), "--system", system, *flags])
 
 
-@settings(max_examples=150, **_SETTINGS)
+@settings(max_examples=150, deadline=None)
 @given(args=params_arguments(), samples=st.integers(-1, 1))
 def test_catalog_keeps_the_contract_on_broken_params(args, samples):
     _holds_the_contract(["catalog", "build", *args])
