@@ -65,9 +65,8 @@ class Algebra:
         products maps (i, j) to either a {k: coefficient} mapping or a full
         coordinate vector for e_i * e_j.  Indices are 1-based by default to
         match how such tables are usually written down.  Each coefficient is
-        coerced once (a Fraction is taken as it is), and the sparse view
-        ``nz`` is filled in from the listed products as the tensor is built.
-        The int view ``int_nz`` is left to its first read.
+        coerced once (a Fraction is taken as it is); the sparse view ``nz`` is
+        filled in as the tensor is built, the int view ``int_nz`` on first read.
         """
         off = 1 if one_based else 0
         table = {}
@@ -91,9 +90,10 @@ class Algebra:
         return Algebra._sparse(dim, table, labels)
 
     @staticmethod
-    def _sparse(dim: int, table: Mapping, labels: Sequence[str] = ()) -> "Algebra":
+    def _sparse(dim: int, table: Mapping, labels: Sequence[str] = (), int_nz=None) -> "Algebra":
         """The algebra whose e_i * e_j, 0-based, has the nonzero pairs ``table[(i, j)]``
-        in k order, taken as they are: the tensor is built in shape, unscanned."""
+        in k order, taken as they are: the tensor is built in shape, unscanned.  A
+        caller that holds ``int_nz`` (the file reader) passes it to be seeded."""
         if dim < 0:
             raise ValueError("structure constant tensor has wrong shape")
         if labels and len(labels) != dim:
@@ -108,7 +108,7 @@ class Algebra:
             c[i][j], nz[i][j] = tuple(v), tuple(pairs)
         a = object.__new__(Algebra)
         vars(a).update(dim=dim, c=tuple(map(tuple, c)), labels=tuple(labels),
-                       nz=tuple(map(tuple, nz)))
+                       nz=tuple(map(tuple, nz)), **({"int_nz": int_nz} if int_nz else {}))
         return a
 
     def basis_label(self, i: int) -> str:
@@ -128,7 +128,7 @@ class Algebra:
     def int_nz(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """(s, t): s is the lcm of the denominators of the constants and
         t[i][j] holds the pairs (k, s * c[i][j][k]) of nz[i][j], as ints
-        (``exactlin.int_scaled_pairs``), built on first read."""
+        (``exactlin.int_scaled_pairs``), built on first read unless seeded."""
         return int_scaled_pairs(self.nz)
 
     @cached_property

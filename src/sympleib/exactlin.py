@@ -63,7 +63,8 @@ def rat(x) -> Fraction:
 # vectors: plain tuples of Fraction
 
 def vector(xs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in xs)
+    xs = tuple(xs)
+    return xs if all(type(x) is Fraction for x in xs) else tuple(map(rat, xs))
 
 
 def vzero(n: int) -> tuple[Fraction, ...]:
@@ -110,10 +111,10 @@ def int_scaled_pairs(table: Sequence[Sequence[Sequence[tuple[int, Fraction]]]]
                      ) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
     """``int_scaled`` for a table of sparse pair lists, such as ``Algebra.nz``:
     (s, the table with each pair (k, x) as (k, s * x)), s the lcm of the
-    denominators of the values; an empty list, as most are, is kept as it is."""
+    denominators of the values; an empty list, as most are, is ()."""
     s = lcm(*{x.denominator for row in table for pairs in row for _, x in pairs})
     return s, tuple([tuple([tuple([(k, x.numerator * (s // x.denominator)) for k, x in pairs])
-                            if pairs else pairs for pairs in row]) for row in table])
+                            if pairs else () for pairs in row]) for row in table])
 
 
 # ---------------------------------------------------------------------------

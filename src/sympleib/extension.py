@@ -279,10 +279,10 @@ class _Derived:
     constants c of g and cs of its star, the Gram matrix w, and per h
     direction F*, G*, S = F + G, S*, K = S/2 - F - F* and K* = S*/2 - F* - F
     (the adjoint is an involution for a skew form).  For D the lcm of the
-    denominators of the data, the constants and W, and d_v that of W^-1,
-    s = 2 d_v D^2 makes each an int, as d_v D^2 F* = (d_v W^-1)(D F)^T(D W).
-    Each equation is homogeneous in the atoms: its defect is s^k times the
-    true one, so it vanishes at the same indices.
+    denominators of the data, the constants and W, and d_v that of W^-1
+    (``SkewForm.int_w_inv``), s = 2 d_v D^2 makes each an int, as
+    d_v D^2 F* = (d_v W^-1)(D F)^T(D W).  Each equation is homogeneous in the
+    atoms, so its defect, s^k times the true one, vanishes at the same indices.
     """
 
     def __init__(self, gs: SymplecticLie, d: ExtensionData):
@@ -290,10 +290,10 @@ class _Derived:
             raise ValueError("extension data does not match the algebra dimension")
         self.g, self.p, self.m = gs.g, d.p, d.gdim
         grids = (d.theta, d.psi, d.xi, d.omega_cube)
-        D = lcm(denominator(x for op in (*d.F, *d.G, gs.form.w) for r in op.entries for x in r),
+        D = lcm(denominator(x for op in (*d.F, *d.G) for r in op.entries for x in r),
                 denominator(x for grid in grids for row in grid for v in row for x in v),
-                gs.g.int_nz[0], gs.star.int_nz[0])
-        dv, winv = int_scaled(gs.form.w_inv.entries)
+                gs.form.int_w[0], gs.g.int_nz[0], gs.star.int_nz[0])
+        dv, winv = gs.form.int_w_inv
         s = self.scale = 2 * dv * D * D
 
         def times(rows) -> tuple:

@@ -9,10 +9,10 @@ at least cubic in the dimension, so a hostile size would otherwise run for
 minutes before failing.
 
 A file is decoded once from its bytes, parsed by ``json.loads`` and read in
-one pass, each entry checked once and the sparse view and Gram rows filled
-directly.  ``serialize_algebra`` writes the canonical text straight from
-``Algebra.nz``; the dict route ``dumps(algebra_to_dict(...))`` stays for
-``--json-out`` and is the writer's test oracle.
+one pass that checks each entry once and fills the sparse view, the Gram rows
+and the int views ``Algebra.int_nz`` and ``SkewForm.int_w``.  ``serialize_algebra``
+writes the canonical text straight from ``Algebra.nz``; the dict route
+``dumps(algebra_to_dict(...))`` stays for ``--json-out`` as the writer's test oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from bisect import insort
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from .algebra import Algebra
-from .exactlin import ZERO, Matrix, Rational, rat
+from .exactlin import ZERO, Matrix, Rational, int_scaled_pairs, rat
 from .extension import ExtensionData, SymplecticLie
 from .symplectic import SkewForm
 
@@ -179,6 +180,7 @@ def algebra_from_dict(doc: Mapping[str, Any]
     # each product's nonzero pairs (k, x), 0-based and in k order: the algebra's sparse view
     small = _SMALL_INTS
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    t, s = [[()] * dim for _ in range(dim)], 1  # and times s, the lcm of the denominators so far
     for k, item in enumerate(products):
         if not isinstance(item, dict):
             raise FileFormatError(f"products[{k}]: must be an object")
@@ -195,21 +197,29 @@ def algebra_from_dict(doc: Mapping[str, Any]
         if not isinstance(value, list) or len(value) != dim:
             raise FileFormatError(f"products[{k}]: value must be a vector of length {dim}")
         pairs = table[(i - 1, j - 1)] = []
+        int_pairs = t[i - 1][j - 1] = []
         for n, x in enumerate(value):
             if type(x) is not int:  # false and 0.0 are refused here
                 x = rational_from_json(x, "products[{}].value[{}]", k, n)
                 if x:
+                    if (f := (x * s).denominator) > 1:  # a new lcm s, f times the old one:
+                        s *= f  # the int pairs read so far are rescaled to it
+                        for rescaled in (p for row in t for p in row if p):
+                            rescaled[:] = [(m, v * f) for m, v in rescaled]
                     pairs.append((n, x))
+                    int_pairs.append((n, int(x * s)))
             elif x:  # a JSON 0, most entries, is passed over at once
                 pairs.append((n, small[x] if x in small else Fraction(x)))
+                int_pairs.append((n, x * s))
 
-    algebra = Algebra._sparse(dim, table, labels)
+    algebra = Algebra._sparse(dim, table, labels, (s, tuple(tuple(map(tuple, r)) for r in t)))
     if "form" not in doc:
         return algebra, None
 
     if not isinstance(doc["form"], Iterable):
         raise FileFormatError("form must be a list")
     rows = [[ZERO] * dim for _ in range(dim)]  # the Gram rows, filled in as the entries are read
+    int_rows, fractions = [[] for _ in range(dim)], False  # and the pairs (y, x as read)
     seen = set()
     for k, item in enumerate(doc["form"]):
         if not isinstance(item, list) or len(item) != 3:
@@ -227,7 +237,12 @@ def algebra_from_dict(doc: Mapping[str, Any]
             else rational_from_json(value, "form[{}][2]", k)
         if x:
             rows[i - 1][j - 1], rows[j - 1][i - 1] = x, -x
-    return algebra, SkewForm._skew(Matrix(dim, dim, tuple(map(tuple, rows))))
+            if type(value) is not int:
+                value, fractions = x, True
+            insort(int_rows[i - 1], (j - 1, value))
+            insort(int_rows[j - 1], (i - 1, -value))
+    d, (int_w,) = int_scaled_pairs([int_rows]) if fractions else (1, [tuple(map(tuple, int_rows))])
+    return algebra, SkewForm._skew(Matrix(dim, dim, tuple(map(tuple, rows))), int_w=(d, int_w))
 
 
 def parse_algebra(text: str) -> tuple[Algebra, SkewForm | None]:
@@ -276,8 +291,9 @@ def parse_extension(text: str, base_dir: str | Path = "."
         g_path = Path(base_dir) / g_entry
         try:
             g_text = _read_text(g_path)
-        except OSError as exc:
-            raise FileFormatError(f"cannot read g file {g_path}: {exc}") from None
+        except (OSError, ValueError) as exc:  # open refuses a NUL or a lone surrogate
+            raise exc if isinstance(exc, FileFormatError) else FileFormatError(  # not UTF-8
+                f"cannot read g file {g_path}: {exc}") from None
         algebra, form = parse_algebra(g_text)
     elif isinstance(g_entry, dict):
         algebra, form = algebra_from_dict(g_entry)

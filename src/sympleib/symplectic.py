@@ -8,14 +8,14 @@ nondegeneracy fails them with an explicit witness.
 
 Every identity here is linear in omega and in the product, so it is
 evaluated through the table g[p][q] = W c[p][q], built once per call over
-ints: W by ``exactlin.int_scaled`` and the constants as ``Algebra.int_nz``,
-each at the lcm of its denominators, so omega(e_x, e_p*e_q) = g[p][q][x] / s
-and omega(e_p*e_q, e_x) = -g[p][q][x] / s for one scale s.  The left, right
-and bi identities are written once, as one table of position templates, and
-one scatter runs them product by product: the checks scatter the nonzeros of
-g through it and divide once, for the witness, and solve_symplectic_forms
+ints: W as ``SkewForm.int_w`` and the constants as ``Algebra.int_nz``, each
+at the lcm of its denominators, so omega(e_x, e_p*e_q) = g[p][q][x] / s and
+omega(e_p*e_q, e_x) = -g[p][q][x] / s for one scale s.  The left, right and
+bi identities are written once, as one table of position templates, and one
+scatter runs them product by product: the checks scatter the nonzeros of g
+through it and divide once, for the witness, and solve_symplectic_forms
 scatters the nonzero structure constants.  The star products solve against
-(W^-1)^T scaled to ints, with one Fraction per nonzero output entry.  The
+d W^-1 (``SkewForm.int_w_inv``), with one Fraction per nonzero output entry.  The
 ``*_split`` checks evaluate every scalar with omega instead and serve as
 independent test oracles.  A compatibility report is kept on the algebra by
 name, for the last form checked (``reporting.kept``).
@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from sympleib.algebra import Algebra, split
@@ -37,7 +38,6 @@ from sympleib.exactlin import (
     _annihilator_rows,
     basis_vector,
     int_det,
-    int_scaled,
     int_scaled_pairs,
     kernel,
     rat,
@@ -62,14 +62,13 @@ class SkewForm:
         object.__setattr__(self, "w", w)
 
     @classmethod
-    def _skew(cls, w: Matrix, nondegenerate: Optional[bool] = None) -> "SkewForm":
+    def _skew(cls, w: Matrix, nondegenerate: Optional[bool] = None, int_w=None) -> "SkewForm":
         """The form of a square W the caller built skew, with no skew scan; a
         caller that already knows whether W is invertible (find_nondegenerate,
-        by int_det) passes it as ``nondegenerate``."""
+        by int_det) passes it as ``nondegenerate``, the file reader ``int_w``."""
         form = object.__new__(cls)
-        form.__dict__["w"] = w
-        if nondegenerate is not None:
-            form.__dict__["nondegenerate"] = nondegenerate
+        seeds = {"w": w, "nondegenerate": nondegenerate, "int_w": int_w}
+        form.__dict__.update({key: x for key, x in seeds.items() if x is not None})
         return form
 
     @cached_property
@@ -112,9 +111,17 @@ class SkewForm:
         return out
 
     @cached_property
-    def w_inv(self) -> Matrix:
-        """W^-1, computed once per form; raises on a degenerate form."""
-        return self.w.inverse()
+    def int_w_inv(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``exactlin.int_scaled(w.inverse().entries)`` (raising if W is singular), off one
+        ``reduce_rows`` of [d_w W | d_w I], d_w = ``int_w[0]``: pivot row p is primitive, lead L_p,
+        so d = lcm(L_p) and row p of d W^-1 is the pivot row from column n on, times d / L_p."""
+        (dw, rows), n = self.int_w, self.dim
+        pivots = reduce_rows({**dict(r), n + i: dw} for i, r in enumerate(rows))
+        if any(p not in pivots for p in range(n)):
+            raise ValueError("matrix is singular")
+        d = lcm(*(pivots[p][p] for p in range(n)))
+        return d, tuple(tuple(pivots[p].get(j, 0) * (d // pivots[p][p]) for j in range(n, 2 * n))
+                        for p in range(n))
 
     def radical_vector(self) -> tuple[Fraction, ...]:
         """A nonzero kernel vector of a degenerate form: the first row of the
@@ -492,17 +499,18 @@ def _star(a: Algebra, form: SkewForm, pair) -> Algebra:
     where rhs[k] = -omega(e_j, e_p*e_q) and (p, q) = pair(i, k).
 
     Both factors are ints: the rhs are read off the int Gram table and
-    (W^-1)^T is scaled once to ints by ``int_scaled``, so each nonzero
-    output entry is one Fraction of an int sum over the product of the scales.
-    The nonzero products, built in k order, are the star's sparse view
+    (W^-1)^T off ``SkewForm.int_w_inv``, so each nonzero output entry is one
+    Fraction of an int sum over the product of the scales.  The nonzero
+    products, built in k order, are the star's sparse view
     (``Algebra._sparse``).
     """
-    if not form.nondegenerate:
+    try:
+        dinv, w_inv = form.int_w_inv
+    except ValueError:  # W is singular
         raise ValueError("star product requires a nondegenerate form: "
-                         + _degenerate_report("star", form).detail)
+                         + _degenerate_report("star", form).detail) from None
     n = a.dim
     scale, g = _gram_table(form, a)
-    dinv, w_inv = int_scaled(form.w_inv.entries)
     den = scale * dinv
     # column k of (W^-1)^T is row k of W^-1
     cols = [[(x, v) for x, v in enumerate(row) if v] for row in w_inv]

@@ -66,7 +66,7 @@ def omega_adjoint(form: SkewForm, m: Matrix) -> Matrix:
         raise ValueError("adjoint requires a nondegenerate form")
     if m.rows != form.dim or m.cols != form.dim:
         raise ValueError("operator shape does not match the form")
-    return form.w_inv @ m.transpose() @ form.w
+    return form.w.inverse() @ m.transpose() @ form.w
 
 
 def upper_index(n: int, i: int, j: int) -> int:

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -367,11 +368,43 @@ def test_star_on_a_degenerate_form_names_the_radical_vector(capsys, tmp_path):
                        "degenerate-form: radical vector (1)\n")
 
 
+@pytest.mark.parametrize("entry", [1, "1/2", "-3/4"])
+def test_star_on_an_even_degenerate_form_exits_1_with_its_radical_vector(capsys, tmp_path, entry):
+    # rank 2 on dim 4: the star's int inverse finds no pivot at e3 and e4
+    doc = {"dim": 4, "products": [{"left": 1, "right": 3, "value": [0, 1, 0, "2/3"]}],
+           "form": [[1, 2, entry]]}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    form = parse_algebra(path.read_text(encoding="utf-8"))[1]
+    assert form.radical_vector() == (0, 0, 1, 0)
+    for side in ("left", "right"):
+        code, out, err = run(capsys, "star", str(path), "--side", side)
+        assert (code, out) == (1, "")
+        assert err == ("error: star product requires a nondegenerate form: "
+                       "degenerate-form: radical vector (0, 0, 1, 0)\n")
+
+
 def extension_dir(tmp_path, text):
     (tmp_path / "rr3_base.json").write_text(RR3_BASE, encoding="utf-8")
     path = tmp_path / "ext.json"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("g_path", ["a\u0000b.json", "\ud800.json"], ids=["nul", "lone-surrogate"])
+def test_a_g_path_that_cannot_be_opened_is_unusable_input(tmp_path, g_path):
+    # open refuses both paths with a ValueError, not an OSError; a fresh interpreter
+    # writes the lone surrogate of the message to stderr escaped, as a user sees it
+    doc = json.loads(RR3_EXTENSION)
+    doc["g"] = g_path
+    path = extension_dir(tmp_path, json.dumps(doc))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "sympleib.cli", "extend", path],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot read g file ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_extend_passes_both_systems(capsys, tmp_path):

@@ -558,7 +558,7 @@ def _dense_stack(mats):
 def _dense_adjoint(gs, m):
     """W^-1 m^T W with dense products."""
     w = gs.form.w
-    return _Dense(gs.form.w_inv.entries) @ _Dense(zip(*m.entries)) @ _Dense(w.entries)
+    return _Dense(gs.form.w.inverse().entries) @ _Dense(zip(*m.entries)) @ _Dense(w.entries)
 
 
 def _dense_multiply(a, u, v):

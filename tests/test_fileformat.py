@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -246,6 +246,34 @@ def test_a_parsed_file_seeds_the_sparse_view_the_cache_would_compute(doc):
         assert form == want and form.nondegenerate == want.nondegenerate
     text = serialize_algebra(a, form)
     assert serialize_algebra(*parse_algebra(text)) == text
+
+
+def _int_view(view):
+    """The int values of a seeded int view (s, table): each an int, never a Fraction."""
+    s, table = view
+    assert type(s) is int
+    return [v for row in table for pairs in row for _, v in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(algebra_files(max_dim=7), python_fraction_documents()))
+def test_the_reader_seeds_the_int_views_the_lazy_ones_would_give(doc):
+    """``int_nz`` and ``int_w`` come seeded from the reader, equal to what the
+    lazy views give on the same algebra and form, tuples and ints alike, on
+    files that mix JSON ints, "p/q" strings and (from Python) Fractions."""
+    try:
+        a, form = algebra_from_dict(doc)
+    except FileFormatError:  # a damaged Python document
+        assume(False)
+    assert "int_nz" in vars(a)
+    assert a.int_nz == Algebra(a.dim, a.c, a.labels).int_nz
+    assert all(type(v) is int for v in _int_view(a.int_nz))
+    if form is not None:
+        assert "int_w" in vars(form)
+        lazy = SkewForm._skew(form.w)
+        assert form.int_w == lazy.int_w
+        assert all(type(v) is int for v in _int_view((form.int_w[0], [form.int_w[1]])))
+        assert form.nondegenerate == lazy.nondegenerate
 
 
 def _sheared(a, form):

@@ -181,6 +181,45 @@ def test_degenerate_form_reports_radical_witness():
     assert rep.witness.defect != (0, 0)
 
 
+_FORM_ENTRY = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12),
+                        st.fractions(max_denominator=12).filter(lambda x: abs(x) < 10 ** 6))
+
+
+@st.composite
+def skew_forms(draw, max_dim=8):
+    """A skew form of dimension 0..max_dim from upper entries that are often zero,
+    small, large or fractional; odd dimensions give degenerate forms."""
+    n = draw(st.integers(0, max_dim))
+    upper = draw(st.lists(_FORM_ENTRY, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    cells = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
+    return form_from_pairs(n, dict(zip(cells, upper)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_forms())
+def test_the_int_inverse_is_the_scaled_fraction_inverse(form):
+    """``int_w_inv`` off one elimination of [d_w W | d_w I] equals W^-1 scaled by
+    the lcm of its denominators, and refuses a degenerate form as inverse does."""
+    if form.nondegenerate:
+        assert form.int_w_inv == int_scaled(form.w.inverse().entries)
+        d, rows = form.int_w_inv
+        assert all(type(v) is int for row in rows for v in row) and type(d) is int
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            form.w.inverse()
+        with pytest.raises(ValueError, match="singular"):
+            form.int_w_inv
+
+
+def test_the_int_inverse_on_every_catalog_form_and_a_fractional_shear():
+    for fid in list_families():
+        form = instantiate(fid)[1]
+        p = Matrix.from_rows([[1 if i == j else Fraction(j - i, 3) if j > i else 0
+                               for j in range(form.dim)] for i in range(form.dim)])
+        for w in (form, SkewForm(p.transpose() @ form.w @ p)):
+            assert w.int_w_inv == int_scaled(w.w.inverse().entries), fid
+
+
 def test_split_formulations_agree_with_direct_ones():
     rng = random.Random(33)
     for _ in range(40):
