@@ -6,7 +6,34 @@ systems, star products and core decompositions come out of exact solves,
 and double extensions are checked and rebuilt entry for entry.  The
 ``catalog`` module carries the verified example families; ``cli`` exposes
 the whole kernel on files.
+
+``extension`` and ``catalog`` are registered unrun and run on their first
+attribute access, so ``omega``, ``check``, ``star`` and ``core`` start
+without compiling them; the re-exports from ``extension`` resolve through
+the module ``__getattr__`` (PEP 562).  An import statement that names a
+lazy module runs it, so ``fileformat``, ``catalog`` and ``cli`` reach
+``extension`` as ``extension.name`` at call time.
 """
+
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """``sympleib.<name>``, registered in ``sys.modules`` unrun: it compiles
+    and runs on its first attribute access (``importlib.util.LazyLoader``)."""
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# registered before fileformat imports, which reaches extension through the module
+extension = _lazy("extension")
+catalog = _lazy("catalog")
 
 from sympleib.algebra import (
     Algebra,
@@ -37,23 +64,6 @@ from sympleib.exactlin import (
     span,
     vector,
 )
-from sympleib.extension import (
-    ExtensionData,
-    SymplecticLie,
-    build_bisymplectic_from_T,
-    build_commutative_bisymplectic,
-    build_double_extension,
-    build_inner_extension,
-    build_lagrangian,
-    build_left_symmetric,
-    build_rank_one,
-    check_full_system,
-    check_isotropic_system,
-    check_rank_one,
-    check_reduced_system,
-    rank_one_extension,
-    rank_one_star,
-)
 from sympleib.fileformat import (
     FileFormatError,
     load_algebra,
@@ -79,6 +89,18 @@ from sympleib.symplectic import (
     star_left,
     star_right,
 )
+
+
+def __getattr__(name: str):
+    # the names of __all__ that no import above binds are extension's
+    if name in __all__:
+        return getattr(extension, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "Algebra",

@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping
 
+from . import extension
 from .algebra import (
     Algebra,
     is_left_leibniz,
@@ -35,15 +36,6 @@ from .algebra import (
     is_symmetric_leibniz,
 )
 from .exactlin import HALF, Matrix, Rational, rat
-from .extension import (
-    ExtensionData,
-    SymplecticLie,
-    build_double_extension,
-    build_rank_one,
-    check_rank_one,
-    check_reduced_system,
-    rank_one_extension,
-)
 from .reporting import Check, SystemReport
 from .symplectic import (
     SkewForm,
@@ -110,18 +102,18 @@ def _nonzero(name: str) -> Constraint:
 
 
 @cache
-def _abelian2_base() -> SymplecticLie:
+def _abelian2_base() -> extension.SymplecticLie:
     g = Algebra.from_table(2, {}, labels=("e1", "e2"))
-    return SymplecticLie(g, form_from_pairs(2, {(1, 2): 1}))
+    return extension.SymplecticLie(g, form_from_pairs(2, {(1, 2): 1}))
 
 
 @cache
-def _rr3_base() -> SymplecticLie:
+def _rr3_base() -> extension.SymplecticLie:
     g = Algebra.from_table(4, {
         (1, 2): {2: 1}, (2, 1): {2: -1},
         (1, 3): {3: -1}, (3, 1): {3: 1},
     }, labels=("e1", "e2", "e3", "e4"))
-    return SymplecticLie(g, form_from_pairs(4, {(1, 4): 1, (2, 3): 1}))
+    return extension.SymplecticLie(g, form_from_pairs(4, {(1, 4): 1, (2, 3): 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +137,25 @@ def _table(dim: int, form, products: Callable[..., Mapping], labels: tuple[str, 
     return build
 
 
-def _abel2_case1_data(p: Params) -> ExtensionData:
+def _abel2_case1_data(p: Params) -> extension.ExtensionData:
     al, be, psi1, xi1 = p["alpha"], p["beta"], p["psi1"], p["xi1"]
     S = Matrix.from_rows([[0, al], [0, 0]])
     F = Matrix.from_rows([[0, be], [0, 0]])
-    return ExtensionData(1, [F], [S - F],
-                         [[[HALF * (psi1 + xi1), 0]]],
-                         [[[psi1, 0]]], [[[xi1, 0]]], [[[p["om"]]]])
+    return extension.ExtensionData(1, [F], [S - F],
+                                   [[[HALF * (psi1 + xi1), 0]]],
+                                   [[[psi1, 0]]], [[[xi1, 0]]], [[[p["om"]]]])
 
 
-def _abel2_case2_data(p: Params) -> ExtensionData:
+def _abel2_case2_data(p: Params) -> extension.ExtensionData:
     A = Matrix.from_rows([[p["a11"], p["a12"]], [p["a21"], -p["a11"]]])
     F = A.scale(p["alpha"])
     c = [p["c1"], p["c2"]]
-    return ExtensionData(1, [F], [F.scale(-1)],
-                         [[[0, 0]]], [[c]], [[[-x for x in c]]], [[[p["om"]]]])
+    return extension.ExtensionData(1, [F], [F.scale(-1)], [[[0, 0]]], [[c]],
+                                   [[[-x for x in c]]], [[[p["om"]]]])
 
 
 # the extension families over the abelian plane, each declared by its data
-_EXTENSION_DATA: dict[str, Callable[[Params], ExtensionData]] = {
+_EXTENSION_DATA: dict[str, Callable[[Params], extension.ExtensionData]] = {
     "ABEL2_CASE1": _abel2_case1_data, "ABEL2_CASE2": _abel2_case2_data}
 
 
@@ -253,11 +245,11 @@ def _rr3_raw_checks(params: Params) -> tuple[list[Check], tuple[Algebra, SkewFor
     build compared with the display table; returned with the checks is the
     build when it equals the table (its reports are kept), else the table."""
     gs, table = _rr3_base(), _RR3_RAW(params)
-    d = rank_one_extension(*_rr3_solution(params))
-    rep = check_rank_one(gs, d)
+    d = extension.rank_one_extension(*_rr3_solution(params))
+    rep = extension.check_rank_one(gs, d)
     checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
-        built = build_rank_one(gs, d, gate=rep)
+        built = extension.build_rank_one(gs, d, gate=rep)
         checks += [Check("construction-matches-display", built[0].c == table[0].c),
                    Check("form-matches-display", built[1].w == table[1].w)]
         table = built if all(c.holds for c in checks) else table
@@ -288,8 +280,9 @@ def _extension_family(fid, description, defaults, constraints, claims) -> Family
 
     def checked(p: Params) -> tuple[list[Check], tuple[Algebra, SkewForm]]:
         gs, d = _abelian2_base(), data(p)
-        rep = check_reduced_system(gs, d)
-        return [_system_check("reduced-system", rep)], build_double_extension(gs, d, rep)
+        rep = extension.check_reduced_system(gs, d)
+        built = extension.build_double_extension(gs, d, rep)
+        return [_system_check("reduced-system", rep)], built
     return _family(fid, description, defaults, constraints, lambda p: checked(p)[1], claims,
                    extra=checked)
 
@@ -499,7 +492,7 @@ def sample_verify(family_id: str, seed: int = 0, count: int = 20
 
 
 def extension_data(family_id: str, params: Mapping[str, object] | None = None
-                   ) -> tuple[SymplecticLie, ExtensionData]:
+                   ) -> tuple[extension.SymplecticLie, extension.ExtensionData]:
     """The (core, data) pair behind the extension-generator families."""
     if family_id not in _EXTENSION_DATA:
         raise ValueError(f"{family_id} does not carry extension data")
@@ -507,7 +500,7 @@ def extension_data(family_id: str, params: Mapping[str, object] | None = None
 
 
 def rank_one_data(params: Mapping[str, object] | None = None
-                  ) -> tuple[SymplecticLie, Matrix, Matrix, tuple, tuple, Rational]:
+                  ) -> tuple[extension.SymplecticLie, Matrix, Matrix, tuple, tuple, Rational]:
     """The solved one-dimensional extension data over rr(3,-1)."""
     resolved = resolve_params("RR3_SIXDIM_RAW", params)
     return (_rr3_base(),) + _rr3_solution(resolved)

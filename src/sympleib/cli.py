@@ -21,12 +21,10 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import Any
 
-from . import catalog
+from . import catalog, extension
 from .algebra import (is_left_leibniz, is_left_symmetric, is_lie,
                       is_right_leibniz, is_symmetric_leibniz)
 from .core import core
-from .extension import (build_double_extension, build_left_symmetric,
-                        check_full_system, check_reduced_system)
 from .fileformat import (FileFormatError, algebra_to_dict, coords_to_entries,
                          form_to_entries, load_algebra, load_extension,
                          rational_from_json, rational_to_json, serialize_algebra)
@@ -81,6 +79,17 @@ def _finish(args, code: int, lines: list[str], doc: dict[str, Any]) -> int:
         for line in lines:
             print(line)
     return code
+
+
+def _print_error(exc: Exception) -> None:
+    """``error: exc`` on stderr; on a stream that encodes strictly, the
+    characters it cannot encode (a lone surrogate of a path) backslash-escaped."""
+    line = f"error: {exc}"
+    try:
+        print(line, file=sys.stderr)
+    except UnicodeEncodeError:
+        encoding = sys.stderr.encoding
+        print(line.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +182,8 @@ def cmd_core(args) -> int:
 
 def cmd_extend(args) -> int:
     gs, data = load_extension(args.file)
-    checker = check_full_system if args.system == "full" else check_reduced_system
+    checker = extension.check_full_system if args.system == "full" \
+        else extension.check_reduced_system
     report = checker(gs, data)
     doc: dict[str, Any] = {"command": "extend", "system": args.system,
                            "report": _report_dict(report)}
@@ -185,11 +195,11 @@ def cmd_extend(args) -> int:
         # the reduced report just printed is the builder's gate; a full
         # report is a different check, so the builder runs the reduced one
         gate = report if args.system == "reduced" else None
-        algebra, form = build_double_extension(gs, data, gate)
+        algebra, form = extension.build_double_extension(gs, data, gate)
         if args.build:
             emitted["product"] = algebra
         if args.star:
-            emitted["star"] = build_left_symmetric(gs, data)
+            emitted["star"] = extension.build_left_symmetric(gs, data)
 
     if args.json_out:
         doc.update((key, algebra_to_dict(a, form)) for key, a in emitted.items())
@@ -379,10 +389,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (FileFormatError, UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 1
 
 

@@ -27,9 +27,9 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
+from . import extension
 from .algebra import Algebra
 from .exactlin import ZERO, Matrix, Rational, int_scaled_pairs, rat
-from .extension import ExtensionData, SymplecticLie
 from .symplectic import SkewForm
 
 
@@ -280,7 +280,7 @@ def _grid(data: object, shape: tuple[int, ...], where: str, expected: tuple[str,
 
 
 def parse_extension(text: str, base_dir: str | Path = "."
-                    ) -> tuple[SymplecticLie, ExtensionData]:
+                    ) -> tuple[extension.SymplecticLie, extension.ExtensionData]:
     doc = loads(text)
     for key in ("g", "p", "F", "G", "theta", "psi", "xi", "omega"):
         if key not in doc:
@@ -314,9 +314,9 @@ def parse_extension(text: str, base_dir: str | Path = "."
         return [Matrix(m, m, tuple(map(tuple, rows)))
                 for rows in _grid(doc[key], (p, m, m), key, _MATRICES)]
 
-    gs = SymplecticLie(algebra, form)
+    gs = extension.SymplecticLie(algebra, form)
     try:
-        data = ExtensionData(p, matrices("F"), matrices("G"), *(
+        data = extension.ExtensionData(p, matrices("F"), matrices("G"), *(
             _grid(doc[key], (p, p, p if key == "omega" else m), key, _VECTORS)
             for key in ("theta", "psi", "xi", "omega")))
     except ValueError as exc:
@@ -324,6 +324,7 @@ def parse_extension(text: str, base_dir: str | Path = "."
     return gs, data
 
 
-def load_extension(path: str | Path) -> tuple[SymplecticLie, ExtensionData]:
+def load_extension(path: str | Path
+                   ) -> tuple[extension.SymplecticLie, extension.ExtensionData]:
     p = Path(path)
     return parse_extension(_read_text(p), p.parent)

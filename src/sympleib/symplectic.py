@@ -92,8 +92,9 @@ class SkewForm:
         """(d, rows): d is the lcm of W's denominators and rows[x] holds the
         pairs (y, d * W[x][y]) of the nonzero entries of row x, in column
         order, as ints (``exactlin.int_scaled_pairs``); computed once per form."""
-        d, (rows,) = int_scaled_pairs([[tuple((y, x) for y, x in enumerate(row) if x is not ZERO and x)
-                                        for row in self.w.entries]])
+        pairs = [[(y, x) for y, x in enumerate(row) if x is not ZERO and x]
+                 for row in self.w.entries]
+        d, (rows,) = int_scaled_pairs([pairs])
         return d, rows
 
     def int_covectors(self, vectors: Iterable[Iterable[tuple[int, int]]]) -> list[dict[int, int]]:

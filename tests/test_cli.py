@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
@@ -405,6 +406,33 @@ def test_a_g_path_that_cannot_be_opened_is_unusable_input(tmp_path, g_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: cannot read g file ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_an_unencodable_error_line_is_written_escaped_on_a_strict_stream(tmp_path, monkeypatch):
+    # a lone surrogate in the message reaches a stderr that encodes strictly
+    doc = json.loads(RR3_EXTENSION)
+    doc["g"] = "\ud800.json"
+    path = extension_dir(tmp_path, json.dumps(doc))
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(raw, encoding="utf-8", errors="strict"))
+    assert main(["extend", path]) == 2
+    sys.stderr.flush()
+    text = raw.getvalue().decode("utf-8")
+    assert text.startswith("error: cannot read g file ") and text.endswith("\n")
+    assert text.count("\n") == 1 and "\\ud800.json" in text
+
+
+def test_an_encodable_error_line_is_written_unchanged_on_a_strict_stream(tmp_path, monkeypatch):
+    path = str(tmp_path / "caf\u00e9-missing.json")
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    assert main(["check", path]) == 2
+    want = sys.stderr.getvalue()
+    assert "caf\u00e9-missing.json" in want
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(raw, encoding="utf-8", errors="strict"))
+    assert main(["check", path]) == 2
+    sys.stderr.flush()
+    assert raw.getvalue() == want.encode("utf-8")
 
 
 def test_extend_passes_both_systems(capsys, tmp_path):
@@ -962,7 +990,6 @@ def _count_criteria(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(extension, name, counted)
-        monkeypatch.setattr(cli, name, counted)
     return calls
 
 
