@@ -1,10 +1,9 @@
 """Finite-dimensional algebras given by exact structure constants.
 
-An algebra on basis e_1..e_n is stored as the tensor c with
-e_i * e_j = sum_k c[i][j][k] e_k (0-based internally).  Every product is
-evaluated through the sparse view ``Algebra.nz``: ``nz[i][j]`` holds the
-nonzero pairs ``(k, c[i][j][k])``, filled in by ``from_table`` from the
-products it is given, or built once on first use.
+An algebra on basis e_1..e_n, with e_i * e_j = sum_k c[i][j][k] e_k (0-based
+internally), is stored once, as its sparse table ``Algebra.nz``: ``nz[i][j]``
+holds the nonzero pairs ``(k, c[i][j][k])``, in k order.  Every product is
+evaluated off it; the dense tensor ``c`` is a view built on first read.
 
 All identity checks run over basis triples, which suffices because every
 identity here is multilinear.  Each identity is one signed term table over
@@ -43,19 +42,23 @@ from sympleib.exactlin import (
 from sympleib.reporting import Check, Witness, kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Algebra:
     dim: int
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    nz: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
     labels: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        n = self.dim
-        if len(self.c) != n or any(len(row) != n or any(len(v) != n for v in row)
-                                   for row in self.c):
+    def __init__(self, dim: int, c: Sequence, labels: Sequence[str] = ()):
+        """The dense constructor: checks the shape of c and hands its nonzeros to ``_sparse``."""
+        if len(c) != dim or any(len(row) != dim or any(len(v) != dim for v in row)
+                                for row in c):
             raise ValueError("structure constant tensor has wrong shape")
-        if self.labels and len(self.labels) != n:
-            raise ValueError("label count does not match dimension")
+        table = {(i, j): [(k, x) for k, x in enumerate(v) if x is not ZERO and x]
+                 for i, row in enumerate(c) for j, v in enumerate(row)}
+        vars(self).update(vars(Algebra._sparse(dim, table, labels)))
+
+    def __repr__(self) -> str:
+        return f"Algebra(dim={self.dim!r}, c={self.c!r}, labels={self.labels!r})"
 
     @staticmethod
     def from_table(dim: int, products: Mapping[tuple[int, int], Mapping[int, object] | Sequence],
@@ -65,8 +68,8 @@ class Algebra:
         products maps (i, j) to either a {k: coefficient} mapping or a full
         coordinate vector for e_i * e_j.  Indices are 1-based by default to
         match how such tables are usually written down.  Each coefficient is
-        coerced once (a Fraction is taken as it is); the sparse view ``nz`` is
-        filled in as the tensor is built, the int view ``int_nz`` on first read.
+        coerced once (a Fraction is taken as it is) and its nonzeros become
+        ``nz``; the int view ``int_nz`` and the tensor ``c`` are built on first read.
         """
         off = 1 if one_based else 0
         table = {}
@@ -92,37 +95,31 @@ class Algebra:
     @staticmethod
     def _sparse(dim: int, table: Mapping, labels: Sequence[str] = (), int_nz=None) -> "Algebra":
         """The algebra whose e_i * e_j, 0-based, has the nonzero pairs ``table[(i, j)]``
-        in k order, taken as they are: the tensor is built in shape, unscanned.  A
-        caller that holds ``int_nz`` (the file reader) passes it to be seeded."""
+        in k order, taken as they are: it sets the fields ``dim``, ``nz`` and
+        ``labels``, as tuples.  A caller that holds ``int_nz`` (the file reader)
+        passes it to be seeded."""
         if dim < 0:
             raise ValueError("structure constant tensor has wrong shape")
         if labels and len(labels) != dim:
             raise ValueError("label count does not match dimension")
-        zero = (ZERO,) * dim
-        c = [[zero] * dim for _ in range(dim)]
         nz = [[()] * dim for _ in range(dim)]
         for (i, j), pairs in table.items():
-            v = list(zero)
-            for k, x in pairs:
-                v[k] = x
-            c[i][j], nz[i][j] = tuple(v), tuple(pairs)
+            nz[i][j] = tuple(pairs)
         a = object.__new__(Algebra)
-        vars(a).update(dim=dim, c=tuple(map(tuple, c)), labels=tuple(labels),
-                       nz=tuple(map(tuple, nz)), **({"int_nz": int_nz} if int_nz else {}))
+        vars(a).update(dim=dim, nz=tuple(map(tuple, nz)), labels=tuple(labels),
+                       **({"int_nz": int_nz} if int_nz else {}))
         return a
 
     def basis_label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"e{i + 1}"
 
     @cached_property
-    def nz(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """nz[i][j]: the nonzero pairs (k, c[i][j][k]) of e_i * e_j, in k order.
-
-        Absent products and parsed zeros are the shared ZERO, which the
-        identity test passes over without calling Fraction.__bool__.
-        """
-        return tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x is not ZERO and x)
-                           for v in row) for row in self.c)
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The dense tensor: c[i][j][k] is the coefficient of e_k in e_i * e_j,
+        built from ``nz`` on first read, with the shared ZERO at absent entries."""
+        zero = (ZERO,) * self.dim
+        return tuple(tuple(tuple(map(dict(pairs).get, range(self.dim), zero)) if pairs else zero
+                           for pairs in row) for row in self.nz)
 
     @cached_property
     def int_nz(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
@@ -319,8 +316,9 @@ def is_lie(a: Algebra) -> Check:
 
 
 def opposite(a: Algebra) -> Algebra:
-    c = tuple(tuple(a.c[j][i] for j in range(a.dim)) for i in range(a.dim))
-    return Algebra(a.dim, c, a.labels)
+    """The product e_i . e_j = e_j * e_i, on the pairs of ``nz`` as they are."""
+    return Algebra._sparse(a.dim, {(j, i): pairs for i, row in enumerate(a.nz)
+                                   for j, pairs in enumerate(row)}, a.labels)
 
 
 def split(a: Algebra) -> tuple[Algebra, Algebra]:
@@ -345,14 +343,15 @@ def leibniz_ideal(a: Algebra) -> Subspace:
 
 
 def center(a: Algebra) -> Subspace:
-    """{u : u*v = v*u = 0 for all v}, cut out by stacked left and right constraints."""
-    n = a.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append({i: a.c[i][j][k] for i in range(n) if a.c[i][j][k]})  # (u * e_j)_k
-            rows.append({i: a.c[j][i][k] for i in range(n) if a.c[j][i][k]})  # (e_j * u)_k
-    return kernel(rows, n)
+    """{u : u*v = v*u = 0 for all v}, cut out by the constraints (u * e_j)_k
+    and (e_j * u)_k as sparse int rows read off ``Algebra.int_nz`` once."""
+    rows: dict = {}
+    for i, row in enumerate(a.int_nz[1]):
+        for j, pairs in enumerate(row):
+            for k, x in pairs:
+                rows.setdefault((0, j, k), {})[i] = x  # u_i in (u * e_j)_k
+                rows.setdefault((1, i, k), {})[j] = x  # u_j in (e_i * u)_k
+    return kernel(rows.values(), a.dim)
 
 
 def ideal_check(a: Algebra, s: Subspace, name: str) -> Check:

@@ -250,7 +250,7 @@ def _rr3_raw_checks(params: Params) -> tuple[list[Check], tuple[Algebra, SkewFor
     checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
         built = extension.build_rank_one(gs, d, gate=rep)
-        checks += [Check("construction-matches-display", built[0].c == table[0].c),
+        checks += [Check("construction-matches-display", built[0].nz == table[0].nz),
                    Check("form-matches-display", built[1].w == table[1].w)]
         table = built if all(c.holds for c in checks) else table
     return checks, table

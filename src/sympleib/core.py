@@ -26,10 +26,9 @@ from sympleib.exactlin import (
     Subspace,
     basis_vector,
     intersect,
-    is_zero_vector,
     row_space,
 )
-from sympleib.reporting import Check, SystemReport, Witness
+from sympleib.reporting import SystemReport, first_failure
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
@@ -166,14 +165,6 @@ def core(a: Algebra, form: SkewForm) -> CoreDecomposition:
     )
 
 
-def _first_nonzero(name: str, defects) -> Check:
-    """The first nonzero defect of the (indices, defect) pairs is the witness."""
-    for idx, d in defects:
-        if not is_zero_vector(d):
-            return Check(name, False, witness=Witness(name, idx, d))
-    return Check(name, True)
-
-
 def verify_core_properties(a: Algebra, form: SkewForm,
                            dec: CoreDecomposition | None = None) -> SystemReport:
     """Re-check every structural consequence of the reduction, named one by one.
@@ -193,12 +184,12 @@ def verify_core_properties(a: Algebra, form: SkewForm,
     pairs = list(product(range(n), repeat=2))
     e = [basis_vector(n, j) for j in range(n)]
     for name, b in (("products-inside-I-perp", a), ("star-products-inside-I-perp", star)):
-        checks.append(_first_nonzero(name, (((i, j), dec.ideal_perp.reduce(b.c[i][j]))
-                                            for i, j in pairs)))
+        checks.append(first_failure(name, (((i, j), dec.ideal_perp.reduce(b.c[i][j]))
+                                           for i, j in pairs)))
     for name, b in (("products-with-I-vanish", a), ("star-products-with-I-vanish", star)):
-        checks.append(_first_nonzero(name, (((t, j), multiply(b, e[j], z) + multiply(b, z, e[j]))
-                                            for t, z in enumerate(dec.ideal.basis.entries)
-                                            for j in range(n))))
+        checks.append(first_failure(name, (((t, j), multiply(b, e[j], z) + multiply(b, z, e[j]))
+                                           for t, z in enumerate(dec.ideal.basis.entries)
+                                           for j in range(n))))
 
     checks.append(replace(is_lie(dec.reduced.algebra), name="reduced-algebra-is-lie"))
     checks.append(replace(is_symplectic_left(dec.reduced.algebra, dec.reduced.form),
@@ -212,7 +203,7 @@ def verify_core_properties(a: Algebra, form: SkewForm,
     def projected(v):  # the coordinates of v in the quotient by I-perp
         red = dec.ideal_perp.reduce(v)
         return tuple(red[k] for k in comp)
-    checks.append(_first_nonzero("projected-star-is-zero",
-                                 (((i, j), projected(star.c[i][j])) for i, j in pairs)))
+    checks.append(first_failure("projected-star-is-zero",
+                                (((i, j), projected(star.c[i][j])) for i, j in pairs)))
 
     return SystemReport("core reduction properties", tuple(checks))

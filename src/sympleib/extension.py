@@ -76,7 +76,7 @@ from sympleib.exactlin import (
     vsub,
     vzero,
 )
-from sympleib.reporting import Check, SystemReport, Witness, kept
+from sympleib.reporting import Check, SystemReport, Witness, first_failure, kept
 from sympleib.symplectic import (
     SkewForm,
     is_bi_symplectic,
@@ -520,12 +520,11 @@ def _left_symplectic_checks(algebra: Algebra, form: SkewForm) -> tuple:
 
 
 def _same_product(kind: str, a: Algebra, b: Algebra) -> Check:
-    """Whether two products on one basis agree; the witness is the first pair
-    (i, j) where they differ, with defect a(e_i, e_j) - b(e_i, e_j)."""
-    for i, j in product(range(a.dim), repeat=2):
-        if a.c[i][j] != b.c[i][j]:
-            return Check(kind, False, witness=Witness(kind, (i, j), vsub(a.c[i][j], b.c[i][j])))
-    return Check(kind, True)
+    """Whether two products on one basis agree, compared on ``nz``; the witness
+    is the first pair (i, j) where they differ, with defect a(e_i, e_j) - b(e_i, e_j)."""
+    return first_failure(kind, (((i, j), vsub(a.c[i][j], b.c[i][j]))
+                                for i, j in product(range(a.dim), repeat=2)
+                                if a.nz[i][j] != b.nz[i][j]))
 
 
 def _star_commutator(star: Algebra, g: Algebra) -> Check:

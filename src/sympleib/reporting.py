@@ -28,6 +28,15 @@ def kept(owner, key: str, make, *held):
     return hit[0]
 
 
+def first_failure(name: str, defects) -> Check:
+    """The check ``name`` of a scan: the first of the (indices, defect) pairs
+    with a nonzero entry is its witness, and no pair after it is drawn."""
+    for indices, defect in defects:
+        if any(defect):
+            return Check(name, False, witness=Witness(name, indices, defect))
+    return Check(name, True)
+
+
 @dataclass(frozen=True)
 class Witness:
     """Where an identity fails: which check, at which basis indices, by how much."""

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -44,7 +45,7 @@ from sympleib.exactlin import (
     reduce_rows,
     row_space,
 )
-from sympleib.reporting import Check, Witness, kept
+from sympleib.reporting import Check, Witness, first_failure, kept
 
 
 @dataclass(frozen=True)
@@ -189,16 +190,6 @@ def _degenerate_report(name: str, form: SkewForm) -> Check:
     return Check(name, False, witness=Witness("degenerate-form", (), form.radical_vector()))
 
 
-def _scalar_triple_report(name: str, kind: str, n: int, defect) -> Check:
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d = defect(i, j, k)
-                if d != 0:
-                    return Check(name, False, witness=Witness(kind, (i, j, k), (d,)))
-    return Check(name, True)
-
-
 # Each identity at u, v, w = e_i, e_j, e_k, keyed by its witness kind and
 # written once as position templates (2 * coef, x, p, q): each term is
 # coef * omega(e_x, e_p*e_q) with x, p, q read off the positions 0, 1, 2 of
@@ -319,8 +310,8 @@ def is_symplectic_left_split(a: Algebra, form: SkewForm) -> Check:
         return (_d_omega(form, bracket, i, j, k, e)
                 - omega(form, e[j], diamond.c[i][k])
                 + omega(form, e[i], diamond.c[j][k]))
-    return _scalar_triple_report("left-symplectic-split", "left-symplectic-split",
-                                 a.dim, defect)
+    return first_failure("left-symplectic-split",
+                         ((ijk, (defect(*ijk),)) for ijk in product(range(a.dim), repeat=3)))
 
 
 def is_symplectic_right_split(a: Algebra, form: SkewForm) -> Check:
@@ -339,8 +330,8 @@ def is_symplectic_right_split(a: Algebra, form: SkewForm) -> Check:
         return (_d_omega(form, bracket, i, j, k, e)
                 - omega(form, e[i], diamond.c[j][k])
                 + omega(form, e[j], diamond.c[i][k]))
-    return _scalar_triple_report("right-symplectic-split", "right-symplectic-split",
-                                 a.dim, defect)
+    return first_failure("right-symplectic-split",
+                         ((ijk, (defect(*ijk),)) for ijk in product(range(a.dim), repeat=3)))
 
 
 def is_bi_symplectic(a: Algebra, form: SkewForm) -> Check:

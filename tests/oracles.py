@@ -131,6 +131,18 @@ def dense_reduce(space: Subspace, v: Sequence[Fraction]) -> tuple[Fraction, ...]
     return tuple(w)
 
 
+def dense_center(a: Algebra) -> Subspace:
+    """Oracle for ``algebra.center``: the kernel of the dense Fraction stack
+    of the constraints (u * e_j)_k and (e_j * u)_k, read off ``Algebra.c``."""
+    n = a.dim
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([a.c[i][j][k] for i in range(n)])
+            rows.append([a.c[j][i][k] for i in range(n)])
+    return kernel(Matrix.from_rows(rows))
+
+
 def dense_leibniz_ideal(a: Algebra) -> Subspace:
     """Oracle for ``algebra.leibniz_ideal``: the span of the dense Fraction
     sums e_i*e_j + e_j*e_i, i <= j."""

@@ -32,10 +32,11 @@ from sympleib.catalog import instantiate, list_families
 from sympleib.exactlin import (ZERO, Matrix, basis_vector, is_zero_vector, kernel, rat, span,
                                vadd, vector, vscale, vsub, vzero, zero_subspace)
 from sympleib.extension import ExtensionData
+from sympleib.fileformat import parse_algebra, serialize_algebra
 from sympleib.reporting import Check, Witness
 from sympleib.symplectic import form_from_pairs, is_symplectic_left
 
-from oracles import left_mult
+from oracles import dense_center, left_mult
 
 
 def _dim2(x=3):
@@ -496,17 +497,6 @@ def test_identity_checks_hold_or_fail_in_every_basis(a, data):
         assert check(b).holds == check(a).holds
 
 
-def _dense_center(a):
-    """The former dense center system (test oracle)."""
-    n = a.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([a.c[i][j][k] for i in range(n)])
-            rows.append([a.c[j][i][k] for i in range(n)])
-    return kernel(Matrix.from_rows(rows))
-
-
 def _dense_derivations(a):
     """The former dense derivation system (test oracle)."""
     n = a.dim
@@ -529,8 +519,15 @@ def _dense_derivations(a):
 @settings(max_examples=80, deadline=None)
 @given(sparse_algebras(max_dim=4))
 def test_center_and_derivations_equal_the_dense_systems(a):
-    assert center(a) == _dense_center(a)
+    assert center(a) == dense_center(a)
     assert derivations(a) == _dense_derivations(a)
+
+
+@_PROPERTY
+@given(sparse_algebras(max_dim=5, constant=_MIXED))
+def test_center_on_the_int_view_equals_the_dense_constraint_stack(a):
+    # halves and thirds together: the int rows are read at scale 6, not 1
+    assert center(a) == dense_center(a)
 
 
 @_PROPERTY
@@ -587,31 +584,49 @@ def product_tables(draw, max_dim=5):
     return n, draw(st.dictionaries(st.tuples(index, index), value, max_size=n * n))
 
 
+def test_equality_and_hash_do_not_depend_on_the_containers_passed():
+    rows = [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]
+    c = tuple(tuple(tuple(map(Fraction, v)) for v in row) for row in rows)
+    table = Algebra.from_table(2, {(1, 2): {2: 1}}, ["x", "y"])
+    for a in (Algebra(2, c, ["x", "y"]), Algebra(2, c, ("x", "y")), Algebra(2, rows, ["x", "y"])):
+        assert a == table and hash(a) == hash(table)
+        assert a.labels == ("x", "y") and a.c == c
+
+
 @_PROPERTY
-@given(product_tables())
-def test_from_table_seeds_the_sparse_view_the_cache_would_compute(table):
+@given(product_tables(), st.booleans())
+def test_every_construction_route_stores_one_table(table, labelled):
+    """The dense constructor, ``from_table`` with mappings and with vectors,
+    and a file written and read back give one algebra: its table ``nz``, its
+    dense view ``c`` (the shared ZERO where no product reaches), its int view
+    and its repr, the dense constructor call."""
     n, products = table
-    a = Algebra.from_table(n, products)
+    labels = [f"b{i}" for i in range(n)] if labelled else []
     want = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for (i, j), val in products.items():
         for k, x in (val.items() if isinstance(val, dict) else enumerate(val, start=1)):
             want[i - 1][j - 1][k - 1] = rat(x)
-    assert a.c == tuple(tuple(map(tuple, row)) for row in want)
-    seeded = dict(vars(a))
-    assert "nz" in seeded
-    vars(a).pop("nz")
-    assert a.nz == seeded["nz"]
-    # the int view, at every scale, not only at 1: the lcm of the dense
-    # tensor's denominators, times each constant
-    s, scaled = a.int_nz
-    assert s == math.lcm(*(x.denominator for row in a.c for v in row for x in v))
-    assert scaled == tuple(tuple(tuple((k, x * s) for k, x in enumerate(v) if x) for v in row)
-                           for row in a.c)
-    assert all(type(x) is int for row in scaled for pairs in row for _, x in pairs)
-    assert all(x for row in a.nz for pairs in row for _, x in pairs)  # no zero enters
-    plain = Algebra(n, a.c)
-    assert a == plain and hash(a) == hash(plain)
-    assert (plain.nz, plain.int_nz) == (seeded["nz"], a.int_nz)
+    a = Algebra(n, want, labels)
+    nz = tuple(tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in row) for row in want)
+    mappings = {ij: val if isinstance(val, dict) else dict(enumerate(val, start=1))
+                for ij, val in products.items()}
+    vectors = {ij: [val.get(k, 0) for k in range(1, n + 1)] for ij, val in mappings.items()}
+    routes = [Algebra.from_table(n, mappings, tuple(labels)),
+              Algebra.from_table(n, vectors, labels), parse_algebra(serialize_algebra(a))[0]]
+    dense = tuple(tuple(map(tuple, row)) for row in want)
+    for b in (a, *routes):
+        assert b == a and hash(b) == hash(a)
+        assert b.nz == nz and b.labels == tuple(labels)
+        assert b.c == dense
+        assert all(x is ZERO for row in b.c for v in row for x in v if not x)
+        assert repr(b) == f"Algebra(dim={n!r}, c={dense!r}, labels={tuple(labels)!r})"
+        # the int view, at every scale, not only at 1: the lcm of the dense
+        # tensor's denominators, times each constant
+        s, scaled = b.int_nz
+        assert s == math.lcm(*(x.denominator for row in dense for v in row for x in v))
+        assert scaled == tuple(tuple(tuple((k, x * s) for k, x in pairs) for pairs in row)
+                               for row in nz)
+        assert all(type(x) is int for row in scaled for pairs in row for _, x in pairs)
 
 
 _Z2 = Matrix.zero(2, 2)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import dense_intersect, dense_leibniz_ideal, dense_orthogonal, dense_pivots, dense_reduce
 from sympleib.algebra import Algebra, change_basis, is_lie, leibniz_ideal, multiply
 from sympleib.catalog import get, instantiate, list_families
-from sympleib.core import CoreError, _first_nonzero, core, verify_core_properties
+from sympleib.core import CoreError, core, verify_core_properties
 from sympleib.exactlin import (
     ZERO,
     Matrix,
@@ -22,7 +22,7 @@ from sympleib.exactlin import (
     is_zero_vector,
     span,
 )
-from sympleib.reporting import Check, Witness
+from sympleib.reporting import Check, Witness, first_failure
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
@@ -176,8 +176,8 @@ def test_core_witness_scan_stops_at_the_first_failure():
         yield (0, 1), (0, 0)
         yield (1, 0), (2, 0)
         raise AssertionError("scanned past the first failure")
-    assert _first_nonzero("x", defects()) == Check("x", False, witness=Witness("x", (1, 0), (2, 0)))
-    assert _first_nonzero("x", iter([((0, 0), (0,))])) == Check("x", True)
+    assert first_failure("x", defects()) == Check("x", False, witness=Witness("x", (1, 0), (2, 0)))
+    assert first_failure("x", iter([((0, 0), (0,))])) == Check("x", True)
 
 
 def test_leibniz_span_isotropic_intersection_nonzero_for_non_lie():

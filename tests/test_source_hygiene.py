@@ -11,7 +11,8 @@ algebra or a form from a table, except the two shared bases.  In
 ``extension``, every h + g + h* construction goes through one block filler
 and one form helper.  Every keyed fact is kept by ``reporting.kept``: no
 other code writes an instance's attributes past its class, except the
-constructors of the frozen classes and three seeds of cached views.
+constructors of the frozen classes, ``Algebra._sparse`` (which sets the
+fields and seeds ``int_nz``) and two seeds of cached views.
 """
 
 import ast
@@ -151,10 +152,11 @@ def _frozen_classes(tree: ast.Module) -> set[str]:
 def test_every_keyed_fact_is_kept_by_the_one_helper():
     """Writes to an instance's ``__dict__`` or ``vars(...)``, and calls of
     ``object.__setattr__``, appear in ``src`` only in ``reporting.kept``, the
-    ``__init__`` of a frozen class, ``Check.__init__`` and the three seeds of
-    cached views: ``Algebra._sparse`` (``nz``), ``exactlin.row_space``
-    (``int_pivots``) and ``SkewForm._skew`` (``w`` and ``nondegenerate``):
-    no hand-written memo is left beside ``kept``."""
+    ``__init__`` of a frozen class, ``Check.__init__``, ``Algebra._sparse``,
+    which sets the fields and seeds the cached ``int_nz``, and the seeds of
+    cached views ``exactlin.row_space`` (``int_pivots``) and
+    ``SkewForm._skew`` (``w`` and ``nondegenerate``): no hand-written memo
+    is left beside ``kept``."""
     seeds = {"algebra.Algebra._sparse", "exactlin.row_space", "symplectic.SkewForm._skew"}
     allowed = seeds | {"reporting.kept", "reporting.Check.__init__"}
     found = set()
