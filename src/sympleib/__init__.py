@@ -7,12 +7,12 @@ and double extensions are checked and rebuilt entry for entry.  The
 ``catalog`` module carries the verified example families; ``cli`` exposes
 the whole kernel on files.
 
-``extension`` and ``catalog`` are registered unrun and run on their first
-attribute access, so ``omega``, ``check``, ``star`` and ``core`` start
-without compiling them; the re-exports from ``extension`` resolve through
-the module ``__getattr__`` (PEP 562).  An import statement that names a
+``extension``, ``catalog`` and ``core`` are registered unrun and run on their
+first attribute access, so ``omega``, ``check`` and ``star`` compile none of
+them; their re-exports resolve through the module ``__getattr__`` (PEP 562),
+and ``sympleib.core`` is the function.  An import statement that names a
 lazy module runs it, so ``fileformat``, ``catalog`` and ``cli`` reach
-``extension`` as ``extension.name`` at call time.
+``extension`` as ``extension.name``, and ``cli`` imports ``core``, at call time.
 """
 
 import importlib.util
@@ -34,6 +34,7 @@ def _lazy(name: str):
 # registered before fileformat imports, which reaches extension through the module
 extension = _lazy("extension")
 catalog = _lazy("catalog")
+_core = _lazy("core")  # not bound as ``core``: that name is the function
 
 from sympleib.algebra import (
     Algebra,
@@ -50,7 +51,6 @@ from sympleib.algebra import (
     opposite,
     quotient,
 )
-from sympleib.core import CoreDecomposition, CoreError, core, verify_core_properties
 from sympleib.exactlin import (
     Matrix,
     Rational,
@@ -92,7 +92,9 @@ from sympleib.symplectic import (
 
 
 def __getattr__(name: str):
-    # the names of __all__ that no import above binds are extension's
+    # the names of __all__ that no import above binds are core's or extension's
+    if name in {"CoreDecomposition", "CoreError", "core", "verify_core_properties"}:
+        return getattr(_core, name)
     if name in __all__:
         return getattr(extension, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,6 @@ exact defect.  Each identity's report is kept on the algebra by name
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -39,14 +38,13 @@ from sympleib.exactlin import (
     vscale,
     vsub,
 )
-from sympleib.reporting import Check, Witness, kept
+from sympleib.reporting import Check, Record, Witness, kept
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Algebra:
+class Algebra(Record):
     dim: int
     nz: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...]
 
     def __init__(self, dim: int, c: Sequence, labels: Sequence[str] = ()):
         """The dense constructor: checks the shape of c and hands its nonzeros to ``_sparse``."""
@@ -306,12 +304,13 @@ def is_lie(a: Algebra) -> Check:
     """Antisymmetry on the basis pairs, then the Jacobi identity.
 
     The first pair with e_i * e_j + e_j * e_i nonzero (``_symmetrized``) has
-    i <= j (the sum is symmetric), and only its dense defect is built, as the
-    witness.
+    i <= j (the sum is symmetric), and its int row over the scale of
+    ``int_nz`` is the witness's defect: the dense tensor is not built.
     """
-    for (i, j), _ in _symmetrized(a):
+    for (i, j), row in _symmetrized(a):
+        s = a.int_nz[0]
         return Check("lie", False, witness=Witness(
-            "antisymmetry", (i, j), vadd(a.c[i][j], a.c[j][i])))
+            "antisymmetry", (i, j), tuple(Fraction(row.get(k, 0), s) for k in range(a.dim))))
     return _scan_identity(a, "lie", "jacobi", _JACOBI)
 
 

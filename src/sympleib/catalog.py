@@ -22,7 +22,6 @@ what ``verify`` reads the claims off: the table, or an equal kept build.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping
@@ -36,7 +35,7 @@ from .algebra import (
     is_symmetric_leibniz,
 )
 from .exactlin import HALF, Matrix, Rational, rat
-from .reporting import Check, SystemReport
+from .reporting import Check, Record, SystemReport
 from .symplectic import (
     SkewForm,
     form_from_pairs,
@@ -48,21 +47,22 @@ from .symplectic import (
 Params = dict[str, Rational]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A polynomial predicate on parameters, required =0 or !=0."""
 
     name: str
     kind: str  # "nonzero" or "zero"
     value: Callable[[Params], Rational]
 
+    def __init__(self, name: str, kind: str, value: Callable[[Params], Rational]):
+        self.__dict__.update(name=name, kind=kind, value=value)
+
     def satisfied(self, params: Params) -> bool:
         v = self.value(params)
         return v != 0 if self.kind == "nonzero" else v == 0
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     id: str
     description: str
     param_names: tuple[str, ...]
@@ -70,9 +70,15 @@ class FamilySpec:
     constraints: tuple[Constraint, ...]
     builder: Callable[[Params], tuple[Algebra, SkewForm]]
     claims: tuple[str, ...]
-    sampler: Callable[[random.Random], Params] | None = None
+    sampler: Callable[[random.Random], Params] | None
     # params -> (checks, (algebra, form)): its own checks and the pair verify reads claims off
-    extra_checks: Callable[[Params], tuple[list[Check], tuple[Algebra, SkewForm]]] | None = None
+    extra_checks: Callable[[Params], tuple[list[Check], tuple[Algebra, SkewForm]]] | None
+
+    def __init__(self, id, description, param_names, defaults, constraints, builder, claims,
+                 sampler, extra_checks):
+        self.__dict__.update(id=id, description=description, param_names=param_names,
+                             defaults=defaults, constraints=constraints, builder=builder,
+                             claims=claims, sampler=sampler, extra_checks=extra_checks)
 
     def default_params(self) -> Params:
         return dict(self.defaults)

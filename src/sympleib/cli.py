@@ -24,7 +24,6 @@ from typing import Any
 from . import catalog, extension
 from .algebra import (is_left_leibniz, is_left_symmetric, is_lie,
                       is_right_leibniz, is_symmetric_leibniz)
-from .core import core
 from .fileformat import (FileFormatError, algebra_to_dict, coords_to_entries,
                          form_to_entries, load_algebra, load_extension,
                          rational_from_json, rational_to_json, serialize_algebra)
@@ -157,6 +156,7 @@ def cmd_core(args) -> int:
     algebra, form = load_algebra(args.file)
     if form is None:
         raise UsageError("core needs a form in the file")
+    from .core import core  # at call time: the module runs on first use, and a rebinding shows
     dec = core(algebra, form)
     reduced_doc = algebra_to_dict(dec.reduced.algebra, dec.reduced.form)
     lines = [f"dim I: {dec.ideal.dim}"]

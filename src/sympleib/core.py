@@ -9,7 +9,6 @@ dim I and measures how far the input is from that symplectic Lie algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
@@ -28,7 +27,7 @@ from sympleib.exactlin import (
     intersect,
     row_space,
 )
-from sympleib.reporting import SystemReport, first_failure
+from sympleib.reporting import Record, SystemReport, first_failure, replace
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
@@ -42,14 +41,17 @@ class CoreError(ValueError):
     """An internal consequence of the core construction failed to hold."""
 
 
-@dataclass(frozen=True)
-class CoreDecomposition:
+class CoreDecomposition(Record):
     ideal: Subspace            # I = Leib ∩ Leib-orthogonal
     ideal_perp: Subspace       # its orthogonal, a subalgebra containing all products
     reduced: SymplecticAlgebra  # the symplectic Lie algebra on ideal_perp / ideal
     reduced_lift: Matrix       # rows: representatives in the ambient algebra
     h_dim: int                 # dim A - dim ideal_perp, always equals dim ideal
     h_lift: Matrix             # rows: a complement of ideal_perp in the ambient algebra
+
+    def __init__(self, ideal, ideal_perp, reduced, reduced_lift, h_dim, h_lift):
+        self.__dict__.update(ideal=ideal, ideal_perp=ideal_perp, reduced=reduced,
+                             reduced_lift=reduced_lift, h_dim=h_dim, h_lift=h_lift)
 
 
 def _complement_positions(inner: Subspace, outer: Subspace) -> list[int]:

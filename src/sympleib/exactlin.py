@@ -29,12 +29,13 @@ way, straight into the lists it eliminates in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
+
+from sympleib.reporting import Record
 
 Rational = Fraction
 
@@ -121,20 +122,20 @@ def int_scaled_pairs(table: Sequence[Sequence[Sequence[tuple[int, Fraction]]]]
 # matrices
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable row-major matrix of Fractions."""
 
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[Fraction, ...], ...]):
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
+        for r in entries:
+            if len(r) != cols:
                 raise ValueError("column count mismatch")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Matrix":
@@ -391,18 +392,20 @@ def rref(m: Matrix) -> Matrix:
 # subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of K^n held by its canonical basis.
 
     The basis matrix is in RREF with zero rows pruned, so two subspaces are
-    equal exactly when their dataclass fields are equal.  A subspace built by
+    equal exactly when their record fields are equal.  A subspace built by
     the elimination core keeps its int pivot rows (``int_pivots``); the
     pivots, the int basis and the reductions are read off them.
     """
 
     ambient_dim: int
     basis: Matrix
+
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
 
     @property
     def dim(self) -> int:

@@ -42,7 +42,6 @@ of solving for it, and stay as independent test oracles for star_left.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from fractions import Fraction
@@ -76,7 +75,7 @@ from sympleib.exactlin import (
     vsub,
     vzero,
 )
-from sympleib.reporting import Check, SystemReport, Witness, first_failure, kept
+from sympleib.reporting import Check, Record, SystemReport, Witness, first_failure, kept
 from sympleib.symplectic import (
     SkewForm,
     is_bi_symplectic,
@@ -88,8 +87,7 @@ from sympleib.symplectic import (
 )
 
 
-@dataclass(frozen=True)
-class SymplecticLie:
+class SymplecticLie(Record):
     """A Lie algebra with a closed nondegenerate skew form and its cached star.
 
     The star product u * v, defined by omega(u * v, w) = -omega(v, [u, w]),
@@ -118,9 +116,7 @@ class SymplecticLie:
         comm = _star_commutator(star, g)
         if not comm.holds:
             raise ValueError(f"internal error: star commutator differs from bracket: {comm.detail}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "star", star)
+        self.__dict__.update(g=g, form=form, star=star)
 
     @property
     def dim(self) -> int:
@@ -139,8 +135,7 @@ def _vector_grid(p: int, m: int, entries) -> tuple:
     return grid
 
 
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(Record):
     """Raw ingredients of a double extension over a p-dimensional h."""
 
     p: int
@@ -162,13 +157,9 @@ class ExtensionData:
         for op in (*F, *G):
             if op.rows != m or op.cols != m:
                 raise ValueError("operators must be square of equal size")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "theta", _vector_grid(p, m, theta))
-        object.__setattr__(self, "psi", _vector_grid(p, m, psi))
-        object.__setattr__(self, "xi", _vector_grid(p, m, xi))
-        object.__setattr__(self, "omega_cube", _vector_grid(p, p, omega_cube))
+        self.__dict__.update(p=p, F=F, G=G, theta=_vector_grid(p, m, theta),
+                             psi=_vector_grid(p, m, psi), xi=_vector_grid(p, m, xi),
+                             omega_cube=_vector_grid(p, p, omega_cube))
 
     @property
     def gdim(self) -> int:
@@ -440,14 +431,16 @@ def check_reduced_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
 # assembling on h + g + h*
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record):
     """Where the h, g and h* coordinates sit in the basis, and the basis labels."""
 
     h: tuple[int, ...]
     g: tuple[int, ...]
     hs: tuple[int, ...]
     labels: tuple[str, ...]
+
+    def __init__(self, h, g, hs, labels):
+        self.__dict__.update(h=h, g=g, hs=hs, labels=labels)
 
     @property
     def dim(self) -> int:

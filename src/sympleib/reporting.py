@@ -5,15 +5,51 @@ carries a ``Witness`` (the basis indices and the exact defect), which fills
 in its detail; other failures give their detail as text.  A
 ``SystemReport`` is a titled list of checks: a criterion system, the core
 properties, or one catalog sample.  ``kept`` keeps every keyed fact, a
-report or a derived set, on its owner.
+report or a derived set, on its owner.  Every value class of the package,
+these three included, is a frozen ``Record``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import is_
 from typing import Optional
+
+
+class Record:
+    """The frozen base of the value classes.  A subclass names its fields as
+    class annotations and sets them in its ``__init__`` through ``vars(self)``;
+    no field can be assigned or deleted, ``==`` and ``hash`` follow the tuple
+    of fields, and the repr is ``Name(field=value, ...)``."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, **changes) -> Record:
+    """``record`` built anew by its class's constructor, with ``changes`` for those fields."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
 
 
 def kept(owner, key: str, make, *held):
@@ -37,13 +73,15 @@ def first_failure(name: str, defects) -> Check:
     return Check(name, True)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Where an identity fails: which check, at which basis indices, by how much."""
 
     kind: str
     indices: tuple[int, ...]
     defect: tuple[Fraction, ...]
+
+    def __init__(self, kind: str, indices: tuple[int, ...], defect: tuple[Fraction, ...]):
+        self.__dict__.update(kind=kind, indices=indices, defect=defect)
 
     def describe(self) -> str:
         """One line with 1-based indices, e.g. ``jacobi fails at (1, 2, 3) with defect (1, 0)``.
@@ -58,14 +96,13 @@ class Witness:
         return f"{self.kind} fails at ({spot}) with defect ({vector})"
 
 
-@dataclass(frozen=True, init=False)
-class Check:
+class Check(Record):
     """One named check; a witness, only on a failure, gives the detail."""
 
     name: str
     holds: bool
-    detail: str = ""
-    witness: Optional[Witness] = None
+    detail: str
+    witness: Optional[Witness]
 
     def __init__(self, name: str, holds: bool, detail: str = "",
                  witness: Optional[Witness] = None):
@@ -73,8 +110,6 @@ class Check:
             if holds:
                 raise ValueError("a check that holds has no witness")
             detail = detail or witness.describe()
-        # one dict update, not a frozen setattr per field: the criteria make
-        # dozens of checks per request
         self.__dict__.update(name=name, holds=holds, detail=detail, witness=witness)
 
     def line(self) -> str:
@@ -83,10 +118,12 @@ class Check:
         return f"[{mark:>4}] {self.name}{suffix}"
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(Record):
     title: str
     checks: tuple[Check, ...]
+
+    def __init__(self, title: str, checks: tuple[Check, ...]):
+        self.__dict__.update(title=title, checks=checks)
 
     @property
     def ok(self) -> bool:

@@ -24,7 +24,6 @@ name, for the last form checked (``reporting.kept``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
@@ -45,11 +44,10 @@ from sympleib.exactlin import (
     reduce_rows,
     row_space,
 )
-from sympleib.reporting import Check, Witness, first_failure, kept
+from sympleib.reporting import Check, Record, Witness, first_failure, kept
 
 
-@dataclass(frozen=True)
-class SkewForm:
+class SkewForm(Record):
     w: Matrix
 
     def __init__(self, w: Matrix):
@@ -60,7 +58,7 @@ class SkewForm:
             for j in range(i, w.rows):
                 if (e[i][j] or e[j][i]) and e[i][j] != -e[j][i]:
                     raise ValueError(f"form matrix is not skew at ({i}, {j})")
-        object.__setattr__(self, "w", w)
+        self.__dict__["w"] = w
 
     @classmethod
     def _skew(cls, w: Matrix, nondegenerate: Optional[bool] = None, int_w=None) -> "SkewForm":
@@ -557,19 +555,19 @@ def is_lagrangian(form: SkewForm, s: Subspace) -> bool:
 # ---------------------------------------------------------------------------
 # a checked bundle
 
-@dataclass(frozen=True)
-class SymplecticAlgebra:
+class SymplecticAlgebra(Record):
     """An algebra plus a compatible nondegenerate skew form, checked on build."""
 
     algebra: Algebra
     form: SkewForm
-    side: str = "left"
+    side: str
 
-    def __post_init__(self):
+    def __init__(self, algebra: Algebra, form: SkewForm, side: str = "left"):
         checks = {"left": is_symplectic_left, "right": is_symplectic_right,
                   "bi": is_bi_symplectic}
-        if self.side not in checks:
+        if side not in checks:
             raise ValueError("side must be 'left', 'right', or 'bi'")
-        rep = checks[self.side](self.algebra, self.form)
+        rep = checks[side](algebra, form)
         if not rep.holds:
             raise ValueError(f"form is not {rep.name} compatible: {rep.detail}")
+        self.__dict__.update(algebra=algebra, form=form, side=side)

@@ -413,6 +413,28 @@ def test_identity_reports_equal_the_dense_scans_with_halves_and_thirds(a):
     _assert_reports_equal_the_oracle(opposite(a))
 
 
+@_PROPERTY
+@given(sparse_algebras(constant=_MIXED))
+def test_is_lie_builds_no_dense_tensor_for_its_antisymmetry_witness(a):
+    """The witness and detail of is_lie equal the dense oracle's, read off an
+    equal algebra built apart, and the algebra checked never builds c."""
+    apart = parse_algebra(serialize_algebra(a))[0]
+    got = is_lie(a)
+    assert "c" not in vars(a)
+    want = _dense_lie(apart)
+    assert got == want and got.detail == want.detail
+    assert all(type(x) is Fraction for x in (got.witness.defect if got.witness else ()))
+
+
+def test_is_lie_on_a_non_lie_table_leaves_c_unbuilt():
+    # e1 e2 + e2 e1 = e2 / 2, over the int view at scale 6: the pair (1, 2) fails first
+    a = Algebra.from_table(2, {(1, 2): {1: "-1/3", 2: 1}, (2, 1): {1: "1/3", 2: "-1/2"}})
+    rep = is_lie(a)
+    assert "c" not in vars(a)
+    assert rep.witness == Witness("antisymmetry", (0, 1), (Fraction(0), Fraction(1, 2)))
+    assert rep.detail == "antisymmetry fails at (1, 2) with defect (0, 1/2)"
+
+
 # k at each of the three places of either side, so that every walk of
 # _slices runs; no identity table has k as the outer factor of an "L" term
 _EVERY_WALK = ((1, "L", 0, 1, 2), (-1, "L", 1, 2, 0), (1, "L", 2, 0, 1),

@@ -1,7 +1,6 @@
 """Command line behaviour: exit codes, pipelines, reproducibility."""
 
 import collections
-import dataclasses
 import hashlib
 import io
 import json
@@ -24,6 +23,7 @@ from sympleib.exactlin import HALF, Matrix, vadd, vscale
 from sympleib.extension import ExtensionData, zero_cube, zero_grid
 from sympleib.fileformat import (algebra_to_dict, load_extension, parse_algebra, rational_to_json,
                                  serialize_algebra)
+from sympleib.reporting import replace
 from sympleib.symplectic import SkewForm, form_from_pairs, star_left, star_right
 
 RR3_BASE = """\
@@ -1128,7 +1128,7 @@ def _moved_family(monkeypatch, fid):
     def extra(params):
         checks, (a, form) = spec.extra_checks(params)
         return checks, (_moved(a), form)
-    monkeypatch.setitem(catalog._BY_ID, fid, dataclasses.replace(
+    monkeypatch.setitem(catalog._BY_ID, fid, replace(
         spec, builder=builder, extra_checks=spec.extra_checks and extra))
 
 
@@ -1152,7 +1152,7 @@ def test_catalog_verify_failures_are_pinned(capsys, monkeypatch, fid):
 
 def test_catalog_verify_pins_a_failed_non_lie_claim(capsys, monkeypatch):
     spec = catalog.get("DIM2_NONLIE")
-    monkeypatch.setitem(catalog._BY_ID, "DIM2_NONLIE", dataclasses.replace(
+    monkeypatch.setitem(catalog._BY_ID, "DIM2_NONLIE", replace(
         spec, builder=lambda params: (Algebra.from_table(2, {}), spec.builder(params)[1])))
     code, out, _ = run(capsys, "catalog", "verify", "DIM2_NONLIE", "--samples", "1", "--seed", "5")
     assert (code, out.splitlines()[1:]) == (1, ["  [FAIL] non-lie  (the product is a Lie bracket)",

@@ -1,6 +1,5 @@
 """Core reduction: isotropic kernel, reduced symplectic Lie algebra, defect."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from sympleib.exactlin import (
     is_zero_vector,
     span,
 )
-from sympleib.reporting import Check, Witness, first_failure
+from sympleib.reporting import Check, Witness, first_failure, replace
 from sympleib.symplectic import (
     SkewForm,
     SymplecticAlgebra,
@@ -125,7 +124,7 @@ def test_verify_core_properties_dim2_and_lie():
 
 def test_verify_core_properties_keeps_the_witnesses_of_the_reduced_checks():
     # a reduced part that is left symplectic but not Lie: e2*e2 = 3 e1
-    dec = dataclasses.replace(core(_r4(), W14_23), reduced=SymplecticAlgebra(_dim2(), W12))
+    dec = replace(core(_r4(), W14_23), reduced=SymplecticAlgebra(_dim2(), W12))
     checks = {c.name: c for c in verify_core_properties(_r4(), W14_23, dec).checks}
     lie = checks["reduced-algebra-is-lie"]
     assert lie == Check(lie.name, False, witness=Witness("antisymmetry", (1, 1), (6, 0)))
@@ -143,7 +142,7 @@ def test_verify_core_properties_names_the_first_escaping_product():
     # with I-perp replaced by I = span(e4), e1 e2 = e3 is the first product to escape
     a, dec = _r4(), core(_r4(), W14_23)
     star = star_left(a, W14_23)
-    report = verify_core_properties(a, W14_23, dataclasses.replace(dec, ideal_perp=dec.ideal))
+    report = verify_core_properties(a, W14_23, replace(dec, ideal_perp=dec.ideal))
     assert {c.name for c in report.failed()} == {
         "products-inside-I-perp", "star-products-inside-I-perp", "projected-star-is-zero"}
     checks = {c.name: c for c in report.checks}
@@ -162,7 +161,7 @@ def test_verify_core_properties_names_the_first_product_with_I_that_survives():
     # with I replaced by I-perp = span(e2, e3, e4): e1 e2 = e3 and e2 e1 = -e3
     a, dec = _r4(), core(_r4(), W14_23)
     star = star_left(a, W14_23)
-    report = verify_core_properties(a, W14_23, dataclasses.replace(dec, ideal=dec.ideal_perp))
+    report = verify_core_properties(a, W14_23, replace(dec, ideal=dec.ideal_perp))
     checks = {c.name: c for c in report.checks}
     assert checks["products-with-I-vanish"].witness == Witness(
         "products-with-I-vanish", (0, 0), (0, 0, 1, 0, 0, 0, -1, 0))

@@ -1,6 +1,7 @@
 """The lazy contract of the package: ``import sympleib`` registers
-``extension`` and ``catalog`` in ``sys.modules`` unrun, and each runs on its
-first attribute access.
+``extension``, ``catalog`` and ``core`` in ``sys.modules`` unrun, and each
+runs on its first attribute access; no subcommand imports ``dataclasses``
+or ``inspect``.
 
 Every test runs its commands in a fresh interpreter, since this process has
 loaded every module.  ``type()`` tells an unrun module from a run one without
@@ -25,7 +26,8 @@ from test_cli import (CATALOG_GOLDEN, EXTEND_FLAGS, EXTEND_GOLDEN, _digest, _ext
 ROOT = Path(__file__).resolve().parent.parent
 
 # runs each argv of argv[1] through cli.main, then prints the exit codes and
-# outputs and, for extension and catalog, whether the module has run
+# outputs, whether each lazy module has run, and which of dataclasses and
+# inspect (the start-up cost the value classes no longer pay) were imported
 PROBE = """
 import contextlib, io, json, sys, types
 from sympleib import cli
@@ -36,8 +38,9 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
 ran = {name: type(sys.modules["sympleib." + name]) is types.ModuleType
-       for name in ("extension", "catalog")}
-print(json.dumps({"runs": runs, "ran": ran}))
+       for name in ("extension", "catalog", "core")}
+imported = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+print(json.dumps({"runs": runs, "ran": ran, "imported": imported}))
 """
 
 
@@ -48,12 +51,12 @@ def _fresh(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def _probe(*argvs: list[str]) -> tuple[list, dict]:
+def _probe(*argvs: list[str]) -> tuple[list, dict, list]:
     doc = json.loads(_fresh(PROBE, json.dumps(argvs)))
-    return doc["runs"], doc["ran"]
+    return doc["runs"], doc["ran"], doc["imported"]
 
 
-def test_import_registers_every_traced_module_and_runs_neither_lazy_one():
+def test_import_registers_every_traced_module_and_runs_no_lazy_one():
     out = _fresh(f"""
 import json, sys, types
 sys.path.insert(0, {str(ROOT / "perfbench")!r})
@@ -70,43 +73,48 @@ print(json.dumps([names, after_package, after_cli, unrun]))
     assert len(names) == 8 and "cli" in names
     assert after_package == [n for n in names if n != "cli"]
     assert after_cli == names
-    assert unrun == ["catalog", "extension"]
+    assert unrun == ["catalog", "core", "extension"]
 
 
-def test_omega_check_star_and_core_run_neither_extension_nor_catalog(capsys, tmp_path):
+def test_omega_check_and_star_run_no_lazy_module_and_core_runs_only_core(capsys, tmp_path):
     path = tmp_path / "bs4c.json"
     path.write_text(serialize_algebra(*instantiate("BS4_C")), encoding="utf-8")
     argvs = [["omega", str(path), "solve"], ["omega", str(path), "verify", "--side", "bi"],
-             ["check", str(path)], ["star", str(path)], ["core", str(path)]]
-    runs, ran = _probe(*argvs)
-    assert ran == {"extension": False, "catalog": False}
-    assert runs == [list(run(capsys, *argv)) for argv in argvs]
-    assert [code for code, _, _ in runs] == [0] * 5
+             ["check", str(path)], ["star", str(path)]]
+    for cmds, core_ran in ((argvs, False), ([["core", str(path)]], True)):
+        runs, ran, imported = _probe(*cmds)
+        assert ran == {"extension": False, "catalog": False, "core": core_ran}
+        assert imported == []
+        assert runs == [list(run(capsys, *argv)) for argv in cmds]
+        assert [code for code, _, _ in runs] == [0] * len(cmds)
 
 
 def test_catalog_verify_on_a_family_without_extension_data_runs_only_catalog():
-    runs, ran = _probe(*([*prefix, "catalog", "verify", "DIM2_NONLIE", "--samples", "3",
-                          "--seed", "5"] for prefix in ((), ("--json-out",))))
-    assert ran == {"extension": False, "catalog": True}
+    runs, ran, imported = _probe(*([*prefix, "catalog", "verify", "DIM2_NONLIE", "--samples",
+                                    "3", "--seed", "5"] for prefix in ((), ("--json-out",))))
+    assert ran == {"extension": False, "catalog": True, "core": False}
+    assert imported == []
     assert tuple(_digest(code, out) for code, out, _ in runs) == CATALOG_GOLDEN["DIM2_NONLIE"]
 
 
 def test_extend_runs_extension_with_the_pinned_answers(tmp_path):
     path = tmp_path / "ext.json"
     path.write_text(_extension_text(*extension_data("ABEL2_CASE1")), encoding="utf-8")
-    runs, ran = _probe(*([*prefix, "extend", str(path), *flags]
-                         for prefix in ((), ("--json-out",)) for flags in EXTEND_FLAGS))
-    assert ran == {"extension": True, "catalog": False}
+    runs, ran, imported = _probe(*([*prefix, "extend", str(path), *flags]
+                                   for prefix in ((), ("--json-out",)) for flags in EXTEND_FLAGS))
+    assert ran == {"extension": True, "catalog": False, "core": False}
+    assert imported == []
     got = tuple(f"{code} {hashlib.sha256((out + err).encode()).hexdigest()[:16]}"
                 for code, out, err in runs)
     assert got == EXTEND_GOLDEN["ABEL2_CASE1"]
 
 
 def test_catalog_verify_on_an_extension_family_runs_both():
-    runs, ran = _probe(["catalog", "verify", "ABEL2_CASE1", "--samples", "3", "--seed", "5"],
-                       ["--json-out", "catalog", "verify", "ABEL2_CASE1", "--samples", "3",
-                        "--seed", "5"])
-    assert ran == {"extension": True, "catalog": True}
+    runs, ran, imported = _probe(
+        ["catalog", "verify", "ABEL2_CASE1", "--samples", "3", "--seed", "5"],
+        ["--json-out", "catalog", "verify", "ABEL2_CASE1", "--samples", "3", "--seed", "5"])
+    assert ran == {"extension": True, "catalog": True, "core": False}
+    assert imported == []
     assert tuple(_digest(code, out) for code, out, _ in runs) == CATALOG_GOLDEN["ABEL2_CASE1"]
 
 
@@ -115,7 +123,8 @@ def test_every_export_resolves_to_its_defining_module():
 import json, sys, types
 import sympleib
 listed = set(sympleib.__all__) <= set(dir(sympleib))
-unrun_at_import = type(sys.modules["sympleib.extension"]) is not types.ModuleType
+unrun_at_import = all(type(sys.modules["sympleib." + name]) is not types.ModuleType
+                      for name in ("extension", "core"))
 namespace = {}
 exec("from sympleib import *", namespace)
 wrong = []

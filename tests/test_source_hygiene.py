@@ -143,10 +143,9 @@ def _sets_attributes(node) -> bool:
 
 
 def _frozen_classes(tree: ast.Module) -> set[str]:
+    """The classes built on the frozen-record base ``Record``."""
     return {top.name for top in tree.body if isinstance(top, ast.ClassDef)
-            and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-                    and any(k.arg == "frozen" and getattr(k.value, "value", False)
-                            for k in d.keywords) for d in top.decorator_list)}
+            and any(getattr(base, "id", None) == "Record" for base in top.bases)}
 
 
 def test_every_keyed_fact_is_kept_by_the_one_helper():
