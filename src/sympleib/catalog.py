@@ -65,7 +65,6 @@ class Constraint(Record):
 class FamilySpec(Record):
     id: str
     description: str
-    param_names: tuple[str, ...]
     defaults: tuple[tuple[str, Rational], ...]
     constraints: tuple[Constraint, ...]
     builder: Callable[[Params], tuple[Algebra, SkewForm]]
@@ -74,11 +73,15 @@ class FamilySpec(Record):
     # params -> (checks, (algebra, form)): its own checks and the pair verify reads claims off
     extra_checks: Callable[[Params], tuple[list[Check], tuple[Algebra, SkewForm]]] | None
 
-    def __init__(self, id, description, param_names, defaults, constraints, builder, claims,
-                 sampler, extra_checks):
-        self.__dict__.update(id=id, description=description, param_names=param_names,
-                             defaults=defaults, constraints=constraints, builder=builder,
-                             claims=claims, sampler=sampler, extra_checks=extra_checks)
+    def __init__(self, id, description, defaults, constraints, builder, claims, sampler,
+                 extra_checks):
+        self.__dict__.update(id=id, description=description, defaults=defaults,
+                             constraints=constraints, builder=builder, claims=claims,
+                             sampler=sampler, extra_checks=extra_checks)
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.defaults)
 
     def default_params(self) -> Params:
         return dict(self.defaults)
@@ -255,7 +258,7 @@ def _rr3_raw_checks(params: Params) -> tuple[list[Check], tuple[Algebra, SkewFor
     rep = extension.check_rank_one(gs, d)
     checks = [_system_check("rank-one-system", rep)]
     if rep.ok:
-        built = extension.build_rank_one(gs, d, gate=rep)
+        built = extension.build_rank_one(gs, d)
         checks += [Check("construction-matches-display", built[0].nz == table[0].nz),
                    Check("form-matches-display", built[1].w == table[1].w)]
         table = built if all(c.holds for c in checks) else table
@@ -273,21 +276,19 @@ _X_NONZERO, _XA_NONZERO = [_nonzero("x")], [_nonzero("x"), _nonzero("a")]
 
 def _family(fid, description, defaults, constraints, builder, claims,
             sampler=None, extra=None) -> FamilySpec:
-    return FamilySpec(fid, description, tuple(defaults),
-                      tuple((k, rat(v)) for k, v in defaults.items()),
-                      tuple(constraints), builder, tuple(claims),
-                      sampler, extra)
+    return FamilySpec(fid, description, tuple((k, rat(v)) for k, v in defaults.items()),
+                      tuple(constraints), builder, tuple(claims), sampler, extra)
 
 
 def _extension_family(fid, description, defaults, constraints, claims) -> FamilySpec:
     """A family over the abelian plane built from its ``_EXTENSION_DATA``; its
-    extra check is the reduced system, the gate of the build of the same data."""
+    extra check is the reduced system, which the build of the same data reads back."""
     data = _EXTENSION_DATA[fid]
 
     def checked(p: Params) -> tuple[list[Check], tuple[Algebra, SkewForm]]:
         gs, d = _abelian2_base(), data(p)
         rep = extension.check_reduced_system(gs, d)
-        built = extension.build_double_extension(gs, d, rep)
+        built = extension.build_double_extension(gs, d)
         return [_system_check("reduced-system", rep)], built
     return _family(fid, description, defaults, constraints, lambda p: checked(p)[1], claims,
                    extra=checked)

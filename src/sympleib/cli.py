@@ -192,10 +192,8 @@ def cmd_extend(args) -> int:
 
     emitted = {}  # the algebras to print, each with the extension's form
     if args.build or args.star:
-        # the reduced report just printed is the builder's gate; a full
-        # report is a different check, so the builder runs the reduced one
-        gate = report if args.system == "reduced" else None
-        algebra, form = extension.build_double_extension(gs, data, gate)
+        # the builder's criterion reads back each equation the report scanned on data
+        algebra, form = extension.build_double_extension(gs, data)
         if args.build:
             emitted["product"] = algebra
         if args.star:

@@ -505,9 +505,9 @@ def kernel(m: Matrix | Iterable[Mapping[int, int | Fraction]], cols: Optional[in
            ) -> Subspace:
     """Canonical basis of {v : m v = 0}.
 
-    ``m`` is a Matrix, or an iterable of sparse rows ``{column: nonzero int
-    or Fraction}`` with ``cols`` columns, for systems too sparse to build
-    densely.
+    ``m`` is a Matrix, or an iterable of sparse rows ``{column: int or
+    Fraction}`` with ``cols`` columns, for systems too sparse to build
+    densely; a zero entry is dropped (``reduce_rows``).
     """
     if isinstance(m, Matrix):
         m, cols = map(_sparse, m.entries), m.cols

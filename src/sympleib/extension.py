@@ -22,8 +22,9 @@ with F = G = 0 and theta = psi = xi = 0, and the inner case the data read
 off the adapted basis h_i + H e_i, where h is isotropic and orthogonal to g;
 the shear h_i -> h_i + H e_i is its certificate (tests/oracles.py holds the
 product in the basis before it).  Each special builder checks its own inputs
-and hands its data to the one reduced-criterion gate, the one assembly and
-the one post-build check.
+and hands its data to the one reduced criterion, which reads back each
+equation already scanned on the data, the one assembly and the one
+post-build check.
 
 A layout names the basis positions of h, g and h* and the basis labels: the
 rank-one builders use the order (g, e, e*), the others (h, g, h*).  One
@@ -395,9 +396,6 @@ def _criterion(gs: SymplecticLie, d: ExtensionData, title: str, names) -> System
                                      for name in names))
 
 
-_REDUCED_TITLE = "double extension criterion (reduced form)"
-
-
 def check_full_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
     """The long criterion list for (dd) to be symplectic left Leibniz.
 
@@ -420,7 +418,7 @@ def check_reduced_system(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
     isotropic criteria; the dense copies of the three criteria in
     tests/test_extension.py are their oracles.
     """
-    return _criterion(gs, d, _REDUCED_TITLE, (
+    return _criterion(gs, d, "double extension criterion (reduced form)", (
         "F-derivations", "G-derivations", "omega-cube", "psi-xi-antisym",
         "theta-from-xi-psi", "theta-xi-psi-pairing", "F-theta-cyclic-S",
         "Fstar-psi-K-theta", "Fstar-psi-xi-S", "ad-theta-FF", "Rstar-psi-FF",
@@ -580,27 +578,22 @@ def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Alg
     return _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
 
 
-def _require_criterion(gs: SymplecticLie, d: ExtensionData, gate: SystemReport | None,
-                       what: str) -> None:
-    """Raise unless the reduced system holds on (gs, d); ``gate`` is its report
-    when the caller has already run it."""
-    if gate is not None and gate.title != _REDUCED_TITLE:
-        raise ValueError(f"the gate must be a reduced-system report, got {gate.title!r}")
-    report = check_reduced_system(gs, d) if gate is None else gate
+def _require_criterion(gs: SymplecticLie, d: ExtensionData, what: str) -> None:
+    """Raise unless the reduced system holds on (gs, d)."""
+    report = check_reduced_system(gs, d)
     if not report.ok:
         names = ", ".join(c.name for c in report.failed())
         raise ValueError(f"{what} fails the criterion: {names}")
 
 
-def build_double_extension(gs: SymplecticLie, d: ExtensionData,
-                           gate: SystemReport | None = None) -> tuple[Algebra, SkewForm]:
+def build_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
     """Checked assembly: criterion first, identity verification afterwards.
 
-    The criterion is the reduced system.  A caller that has already run
-    check_reduced_system on (gs, d) passes its report as ``gate`` so that the
-    system is not run twice.
+    The criterion is the reduced system.  Each equation's report is kept on
+    d, so an equation that a check already scanned on the same (gs, d) is
+    read back, not scanned again.
     """
-    _require_criterion(gs, d, gate, "extension data")
+    _require_criterion(gs, d, "extension data")
     algebra, form = _assemble_double_extension(gs, d)
     _verify(*_left_symplectic_checks(algebra, form))
     return algebra, form
@@ -751,13 +744,11 @@ def rank_one_star(gs: SymplecticLie, d: ExtensionData) -> Algebra:
     return _fill(_rank_one_layout(gs.g), *_blocks(gs, _rank_one(d), star=True))
 
 
-def build_rank_one(gs: SymplecticLie, d: ExtensionData,
-                   gate: SystemReport | None = None) -> tuple[Algebra, SkewForm]:
-    """One-dimensional double extension on g + Ke + Ke*.  A caller that has
-    already run check_rank_one passes its report as ``gate``, as for
-    build_double_extension."""
+def build_rank_one(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
+    """One-dimensional double extension on g + Ke + Ke*; as for
+    build_double_extension, a check_rank_one already run on d is read back."""
     layout = _rank_one_layout(gs.g)
-    _require_criterion(gs, _rank_one(d), gate, "rank-one data")
+    _require_criterion(gs, _rank_one(d), "rank-one data")
     algebra, form = _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
     _verify(*_left_symplectic_checks(algebra, form),
             ("closed-form star disagrees with the solved star", lambda: _same_product(

@@ -17,7 +17,6 @@ writes the canonical text straight from ``Algebra.nz``; the dict route
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from bisect import insort
@@ -30,7 +29,7 @@ from typing import Any
 from . import extension
 from .algebra import Algebra
 from .exactlin import ZERO, Matrix, Rational, int_scaled_pairs, rat
-from .symplectic import SkewForm
+from .symplectic import SkewForm, _coordinates
 
 
 MAX_DIM = 48
@@ -65,18 +64,12 @@ def rational_from_json(value: object, where: str, *index: int) -> Fraction:
         raise FileFormatError(f"{where.format(*index) if index else where}: {exc}") from None
 
 
-@functools.cache
-def _cells(dim: int) -> tuple[tuple[int, int], ...]:
-    """The 1-based cells (i, j), i < j, in upper-triangle coordinate order."""
-    return tuple((i + 1, j + 1) for i in range(dim) for j in range(i + 1, dim))
-
-
 def coords_to_entries(dim: int, coords) -> list[list[int | str]]:
     """File entries of the skew form whose strict upper-triangle coordinates
     are the pairs (position, value) of ``coords``, in position order; zero
     values are skipped."""
-    cells = _cells(dim)
-    return [[*cells[k], rational_to_json(x)] for k, x in coords if x]
+    cells = _coordinates(dim)[0]
+    return [[cells[k][0] + 1, cells[k][1] + 1, rational_to_json(x)] for k, x in coords if x]
 
 
 def form_to_entries(form: SkewForm) -> list[list[int | str]]:
@@ -180,7 +173,7 @@ def algebra_from_dict(doc: Mapping[str, Any]
     # each product's nonzero pairs (k, x), 0-based and in k order: the algebra's sparse view
     small = _SMALL_INTS
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    t, s = [[()] * dim for _ in range(dim)], 1  # and times s, the lcm of the denominators so far
+    t, fractions = [[()] * dim for _ in range(dim)], False  # and the pairs (k, x) as read
     for k, item in enumerate(products):
         if not isinstance(item, dict):
             raise FileFormatError(f"products[{k}]: must be an object")
@@ -202,17 +195,16 @@ def algebra_from_dict(doc: Mapping[str, Any]
             if type(x) is not int:  # false and 0.0 are refused here
                 x = rational_from_json(x, "products[{}].value[{}]", k, n)
                 if x:
-                    if (f := (x * s).denominator) > 1:  # a new lcm s, f times the old one:
-                        s *= f  # the int pairs read so far are rescaled to it
-                        for rescaled in (p for row in t for p in row if p):
-                            rescaled[:] = [(m, v * f) for m, v in rescaled]
                     pairs.append((n, x))
-                    int_pairs.append((n, int(x * s)))
+                    int_pairs.append((n, x))
+                    fractions = True
             elif x:  # a JSON 0, most entries, is passed over at once
                 pairs.append((n, small[x] if x in small else Fraction(x)))
-                int_pairs.append((n, x * s))
+                int_pairs.append((n, x))
 
-    algebra = Algebra._sparse(dim, table, labels, (s, tuple(tuple(map(tuple, r)) for r in t)))
+    # the int view: the pairs as read, scaled once if a fraction was read
+    int_nz = int_scaled_pairs(t) if fractions else (1, tuple(tuple(map(tuple, r)) for r in t))
+    algebra = Algebra._sparse(dim, table, labels, int_nz)
     if "form" not in doc:
         return algebra, None
 

@@ -377,12 +377,10 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
     W[x][b] over the nonzero c[p][q][b], and W[x][b] is +-1 times an
     upper-triangle coordinate, so each constant hands the scatter the signed
     coordinates of column b, read off a per-dimension table, with itself as
-    the factor.  Every row is built over ints (``Algebra.int_nz``).  A row
-    with a single entry (about
-    half) says that coordinate is 0: it becomes the unit pivot, and its
-    column is dropped from the other rows.  Exact repeats are removed before
-    and after that drop, and the rows left reach the elimination once each,
-    shortest first, after the unit pivots.
+    the factor.  Every row is built over ints (``Algebra.int_nz``).  Exact
+    repeats are removed, and the rows left reach ``kernel`` once each,
+    shortest first; ``reduce_rows`` takes a single-entry row (about half) as
+    a unit pivot and drops a cancelled term.
     """
     if side not in ("left", "right", "bi"):
         raise ValueError("side must be 'left', 'right', or 'bi'")
@@ -394,17 +392,8 @@ def solve_symplectic_forms(a: Algebra, side: str = "left") -> Subspace:
                          products, n)
     # each row keyed by its entries, so that exact repeats meet
     rows = {tuple(row.items()): row for row in scattered.values()}
-    units = {key[0][0] for key in rows if len(key) == 1 and key[0][1]}
-    rest = {}
-    for key, row in rows.items():
-        if len(key) > 1:
-            if 0 in row.values() or not units.isdisjoint(row):  # a cancelled term, a unit column
-                row = {c: v for c, v in row.items() if v and c not in units}
-                key = tuple(row.items())
-            rest[key] = row
-    rest.pop((), None)
     # short rows first: the pivots stay sparse; the RREF is canonical
-    return kernel([{c: 1} for c in units] + sorted(rest.values(), key=len), n * (n - 1) // 2)
+    return kernel(sorted(rows.values(), key=len), n * (n - 1) // 2)
 
 
 def _radical_free(basis: Sequence[Sequence[tuple[int, int]]], dim: int) -> bool:

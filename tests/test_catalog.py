@@ -165,13 +165,19 @@ def test_extension_families_report_their_criterion_as_one_check():
     assert extension_data("ABEL2_CASE1")[0] is extension_data("ABEL2_CASE2")[0]
 
 
-def test_rank_one_family_runs_its_criterion_once_per_sample(monkeypatch):
-    calls = []
-    monkeypatch.setattr(extension, "check_reduced_system",
-                        lambda *args: calls.append(args) or check_reduced_system(*args))
+def test_rank_one_family_runs_its_criterion_once_per_sample(equation_scans):
+    """The rank-one check and the build of one sample scan each equation of
+    the reduced list once: the build reads back the reports the check kept
+    on the sample's data."""
+    gs, *data = rank_one_data()
+    report = check_rank_one(gs, rank_one_extension(*data))
+    names = collections.Counter(c.name for c in report.checks)
+    rng = random.Random(3)
     rr3 = get("RR3_SIXDIM_RAW")
-    assert [c.holds for c in rr3.extra_checks(rr3.default_params())[0]] == [True] * 3
-    assert len(calls) == 1
+    for params in [rr3.default_params()] + [rr3.sample(rng) for _ in range(4)]:
+        equation_scans.clear()
+        assert [c.holds for c in rr3.extra_checks(params)[0]] == [True] * 3
+        assert equation_scans == names
 
 
 def test_rank_one_family_builds_one_derived_set_per_sample(monkeypatch):
@@ -199,22 +205,18 @@ def test_rank_one_family_builds_one_derived_set_per_sample(monkeypatch):
 
 
 @pytest.mark.parametrize("fid", ["ABEL2_CASE1", "ABEL2_CASE2"])
-def test_extension_family_builds_one_derived_set_and_scans_once_per_sample(monkeypatch, fid):
+def test_extension_family_builds_one_derived_set_and_scans_once_per_sample(
+        monkeypatch, equation_scans, fid):
     """The reduced-system check and the build of one sample share one data
     object: one derived set, and each equation of the reduced system scanned
-    once (counted by wrapping the entries of _EQUATIONS)."""
-    builds, scans = [], collections.Counter()
+    once."""
+    builds, scans = [], equation_scans
     init = extension._Derived.__init__
 
     def counted_init(self, *args):
         builds.append(args)
         init(self, *args)
     monkeypatch.setattr(extension._Derived, "__init__", counted_init)
-    for name, run in list(extension._EQUATIONS.items()):
-        def counted(e, eq_name, _run=run):
-            scans[eq_name] += 1
-            return _run(e, eq_name)
-        monkeypatch.setitem(extension._EQUATIONS, name, counted)
     gs, d = extension_data(fid)
     names = [c.name for c in check_reduced_system(gs, d).checks]
     rng = random.Random(5)

@@ -983,28 +983,28 @@ def test_extend_output_is_pinned(capsys, tmp_path, case):
     assert tuple(got) == EXTEND_GOLDEN[name]
 
 
-def _count_criteria(monkeypatch):
-    calls = collections.Counter()
-    for name in ("check_full_system", "check_reduced_system"):
-        def counted(*args, _name=name, _fn=getattr(extension, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(extension, name, counted)
-    return calls
+def _equation_names(path) -> dict[str, set[str]]:
+    """The equations of the direct and the reduced list, by ``--system``."""
+    gs, d = load_extension(path)
+    return {system: {c.name for c in check(gs, d).checks} for system, check in (
+        ("full", extension.check_full_system), ("reduced", extension.check_reduced_system))}
 
 
 @pytest.mark.parametrize("flags, want", [
-    (("--system", "reduced", "--build", "--star"), {"check_reduced_system": 1}),
-    (("--system", "reduced", "--build"), {"check_reduced_system": 1}),
-    (("--system", "full", "--build"), {"check_full_system": 1, "check_reduced_system": 1}),
-    (("--system", "full", "--build", "--star"),
-     {"check_full_system": 1, "check_reduced_system": 1}),
+    (("--system", "reduced", "--build", "--star"), ("reduced",)),
+    (("--system", "reduced", "--build"), ("reduced",)),
+    (("--system", "full", "--build"), ("full", "reduced")),
+    (("--system", "full", "--build", "--star"), ("full", "reduced")),
 ])
-def test_extend_runs_each_criterion_once(capsys, tmp_path, monkeypatch, flags, want):
-    calls = _count_criteria(monkeypatch)
-    code, out, _ = run(capsys, "extend", extension_dir(tmp_path, RR3_EXTENSION), *flags)
+def test_extend_runs_each_criterion_once(capsys, tmp_path, equation_scans, flags, want):
+    """A request scans each equation of the lists it reads once: the reduced
+    criterion the builder runs reads back what the printed report scanned."""
+    path = extension_dir(tmp_path, RR3_EXTENSION)
+    names = _equation_names(path)
+    equation_scans.clear()
+    code, out, _ = run(capsys, "extend", path, *flags)
     assert code == 0 and json.loads(out)
-    assert calls == want
+    assert equation_scans == collections.Counter(set().union(*(names[s] for s in want)))
 
 
 @pytest.mark.parametrize("flags", [
@@ -1012,7 +1012,7 @@ def test_extend_runs_each_criterion_once(capsys, tmp_path, monkeypatch, flags, w
     ("--system", "full", "--build", "--star"),
 ])
 def test_extend_builds_the_derived_operators_once(capsys, tmp_path, monkeypatch, flags):
-    """The criteria, the builder's gate, the product and the star of one
+    """The criteria, the builder's criterion, the product and the star of one
     request read one derived set."""
     builds = []
 
@@ -1027,32 +1027,18 @@ def test_extend_builds_the_derived_operators_once(capsys, tmp_path, monkeypatch,
     assert len(builds) == 1
 
 
-def test_extend_full_build_star_scans_each_equation_once(capsys, tmp_path, monkeypatch):
-    """The builder's reduced gate reads back the equations the direct report
-    scanned on the same derived set: each equation of the two lists, the 8
-    they share included, is scanned once, counted by wrapping the entries of
-    _EQUATIONS."""
+def test_extend_full_build_star_scans_each_equation_once(capsys, tmp_path, equation_scans):
+    """The builder's reduced criterion reads back the equations the direct
+    report scanned on the same derived set: each equation of the two lists,
+    the 8 they share included, is scanned once."""
     path = extension_dir(tmp_path, RR3_EXTENSION)
-    gs, d = load_extension(path)
-    full, reduced = ({c.name for c in check(gs, d).checks}
-                     for check in (extension.check_full_system, extension.check_reduced_system))
-    assert len(full & reduced) == 8
-    scans = collections.Counter()
-    for name, run_eq in list(extension._EQUATIONS.items()):
-        def counted(e, eq_name, _run=run_eq):
-            scans[eq_name] += 1
-            return _run(e, eq_name)
-        monkeypatch.setitem(extension._EQUATIONS, name, counted)
+    names = _equation_names(path)
+    assert len(names["full"] & names["reduced"]) == 8
+    equation_scans.clear()
     code, out, _ = run(capsys, "--json-out", "extend", path, "--system", "full", "--build",
                        "--star")
     assert code == 0 and set(json.loads(out)) >= {"product", "star"}
-    assert scans == collections.Counter(full | reduced)
-
-
-def test_build_double_extension_rejects_a_full_report_as_its_gate():
-    gs, d = catalog.extension_data("ABEL2_CASE1")
-    with pytest.raises(ValueError, match="reduced-system report"):
-        extension.build_double_extension(gs, d, extension.check_full_system(gs, d))
+    assert equation_scans == collections.Counter(names["full"] | names["reduced"])
 
 
 def test_extend_reports_a_broken_star_without_a_traceback(capsys, tmp_path, monkeypatch):

@@ -431,7 +431,8 @@ def unit_systems(draw, square=False):
     """sparse_systems with single-entry rows put in at drawn places: one with
     a Fraction value, one per further drawn column, rows whose only other
     entries sit on those columns (so one entry is left once they are dropped),
-    and a zero written as a one-entry row."""
+    a zero written as a one-entry row, and a unit column's entry beside an
+    explicit 0, as the form solver's scatter leaves a cancelled term."""
     cols, rows = draw(sparse_systems(square))
     value = _VALUES["mixed"].filter(bool)
     units = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=cols))
@@ -442,6 +443,10 @@ def unit_systems(draw, square=False):
         on = draw(st.lists(st.sampled_from(units), min_size=1, max_size=2))
         extra.append({draw(st.sampled_from(free)): draw(value), **{u: draw(value) for u in on}})
     extra.append({draw(st.integers(0, cols - 1)): 0})
+    if cols > 1:
+        u = draw(st.sampled_from(units))
+        extra.append({draw(st.sampled_from([j for j in range(cols) if j != u])): 0,
+                      u: draw(value)})
     for row in extra:
         if square:
             rows[draw(st.integers(0, cols - 1))] = row

@@ -55,7 +55,7 @@ from sympleib.symplectic import (
     star_left,
     star_right,
 )
-from sympleib.reporting import Check, SystemReport
+from sympleib.reporting import Check, SystemReport, replace
 
 from oracles import dense_tables, inner_extension, inner_shear, omega_adjoint
 
@@ -391,9 +391,18 @@ def test_rank_one_rejects_bad_data():
     with pytest.raises(ValueError, match="rank-one data fails the criterion: "
                                          "theta-xi-psi-pairing"):
         build_rank_one(gs, d)
-    # a failing report handed in as the gate is refused the same way
-    with pytest.raises(ValueError, match="rank-one data fails the criterion"):
-        build_rank_one(gs, d, gate=check_rank_one(gs, d))
+
+
+def test_a_build_runs_the_criterion_on_its_own_data_after_a_check_of_other_data():
+    """A passing report kept on other data is not read: ABEL2_CASE1's data
+    with F replaced by E_11 fails the criterion after the original passed."""
+    gs, d = catalog.extension_data("ABEL2_CASE1")
+    bad = replace(d, F=(Matrix.from_rows([[1, 0], [0, 0]]),))
+    assert check_reduced_system(gs, d).ok
+    with pytest.raises(ValueError, match="^extension data fails the criterion: "
+                                         "Fstar-psi-K-theta, Fstar-psi-xi-S, "):
+        build_double_extension(gs, bad)
+    assert build_double_extension(gs, d) == catalog.instantiate("ABEL2_CASE1")
 
 
 def test_rank_one_refuses_data_with_more_than_one_e():
@@ -406,21 +415,6 @@ def test_rank_one_refuses_data_with_more_than_one_e():
     for run in (check_rank_one, build_rank_one, rank_one_star):
         with pytest.raises(ValueError, match="^rank-one data needs p = 1, got p = 2$"):
             run(gs, two)
-
-
-def test_build_rank_one_takes_the_reduced_report_as_its_gate(monkeypatch):
-    gs = _rr3()
-    d = rank_one_extension(*_rr3_rank_one(1, 1, 0, 2, 0, 0, 3, 0, -2))
-    report = check_rank_one(gs, d)
-    want = build_rank_one(gs, d)
-    full = check_full_system(gs, d)
-    with pytest.raises(ValueError, match="reduced-system report"):
-        build_rank_one(gs, d, gate=full)
-    calls = []
-    monkeypatch.setattr(extension, "check_reduced_system",
-                        lambda *args: calls.append(args) or check_reduced_system(*args))
-    assert build_rank_one(gs, d, gate=report) == want
-    assert calls == []
 
 
 def test_bisymplectic_from_cubic_recovers_the_plane_family():
@@ -1137,23 +1131,12 @@ def test_tables_equal_the_dense_oracle_on_random_and_rank_one_data(data):
     _assert_tables_equal_the_dense_oracle(gs, d)
 
 
-def _count_scans(monkeypatch):
-    """Count each equation's scans by wrapping the entries of _EQUATIONS."""
-    scans = collections.Counter()
-    for name, run in list(extension._EQUATIONS.items()):
-        def counted(e, eq_name, _run=run):
-            scans[eq_name] += 1
-            return _run(e, eq_name)
-        monkeypatch.setitem(extension._EQUATIONS, name, counted)
-    return scans
-
-
-def test_a_second_criterion_reads_the_shared_equations_back(monkeypatch):
+def test_a_second_criterion_reads_the_shared_equations_back(equation_scans):
     """On one data object the reduced system rescans none of the 8 equations
     it shares with the direct one; a fresh data object equal in value scans
     on its own."""
     gs, d = catalog.extension_data("ABEL2_CASE1")
-    scans = _count_scans(monkeypatch)
+    scans = equation_scans
     full, reduced = check_full_system(gs, d), check_reduced_system(gs, d)
     full_names, reduced_names = ({c.name for c in r.checks} for r in (full, reduced))
     assert full_names & reduced_names == {

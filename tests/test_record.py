@@ -58,8 +58,8 @@ CASES = {
     _Layout: (("h", "g", "hs", "labels"), lambda: _layout(1, ("x", "y")), ("hs", (9,))),
     Constraint: (("name", "kind", "value"), lambda: Constraint("x-zero", "zero", _x),
                  ("kind", "nonzero")),
-    FamilySpec: (("id", "description", "param_names", "defaults", "constraints", "builder",
-                  "claims", "sampler", "extra_checks"), lambda: get("BS4_G"),
+    FamilySpec: (("id", "description", "defaults", "constraints", "builder", "claims",
+                  "sampler", "extra_checks"), lambda: get("BS4_G"),
                  ("description", "another description")),
 }
 

@@ -4,8 +4,8 @@ No module of ``src/sympleib`` imports a name it never uses, and no private
 top-level function goes unreferenced across the package (dunder hooks such
 as a module ``__getattr__`` are called by the interpreter).  ``from __future__``
 imports and the re-exports of ``__init__.py`` are exempt.  Only ``exactlin``
-scales a Fraction table to ints (``int_scaled``): no other module divides by
-a ``.denominator``.  In ``catalog``, every family written down as a table
+scales a Fraction table to ints (``int_scaled``): no other module does
+arithmetic on a ``.denominator``, which it may only compare or format.  In ``catalog``, every family written down as a table
 goes through the one builder ``_table``: no other code there builds an
 algebra or a form from a table, except the two shared bases.  In
 ``extension``, every h + g + h* construction goes through one block filler
@@ -64,18 +64,65 @@ def test_no_unused_imports_or_unreferenced_private_functions():
     assert problems == []
 
 
-def _denominator_divisions(tree: ast.Module) -> list[int]:
-    """The lines of each ``//`` whose right operand is a ``.denominator`` attribute."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
-            and isinstance(node.right, ast.Attribute) and node.right.attr == "denominator"]
+_ARITHMETIC = (ast.BinOp, ast.AugAssign)
+
+
+def _denominator_arithmetic(tree: ast.Module) -> list[int]:
+    """The lines of each ``.denominator`` read that is an operand of arithmetic
+    or of ``lcm``, directly or through the name it is bound to in the same
+    top-level definition; a comparison or a formatted string reads it freely."""
+    found = []
+    for top in tree.body:
+        parent = {child: node for node in ast.walk(top) for child in ast.iter_child_nodes(node)}
+        used = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)
+                and isinstance(parent.get(node), _ARITHMETIC)}
+
+        def arithmetic(node) -> bool:
+            up = parent.get(node)
+            while isinstance(up, (ast.Starred, ast.GeneratorExp, ast.ListComp, ast.SetComp,
+                                  ast.comprehension)):
+                up = parent.get(up)
+            if isinstance(up, ast.Call) and getattr(up.func, "id", None) == "lcm":
+                return True
+            if isinstance(up, (ast.NamedExpr, ast.Assign)):
+                targets = [up.target] if isinstance(up, ast.NamedExpr) else up.targets
+                return any(isinstance(t, ast.Name) and t.id in used for t in targets)
+            return isinstance(up, _ARITHMETIC)
+
+        found += [node.lineno for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "denominator"
+                  and arithmetic(node)]
+    return found
 
 
 def test_only_exactlin_scales_fractions_to_ints():
     found = [f"{path.name}:{line}"
              for path in sorted(SRC.glob("*.py")) if path.name != "exactlin.py"
-             for line in _denominator_divisions(ast.parse(path.read_text(encoding="utf-8")))]
+             for line in _denominator_arithmetic(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def test_the_scaling_scan_flags_denominator_arithmetic_and_passes_formatting():
+    flagged = """
+def divided(x, s):
+    return x.numerator * (s // x.denominator)
+def rescaled(x, s):
+    if (f := (x * s).denominator) > 1:
+        s *= f
+def common(xs):
+    return lcm(*(x.denominator for x in xs))
+"""
+    assert _denominator_arithmetic(ast.parse(flagged)) == [3, 5, 8]
+    passed = """
+def text(frac):
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    return f"{frac.numerator}/{frac.denominator}"
+def bound(x, f):
+    d = x.denominator
+    return str(d) + str(f * 2)
+"""
+    assert _denominator_arithmetic(ast.parse(passed)) == []
 
 
 def _owners(tree: ast.Module, hit, methods: bool = False) -> set[str | None]:
