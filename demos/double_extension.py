@@ -6,9 +6,8 @@ Starting from a symplectic Lie algebra g and extension data
 (F, G, theta, psi, xi, omega), a compatibility system decides whether
 the 2p-dimensional enlargement of g carries a left symplectic
 structure.  When it does, build_double_extension() assembles the big
-algebra and form, and build_left_symmetric() independently assembles
-the associated left symmetric product so the two routes can be
-compared.
+algebra and form, and build_left_symmetric() returns the associated
+left symmetric product, solved on that same assembled pair.
 """
 
 from sympleib import (
@@ -51,8 +50,8 @@ for i in range(big.dim):
             )
             print(f"  {big.labels[i]} . {big.labels[j]} = {terms}")
 
-# The directly assembled left symmetric product agrees with the one
-# derived from the big algebra and its form.
+# The star that build_left_symmetric() returns is the one star_left()
+# solves on the big algebra and its form.
 direct = build_left_symmetric(gs, data)
 derived = star_left(big, form)
 print("star products agree:", direct.c == derived.c)

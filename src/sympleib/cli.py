@@ -192,7 +192,7 @@ def cmd_extend(args) -> int:
 
     emitted = {}  # the algebras to print, each with the extension's form
     if args.build or args.star:
-        # the builder's criterion reads back each equation the report scanned on data
+        # the build reads back each equation the report scanned; the star reuses its pair
         algebra, form = extension.build_double_extension(gs, data)
         if args.build:
             emitted["product"] = algebra

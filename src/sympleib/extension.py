@@ -24,7 +24,7 @@ the shear h_i -> h_i + H e_i is its certificate (tests/oracles.py holds the
 product in the basis before it).  Each special builder checks its own inputs
 and hands its data to the one reduced criterion, which reads back each
 equation already scanned on the data, the one assembly and the one
-post-build check.
+post-build check (``_build``, which the rank-one builder shares).
 
 A layout names the basis positions of h, g and h* and the basis labels: the
 rank-one builders use the order (g, e, e*), the others (h, g, h*).  One
@@ -32,12 +32,12 @@ filler writes a product from one table per block (h,h), (h,g), (g,h), (g,g),
 each giving an entry's g-part and h*-part, through ``Algebra.from_table``;
 one form helper writes the middle Gram matrix plus the pairing
 W[h_i][h*_i] = -1; and one verifier runs a builder's post-build checks and
-raises with the witness of the first that fails.  The double extension and
-its star are two block tables over the same int atoms as the criteria, which
-the rank-one builders read on the embedded data, with a Fraction oracle in
-tests/oracles.py; the forms are skew by construction and skip the skew scan.
-build_left_symmetric and rank_one_star write the star from the data instead
-of solving for it, and stay as independent test oracles for star_left.
+raises with the witness of the first that fails.  The product is one block
+table over the same int atoms as the criteria, which the rank-one layout
+reads on the embedded data; the forms are skew by construction and skip the
+skew scan.  Each assembled pair is kept on d for its base, and the star of an
+extension is star_left of that pair; the closed-form product and star tables
+of tests/oracles.py, by Fraction arithmetic, are their oracle.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from sympleib.exactlin import (
     vsub,
     vzero,
 )
-from sympleib.reporting import Check, Record, SystemReport, Witness, first_failure, kept
+from sympleib.reporting import Check, Record, SystemReport, Witness, kept
 from sympleib.symplectic import (
     SkewForm,
     is_bi_symplectic,
@@ -505,19 +505,6 @@ def _verify(*checks) -> None:
             raise AssertionError(f"{what}: {rep.detail}")
 
 
-def _left_symplectic_checks(algebra: Algebra, form: SkewForm) -> tuple:
-    return (("assembled product is not left Leibniz", lambda: is_left_leibniz(algebra)),
-            ("assembled form is not compatible", lambda: is_symplectic_left(algebra, form)))
-
-
-def _same_product(kind: str, a: Algebra, b: Algebra) -> Check:
-    """Whether two products on one basis agree, compared on ``nz``; the witness
-    is the first pair (i, j) where they differ, with defect a(e_i, e_j) - b(e_i, e_j)."""
-    return first_failure(kind, (((i, j), vsub(a.c[i][j], b.c[i][j]))
-                                for i, j in product(range(a.dim), repeat=2)
-                                if a.nz[i][j] != b.nz[i][j]))
-
-
 def _star_commutator(star: Algebra, g: Algebra) -> Check:
     """Whether u * v - v * u = [u, v] for a Lie algebra g, compared over the
     int views, each side times the other's scale.  Both sides are
@@ -538,75 +525,67 @@ def _star_commutator(star: Algebra, g: Algebra) -> Check:
     return Check("star-commutator", True)
 
 
-def _blocks(gs: SymplecticLie, d: ExtensionData, star: bool = False) -> tuple:
-    """The block tables (hh, hg, gh, gg) of the product, or of its star.
+def _blocks(gs: SymplecticLie, d: ExtensionData) -> tuple:
+    """The block tables (hh, hg, gh, gg) of the product.
 
-    The g-parts are the data, the constants of g and of its star, and the
-    derived F* and K = S/2 - F - F*.  An h*-part lists omega(v, e_a) over p
-    vectors v: read off the int covectors v (sW) of the derived set, at scale
-    s^2, one int matrix product per h direction.  Each computed entry becomes
-    a Fraction once, as ``_fill`` reads the table.
+    The g-parts are the data and the constants of g.  An h*-part lists
+    omega(v, e_a) over p vectors v: psi(x, .), xi(x, .) and, on (g, g), the
+    columns of the derived K = S/2 - F - F*, read off the int covectors
+    v (sW) of the derived set, at scale s^2, one int matrix product per h
+    direction.  Each computed entry becomes a Fraction once, as ``_fill``
+    reads the table.
     """
     e, p, Om = kept(d, "derived", partial(_Derived, gs, d), gs), d.p, d.omega_cube
-    s = e.scale
+    s2 = e.scale ** 2
 
-    def q(values, scale=s * s) -> list:
-        return [Fraction(x, scale) if x else ZERO for x in values]
+    def q(values) -> list:
+        return [Fraction(x, s2) if x else ZERO for x in values]
 
     def pair(rows) -> _Ints:  # row k: the covector of rows[k]
         return _Ints(tuple(rows)) @ e.w
-
-    def pair_cols(ops) -> list:  # row a of entry k: the covector of column a of ops[k]
-        return [pair(zip(*op.rows)) for op in ops]
-    if not star:
-        P, X, KW = [pair(row) for row in e.ps], [pair(row) for row in e.xi], pair_cols(e.K)
-        return (lambda x, y: (d.theta[x][y], Om[x][y]),
-                lambda x, a: (d.F[x].col(a), q(P[x].col(a))),
-                lambda a, x: (d.G[x].col(a), q(X[x].col(a))),
-                lambda a, b: (gs.g.c[a][b], q(KW[k].rows[a][b] for k in range(p))))
-    T, GW = [pair(row) for row in e.th], pair_cols(e.G)
-    Xt = [pair(row[x] for row in e.xi) for x in range(p)]
-    return (lambda x, y: (d.psi[x][y], [Om[x][k][y] for k in range(p)]),
-            lambda x, a: (q(e.Fs[x].col(a), -s), q(T[x].col(a))),  # -F*
-            lambda a, x: (q(e.K[x].col(a), s), q(Xt[x].col(a))),
-            lambda a, b: (gs.star.c[a][b], q(GW[k].rows[a][b] for k in range(p))))
+    P, X = [pair(row) for row in e.ps], [pair(row) for row in e.xi]
+    KW = [pair(zip(*k.rows)) for k in e.K]  # row a of entry k: column a of K_k
+    return (lambda x, y: (d.theta[x][y], Om[x][y]),
+            lambda x, a: (d.F[x].col(a), q(P[x].col(a))),
+            lambda a, x: (d.G[x].col(a), q(X[x].col(a))),
+            lambda a, b: (gs.g.c[a][b], q(KW[k].rows[a][b] for k in range(p))))
 
 
 def _assemble_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
-    """The product and form on h + g + h*, no checks."""
+    """The product and form on h + g + h*, no checks, kept on d for gs: a
+    build and its star assemble once."""
     layout = _layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)])
-    return _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
+    return kept(d, "assembly", lambda: (_fill(layout, *_blocks(gs, d)),
+                                        _form(layout, gs.form.w.entries)), gs)
 
 
-def _require_criterion(gs: SymplecticLie, d: ExtensionData, what: str) -> None:
-    """Raise unless the reduced system holds on (gs, d)."""
+def _build(gs: SymplecticLie, d: ExtensionData, what: str, assemble) -> tuple[Algebra, SkewForm]:
+    """Checked assembly: the reduced criterion first, then ``assemble(gs, d)``,
+    then the product checked left Leibniz and the form compatible with it.
+
+    Each equation's report is kept on d, so an equation that a check already
+    scanned on the same (gs, d) is read back, not scanned again.
+    """
     report = check_reduced_system(gs, d)
     if not report.ok:
         names = ", ".join(c.name for c in report.failed())
         raise ValueError(f"{what} fails the criterion: {names}")
-
-
-def build_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
-    """Checked assembly: criterion first, identity verification afterwards.
-
-    The criterion is the reduced system.  Each equation's report is kept on
-    d, so an equation that a check already scanned on the same (gs, d) is
-    read back, not scanned again.
-    """
-    _require_criterion(gs, d, "extension data")
-    algebra, form = _assemble_double_extension(gs, d)
-    _verify(*_left_symplectic_checks(algebra, form))
+    algebra, form = assemble(gs, d)
+    _verify(("assembled product is not left Leibniz", lambda: is_left_leibniz(algebra)),
+            ("assembled form is not compatible", lambda: is_symplectic_left(algebra, form)))
     return algebra, form
 
 
-def build_left_symmetric(gs: SymplecticLie, d: ExtensionData) -> Algebra:
-    """The star product of the extension, written directly from the data.
+def build_double_extension(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
+    """The checked product and form on h + g + h* (``_build``)."""
+    return _build(gs, d, "extension data", _assemble_double_extension)
 
-    Independent of star_left on purpose: a test oracle, and tests compare
-    the two routes.
-    """
-    star = _fill(_layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)]),
-                 *_blocks(gs, d, star=True))
+
+def build_left_symmetric(gs: SymplecticLie, d: ExtensionData) -> Algebra:
+    """The star product of the extension: star_left of the assembled pair,
+    checked left symmetric.  The closed form of ``tests/oracles.py`` is its
+    oracle."""
+    star = star_left(*_assemble_double_extension(gs, d))
     _verify(("assembled star is not left symmetric", lambda: is_left_symmetric(star)))
     return star
 
@@ -734,30 +713,34 @@ def check_rank_one(gs: SymplecticLie, d: ExtensionData) -> SystemReport:
     return check_reduced_system(gs, _rank_one(d))
 
 
-def rank_one_star(gs: SymplecticLie, d: ExtensionData) -> Algebra:
-    """Star product of the rank-one extension: the general star table on the
-    data, in the basis order (g, e, e*).
+def _assemble_rank_one(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
+    """The product and form on g + Ke + Ke*, no checks, kept on d for gs."""
+    layout = _rank_one_layout(gs.g)
+    return kept(_rank_one(d), "rank-one assembly", lambda: (_fill(layout, *_blocks(gs, d)),
+                                                            _form(layout, gs.form.w.entries)), gs)
 
-    Independent of star_left on purpose: a test oracle, and build_rank_one
-    compares the same table with star_left.
-    """
-    return _fill(_rank_one_layout(gs.g), *_blocks(gs, _rank_one(d), star=True))
+
+def rank_one_star(gs: SymplecticLie, d: ExtensionData) -> Algebra:
+    """Star product of the rank-one extension: star_left of its assembled
+    pair, in the basis order (g, e, e*)."""
+    return star_left(*_assemble_rank_one(gs, d))
 
 
 def build_rank_one(gs: SymplecticLie, d: ExtensionData) -> tuple[Algebra, SkewForm]:
     """One-dimensional double extension on g + Ke + Ke*; as for
     build_double_extension, a check_rank_one already run on d is read back."""
-    layout = _rank_one_layout(gs.g)
-    _require_criterion(gs, _rank_one(d), "rank-one data")
-    algebra, form = _fill(layout, *_blocks(gs, d)), _form(layout, gs.form.w.entries)
-    _verify(*_left_symplectic_checks(algebra, form),
-            ("closed-form star disagrees with the solved star", lambda: _same_product(
-                "star", star_left(algebra, form), _fill(layout, *_blocks(gs, d, star=True)))))
-    return algebra, form
+    return _build(gs, _rank_one(d), "rank-one data", _assemble_rank_one)
 
 
 # ---------------------------------------------------------------------------
 # bi-symplectic constructions
+
+
+def _totally_symmetric(cube, n: int) -> bool:
+    """Whether cube[i][j][k] on an n^3 index range is unchanged by every
+    permutation of (i, j, k)."""
+    return all(cube[i][j][k] == cube[j][i][k] == cube[i][k][j]
+               for i, j, k in product(range(n), repeat=3))
 
 
 def build_bisymplectic_from_T(gs: SymplecticLie, iso: Subspace, T) -> Algebra:
@@ -774,9 +757,7 @@ def build_bisymplectic_from_T(gs: SymplecticLie, iso: Subspace, T) -> Algebra:
         failures.append("iso-central")
     if not is_isotropic(w, iso):
         failures.append("iso-isotropic")
-    sym = all(cube[i][j][k] == cube[j][i][k] == cube[i][k][j]
-              for i in range(m) for j in range(m) for k in range(m))
-    if not sym:
+    if not _totally_symmetric(cube, m):
         failures.append("T-symmetric")
     perp = orthogonal(w, iso)
     ok = all(sum((v[k] * cube[i][j][k] for k in range(m)), ZERO) == 0
@@ -810,9 +791,6 @@ def build_commutative_bisymplectic(h_dim: int, b_form: SkewForm, T
     d = _plain_data(p, b_form.dim, T)
     if not b_form.nondegenerate:
         raise ValueError("the middle form must be nondegenerate")
-    cube = d.omega_cube
-    sym = all(cube[i][j][k] == cube[j][i][k] == cube[i][k][j]
-              for i in range(p) for j in range(p) for k in range(p))
-    if not sym:
+    if not _totally_symmetric(d.omega_cube, p):
         raise ValueError("T must be fully symmetric")
     return build_double_extension(SymplecticLie(Algebra.from_table(b_form.dim, {}), b_form), d)

@@ -281,12 +281,23 @@ def is_symplectic_right(a: Algebra, form: SkewForm) -> Check:
     return _compat_report(a, form, "right-symplectic", ("right-symplectic",))
 
 
-def _d_omega(form: SkewForm, bracket: Algebra, i: int, j: int, k: int,
-             e: list) -> Fraction:
-    """Chevalley-Eilenberg differential of the form against a bracket."""
-    return (omega(form, e[i], bracket.c[j][k])
-            + omega(form, e[j], bracket.c[k][i])
-            + omega(form, e[k], bracket.c[i][j]))
+def _split_report(a: Algebra, form: SkewForm, name: str, sign: int) -> Check:
+    """The first basis triple where d omega(u, v, w)
+    + sign (omega(u, v <> w) - omega(v, u <> w)) is nonzero: d omega is the
+    Chevalley-Eilenberg differential of the form against the bracket, half
+    the antisymmetrized product, and every scalar is a separate omega call."""
+    if a.dim != form.dim:
+        raise ValueError("dimension mismatch")
+    if not form.nondegenerate:
+        return _degenerate_report(name, form)
+    bracket, diamond = split(a)
+    e = [basis_vector(a.dim, i) for i in range(a.dim)]
+
+    def defect(i, j, k):
+        return (omega(form, e[i], bracket.c[j][k]) + omega(form, e[j], bracket.c[k][i])
+                + omega(form, e[k], bracket.c[i][j]) + sign
+                * (omega(form, e[i], diamond.c[j][k]) - omega(form, e[j], diamond.c[i][k])))
+    return first_failure(name, ((ijk, (defect(*ijk),)) for ijk in product(range(a.dim), repeat=3)))
 
 
 def is_symplectic_left_split(a: Algebra, form: SkewForm) -> Check:
@@ -297,19 +308,7 @@ def is_symplectic_left_split(a: Algebra, form: SkewForm) -> Check:
     every scalar is a separate omega call, sharing neither the Gram table nor
     the term lists of is_symplectic_left, so the two can be compared.
     """
-    if a.dim != form.dim:
-        raise ValueError("dimension mismatch")
-    if not form.nondegenerate:
-        return _degenerate_report("left-symplectic-split", form)
-    bracket, diamond = split(a)
-    e = [basis_vector(a.dim, i) for i in range(a.dim)]
-
-    def defect(i, j, k):
-        return (_d_omega(form, bracket, i, j, k, e)
-                - omega(form, e[j], diamond.c[i][k])
-                + omega(form, e[i], diamond.c[j][k]))
-    return first_failure("left-symplectic-split",
-                         ((ijk, (defect(*ijk),)) for ijk in product(range(a.dim), repeat=3)))
+    return _split_report(a, form, "left-symplectic-split", 1)
 
 
 def is_symplectic_right_split(a: Algebra, form: SkewForm) -> Check:
@@ -317,19 +316,7 @@ def is_symplectic_right_split(a: Algebra, form: SkewForm) -> Check:
 
     A test oracle for is_symplectic_right, evaluated with omega like the left one.
     """
-    if a.dim != form.dim:
-        raise ValueError("dimension mismatch")
-    if not form.nondegenerate:
-        return _degenerate_report("right-symplectic-split", form)
-    bracket, diamond = split(a)
-    e = [basis_vector(a.dim, i) for i in range(a.dim)]
-
-    def defect(i, j, k):
-        return (_d_omega(form, bracket, i, j, k, e)
-                - omega(form, e[i], diamond.c[j][k])
-                + omega(form, e[j], diamond.c[i][k]))
-    return first_failure("right-symplectic-split",
-                         ((ijk, (defect(*ijk),)) for ijk in product(range(a.dim), repeat=3)))
+    return _split_report(a, form, "right-symplectic-split", -1)
 
 
 def is_bi_symplectic(a: Algebra, form: SkewForm) -> Check:

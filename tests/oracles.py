@@ -26,6 +26,7 @@ from sympleib.exactlin import (
     vector,
     vscale,
 )
+from sympleib.extension import _fill, _layout
 from sympleib.fileformat import MAX_DIM, FileFormatError, rational_from_json
 from sympleib.symplectic import SkewForm, form_from_pairs, omega
 
@@ -171,8 +172,9 @@ def dense_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def dense_tables(gs, d) -> tuple[tuple, tuple]:
-    """Oracle for ``extension._blocks``: the block tables (hh, hg, gh, gg) of
-    the double extension's product and of its star by Fraction arithmetic.
+    """Oracle for ``extension._blocks`` and for ``star_left`` of the assembled
+    pair: the block tables (hh, hg, gh, gg) of the double extension's product
+    and of its star, in closed form, by Fraction arithmetic.
     F* comes from ``omega_adjoint``, K = S/2 - F - F*, and every h*-part is a
     list of ``omega`` pairings omega(v, e_a)."""
     g, wg, p, m = gs.g, gs.form, d.p, d.gdim
@@ -196,6 +198,14 @@ def dense_tables(gs, d) -> tuple[tuple, tuple]:
         lambda a, b: (gs.star.c[a][b], pairings([G[k].col(a) for k in range(p)], e[b])),
     )
     return prod, star
+
+
+def dense_star(gs, d, layout=None) -> Algebra:
+    """The star of the double extension of (gs, d), filled by
+    ``extension._fill`` from the closed-form star table of ``dense_tables``,
+    in the layout (h, g, h*) unless another is given."""
+    layout = layout or _layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)])
+    return _fill(layout, *dense_tables(gs, d)[1])
 
 
 def inner_extension(gs, H: Matrix, psi, cube) -> tuple[Algebra, SkewForm]:

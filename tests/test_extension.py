@@ -43,8 +43,8 @@ from sympleib.extension import (
     zero_cube,
     zero_grid,
 )
-from sympleib.extension import (_assemble_double_extension, _derivation_check, _same_product,
-                                _verify)
+from sympleib.extension import (_assemble_double_extension, _assemble_rank_one,
+                                _derivation_check, _layout, _rank_one_layout, _verify)
 from sympleib.symplectic import (
     SkewForm,
     form_from_pairs,
@@ -57,7 +57,7 @@ from sympleib.symplectic import (
 )
 from sympleib.reporting import Check, SystemReport, replace
 
-from oracles import dense_tables, inner_extension, inner_shear, omega_adjoint
+from oracles import dense_star, dense_tables, inner_extension, inner_shear, omega_adjoint
 
 W12 = form_from_pairs(2, {(1, 2): 1})
 W14_23 = form_from_pairs(4, {(1, 4): 1, (2, 3): 1})
@@ -160,11 +160,25 @@ def test_case2_data_passes_both_systems_and_builds():
 
 
 def test_direct_star_assembly_matches_solved_star():
+    """The star solved on each build equals the closed-form star of the oracle."""
     gs = _abelian2()
     for d in (_case1_data(2, -1, 3, 5, 7), _case2_data(3, 1, 2, 1, 4, -5, 2),
               _case1_data(1, 0, 0, 0, 0), _case2_data(1, 0, 1, -1, 2, 2, -3)):
         alg, form = build_double_extension(gs, d)
-        assert build_left_symmetric(gs, d).c == star_left(alg, form).c
+        assert build_left_symmetric(gs, d).c == star_left(alg, form).c == dense_star(gs, d).c
+
+
+def test_a_build_and_its_star_assemble_once(monkeypatch):
+    """The assembled pair is kept on the data for its base: the star reads
+    the pair the build assembled, and another base assembles anew."""
+    gs, d = catalog.extension_data("ABEL2_CASE1")
+    fills = []
+    fill = extension._fill
+    monkeypatch.setattr(extension, "_fill", lambda *args: fills.append(1) or fill(*args))
+    alg, form = build_double_extension(gs, d)
+    assert build_left_symmetric(gs, d) == star_left(alg, form) and len(fills) == 1
+    other = SymplecticLie(gs.g, gs.form)
+    assert build_double_extension(other, d) == (alg, form) and len(fills) == 2
 
 
 def test_two_criterion_routes_agree_with_the_built_identities():
@@ -227,7 +241,7 @@ def test_lagrangian_extension():
     assert alg.dim == 2
     assert is_lagrangian(form, leibniz_ideal(alg))
     assert alg.c[0][0] == vector([0, 3])
-    assert star_left(alg, form).c == build_left_symmetric(*_point_data(1, [[[3]]])).c
+    assert star_left(alg, form).c == dense_star(*_point_data(1, [[[3]]])).c
 
     # the zero cube: the Lagrangian condition is vacuous, the product zero
     valg, vform = build_lagrangian(2, zero_cube(2))
@@ -242,7 +256,7 @@ def test_lagrangian_extension():
     alg2, form2 = build_lagrangian(2, cube)
     assert is_left_leibniz(alg2).holds
     assert is_lagrangian(form2, leibniz_ideal(alg2))
-    assert star_left(alg2, form2).c == build_left_symmetric(*_point_data(2, cube)).c
+    assert star_left(alg2, form2).c == dense_star(*_point_data(2, cube)).c
 
 
 def test_lagrangian_rejects_bad_cube():
@@ -350,6 +364,8 @@ def test_rank_one_embeds_as_general_extension_data():
                 assert small_form.w.entries[i][j] == big_form.w.entries[to_big[i]][to_big[j]]
         small_star = rank_one_star(gs, one)
         big_star = build_left_symmetric(gs, d)
+        assert small_star.c == dense_star(gs, one, _rank_one_layout(gs.g)).c
+        assert big_star.c == dense_star(gs, d).c
         for i in range(m + 2):
             for j in range(m + 2):
                 assert [big_star.c[to_big[i]][to_big[j]][to_big[k]]
@@ -360,10 +376,11 @@ def test_post_build_verifier_raises_with_the_failing_witness():
     lie = _rr3().g
     idempotent = Algebra.from_table(2, {(1, 1): {1: 1}})
     incompatible = Algebra.from_table(2, {(1, 2): {2: 1}})
+    not_left_symmetric = Algebra.from_table(2, {(1, 2): {1: 1}})
     cases = [
         ("product", lambda: is_left_leibniz(idempotent)),
         ("form", lambda: is_symplectic_left(incompatible, W12)),
-        ("star", lambda: _same_product("star", idempotent, incompatible)),
+        ("star", lambda: is_left_symmetric(not_left_symmetric)),
     ]
     for what, check in cases:
         rep = check()
@@ -372,7 +389,7 @@ def test_post_build_verifier_raises_with_the_failing_witness():
             _verify(("lie", lambda: is_left_leibniz(lie)), (what, check),
                     ("later", lambda: pytest.fail("a check ran after the first failure")))
         assert str(exc.value) == f"{what}: {rep.witness.describe()}"
-    assert str(exc.value) == "star: star fails at (1, 1) with defect (1, 0)"
+    assert str(exc.value) == "star: left-symmetric fails at (1, 2, 2) with defect (1, 0)"
     _verify(("lie", lambda: is_left_leibniz(lie)))
 
 
@@ -381,7 +398,7 @@ def test_rank_one_star_closed_form():
     d = rank_one_extension(*_rr3_rank_one(1, 1, 0, 2, 0, 0, 3, 0, -2))
     alg, form = build_rank_one(gs, d)
     star = rank_one_star(gs, d)
-    assert star.c == star_left(alg, form).c
+    assert star.c == star_left(alg, form).c == dense_star(gs, d, _rank_one_layout(gs.g)).c
     assert is_left_symmetric(star).holds
 
 
@@ -1100,16 +1117,18 @@ def test_symplectic_lie_reports_a_broken_star_with_its_witness(monkeypatch):
 
 
 def _assert_tables_equal_the_dense_oracle(gs, d):
-    """The product and the star filled from the tables read off the int atoms
-    equal those filled from the Fraction tables of the oracle, in the layout
+    """The assembled product, filled from the table read off the int atoms,
+    and star_left of the assembled pair equal the product and the star filled
+    from the closed-form Fraction tables of the oracle, in the layout
     (h, g, h*) and, at p = 1, in the rank-one layout (g, e, e*)."""
-    layouts = [extension._layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)])]
+    assemblies = [(_layout(d.p, [gs.g.basis_label(a) for a in range(gs.dim)]),
+                   _assemble_double_extension)]
     if d.p == 1:
-        layouts.append(extension._rank_one_layout(gs.g))
-    for layout in layouts:
-        got = extension._blocks(gs, d), extension._blocks(gs, d, star=True)
-        for got, want in zip(got, dense_tables(gs, d)):
-            assert extension._fill(layout, *got) == extension._fill(layout, *want)
+        assemblies.append((_rank_one_layout(gs.g), _assemble_rank_one))
+    for layout, assemble in assemblies:
+        algebra, form = assemble(gs, d)
+        for got, want in zip((algebra, star_left(algebra, form)), dense_tables(gs, d)):
+            assert got == extension._fill(layout, *want)
 
 
 @pytest.mark.parametrize("case", list(_catalog_extension_cases()), ids=lambda c: c[0])

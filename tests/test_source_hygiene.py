@@ -159,14 +159,13 @@ def test_catalog_builds_its_tables_through_one_builder():
 
 
 def test_every_h_g_hstar_build_fills_through_the_one_assembly():
-    """In ``extension``, the block filler serves the double extension, its
-    star and the rank-one layout only, and the form helper the double
-    extension and the rank-one build only: the special builders hand their
-    data to ``build_double_extension``."""
+    """In ``extension``, the block filler and the form helper serve the two
+    assemblies only, of the layouts (h, g, h*) and (g, e, e*): the stars are
+    solved on an assembled pair, and the special builders hand their data to
+    ``build_double_extension``."""
     tree = ast.parse((SRC / "extension.py").read_text(encoding="utf-8"))
-    assert _callers(tree, {"_fill"}) == \
-        {"_assemble_double_extension", "build_left_symmetric", "rank_one_star", "build_rank_one"}
-    assert _callers(tree, {"_form"}) == {"_assemble_double_extension", "build_rank_one"}
+    assemblies = {"_assemble_double_extension", "_assemble_rank_one"}
+    assert _callers(tree, {"_fill"}) == _callers(tree, {"_form"}) == assemblies
 
 
 def _instance_dict(node) -> bool:

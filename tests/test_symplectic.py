@@ -228,6 +228,13 @@ def test_split_formulations_agree_with_direct_ones():
         form = _random_form(rng, n)
         assert is_symplectic_left(a, form).holds == is_symplectic_left_split(a, form).holds
         assert is_symplectic_right(a, form).holds == is_symplectic_right_split(a, form).holds
+    # the two split oracles differ in one sign: on e1 e2 = e1 they fail at
+    # one triple with opposite defects
+    a = Algebra.from_table(2, {(1, 2): {1: 1}})
+    assert is_symplectic_left_split(a, W12).detail == \
+        "left-symplectic-split fails at (1, 2, 2) with defect (1/2)"
+    assert is_symplectic_right_split(a, W12).detail == \
+        "right-symplectic-split fails at (1, 2, 2) with defect (-1/2)"
 
 
 def test_bi_symplectic_means_left_and_right():
